@@ -3,8 +3,9 @@
 Subcommands: scenario1, scenario2, radius, search, entanglement,
 calibrate, table. All reports are JSON (CSV only as a plot-data
 projection); floats are printed with 9 significant digits so reruns
-diff cleanly. Exit codes: 0 success, 1 verification/feasibility failure,
-2 input error.
+diff cleanly. Exit codes: 0 success, 1 verification/feasibility failure
+or an internal fault (raised, not mapped), 2 input error (bad options are
+rejected by argparse, bad states by InputError).
 """
 
 from __future__ import annotations
@@ -46,18 +47,17 @@ def _load_source(spec: str):
     """Resolve --state: 'builtin:<id>' or a state-file path."""
     if spec.startswith("builtin:"):
         try:
-            return states.builtin_state(spec.split(":", 1)[1]), None
+            return states.builtin_state(spec.split(":", 1)[1]).normalized(), None
         except KeyError as e:
             raise InputError(str(e)) from None
     try:
         loaded = states.load_state(spec)
+        if isinstance(loaded, tuple):
+            return loaded[0].normalized(), loaded[1]
     except FileNotFoundError:
         raise InputError(f"state file not found: {spec}") from None
     except (ValueError, KeyError, json.JSONDecodeError) as e:
         raise InputError(f"bad state file {spec}: {e}") from None
-    if isinstance(loaded, tuple):
-        psi, p = loaded
-        return psi, p
     return loaded, None
 
 
@@ -66,15 +66,13 @@ def _resolve_pair(spec: str, p: float):
     obj, file_p = _load_source(spec)
     if isinstance(obj, states.PureState3Q):
         eff_p = p if p is not None else (file_p if file_p is not None else 1.0)
-        rho3 = states.build_family(obj.normalized(), eff_p)
-        rho_ab = states.reduce_pair(rho3, "AB")
-        return rho_ab, states.swap_state(rho_ab), rho3
-    if obj.dims == (2, 2, 2):
-        rho_ab = states.reduce_pair(obj, "AB")
-        return rho_ab, states.swap_state(rho_ab), obj
+        obj = states.build_family(obj, eff_p)
     if obj.dims == (2, 2):
         return obj, states.swap_state(obj), None
-    raise InputError(f"unsupported state dims {obj.dims}")
+    if obj.dims != (2, 2, 2):
+        raise InputError(f"unsupported state dims {obj.dims}")
+    rho_ab = states.reduce_pair(obj, "AB")
+    return rho_ab, states.swap_state(rho_ab), obj
 
 
 def _radius_params(args) -> lhs.RadiusParams:
@@ -146,13 +144,14 @@ def cmd_entanglement(args) -> int:
 
 
 def cmd_search(args) -> int:
+    prefilter = search.ObjectiveSpec(
+        kind="scenario2_prefilter", parameterization=args.parameterization,
+        meas_level=0, hidden_level=0, bisection_tol=1e-2,
+    )
     if args.scenario == 1:
         spec = search.ObjectiveSpec(kind="scenario1", parameterization=args.parameterization)
     elif args.stage == "prefilter":
-        spec = search.ObjectiveSpec(
-            kind="scenario2_prefilter", parameterization=args.parameterization,
-            meas_level=0, hidden_level=0, bisection_tol=1e-2,
-        )
+        spec = prefilter
     else:
         spec = search.ObjectiveSpec(
             kind="scenario2_full", parameterization=args.parameterization,
@@ -162,10 +161,6 @@ def cmd_search(args) -> int:
     log_file = open(args.out, "a") if args.out else None
     try:
         if args.scenario == 2 and args.stage == "two-stage":
-            prefilter = search.ObjectiveSpec(
-                kind="scenario2_prefilter", parameterization=args.parameterization,
-                meas_level=0, hidden_level=0, bisection_tol=1e-2,
-            )
             result = search.two_stage_search(
                 prefilter, spec, args.restarts, args.seed, log_file=log_file
             )
@@ -174,6 +169,8 @@ def cmd_search(args) -> int:
                 spec, args.restarts, args.seed,
                 log_file=log_file, resume_path=args.resume,
             )
+    except json.JSONDecodeError as e:  # only the --resume log is parsed here
+        raise InputError(f"bad resume log {args.resume}: {e}") from None
     finally:
         if log_file:
             log_file.close()
@@ -190,14 +187,7 @@ def cmd_calibrate(args) -> int:
     """Werner-family calibration against the known thresholds: the
     entanglement boundary at p = 1/3 (PPT) and the projective steering
     boundary at p = 1/2 (critical-radius bracket on the singlet)."""
-    lo, hi = 0.2, 0.5
-    while hi - lo > 1e-4:
-        mid = (lo + hi) / 2
-        if ent.is_ppt(states.werner(mid), 0):
-            lo = mid
-        else:
-            hi = mid
-    ppt_bracket = (lo, hi)
+    ppt_bracket = lhs.bisect(lambda p: not ent.is_ppt(states.werner(p), 0), 0.2, 0.5, 1e-4)
     report = lhs.critical_radius_bounds(states.werner(1.0), _radius_params(args))
     data = {
         "entanglement_threshold_bracket": list(ppt_bracket),
@@ -231,14 +221,33 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, state: bool = True):
-    if state:
-        p.add_argument("--state", required=True, help="builtin:<id> or state-file path")
-        p.add_argument("--p", type=float, default=None, help="family mixing weight (default 1)")
-    p.add_argument("--meas-level", type=int, default=0)
-    p.add_argument("--hidden-level", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-3, help="bisection tolerance in t")
+def _checked(convert, ok, what):
+    """argparse type: convert, then reject values outside the valid range."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_UNIT = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE = _checked(float, lambda v: 0 < v < float("inf"), "finite and > 0")
+_NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _add_state(p: argparse.ArgumentParser):
+    p.add_argument("--state", required=True, help="builtin:<id> or state-file path")
+    p.add_argument("--p", type=_UNIT, default=None, help="family mixing weight (default 1)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_radius(p: argparse.ArgumentParser):
+    p.add_argument("--meas-level", type=_NONNEG_INT, default=0)
+    p.add_argument("--hidden-level", type=_NONNEG_INT, default=2)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-3, help="bisection tolerance in t")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,43 +255,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("scenario1", help="six-setting steering-inequality report")
-    _add_common(p1)
+    _add_state(p1)
     p1.add_argument("--fig-data", default=None, help="write Bloch-endpoint CSV here")
     p1.set_defaults(func=cmd_scenario1)
 
     p2 = sub.add_parser("scenario2", help="critical-radius one-way report")
-    _add_common(p2)
+    _add_state(p2)
+    _add_radius(p2)
     p2.add_argument("--certify", action="store_true",
                     help="exit 1 when the cyclic property is refuted")
     p2.set_defaults(func=cmd_scenario2)
 
     pr = sub.add_parser("radius", help="critical-radius bracket for one direction")
-    _add_common(pr)
+    _add_state(pr)
+    _add_radius(pr)
     pr.add_argument("--pair", choices=["AB", "BA"], default="AB")
     pr.set_defaults(func=cmd_radius)
 
     ps = sub.add_parser("search", help="multi-restart Nelder-Mead campaigns")
     ps.add_argument("--scenario", type=int, choices=[1, 2], required=True)
     ps.add_argument("--stage", choices=["full", "prefilter", "two-stage"], default="full")
-    ps.add_argument("--restarts", type=int, default=500)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--restarts", type=_POSITIVE_INT, default=500)
+    ps.add_argument("--seed", type=_NONNEG_INT, default=0)
     ps.add_argument("--parameterization", choices=sorted(search.PARAM_DIMS),
                     default="real-7")
-    ps.add_argument("--meas-level", type=int, default=0)
-    ps.add_argument("--hidden-level", type=int, default=2)
-    ps.add_argument("--tol", type=float, default=1e-3)
+    _add_radius(ps)
     ps.add_argument("--out", default=None, help="JSON-lines restart log")
     ps.add_argument("--resume", default=None, help="existing log to resume from")
     ps.add_argument("--best-out", default=None, help="write best state file here")
     ps.set_defaults(func=cmd_search)
 
     pe = sub.add_parser("entanglement", help="negativities and GTE criterion")
-    _add_common(pe)
+    _add_state(pe)
     pe.set_defaults(func=cmd_entanglement)
 
     pc = sub.add_parser("calibrate", help="Werner-family threshold calibration")
-    pc.add_argument("--werner", action="store_true", default=True)
-    _add_common(pc, state=False)
+    _add_radius(pc)
+    pc.add_argument("--out", default=None, help="output path (default stdout)")
     pc.set_defaults(func=cmd_calibrate)
 
     pt = sub.add_parser("table", help="summary of the builtin states")
@@ -298,9 +307,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except lhs.LpFailure as e:

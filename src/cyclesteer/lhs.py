@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .linalg import DensityMatrix, ID2, PAULIS, partial_trace, tensor
+from .linalg import DensityMatrix, ID2, PAULIS, partial_trace
 from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
-from .steering import Assemblage, make_assemblage
+from .steering import Assemblage, make_assemblage, max_over_strategies, strategy_blocks
 from .tolerances import TOL
 
-MAX_ENUM_SETTINGS = 13
+DENSE_MAX_SETTINGS = 13
 DENSE_COLUMN_CAP = 700_000
 _PRICING_TOL = 1e-9
 _CG_MAX_ROUNDS = 400
@@ -39,12 +39,6 @@ _CG_COLUMNS_PER_ROUND = 40
 class LpFailure(RuntimeError):
     """The LP solver returned neither a clean feasibility certificate nor
     a clean Farkas certificate."""
-
-
-def strategies(m: int) -> np.ndarray:
-    """All deterministic outcome assignments, shape (2^m, m), entries 0/1."""
-    idx = np.arange(1 << m)
-    return ((idx[:, None] >> np.arange(m)) & 1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -65,14 +59,6 @@ class LhsCertificate:
             for x in range(m):
                 sig[x, bits[x]] += w * h
         return sig
-
-    def to_dict(self) -> dict:
-        return {
-            "strategies": self.strategy_bits.tolist(),
-            "vertex_index": self.vertex_index.tolist(),
-            "weights": self.weights.tolist(),
-            "hidden_blochs": self.hidden_blochs.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -96,23 +82,7 @@ class GeneralFunctional:
         """Exact bound over all LHS models with hidden states anywhere in
         the Bloch ball: max over deterministic strategies of
         lambda_max(sum_x F_{lambda(x)|x})."""
-        m = self.m
-        if m > 24:
-            raise ValueError(f"m={m} too large for exact enumeration")
-        best = -np.inf
-        xs = np.arange(m)
-        total = 1 << m
-        chunk = 1 << 16
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total))
-            bits = (idx[:, None] >> xs) & 1
-            c0 = self.offsets[xs, bits].sum(axis=1)
-            cv = self.blochs[xs, bits].sum(axis=1)
-            best = max(best, float((c0 + np.linalg.norm(cv, axis=1)).max()))
-        return best
-
-    def to_dict(self) -> dict:
-        return {"offsets": self.offsets.tolist(), "blochs": self.blochs.tolist()}
+        return max_over_strategies(self.offsets, self.blochs)[0]
 
 
 def _assemblage_rhs(assemblage: Assemblage) -> np.ndarray:
@@ -169,6 +139,15 @@ def _price(y: np.ndarray, verts: np.ndarray, m: int):
     return scores, best_bits
 
 
+def _solve_dense(verts: np.ndarray, b: np.ndarray, m: int):
+    """One phase-1 LP over every (strategy, vertex) pair."""
+    bits = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
+    col_bits = np.repeat(bits, len(verts), axis=0)
+    col_ks = np.tile(np.arange(len(verts)), len(bits))
+    fun, w, y = _solve_phase1(_columns(col_bits, col_ks, verts, m), b)
+    return fun, col_bits, col_ks, w, y
+
+
 def _solve_cg(verts: np.ndarray, b: np.ndarray, m: int):
     """Column generation over (strategy, vertex) pairs with exact pricing."""
     bits_list: list[np.ndarray] = []
@@ -219,16 +198,8 @@ def lhs_lp_feasible(
     verts = hidden.vertices if mode == "restrict" else hidden.vertices / hidden.eta
     m = assemblage.m
     b = _assemblage_rhs(assemblage)
-    n_strategies = 1 << m
-    if m <= MAX_ENUM_SETTINGS and n_strategies * len(verts) <= DENSE_COLUMN_CAP:
-        bits = strategies(m)
-        all_bits = np.repeat(bits, len(verts), axis=0)
-        all_ks = np.tile(np.arange(len(verts)), n_strategies)
-        a_cols = _columns(all_bits, all_ks, verts, m)
-        fun, w, y = _solve_phase1(a_cols, b)
-        col_bits, col_ks = all_bits, all_ks
-    else:
-        fun, col_bits, col_ks, w, y = _solve_cg(verts, b, m)
+    dense = m <= DENSE_MAX_SETTINGS and (1 << m) * len(verts) <= DENSE_COLUMN_CAP
+    fun, col_bits, col_ks, w, y = (_solve_dense if dense else _solve_cg)(verts, b, m)
     if fun <= TOL.lp_residual:
         keep = w > 1e-12
         cert = LhsCertificate(
@@ -294,7 +265,7 @@ def radial_mix(rho_ab: DensityMatrix, t: float) -> tuple[np.ndarray, bool]:
     if t < 0:
         raise ValueError("t must be >= 0")
     rho_b = partial_trace(rho_ab, [1]).mat
-    anchor = tensor(ID2 / 2, rho_b)
+    anchor = np.kron(ID2 / 2, rho_b)
     mat = t * rho_ab.mat + (1 - t) * anchor
     indefinite = bool(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -TOL.psd)
     return mat, indefinite
@@ -342,18 +313,25 @@ class RadiusReport:
         }
 
 
+def bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most ``tol`` wide, keeping the upper
+    half wherever ``pred(mid)`` is false. For a predicate that is false
+    below some threshold and true above it, the result brackets that
+    threshold."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
     """Largest t <= t_max with radial_mix PSD (t = 1 always qualifies)."""
     if not radial_mix(rho_ab, t_max)[1]:
         return t_max
-    lo, hi = 1.0, t_max
-    while hi - lo > 1e-9:
-        mid = (lo + hi) / 2
-        if radial_mix(rho_ab, mid)[1]:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return bisect(lambda t: radial_mix(rho_ab, t)[1], 1.0, t_max, 1e-9)[0]
 
 
 def critical_radius_bounds(
@@ -380,14 +358,7 @@ def critical_radius_bounds(
         return certify_unsteerable_shrunk(radial_mix_state(rho_ab, t), meas, hidden)
 
     if detected(t_cap):
-        lo, hi = 0.0, t_cap
-        while hi - lo > params.bisection_tol:
-            mid = (lo + hi) / 2
-            if detected(mid):
-                hi = mid
-            else:
-                lo = mid
-        r_out, det = hi, True
+        r_out, det = bisect(detected, 0.0, t_cap, params.bisection_tol)[1], True
     else:
         r_out, det = t_cap, False
 
@@ -396,14 +367,8 @@ def critical_radius_bounds(
     elif not certified(0.0):
         t_star, cert = 0.0, False
     else:
-        lo, hi = 0.0, t_cap
-        while hi - lo > params.bisection_tol:
-            mid = (lo + hi) / 2
-            if certified(mid):
-                lo = mid
-            else:
-                hi = mid
-        t_star, cert = lo, True
+        t_star = bisect(lambda t: not certified(t), 0.0, t_cap, params.bisection_tol)[0]
+        cert = True
 
     return RadiusReport(
         r_in=meas.eta * t_star,

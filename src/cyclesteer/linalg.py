@@ -1,8 +1,9 @@
 """Dense complex matrix kernel for small multi-qubit operators.
 
-Tensor products, partial trace/transpose, Hermitian eigendecomposition,
-trace norm and Bloch-vector conversions, for dimensions up to 64.
-All functions are pure; matrices are plain ``numpy`` complex arrays.
+Validated density matrices, partial trace/transpose, Hermitian
+eigendecomposition, trace norm and Bloch-vector conversions, for up to
+three qubits (dimension MAX_DIM = 8). All functions are pure; matrices
+are plain ``numpy`` complex arrays and tensor products are ``np.kron``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 ID2 = np.eye(2, dtype=complex)
 
-MAX_DIM = 64
+# Largest state any command accepts (three qubits). State files are
+# outside input, so this bounds the work one file can ask for.
+MAX_DIM = 8
 
 
 class NonHermitianError(ValueError):
@@ -89,15 +92,6 @@ class HermEig:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(a, b)
-
-
-def tensor_states(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(np.kron(a.mat, b.mat), a.dims + b.dims)
-
-
 def _to_tensor(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return mat.reshape(tuple(dims) * 2)
 
@@ -157,15 +151,3 @@ def bloch_to_obs(r) -> np.ndarray:
 def obs_to_bloch(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`bloch_to_obs` on the traceless part of ``m``."""
     return np.array([np.trace(m @ p).real / 2 for p in PAULIS])
-
-
-def permute_subsystems(rho: DensityMatrix, perm: list[int] | tuple[int, ...]) -> DensityMatrix:
-    """Reorder subsystems: new subsystem i is old subsystem ``perm[i]``."""
-    nsub = len(rho.dims)
-    if sorted(perm) != list(range(nsub)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{nsub - 1}")
-    t = _to_tensor(rho.mat, rho.dims)
-    axes = list(perm) + [p + nsub for p in perm]
-    new_dims = tuple(rho.dims[p] for p in perm)
-    d = rho.dim
-    return DensityMatrix(t.transpose(axes).reshape(d, d), new_dims)

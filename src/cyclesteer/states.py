@@ -1,6 +1,6 @@
 """State constructors: singlet, Werner family, the translationally
-invariant three-qubit family, builtin coefficient tables, and the
-high-dimensional composite used for the POVM construction.
+invariant three-qubit family, its two-qubit marginals, builtin
+coefficient tables, and the state-file schema.
 
 Conventions: party order is A (x) B (x) C, leftmost factor is A.  The
 shift operator S cycles the parties one step, acting on amplitudes as
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace, permute_subsystems
+from .linalg import DensityMatrix, partial_trace
 from .tolerances import TOL
 
 
@@ -105,10 +105,7 @@ def reduce_pair(rho3: DensityMatrix, pair: str) -> DensityMatrix:
         raise ValueError(f"invalid party pair {pair!r}")
     i, j = _PARTY_INDEX[pair[0]], _PARTY_INDEX[pair[1]]
     reduced = partial_trace(rho3, [i, j])
-    if i > j:
-        v = swap_operator()
-        reduced = DensityMatrix(v @ reduced.mat @ v.conj().T, (2, 2))
-    return reduced
+    return swap_state(reduced) if i > j else reduced
 
 
 def swap_state(rho_ab: DensityMatrix) -> DensityMatrix:
@@ -149,29 +146,6 @@ def builtin_state(state_id: str) -> PureState3Q:
     return PureState3Q(np.array(coeffs, dtype=complex))
 
 
-def ring_compose(
-    rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix
-) -> DensityMatrix:
-    """Composite rho_AB (x) rho_B'C (x) rho_C'A', regrouped so that each
-    party holds a contiguous block: A~ = AA', B~ = BB', C~ = CC'.
-
-    Output dims are the three party-block dimensions. The marginal over
-    the C~ block factorizes as rho_AB (x) rho_A' (x) rho_B' in block
-    order (A, A', B, B').
-    """
-    for r in (rho1, rho2, rho3):
-        if len(r.dims) != 2:
-            raise ValueError(f"each input must be bipartite, got dims {r.dims}")
-    raw = DensityMatrix(
-        np.kron(np.kron(rho1.mat, rho2.mat), rho3.mat),
-        rho1.dims + rho2.dims + rho3.dims,
-    )
-    # raw subsystem order: A, B, B', C, C', A'  ->  A, A', B, B', C, C'
-    grouped = permute_subsystems(raw, (0, 5, 1, 2, 3, 4))
-    d = grouped.dims
-    return DensityMatrix(grouped.mat, (d[0] * d[1], d[2] * d[3], d[4] * d[5]))
-
-
 # --- state file (de)serialization -----------------------------------------
 
 def state_to_json(obj: PureState3Q | DensityMatrix, p: float | None = None) -> dict:
@@ -190,12 +164,15 @@ def state_to_json(obj: PureState3Q | DensityMatrix, p: float | None = None) -> d
 
 
 def state_from_json(data: dict) -> tuple[PureState3Q, float] | DensityMatrix:
-    """Parse the state file schema; density matrices are validated
-    (non-PSD or non-unit-trace input is rejected by DensityMatrix)."""
+    """Parse the state file schema; input is validated (a family needs p
+    in [0, 1]; non-PSD or non-unit-trace density matrices are rejected
+    by DensityMatrix)."""
     kind = data.get("type")
     if kind == "three_qubit_family":
         c = np.array([complex(re, im) for re, im in data["c"]])
         p = float(data.get("p", 1.0))
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p={p} outside [0, 1]")
         return PureState3Q(c), p
     if kind == "density_matrix":
         mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)

@@ -1,7 +1,12 @@
 """Scenario-1 machinery: assemblages, the dichotomic steering functional
-with coefficients F_{a|x} = (-1)^a b_x.sigma, its classical bound L by
-exhaustive sign enumeration, the quantum value Q via per-setting trace
-norms, and optimal-observable extraction.
+with coefficients F_{a|x} = (-1)^a b_x.sigma, the quantum value Q via
+per-setting trace norms, and optimal-observable extraction.
+
+It also holds the one strategy-enumeration kernel,
+:func:`max_over_strategies`: the exact maximum of a steering functional
+over all LHS models with hidden states in the Bloch ball. The classical
+bound L of the six-setting inequality and the exact re-bound of every
+Farkas functional in :mod:`cyclesteer.lhs` are both calls into it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .linalg import (
     bloch_to_obs,
     herm_eig,
     obs_to_bloch,
-    tensor,
 )
 from .states import swap_state
 from .tolerances import TOL
@@ -108,39 +112,54 @@ def make_assemblage(rho_ab: DensityMatrix, directions) -> Assemblage:
     for x, b in enumerate(dirs):
         for a in range(2):
             proj = (ID2 + (-1) ** a * bloch_to_obs(b)) / 2
-            full = tensor(proj, ID2) @ rho_ab.mat
+            full = np.kron(proj, ID2) @ rho_ab.mat
             sig[x, a] = full.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
     return Assemblage(sig)
 
 
-def _sign_strings(m: int, fix_first: bool = True):
-    """Iterate blocks of +-1 sign matrices, first sign fixed to +1 by the
-    a -> -a symmetry when ``fix_first``."""
-    free = m - 1 if fix_first else m
-    total = 1 << free
+def strategy_blocks(m: int):
+    """Yield all 2^m deterministic strategies in blocks of 2^16 rows; row
+    i holds the outcome bits (i >> x) & 1 for settings x = 0..m-1. This
+    is the only strategy enumeration: the classical bound L, the Farkas
+    re-bound and the dense LP columns all take their rows from here."""
+    if m > MAX_ENUM_SETTINGS:
+        raise ValueError(f"m={m} exceeds enumeration cap {MAX_ENUM_SETTINGS}")
+    total = 1 << m
     chunk = 1 << 16
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        bits = ((idx[:, None] >> np.arange(free)) & 1) * 2 - 1
-        if fix_first:
-            bits = np.hstack([np.ones((len(idx), 1), dtype=bits.dtype), bits])
-        yield bits
+        yield (idx[:, None] >> np.arange(m)) & 1
+
+
+def max_over_strategies(offsets: np.ndarray, blochs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact max over deterministic strategies lambda of
+    sum_x c_{lambda(x)|x} + ||sum_x v_{lambda(x)|x}||, for a functional
+    with per-(x, a) offsets c (m, 2) and Bloch parts v (m, 2, 3): the
+    largest value any LHS model with hidden states in the Bloch ball can
+    reach. Returns the value and the first maximizing outcome bits.
+    Enumeration is exact; m is capped because the value is a certified
+    bound and must not be approximated."""
+    xs = np.arange(offsets.shape[0])
+    best, best_bits = -np.inf, None
+    for bits in strategy_blocks(len(xs)):
+        c0 = offsets[xs, bits].sum(axis=1)
+        cv = blochs[xs, bits].sum(axis=1)
+        vals = c0 + np.linalg.norm(cv, axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_bits = float(vals[i]), bits[i].copy()
+    return best, best_bits
 
 
 def lhs_bound_L(functional: SteeringFunctional) -> tuple[float, np.ndarray]:
     """Exact classical bound L = max over sign strings of ||sum a_x b_x||,
-    with the optimizing signs. Enumeration is exact; m is capped because
-    L is a certified bound and must not be approximated."""
-    m = functional.m
-    if m > MAX_ENUM_SETTINGS:
-        raise ValueError(f"m={m} exceeds enumeration cap {MAX_ENUM_SETTINGS}")
-    best, best_signs = -1.0, None
-    for signs in _sign_strings(m):
-        norms = np.linalg.norm(signs @ functional.blochs, axis=1)
-        i = int(np.argmax(norms))
-        if norms[i] > best:
-            best, best_signs = float(norms[i]), signs[i].copy()
-    return best, best_signs
+    with the optimizing signs, first sign +1. The special case of
+    :func:`max_over_strategies` with zero offsets and Bloch parts
+    (-1)^a b_x."""
+    b = functional.blochs
+    L, bits = max_over_strategies(np.zeros((len(b), 2)), np.stack([b, -b], axis=1))
+    signs = 1 - 2 * bits
+    return L, signs * signs[0]
 
 
 @dataclass(frozen=True)
@@ -167,7 +186,7 @@ def quantum_value_Q(
     observables = []
     for x in range(functional.m):
         bx = functional.setting_operator(x)
-        gx_full = tensor(ID2, bx) @ rho_ab.mat
+        gx_full = np.kron(ID2, bx) @ rho_ab.mat
         gx = gx_full.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         eig = herm_eig(gx)
         q += float(np.abs(eig.eigenvalues).sum())
@@ -196,7 +215,7 @@ def evaluate_with_observables(
     """sum_x tr((A_x (x) B_x) rho_AB) for explicit observables A_x."""
     total = 0.0
     for x, obs in enumerate(observables):
-        op = tensor(obs.operator(), functional.setting_operator(x))
+        op = np.kron(obs.operator(), functional.setting_operator(x))
         total += float(np.trace(op @ rho_ab.mat).real)
     return total
 

@@ -13,7 +13,6 @@ class Tolerances:
     herm_accept: float = 1e-10      # symmetrize below this residual, reject above
     trace_one: float = 1e-10        # |tr(rho) - 1|
     psd: float = 1e-10              # min eigenvalue >= -psd
-    eig_residual: float = 1e-10     # eigendecomposition reconstruction residual
     state_norm: float = 1e-9        # pure-state normalization guard
     lp_residual: float = 1e-8       # LP primal residual / feasibility threshold
     farkas_violation: float = 1e-7  # accept a Farkas dual only above this certified violation

@@ -29,7 +29,6 @@ from cyclesteer.search import NMParams, ObjectiveSpec, multi_restart
 from cyclesteer.states import (
     BUILTIN_IDS,
     PureState3Q,
-    ring_compose,
     build_family,
     builtin_state,
     reduce_pair,
@@ -230,20 +229,3 @@ def test_10_search_reproduction():
         result = multi_restart(spec, 500, seed=7)
         assert result.best_q >= 3.26
 
-
-def test_11_composite_factorization():
-    with check(11, "64-dimensional composite marginal factorization"):
-        from cyclesteer.linalg import partial_trace
-
-        for sid in BUILTIN_IDS:
-            rho3 = build_family(builtin_state(sid).normalized(), 1.0)
-            r = reduce_pair(rho3, "AB")
-            comp = ring_compose(r, r, r)
-            assert comp.dims == (4, 4, 4)
-            marg = partial_trace(comp, [0, 1]).mat
-            ra = partial_trace(r, [1]).mat  # second subsystem of the third copy
-            rb = partial_trace(r, [0]).mat  # first subsystem of the second copy
-            expected = np.einsum(
-                "ijkl,mn,pq->imjpknlq", r.mat.reshape(2, 2, 2, 2), ra, rb
-            ).reshape(16, 16)
-            assert np.abs(marg - expected).max() <= 1e-12

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cyclesteer import steering
 from cyclesteer.cli import main
 from cyclesteer.states import state_to_json, werner
 
@@ -52,6 +53,49 @@ def test_missing_state_file_is_input_error(capsys):
 
 def test_unknown_builtin_is_input_error(capsys):
     assert main(["scenario1", "--state", "builtin:xyz"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario1", "--state", "builtin:sc1", "--p", "1.5"],
+    ["scenario1", "--state", "builtin:sc1", "--p", "-0.1"],
+    ["radius", "--state", "builtin:sc1", "--meas-level", "-1"],
+    ["radius", "--state", "builtin:sc1", "--hidden-level", "-1"],
+    ["radius", "--state", "builtin:sc1", "--tol", "-1"],
+    ["radius", "--state", "builtin:b1", "--tol", "0"],
+    ["scenario2", "--state", "builtin:b1", "--tol", "inf"],
+    ["calibrate", "--tol", "nan"],
+    ["search", "--scenario", "1", "--restarts", "0"],
+    ["search", "--scenario", "1", "--seed", "-1"],
+    ["scenario1", "--state", "builtin:sc1", "--tol", "1e-3"],
+    ["calibrate", "--werner"],
+])
+def test_bad_option_values_are_input_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_bad_family_p_in_state_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"type": "three_qubit_family", "c": [[1, 0]] * 8, "p": 1.5}))
+    assert main(["scenario1", "--state", str(path)]) == 2
+
+
+def test_malformed_resume_log_is_input_error(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"restart": 0, "seed": [0, 0]\n')  # truncated record
+    assert main(["search", "--scenario", "1", "--restarts", "1", "--resume", str(log)]) == 2
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    """An internal fault propagates (exit 1 from the interpreter), it is
+    not reported as exit 2."""
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(steering, "one_way_gap_scenario1", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["scenario1", "--state", "builtin:sc1"])
 
 
 def test_radius_werner(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cyclesteer.entanglement import entanglement_report, gte_criterion, is_ppt, negativity
-from cyclesteer.linalg import DensityMatrix, tensor
+from cyclesteer.linalg import DensityMatrix
 from cyclesteer.states import build_family, builtin_state, singlet, werner
 
 rng = np.random.default_rng(42)
@@ -24,7 +24,7 @@ def test_negativity_werner():
 
 
 def test_negativity_product_zero():
-    rho = DensityMatrix(tensor(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])).astype(complex), (2, 2))
+    rho = DensityMatrix(np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])).astype(complex), (2, 2))
     assert negativity(rho, 0) == 0.0
     assert is_ppt(rho, 0)
 
@@ -47,7 +47,7 @@ def test_negativity_local_unitary_invariant():
     rho = werner(0.9)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     u = np.linalg.qr(h)[0]
-    rot = DensityMatrix(tensor(u, np.eye(2)) @ rho.mat @ tensor(u, np.eye(2)).conj().T, (2, 2))
+    rot = DensityMatrix(np.kron(u, np.eye(2)) @ rho.mat @ np.kron(u, np.eye(2)).conj().T, (2, 2))
     assert abs(negativity(rot, 0) - negativity(rho, 0)) <= 1e-10
 
 

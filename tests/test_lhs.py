@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from cyclesteer.lhs import (
     GeneralFunctional,
     LhsCertificate,
     RadiusParams,
+    _assemblage_rhs,
+    _solve_cg,
+    _solve_dense,
     certify_unsteerable_shrunk,
     critical_radius_bounds,
     detect_steerable,
@@ -12,12 +17,12 @@ from cyclesteer.lhs import (
     one_way_report,
     radial_mix,
     radial_mix_state,
-    strategies,
 )
-from cyclesteer.linalg import DensityMatrix, tensor
+from cyclesteer.linalg import DensityMatrix
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.states import singlet, werner
-from cyclesteer.steering import make_assemblage
+from cyclesteer.steering import make_assemblage, max_over_strategies, strategy_blocks
+from cyclesteer.tolerances import TOL
 
 rng = np.random.default_rng(21)
 
@@ -33,10 +38,13 @@ def random_two_qubit(r=rng):
 
 
 def test_strategies_enumeration():
-    s = strategies(3)
+    s = np.concatenate(list(strategy_blocks(3)))
     assert s.shape == (8, 3)
     assert len({tuple(row) for row in s}) == 8
     assert set(s.ravel()) == {0, 1}
+    assert [len(block) for block in strategy_blocks(17)] == [1 << 16, 1 << 16]
+    with pytest.raises(ValueError):
+        next(strategy_blocks(25))
 
 
 def test_maximally_mixed_has_trivial_lhs_model():
@@ -82,11 +90,20 @@ def test_bad_mode_rejected():
 
 
 def test_column_generation_matches_dense():
-    """Force the column-generation path with many settings and compare to
-    the dense decision on a state solvable both ways."""
-    import cyclesteer.lhs as lhs_mod
-
-    dirs = antipodal_directions(sphere_polytope(1))  # m = 21 > enum cap
+    """Column generation reaches the dense phase-1 value, hence the same
+    decision, on m = 6 assemblages that both paths can solve (two Werner
+    states and one random state, on which a missing dense column shows);
+    at m = 21, above the dense cap, it still gives the expected
+    decisions."""
+    for rho in (werner(0.45), werner(0.99), random_two_qubit(np.random.default_rng(3))):
+        a = make_assemblage(rho, ICO_DIRS)
+        b = _assemblage_rhs(a)
+        for verts in (HIDDEN1.vertices, HIDDEN1.vertices / HIDDEN1.eta):  # restrict, relax
+            dense = _solve_dense(verts, b, a.m)[0]
+            cg = _solve_cg(verts, b, a.m)[0]
+            assert (dense <= TOL.lp_residual) == (cg <= TOL.lp_residual)
+            assert abs(dense - cg) <= TOL.lp_residual
+    dirs = antipodal_directions(sphere_polytope(1))
     for p, expected in ((0.45, True), (0.99, False)):
         a = make_assemblage(werner(p), dirs)
         feasible, _ = lhs_lp_feasible(a, HIDDEN1, mode="relax")
@@ -143,7 +160,7 @@ def test_radial_mix_preserves_bob_marginal():
     for t in (0.0, 0.3, 1.0):
         mixed = radial_mix_state(rho, t)
         assert np.abs(partial_trace(mixed, [1]).mat - rb).max() <= 1e-12
-    assert np.abs(radial_mix(rho, 0.0)[0] - tensor(np.eye(2) / 2, rb)).max() <= 1e-12
+    assert np.abs(radial_mix(rho, 0.0)[0] - np.kron(np.eye(2) / 2, rb)).max() <= 1e-12
 
 
 def test_radial_mix_indefinite_flag():
@@ -177,6 +194,18 @@ def test_exact_lhs_bound_vs_sampling():
         for i in range(16)
     )
     assert np.isclose(attained, bound)
+    # the kernel against a brute-force maximum over outcome assignments
+    r = np.random.default_rng(6)
+    for m in range(1, 7):
+        offsets, blochs = r.standard_normal((m, 2)), r.standard_normal((m, 2, 3))
+        value, bits = max_over_strategies(offsets, blochs)
+        xs = np.arange(m)
+
+        def score(lam):
+            return offsets[xs, lam].sum() + np.linalg.norm(blochs[xs, lam].sum(0))
+
+        assert np.isclose(value, max(score(list(lam)) for lam in itertools.product((0, 1), repeat=m)))
+        assert score(bits) == value
 
 
 def test_critical_radius_singlet_bracket():

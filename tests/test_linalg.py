@@ -13,7 +13,6 @@ from cyclesteer.linalg import (
     obs_to_bloch,
     partial_trace,
     partial_transpose,
-    tensor,
     trace_norm,
 )
 from cyclesteer.states import singlet, werner
@@ -33,23 +32,6 @@ def random_density(dims):
     return DensityMatrix(m / np.trace(m), dims)
 
 
-def test_tensor_identities():
-    assert np.allclose(tensor(ID2, ID2), np.eye(4))
-    assert np.allclose(np.diag(tensor(PAULI_Z, PAULI_Z)), [1, -1, -1, 1])
-
-
-def test_tensor_trace_multiplicative():
-    for _ in range(20):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.isclose(np.trace(tensor(a, b)), np.trace(a) * np.trace(b))
-
-
-def test_tensor_associative():
-    a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-    assert np.allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
 def test_partial_trace_singlet_marginal():
     red = partial_trace(singlet(), [0])
     assert np.allclose(red.mat, np.eye(2) / 2)
@@ -58,7 +40,7 @@ def test_partial_trace_singlet_marginal():
 def test_partial_trace_product():
     ra = random_density((2,))
     rb = random_density((2,))
-    prod = DensityMatrix(tensor(ra.mat, rb.mat), (2, 2))
+    prod = DensityMatrix(np.kron(ra.mat, rb.mat), (2, 2))
     assert np.allclose(partial_trace(prod, [0]).mat, ra.mat)
     assert np.allclose(partial_trace(prod, [1]).mat, rb.mat)
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclesteer.linalg import DensityMatrix, partial_trace, tensor
+from cyclesteer.linalg import DensityMatrix, partial_trace
 from cyclesteer.states import (
     BUILTIN_IDS,
     PureState3Q,
-    ring_compose,
     build_family,
     builtin_state,
     load_state,
@@ -41,7 +40,7 @@ def test_singlet_is_maximally_entangled():
         b = rng.standard_normal(3)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        op = tensor(bloch_to_obs(a), bloch_to_obs(b))
+        op = np.kron(bloch_to_obs(a), bloch_to_obs(b))
         assert np.isclose(np.trace(op @ rho.mat).real, -np.dot(a, b))
     assert np.allclose(partial_trace(rho, [0]).mat, np.eye(2) / 2)
 
@@ -130,34 +129,6 @@ def test_builtin_w_and_ghz():
     # both are shift invariant as pure states
     assert np.abs(w.shifted().c - w.c).max() < 1e-12
     assert np.abs(ghz.shifted().c - ghz.c).max() < 1e-12
-
-
-def _random_density(dims, r=rng):
-    n = int(np.prod(dims))
-    g = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m), dims)
-
-
-def test_ring_compose_marginal_factorizes():
-    r1 = _random_density((2, 2))
-    r2 = _random_density((2, 2))
-    r3 = _random_density((2, 2))
-    comp = ring_compose(r1, r2, r3)
-    assert comp.dims == (4, 4, 4)
-    marg = partial_trace(comp, [0, 1])  # keep A~ = AA' and B~ = BB'
-    r2_b = partial_trace(r2, [0]).mat   # rho_{B'} from rho_{B'C}
-    r3_a = partial_trace(r3, [1]).mat   # rho_{A'} from rho_{C'A'}
-    # block order inside (A~, B~) is (A, A', B, B')
-    expected = np.einsum(
-        "ijkl,mn,pq->imjpknlq", r1.mat.reshape(2, 2, 2, 2), r3_a, r2_b
-    ).reshape(16, 16)
-    assert np.abs(marg.mat - expected).max() <= 1e-12
-
-
-def test_ring_compose_rejects_tripartite_input():
-    with pytest.raises(ValueError):
-        ring_compose(werner(0.5), build_family(random_pure3q(), 1.0), werner(0.5))
 
 
 def test_state_json_round_trip_family(tmp_path):

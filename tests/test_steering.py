@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from cyclesteer.linalg import DensityMatrix, bloch_to_obs, tensor, trace_norm
+from cyclesteer.linalg import DensityMatrix, bloch_to_obs, trace_norm
 from cyclesteer.states import build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from cyclesteer.steering import (
     Assemblage,
@@ -12,6 +14,7 @@ from cyclesteer.steering import (
     icosahedron_settings,
     lhs_bound_L,
     make_assemblage,
+    max_over_strategies,
     one_way_gap_scenario1,
     quantum_value_Q,
 )
@@ -61,6 +64,16 @@ def test_lhs_bound_icosahedron():
     assert abs(L - L_ICO) < 1e-12
     # the optimizing signs actually attain the bound
     assert np.isclose(np.linalg.norm(signs @ icosahedron_settings().blochs), L)
+    # L is the kernel on zero offsets and Bloch parts +-b_x, signs start
+    # with +1, and both match a brute-force maximum over sign strings
+    r = np.random.default_rng(5)
+    for b in [icosahedron_settings().blochs] + [r.standard_normal((m, 3)) for m in range(1, 7)]:
+        L, signs = lhs_bound_L(SteeringFunctional(b))
+        assert L == max_over_strategies(np.zeros((len(b), 2)), np.stack([b, -b], axis=1))[0]
+        assert signs[0] == 1
+        assert np.linalg.norm(signs @ b) == pytest.approx(L, abs=1e-12)
+        brute = max(np.linalg.norm(np.array(s) @ b) for s in itertools.product((1, -1), repeat=len(b)))
+        assert L == pytest.approx(brute, abs=1e-12)
 
 
 def test_lhs_bound_antipodal_doubling():
@@ -98,7 +111,7 @@ def test_make_assemblage_singlet_steers_to_opposite_pole():
 
 def test_make_assemblage_product_state():
     rb = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    rho = DensityMatrix(tensor(np.diag([1.0, 0.0]), rb), (2, 2))
+    rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), rb), (2, 2))
     dirs = [random_unit() for _ in range(4)]
     a = make_assemblage(rho, dirs)
     # product state: sigma_{a|x} = p(a|x) rho_B for every setting
@@ -161,7 +174,7 @@ def test_quantum_value_beats_random_observables():
         total = 0.0
         for x in range(ico.m):
             a_op = bloch_to_obs(random_unit())
-            total += np.trace(tensor(a_op, ico.setting_operator(x)) @ rho_ab.mat).real
+            total += np.trace(np.kron(a_op, ico.setting_operator(x)) @ rho_ab.mat).real
         assert total <= q + 1e-10
 
 
@@ -176,7 +189,7 @@ def test_product_states_never_violate():
         rb = (np.eye(2) + np.tensordot(rng.uniform() * random_unit(),
                                        np.array([bloch_to_obs(e) for e in np.eye(3)]),
                                        axes=1)) / 2
-        rho = DensityMatrix(tensor(ra, rb), (2, 2))
+        rho = DensityMatrix(np.kron(ra, rb), (2, 2))
         q, _ = quantum_value_Q(rho, f)
         assert q <= L + 1e-9
 
@@ -192,7 +205,7 @@ def test_evaluate_functional_matches_observable_form():
     # the UNMEASURED correlator; with Alice measuring along b_x it gives
     # sum_x tr((b_x.sigma (x) b_x.sigma) rho)
     direct = sum(
-        np.trace(tensor(ico.setting_operator(x), ico.setting_operator(x)) @ rho_ab.mat).real
+        np.trace(np.kron(ico.setting_operator(x), ico.setting_operator(x)) @ rho_ab.mat).real
         for x in range(6)
     )
     assert abs(evaluate_functional(a, ico) - direct) < 1e-10
