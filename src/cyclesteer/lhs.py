@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .linalg import DensityMatrix, ID2, PAULIS, partial_trace
@@ -94,20 +95,26 @@ def _assemblage_rhs(assemblage: Assemblage) -> np.ndarray:
     return rhs.reshape(-1)
 
 
-def _columns(bits: np.ndarray, ks: np.ndarray, verts: np.ndarray, m: int) -> np.ndarray:
-    """LP columns for (strategy, vertex) pairs; shape (8m, len(ks))."""
-    ncols = len(ks)
-    cols = np.zeros((8 * m, ncols))
-    for j in range(ncols):
-        v = verts[ks[j]]
-        for x in range(m):
-            r = (2 * x + int(bits[j, x])) * 4
-            cols[r, j] = 1.0
-            cols[r + 1 : r + 4, j] = v
+def _columns(bits: np.ndarray, ks: np.ndarray, verts: np.ndarray, m: int) -> sparse.csc_array:
+    """LP columns for (strategy, vertex) pairs; shape (8m, len(ks)).
+
+    Column j has a 1 in row 4(2x + bits[j, x]) and the hidden Bloch
+    vector verts[ks[j]] in the three rows below it, for each setting x.
+    Exact zeros are dropped, as a dense-to-sparse conversion would.
+    """
+    n = len(ks)
+    rows = 4 * (2 * np.arange(m) + np.asarray(bits, dtype=np.int64))[:, :, None] + np.arange(4)
+    vals = np.empty((n, m, 4))
+    vals[:, :, 0] = 1.0
+    vals[:, :, 1:] = verts[ks][:, None, :]
+    cols = sparse.csc_array(
+        (vals.ravel(), rows.ravel(), np.arange(0, 4 * m * n + 1, 4 * m)), shape=(8 * m, n)
+    )
+    cols.eliminate_zeros()
     return cols
 
 
-def _solve_phase1(a_cols: np.ndarray, b: np.ndarray):
+def _solve_phase1(a_cols: sparse.csc_array, b: np.ndarray):
     """min 1.(s+ + s-) s.t. a_cols w + s+ - s- = b, all variables >= 0.
 
     Returns (infeasibility, w, farkas_y). The equality-constraint
@@ -116,7 +123,8 @@ def _solve_phase1(a_cols: np.ndarray, b: np.ndarray):
     """
     nrows = len(b)
     ncols = a_cols.shape[1]
-    afull = np.hstack([a_cols, np.eye(nrows), -np.eye(nrows)])
+    eye = sparse.eye_array(nrows, format="csc")
+    afull = sparse.hstack([a_cols, eye, -eye], format="csc")
     c = np.concatenate([np.zeros(ncols), np.ones(2 * nrows)])
     res = linprog(c, A_eq=afull, b_eq=b, bounds=(0, None), method="highs")
     if res.status != 0:
@@ -139,21 +147,40 @@ def _price(y: np.ndarray, verts: np.ndarray, m: int):
     return scores, best_bits
 
 
-def _solve_dense(verts: np.ndarray, b: np.ndarray, m: int):
+def _hidden_vertices(hidden: SpherePolytope, mode: str) -> np.ndarray:
+    return hidden.vertices if mode == "restrict" else hidden.vertices / hidden.eta
+
+
+def _dense_columns(hidden: SpherePolytope, mode: str, m: int):
+    """Every (strategy, vertex) column, built once per (polytope, m, mode)
+    and kept on the polytope. Returns (columns, col_bits, col_ks)."""
+    key = (m, mode)
+    if key not in hidden.lp_columns:
+        verts = _hidden_vertices(hidden, mode)
+        bits = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
+        col_bits = np.repeat(bits, len(verts), axis=0)
+        col_ks = np.tile(np.arange(len(verts)), len(bits))
+        cols = _columns(col_bits, col_ks, verts, m)
+        for arr in (cols.data, cols.indices, cols.indptr, col_bits, col_ks):
+            arr.flags.writeable = False
+        hidden.lp_columns[key] = (cols, col_bits, col_ks)
+    return hidden.lp_columns[key]
+
+
+def _solve_dense(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int):
     """One phase-1 LP over every (strategy, vertex) pair."""
-    bits = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
-    col_bits = np.repeat(bits, len(verts), axis=0)
-    col_ks = np.tile(np.arange(len(verts)), len(bits))
-    fun, w, y = _solve_phase1(_columns(col_bits, col_ks, verts, m), b)
+    cols, col_bits, col_ks = _dense_columns(hidden, mode, m)
+    fun, w, y = _solve_phase1(cols, b)
     return fun, col_bits, col_ks, w, y
 
 
-def _solve_cg(verts: np.ndarray, b: np.ndarray, m: int):
+def _solve_cg(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int):
     """Column generation over (strategy, vertex) pairs with exact pricing."""
+    verts = _hidden_vertices(hidden, mode)
     bits_list: list[np.ndarray] = []
     k_list: list[int] = []
     seen: set[tuple] = set()
-    a_cols = np.zeros((8 * m, 0))
+    a_cols = sparse.csc_array((8 * m, 0))
     for _ in range(_CG_MAX_ROUNDS):
         fun, w, y = _solve_phase1(a_cols, b)
         scores, best_bits = _price(y, verts, m)
@@ -174,7 +201,7 @@ def _solve_cg(verts: np.ndarray, b: np.ndarray, m: int):
             return fun, np.array(bits_list, dtype=np.int8).reshape(-1, m), \
                 np.array(k_list, dtype=int), w, y
         cols = _columns(np.array(new_bits), np.array(new_ks), verts, m)
-        a_cols = np.hstack([a_cols, cols])
+        a_cols = sparse.hstack([a_cols, cols], format="csc")
         bits_list += new_bits
         k_list += new_ks
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
@@ -195,18 +222,17 @@ def lhs_lp_feasible(
     """
     if mode not in ("restrict", "relax"):
         raise ValueError(f"unknown mode {mode!r}")
-    verts = hidden.vertices if mode == "restrict" else hidden.vertices / hidden.eta
     m = assemblage.m
     b = _assemblage_rhs(assemblage)
-    dense = m <= DENSE_MAX_SETTINGS and (1 << m) * len(verts) <= DENSE_COLUMN_CAP
-    fun, col_bits, col_ks, w, y = (_solve_dense if dense else _solve_cg)(verts, b, m)
+    dense = m <= DENSE_MAX_SETTINGS and (1 << m) * hidden.n_vertices <= DENSE_COLUMN_CAP
+    fun, col_bits, col_ks, w, y = (_solve_dense if dense else _solve_cg)(hidden, mode, b, m)
     if fun <= TOL.lp_residual:
         keep = w > 1e-12
         cert = LhsCertificate(
             strategy_bits=col_bits[keep],
             vertex_index=col_ks[keep],
             weights=w[keep],
-            hidden_blochs=verts,
+            hidden_blochs=_hidden_vertices(hidden, mode),
         )
         return True, cert
     if fun >= TOL.farkas_violation:

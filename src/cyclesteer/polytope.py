@@ -10,7 +10,7 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,9 @@ class SpherePolytope:
     faces: np.ndarray     # (F, 3) vertex index triangles of the hull
     eta: float            # certified inradius lower bound
     level: int
+    # LP constraint matrices over these vertices, keyed (m, mode); filled
+    # by cyclesteer.lhs so each is built once per polytope
+    lp_columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:

@@ -8,6 +8,7 @@ from cyclesteer.lhs import (
     LhsCertificate,
     RadiusParams,
     _assemblage_rhs,
+    _dense_columns,
     _solve_cg,
     _solve_dense,
     certify_unsteerable_shrunk,
@@ -89,6 +90,36 @@ def test_bad_mode_rejected():
         lhs_lp_feasible(a, HIDDEN1, mode="approx")
 
 
+def _columns_loop(bits, ks, verts, m):
+    """The per-column double loop the sparse builder replaced (oracle)."""
+    cols = np.zeros((8 * m, len(ks)))
+    for j in range(len(ks)):
+        v = verts[ks[j]]
+        for x in range(m):
+            r = (2 * x + int(bits[j, x])) * 4
+            cols[r, j] = 1.0
+            cols[r + 1 : r + 4, j] = v
+    return cols
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["restrict", "relax"])
+def test_cached_columns_match_loop(level, mode):
+    """The cached sparse matrix has the loop's entries in the loop's column
+    order: strategy i = sum_x bits[x] 2^x major, hidden vertex minor."""
+    m = 6
+    hidden = sphere_polytope(level)
+    verts = hidden.vertices if mode == "restrict" else hidden.vertices / hidden.eta
+    cols, col_bits, col_ks = _dense_columns(hidden, mode, m)
+    idx = np.arange(1 << m)
+    bits = np.repeat((idx[:, None] >> np.arange(m)) & 1, len(verts), axis=0)
+    ks = np.tile(np.arange(len(verts)), 1 << m)
+    assert np.array_equal(col_bits, bits) and np.array_equal(col_ks, ks)
+    assert np.array_equal(cols.toarray(), _columns_loop(bits, ks, verts, m))
+    assert _dense_columns(hidden, mode, m)[0] is cols  # built once
+    assert not cols.data.flags.writeable
+
+
 def test_column_generation_matches_dense():
     """Column generation reaches the dense phase-1 value, hence the same
     decision, on m = 6 assemblages that both paths can solve (two Werner
@@ -98,9 +129,9 @@ def test_column_generation_matches_dense():
     for rho in (werner(0.45), werner(0.99), random_two_qubit(np.random.default_rng(3))):
         a = make_assemblage(rho, ICO_DIRS)
         b = _assemblage_rhs(a)
-        for verts in (HIDDEN1.vertices, HIDDEN1.vertices / HIDDEN1.eta):  # restrict, relax
-            dense = _solve_dense(verts, b, a.m)[0]
-            cg = _solve_cg(verts, b, a.m)[0]
+        for mode in ("restrict", "relax"):
+            dense = _solve_dense(HIDDEN1, mode, b, a.m)[0]
+            cg = _solve_cg(HIDDEN1, mode, b, a.m)[0]
             assert (dense <= TOL.lp_residual) == (cg <= TOL.lp_residual)
             assert abs(dense - cg) <= TOL.lp_residual
     dirs = antipodal_directions(sphere_polytope(1))
