@@ -11,8 +11,10 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
+from scipy.spatial import KDTree
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -78,38 +80,51 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _facet_inradius(verts: np.ndarray, faces: np.ndarray) -> float:
     """Min over facets of the distance from the origin to the facet plane."""
-    dists = []
-    for a, b, c in faces:
-        n = np.cross(verts[b] - verts[a], verts[c] - verts[a])
-        dists.append(abs(np.dot(n, verts[a])) / np.linalg.norm(n))
-    return float(min(dists))
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    n = np.cross(b - a, c - a)
+    # row-wise dot products as stacked matmuls, which sum like np.dot
+    dot = (n[:, None, :] @ a[:, :, None]).ravel()
+    norm = np.sqrt((n[:, None, :] @ n[:, :, None]).ravel())
+    return float((np.abs(dot) / norm).min())
 
 
 def sphere_polytope(level: int) -> SpherePolytope:
     """Geodesic polytope at the given subdivision level (0 = icosahedron,
-    12 vertices; each level quadruples the face count)."""
+    12 vertices; each level quadruples the face count). Built once per
+    level; the returned polytope and its arrays are shared and read-only."""
     if level < 0:
         raise ValueError("level must be >= 0")
+    return _build(level)
+
+
+@cache
+def _build(level: int) -> SpherePolytope:
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
-    poly = SpherePolytope(vertices=verts, faces=faces, eta=_facet_inradius(verts, faces), level=level)
-    _check_antipodal(poly.vertices)
-    return poly
+    _check_antipodal(verts)
+    verts.flags.writeable = False
+    faces.flags.writeable = False
+    return SpherePolytope(vertices=verts, faces=faces, eta=_facet_inradius(verts, faces), level=level)
 
 
 def _check_antipodal(verts: np.ndarray, tol: float = 1e-9):
-    for v in verts:
-        if np.linalg.norm(verts + v, axis=1).min() > tol:
-            raise AssertionError("vertex set not closed under negation")
+    dist, _ = KDTree(verts).query(-verts)
+    if dist.max() > tol:
+        raise AssertionError("vertex set not closed under negation")
 
 
 def antipodal_directions(poly: SpherePolytope) -> np.ndarray:
     """One canonical representative per antipodal vertex pair (N/2
-    measurement directions)."""
-    chosen = []
-    for v in poly.vertices:
-        key = v if (v[0], v[1], v[2]) > (-v[0], -v[1], -v[2]) else -v
-        if not any(np.allclose(key, c, atol=1e-9) for c in chosen):
-            chosen.append(key)
-    return np.array(chosen)
+    measurement directions), in vertex order: each vertex is mapped to
+    whichever of +-v is lexicographically larger, and the first of each
+    group of coinciding representatives is kept."""
+    v = poly.vertices
+    nonzero = v != 0
+    first = nonzero.argmax(axis=1)
+    positive = nonzero.any(axis=1) & (v[np.arange(len(v)), first] > 0)
+    keys = np.where(positive[:, None], v, -v)
+    pairs = KDTree(keys).query_pairs(1e-9, output_type="ndarray")
+    duplicate = np.zeros(len(keys), dtype=bool)
+    duplicate[pairs.max(axis=1)] = True
+    return keys[~duplicate]

@@ -1,7 +1,29 @@
 import numpy as np
 import pytest
 
-from cyclesteer.polytope import antipodal_directions, sphere_polytope
+from cyclesteer.polytope import _check_antipodal, _facet_inradius, antipodal_directions, sphere_polytope
+
+
+# The per-vertex and per-facet loops the vectorized helpers replaced (oracles).
+def _facet_inradius_loop(verts, faces):
+    dists = []
+    for a, b, c in faces:
+        n = np.cross(verts[b] - verts[a], verts[c] - verts[a])
+        dists.append(abs(np.dot(n, verts[a])) / np.linalg.norm(n))
+    return float(min(dists))
+
+
+def _antipodally_closed_loop(verts, tol=1e-9):
+    return all(np.linalg.norm(verts + v, axis=1).min() <= tol for v in verts)
+
+
+def _antipodal_directions_loop(poly):
+    chosen = []
+    for v in poly.vertices:
+        key = v if (v[0], v[1], v[2]) > (-v[0], -v[1], -v[2]) else -v
+        if not any(np.allclose(key, c, atol=1e-9) for c in chosen):
+            chosen.append(key)
+    return np.array(chosen)
 
 
 @pytest.mark.parametrize(
@@ -85,3 +107,28 @@ def test_antipodal_directions():
 def test_negative_level_rejected():
     with pytest.raises(ValueError):
         sphere_polytope(-1)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_vectorized_helpers_match_loops(level):
+    """Bit-identical to the loops, including the order of the directions,
+    which fixes the LP row order."""
+    poly = sphere_polytope(level)
+    assert poly.eta == _facet_inradius_loop(poly.vertices, poly.faces)
+    assert _facet_inradius(poly.vertices, poly.faces) == poly.eta
+    assert antipodal_directions(poly).tobytes() == _antipodal_directions_loop(poly).tobytes()
+    assert _antipodally_closed_loop(poly.vertices)
+    _check_antipodal(poly.vertices)
+    half = poly.vertices[poly.vertices[:, 2] > 0]
+    assert not _antipodally_closed_loop(half)
+    with pytest.raises(AssertionError):
+        _check_antipodal(half)
+
+
+def test_polytope_built_once_and_read_only():
+    poly = sphere_polytope(1)
+    assert sphere_polytope(1) is poly
+    with pytest.raises(ValueError):
+        poly.vertices[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        poly.faces[0, 0] = 0
