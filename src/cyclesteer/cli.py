@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -169,7 +170,7 @@ def cmd_search(args) -> int:
                 spec, args.restarts, args.seed,
                 log_file=log_file, resume_path=args.resume,
             )
-    except json.JSONDecodeError as e:  # only the --resume log is parsed here
+    except search.ResumeLogError as e:
         raise InputError(f"bad resume log {args.resume}: {e}") from None
     finally:
         if log_file:
@@ -247,7 +248,10 @@ def _add_state(p: argparse.ArgumentParser):
 def _add_radius(p: argparse.ArgumentParser):
     p.add_argument("--meas-level", type=_NONNEG_INT, default=0)
     p.add_argument("--hidden-level", type=_NONNEG_INT, default=2)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-3, help="bisection tolerance in t")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-3,
+                   help="step in the mixing parameter t: steering detection is probed tol/2 "
+                        "above the relaxed LP's last feasible t, and r_in is re-checked tol "
+                        "below the located t* when the check just below t* fails")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,10 +305,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args):
+    """Reject an output path that cannot be written before any work starts."""
+    for name in ("out", "fig_data", "best_out"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise InputError(f"cannot write --{name.replace('_', '-')} {path}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

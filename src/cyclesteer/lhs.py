@@ -3,7 +3,7 @@
 Feasibility of an LHS model for a finite assemblage over a discretized
 Bloch sphere, steering detection with Farkas certificates, unsteerability
 certification for all projective measurements via inradius shrinking, and
-certified critical-radius bracketing [r_in, r_out] by bisection.
+certified critical-radius bracketing [r_in, r_out].
 
 The LP asks for nonnegative weights w_{lambda,k} with
 
@@ -14,12 +14,27 @@ hidden qubit states on polytope vertices. ``restrict`` mode keeps the
 vertices as given (feasibility certifies an LHS model); ``relax`` mode
 scales them by 1/eta so the hull contains the Bloch ball (infeasibility
 certifies steering). Strategies are enumerated while the column count is
-desk-scale and generated by exact pricing above that.
+desk-scale and generated by exact pricing above that; the enumerated
+matrix is built once per (hidden polytope, m, mode).
+
+Brackets come from a *locator* LP per side. Along the radial family
+rho(t) = t rho + (1 - t) I/2 (x) rho_B the right-hand side is affine,
+b(t) = b0 + t (b1 - b0), so the set of t in [0, t_cap] with an LP
+solution is the projection of a polyhedron: an interval (and it contains
+t = 0 whenever it is non-empty, since Bob's marginal does not depend on
+t). One LP, max t s.t. A w + t (b0 - b1) = b0, finds its upper end. The
+locator is not a certificate: every reported bound is re-checked by an
+independent certificate after it (an LHS model reconstructed and
+compared with the assemblage for r_in, a Farkas functional beating its
+exact Bloch-ball bound for r_out). The inner bound is checked a margin
+below the located t, because the LP optimum sits on the boundary of the
+feasible set, where the phase-1 certificate would rest on solver
+tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +50,14 @@ DENSE_COLUMN_CAP = 700_000
 _PRICING_TOL = 1e-9
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
+# Weight M on the locator's slacks. The penalty is exact (the slacks stay
+# at zero whenever some t is feasible) once M exceeds the largest dual of
+# the max-t LP; over the builtin, random and family states at hidden
+# levels 0 and 2 that dual was at most 27, and M = 10 already failed.
+_LOCATOR_PENALTY = 1e4
+# A Farkas functional detects steering where its value exceeds its exact
+# ball bound by more than this.
+_DETECTION_MARGIN = 1e-12
 
 
 class LpFailure(RuntimeError):
@@ -69,6 +92,7 @@ class GeneralFunctional:
 
     offsets: np.ndarray  # (m, 2)
     blochs: np.ndarray   # (m, 2, 3)
+    bound: float | None = None  # exact_lhs_bound(), attached by detect_steerable
 
     @property
     def m(self) -> int:
@@ -114,22 +138,39 @@ def _columns(bits: np.ndarray, ks: np.ndarray, verts: np.ndarray, m: int) -> spa
     return cols
 
 
-def _solve_phase1(a_cols: sparse.csc_array, b: np.ndarray):
-    """min 1.(s+ + s-) s.t. a_cols w + s+ - s- = b, all variables >= 0.
+def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float = 0.0):
+    """The LP both jobs share, over the given columns:
 
-    Returns (infeasibility, w, farkas_y). The equality-constraint
-    marginals of the optimal phase-1 LP are exactly the Farkas vector:
-    y.b = infeasibility, A^T y <= 0, |y| <= 1.
+        min M.(s+ + s-) - t   s.t.   a_cols w + t t_col + s+ - s- = b,
+        w, s+, s- >= 0,  0 <= t <= t_cap.
+
+    Without ``t_col`` it is the phase-1 LP (M = 1, no t): its optimum is
+    the infeasibility, and its equality-constraint marginals are exactly
+    the Farkas vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With
+    ``t_col`` it is the locator (M = _LOCATOR_PENALTY), whose optimal t is
+    the largest feasible one when the slacks come back zero.
+
+    Returns (slack sum, t, w, y).
     """
     nrows = len(b)
     ncols = a_cols.shape[1]
     eye = sparse.eye_array(nrows, format="csc")
-    afull = sparse.hstack([a_cols, eye, -eye], format="csc")
-    c = np.concatenate([np.zeros(ncols), np.ones(2 * nrows)])
-    res = linprog(c, A_eq=afull, b_eq=b, bounds=(0, None), method="highs")
+    if t_col is None:
+        blocks, c_t, penalty = [a_cols], [], 1.0
+    else:
+        blocks, c_t, penalty = [a_cols, sparse.csc_array(t_col[:, None])], [-1.0], _LOCATOR_PENALTY
+    nt = len(c_t)
+    afull = sparse.hstack([*blocks, eye, -eye], format="csc")
+    c = np.concatenate([np.zeros(ncols), c_t, np.full(2 * nrows, penalty)])
+    bounds = np.zeros((len(c), 2))
+    bounds[:, 1] = np.inf
+    bounds[ncols : ncols + nt, 1] = t_cap
+    res = linprog(c, A_eq=afull, b_eq=b, bounds=bounds, method="highs")
     if res.status != 0:
-        raise LpFailure(f"phase-1 LP solver status {res.status}: {res.message}")
-    return float(res.fun), res.x[:ncols], np.asarray(res.eqlin.marginals)
+        raise LpFailure(f"LP solver status {res.status}: {res.message}")
+    t = float(res.x[ncols]) if nt else 0.0
+    slack = float(res.x[ncols + nt :].sum())
+    return slack, t, res.x[:ncols], np.asarray(res.eqlin.marginals)
 
 
 def _functional_from_dual(y: np.ndarray, m: int) -> GeneralFunctional:
@@ -167,22 +208,24 @@ def _dense_columns(hidden: SpherePolytope, mode: str, m: int):
     return hidden.lp_columns[key]
 
 
-def _solve_dense(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int):
-    """One phase-1 LP over every (strategy, vertex) pair."""
+def _solve_dense(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int, t_col=None, t_cap=0.0):
+    """``_solve_lp`` over every (strategy, vertex) pair.
+    Returns (slack sum, t, col_bits, col_ks, w, y)."""
     cols, col_bits, col_ks = _dense_columns(hidden, mode, m)
-    fun, w, y = _solve_phase1(cols, b)
-    return fun, col_bits, col_ks, w, y
+    slack, t, w, y = _solve_lp(cols, b, t_col, t_cap)
+    return slack, t, col_bits, col_ks, w, y
 
 
-def _solve_cg(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int):
-    """Column generation over (strategy, vertex) pairs with exact pricing."""
+def _solve_cg(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int, t_col=None, t_cap=0.0):
+    """``_solve_lp`` by column generation over (strategy, vertex) pairs
+    with exact pricing. Returns (slack sum, t, col_bits, col_ks, w, y)."""
     verts = _hidden_vertices(hidden, mode)
     bits_list: list[np.ndarray] = []
     k_list: list[int] = []
     seen: set[tuple] = set()
     a_cols = sparse.csc_array((8 * m, 0))
     for _ in range(_CG_MAX_ROUNDS):
-        fun, w, y = _solve_phase1(a_cols, b)
+        slack, t, w, y = _solve_lp(a_cols, b, t_col, t_cap)
         scores, best_bits = _price(y, verts, m)
         order = np.argsort(scores)[::-1]
         added = 0
@@ -198,7 +241,7 @@ def _solve_cg(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int):
             new_ks.append(int(k))
             added += 1
         if added == 0:
-            return fun, np.array(bits_list, dtype=np.int8).reshape(-1, m), \
+            return slack, t, np.array(bits_list, dtype=np.int8).reshape(-1, m), \
                 np.array(k_list, dtype=int), w, y
         cols = _columns(np.array(new_bits), np.array(new_ks), verts, m)
         a_cols = sparse.hstack([a_cols, cols], format="csc")
@@ -207,25 +250,35 @@ def _solve_cg(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int):
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 
+def _solver(hidden: SpherePolytope, m: int):
+    """The dense path while the enumerated matrix is desk-scale, column
+    generation above that."""
+    dense = m <= DENSE_MAX_SETTINGS and (1 << m) * hidden.n_vertices <= DENSE_COLUMN_CAP
+    return _solve_dense if dense else _solve_cg
+
+
 def lhs_lp_feasible(
     assemblage: Assemblage, hidden: SpherePolytope, mode: str = "restrict"
 ):
     """Decide LHS feasibility over a discretized hidden-state set.
 
     mode="restrict": hidden states confined to the polytope hull, so
-    feasibility CERTIFIES that an LHS model exists. mode="relax": vertices
-    scaled by 1/eta so the hull contains the Bloch ball, so INFEASIBILITY
-    certifies steering.
+    feasibility CERTIFIES that an LHS model exists. The model is not taken
+    on the solver's word: it is reconstructed from its weights and
+    accepted only when it reproduces the assemblage to within
+    TOL.lp_residual (max-abs entry); otherwise the answer is (False, None),
+    "not certified". mode="relax": vertices scaled by 1/eta so the hull
+    contains the Bloch ball, so INFEASIBILITY certifies steering.
 
-    Returns (feasible, LhsCertificate) or (False, GeneralFunctional).
-    Raises LpFailure when neither certificate reaches its tolerance.
+    Returns (feasible, LhsCertificate), (False, GeneralFunctional) or
+    (False, None). Raises LpFailure when neither certificate reaches its
+    tolerance.
     """
     if mode not in ("restrict", "relax"):
         raise ValueError(f"unknown mode {mode!r}")
     m = assemblage.m
     b = _assemblage_rhs(assemblage)
-    dense = m <= DENSE_MAX_SETTINGS and (1 << m) * hidden.n_vertices <= DENSE_COLUMN_CAP
-    fun, col_bits, col_ks, w, y = (_solve_dense if dense else _solve_cg)(hidden, mode, b, m)
+    fun, _, col_bits, col_ks, w, y = _solver(hidden, m)(hidden, mode, b, m)
     if fun <= TOL.lp_residual:
         keep = w > 1e-12
         cert = LhsCertificate(
@@ -234,6 +287,8 @@ def lhs_lp_feasible(
             weights=w[keep],
             hidden_blochs=_hidden_vertices(hidden, mode),
         )
+        if mode == "restrict" and np.abs(cert.reconstruct() - assemblage.sigma).max() > TOL.lp_residual:
+            return False, None
         return True, cert
     if fun >= TOL.farkas_violation:
         return False, _functional_from_dual(y, m)
@@ -250,22 +305,25 @@ def detect_steerable(
 
     On LP infeasibility the Farkas functional is re-bounded exactly over
     the full Bloch ball by enumeration; steering is reported only when
-    the assemblage value strictly exceeds that exact bound.
+    the assemblage value exceeds that exact bound by more than
+    _DETECTION_MARGIN.
 
-    Returns (steerable, GeneralFunctional or None).
+    Returns (steerable, GeneralFunctional carrying its bound, or None).
     """
     assemblage = make_assemblage(rho_ab, directions)
     feasible, cert = lhs_lp_feasible(assemblage, hidden, mode="relax")
     if feasible:
         return False, None
-    functional = cert
-    bound = functional.exact_lhs_bound()
-    value = functional.value(assemblage)
-    if value > bound + 1e-12:
+    functional = replace(cert, bound=cert.exact_lhs_bound())
+    if _detects(functional, assemblage):
         return True, functional
     # The discrete relaxation flagged infeasibility but the exact ball
     # bound absorbs it; conservative answer is "not detected".
     return False, None
+
+
+def _detects(functional: GeneralFunctional, assemblage: Assemblage) -> bool:
+    return functional.value(assemblage) > functional.bound + _DETECTION_MARGIN
 
 
 def certify_unsteerable_shrunk(
@@ -308,7 +366,7 @@ def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
 class RadiusParams:
     meas_level: int = 0
     hidden_level: int = 2
-    bisection_tol: float = TOL.bisection
+    bisection_tol: float = TOL.bisection  # the --tol step in t; see critical_radius_bounds
     t_cap_max: float = 2.0
 
 
@@ -360,48 +418,85 @@ def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
     return bisect(lambda t: radial_mix(rho_ab, t)[1], 1.0, t_max, 1e-9)[0]
 
 
+def _locate(hidden: SpherePolytope, mode: str, a0: Assemblage, a1: Assemblage, t_cap: float):
+    """Largest t in [0, t_cap] at which the LP of ``mode`` is feasible for
+    the assemblage b0 + t (b1 - b0), or None when no t is. A locator
+    only: it certifies nothing."""
+    b0, b1 = _assemblage_rhs(a0), _assemblage_rhs(a1)
+    slack, t, *_ = _solver(hidden, a0.m)(hidden, mode, b0, a0.m, b0 - b1, t_cap)
+    return t if slack <= TOL.lp_residual else None
+
+
+def _first_detection(
+    functional: GeneralFunctional, a0: Assemblage, a1: Assemblage,
+    rho_ab: DensityMatrix, directions, t_d: float,
+) -> float:
+    """Smallest t <= t_d at which ``functional`` still detects steering,
+    given that it detects at t_d. Its value is affine in t, so the
+    crossing of bound + _DETECTION_MARGIN has a closed form; the point
+    returned aims at twice the margin and is re-checked on the mixed
+    state's own assemblage, falling back to t_d."""
+    v0, v1 = functional.value(a0), functional.value(a1)
+    if v1 <= v0:
+        return t_d
+    t = min(t_d, max(0.0, (functional.bound + 2 * _DETECTION_MARGIN - v0) / (v1 - v0)))
+    mixed = make_assemblage(radial_mix_state(rho_ab, t), directions)
+    return t if _detects(functional, mixed) else t_d
+
+
 def critical_radius_bounds(
     rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()
 ) -> RadiusReport:
-    """Bracket the critical radius by bisection over the mixing parameter.
+    """Bracket the critical radius with one locator LP per side.
 
-    r_out: smallest t at which steering of the mixed state is detected
-    (detection at t implies R <= t). r_in: meas.eta times the largest t at
-    which the restrict-mode LHS certificate holds (the shrinking lemma
-    converts it into unsteerability of the shrunk state for all projective
-    measurements). Feasibility is monotone in t, so bisection is sound.
-    Vacuous bounds (r_in = 0 or r_out = t_cap) are reported honestly.
+    r_out: the relax-mode locator gives t_relax, the upper end of the
+    interval of t at which the ball-containing relaxation has a solution.
+    If t_relax < t_cap, detect_steerable probes t_d = min(t_cap, t_relax +
+    tol/2) (tol = params.bisection_tol); its Farkas functional, re-bounded
+    exactly over the Bloch ball, detects steering at every t from its
+    closed-form crossing point up to t_d, and r_out is the smallest such t
+    (detection at t implies R <= t). A locator answer of t_cap (or none),
+    or no detection at t_d, gives the vacuous r_out = t_cap.
+
+    r_in: the restrict-mode locator gives t*, the upper end of the
+    interval of t with a restrict-mode LP solution. The LHS certificate is
+    then checked at t_cap if t* = t_cap, else at t* - TOL.locator_margin,
+    else once more at t* - tol, never at t <= 0; r_in is meas.eta times
+    the first t that certifies (the shrinking lemma turns it into
+    unsteerability of the shrunk state for all projective measurements).
+    If none does, or the locator finds no feasible t, r_in = 0 is
+    reported as vacuous (unsteerable_certified = False).
     """
     meas = sphere_polytope(params.meas_level)
     hidden = sphere_polytope(params.hidden_level)
     directions = antipodal_directions(meas)
     t_cap = _psd_cap(rho_ab, params.t_cap_max)
+    a0 = make_assemblage(radial_mix_state(rho_ab, 0.0), directions)
+    a1 = make_assemblage(rho_ab, directions)
 
-    def detected(t: float) -> bool:
-        return detect_steerable(radial_mix_state(rho_ab, t), directions, hidden)[0]
+    r_out, det = t_cap, False
+    t_relax = _locate(hidden, "relax", a0, a1, t_cap)
+    if t_relax is not None and t_relax < t_cap:
+        t_d = min(t_cap, t_relax + params.bisection_tol / 2)
+        steerable, functional = detect_steerable(radial_mix_state(rho_ab, t_d), directions, hidden)
+        if steerable:
+            r_out, det = _first_detection(functional, a0, a1, rho_ab, directions, t_d), True
 
-    def certified(t: float) -> bool:
-        return certify_unsteerable_shrunk(radial_mix_state(rho_ab, t), meas, hidden)
-
-    if detected(t_cap):
-        r_out, det = bisect(detected, 0.0, t_cap, params.bisection_tol)[1], True
-    else:
-        r_out, det = t_cap, False
-
-    if certified(t_cap):
-        t_star, cert = t_cap, True
-    elif not certified(0.0):
-        t_star, cert = 0.0, False
-    else:
-        t_star = bisect(lambda t: not certified(t), 0.0, t_cap, params.bisection_tol)[0]
-        cert = True
+    t_in = 0.0
+    t_star = _locate(hidden, "restrict", a0, a1, t_cap)
+    if t_star is not None:
+        probes = (t_cap,) if t_star >= t_cap else ()
+        for t in probes + (t_star - TOL.locator_margin, t_star - params.bisection_tol):
+            if t > 0 and certify_unsteerable_shrunk(radial_mix_state(rho_ab, t), meas, hidden):
+                t_in = t
+                break
 
     return RadiusReport(
-        r_in=meas.eta * t_star,
+        r_in=meas.eta * t_in,
         r_out=r_out,
         t_cap=t_cap,
         steerable_detected=det,
-        unsteerable_certified=cert,
+        unsteerable_certified=t_in > 0,
         params=params,
         meas_eta=meas.eta,
     )

@@ -285,19 +285,27 @@ class SearchResult:
         return coeffs_to_state(self.best_coeffs)
 
 
+class ResumeLogError(ValueError):
+    """A --resume log line that is not a restart record."""
+
+
 def _load_resume(resume_path) -> dict[int, RestartRecord]:
     done = {}
     try:
         with open(resume_path) as f:
-            for line in f:
+            for n, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                d = json.loads(line)
-                done[d["restart"]] = RestartRecord(
-                    restart=d["restart"], seed=d["seed"], iters=d["iters"],
-                    q=d["q"], coeffs=d["coeffs"],
-                )
+                try:
+                    d = json.loads(line)
+                    rec = RestartRecord(
+                        restart=d["restart"], seed=d["seed"], iters=d["iters"],
+                        q=d["q"], coeffs=d["coeffs"],
+                    )
+                except (json.JSONDecodeError, KeyError, TypeError) as e:
+                    raise ResumeLogError(f"line {n} is not a restart record ({e!r})") from None
+                done[rec.restart] = rec
     except FileNotFoundError:
         pass
     return done

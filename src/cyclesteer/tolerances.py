@@ -16,7 +16,10 @@ class Tolerances:
     state_norm: float = 1e-9        # pure-state normalization guard
     lp_residual: float = 1e-8       # LP primal residual / feasibility threshold
     farkas_violation: float = 1e-7  # accept a Farkas dual only above this certified violation
-    bisection: float = 1e-3         # default bisection tolerance in the mixing parameter t
+    bisection: float = 1e-3         # default --tol in t: the detection probe sits tol/2 above the
+                                    # relax locator's t, the fallback r_in check tol below the restrict one's
+    locator_margin: float = 1e-6    # r_in is checked this far below the restrict locator's t*, off the
+                                    # boundary of the feasible set where the LP optimum sits
     degenerate_eig: float = 1e-9    # |eigenvalue| below which an observable direction is degenerate
 
 

@@ -87,6 +87,34 @@ def test_malformed_resume_log_is_input_error(tmp_path, capsys):
     assert main(["search", "--scenario", "1", "--restarts", "1", "--resume", str(log)]) == 2
 
 
+@pytest.mark.parametrize("line", ['{"foo": 1}', "[1, 2]", '{"restart": 0}'])
+def test_resume_log_without_records_is_input_error(tmp_path, capsys, line):
+    log = tmp_path / "log.jsonl"
+    log.write_text(line + "\n")
+    assert main(["search", "--scenario", "1", "--restarts", "1", "--resume", str(log)]) == 2
+    assert "not a restart record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--out", "{missing}/x.json"],
+    ["table", "--out", "{dir}"],
+    ["scenario1", "--state", "builtin:sc1", "--fig-data", "{missing}/fig.csv"],
+    ["search", "--scenario", "1", "--restarts", "1", "--best-out", "{missing}/b.json"],
+    ["search", "--scenario", "1", "--restarts", "1", "--out", "{missing}/log.jsonl"],
+])
+def test_unwritable_output_is_input_error(argv, tmp_path, capsys, monkeypatch):
+    """An output path that cannot be written is rejected before the work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(steering, "quantum_value_Q", no_work)
+    monkeypatch.setattr(steering, "one_way_gap_scenario1", no_work)
+    monkeypatch.setattr("cyclesteer.search.multi_restart", no_work)
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
     """An internal fault propagates (exit 1 from the interpreter), it is
     not reported as exit 2."""

@@ -3,14 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+from cyclesteer import lhs
 from cyclesteer.lhs import (
     GeneralFunctional,
     LhsCertificate,
     RadiusParams,
     _assemblage_rhs,
     _dense_columns,
+    _psd_cap,
     _solve_cg,
     _solve_dense,
+    bisect,
     certify_unsteerable_shrunk,
     critical_radius_bounds,
     detect_steerable,
@@ -19,7 +22,7 @@ from cyclesteer.lhs import (
     radial_mix,
     radial_mix_state,
 )
-from cyclesteer.linalg import DensityMatrix
+from cyclesteer.linalg import DensityMatrix, bloch_to_obs
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.states import singlet, werner
 from cyclesteer.steering import make_assemblage, max_over_strategies, strategy_blocks
@@ -139,6 +142,95 @@ def test_column_generation_matches_dense():
         a = make_assemblage(werner(p), dirs)
         feasible, _ = lhs_lp_feasible(a, HIDDEN1, mode="relax")
         assert feasible is expected
+
+
+def test_column_generation_locator_matches_dense():
+    """The locator LP (max t with slacks priced at _LOCATOR_PENALTY) gives
+    the same t* by column generation as over the full matrix."""
+    below_cap = 0
+    for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(4))):
+        a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
+        b0, b1 = _assemblage_rhs(a0), _assemblage_rhs(make_assemblage(rho, ICO_DIRS))
+        t_cap = _psd_cap(rho, 2.0)
+        for mode in ("restrict", "relax"):
+            dense = _solve_dense(HIDDEN1, mode, b0, 6, b0 - b1, t_cap)
+            cg = _solve_cg(HIDDEN1, mode, b0, 6, b0 - b1, t_cap)
+            assert dense[0] <= TOL.lp_residual and cg[0] <= TOL.lp_residual
+            assert abs(dense[1] - cg[1]) <= 1e-7
+            below_cap += dense[1] < t_cap
+    assert below_cap >= 3  # the cap does not decide the comparison
+
+
+def test_restrict_certificate_checked_by_reconstruction(monkeypatch):
+    """In the style of acceptance 09: on random states every accepted
+    restrict-mode certificate reproduces its assemblage to within
+    TOL.lp_residual, and a solver answer with one weight perturbed is
+    reported as not certified."""
+    r = np.random.default_rng(9)
+    accepted = []
+    for _ in range(10):
+        a = make_assemblage(radial_mix_state(random_two_qubit(r), 0.6), ICO_DIRS)
+        feasible, cert = lhs_lp_feasible(a, HIDDEN1, mode="restrict")
+        if feasible:
+            assert np.abs(cert.reconstruct() - a.sigma).max() <= TOL.lp_residual
+            accepted.append(a)
+    assert len(accepted) >= 5
+    solve = lhs._solve_dense
+
+    def perturbed(*args):
+        slack, t, bits, ks, w, y = solve(*args)
+        w = w.copy()
+        w[np.argmax(w)] += 1e-6
+        return slack, t, bits, ks, w, y
+
+    monkeypatch.setattr(lhs, "_solve_dense", perturbed)
+    for a in accepted:
+        assert lhs_lp_feasible(a, HIDDEN1, mode="restrict") == (False, None)
+
+
+def _bisection_bracket(rho, params):
+    """The bisection the locator replaced (oracle): detection and
+    certification probed at mid-points of [0, t_cap]."""
+    meas, hidden = sphere_polytope(params.meas_level), sphere_polytope(params.hidden_level)
+    directions = antipodal_directions(meas)
+    t_cap = _psd_cap(rho, params.t_cap_max)
+
+    def detected(t):
+        return detect_steerable(radial_mix_state(rho, t), directions, hidden)[0]
+
+    def certified(t):
+        return certify_unsteerable_shrunk(radial_mix_state(rho, t), meas, hidden)
+
+    r_out = bisect(detected, 0.0, t_cap, params.bisection_tol)[1] if detected(t_cap) else t_cap
+    if certified(t_cap):
+        t_in = t_cap
+    elif not certified(0.0):
+        t_in = 0.0
+    else:
+        t_in = bisect(lambda t: not certified(t), 0.0, t_cap, params.bisection_tol)[0]
+    return meas.eta * t_in, r_out
+
+
+def test_locator_bracket_inside_bisection_bracket():
+    params = RadiusParams(meas_level=0, hidden_level=0, bisection_tol=1e-2)
+    r = np.random.default_rng(12)
+    for rho in [random_two_qubit(r) for _ in range(10)] + [singlet()]:
+        rep = critical_radius_bounds(rho, params)
+        r_in, r_out = _bisection_bracket(rho, params)
+        assert rep.r_in >= r_in - 1e-9
+        assert rep.r_out <= r_out + 1e-9
+
+
+def test_pure_bob_marginal_gives_vacuous_r_in():
+    """Bob's marginal is a pure state off every polytope vertex, so no LHS
+    model over the restricted hull exists at any t and the restrict
+    locator finds none: r_in = 0 must come with unsteerable_certified
+    False (it was once reported as certified)."""
+    bob = (np.eye(2) + bloch_to_obs(np.array([0.48, 0.6, 0.64]))) / 2
+    rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), bob).astype(complex), (2, 2))
+    rep = critical_radius_bounds(rho, RadiusParams(hidden_level=1, bisection_tol=1e-2))
+    assert rep.r_in == 0.0
+    assert not rep.unsteerable_certified
 
 
 def test_detect_steerable_werner():
