@@ -250,8 +250,8 @@ def _add_radius(p: argparse.ArgumentParser):
     p.add_argument("--hidden-level", type=_NONNEG_INT, default=2)
     p.add_argument("--tol", type=_POSITIVE, default=1e-3,
                    help="step in the mixing parameter t: steering detection is probed tol/2 "
-                        "above the relaxed LP's last feasible t, and r_in is re-checked tol "
-                        "below the located t* when the check just below t* fails")
+                        "above the relaxed LP's last feasible t, and r_in is certified at most "
+                        "tol below the located t*")
 
 
 def build_parser() -> argparse.ArgumentParser:

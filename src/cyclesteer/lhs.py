@@ -460,12 +460,15 @@ def critical_radius_bounds(
 
     r_in: the restrict-mode locator gives t*, the upper end of the
     interval of t with a restrict-mode LP solution. The LHS certificate is
-    then checked at t_cap if t* = t_cap, else at t* - TOL.locator_margin,
-    else once more at t* - tol, never at t <= 0; r_in is meas.eta times
-    the first t that certifies (the shrinking lemma turns it into
-    unsteerability of the shrunk state for all projective measurements).
-    If none does, or the locator finds no feasible t, r_in = 0 is
-    reported as vacuous (unsteerable_certified = False).
+    then checked at t_cap if t* = t_cap, else at t* - d for d =
+    TOL.locator_margin, 10 times that, and so on while d < tol, and last
+    at t* - tol, never at t <= 0; r_in is meas.eta times the first t that
+    certifies (the shrinking lemma turns it into unsteerability of the
+    shrunk state for all projective measurements). The steps exist
+    because right at the boundary the solver's weights can dip below
+    zero within its tolerance, and the reconstruction check then rejects
+    the model. If no t certifies, or the locator finds no feasible t,
+    r_in = 0 is reported as vacuous (unsteerable_certified = False).
     """
     meas = sphere_polytope(params.meas_level)
     hidden = sphere_polytope(params.hidden_level)
@@ -485,8 +488,13 @@ def critical_radius_bounds(
     t_in = 0.0
     t_star = _locate(hidden, "restrict", a0, a1, t_cap)
     if t_star is not None:
-        probes = (t_cap,) if t_star >= t_cap else ()
-        for t in probes + (t_star - TOL.locator_margin, t_star - params.bisection_tol):
+        probes = [t_cap] if t_star >= t_cap else []
+        backoff = TOL.locator_margin
+        while backoff < params.bisection_tol:
+            probes.append(t_star - backoff)
+            backoff *= 10
+        probes.append(t_star - params.bisection_tol)
+        for t in probes:
             if t > 0 and certify_unsteerable_shrunk(radial_mix_state(rho_ab, t), meas, hidden):
                 t_in = t
                 break

@@ -122,7 +122,7 @@ def antipodal_directions(poly: SpherePolytope) -> np.ndarray:
     v = poly.vertices
     nonzero = v != 0
     first = nonzero.argmax(axis=1)
-    positive = nonzero.any(axis=1) & (v[np.arange(len(v)), first] > 0)
+    positive = v[np.arange(len(v)), first] > 0
     keys = np.where(positive[:, None], v, -v)
     pairs = KDTree(keys).query_pairs(1e-9, output_type="ndarray")
     duplicate = np.zeros(len(keys), dtype=bool)

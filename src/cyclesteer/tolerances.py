@@ -17,8 +17,8 @@ class Tolerances:
     lp_residual: float = 1e-8       # LP primal residual / feasibility threshold
     farkas_violation: float = 1e-7  # accept a Farkas dual only above this certified violation
     bisection: float = 1e-3         # default --tol in t: the detection probe sits tol/2 above the
-                                    # relax locator's t, the fallback r_in check tol below the restrict one's
-    locator_margin: float = 1e-6    # r_in is checked this far below the restrict locator's t*, off the
+                                    # relax locator's t, the last r_in check tol below the restrict one's
+    locator_margin: float = 1e-6    # first r_in check this far below the restrict locator's t*, off the
                                     # boundary of the feasible set where the LP optimum sits
     degenerate_eig: float = 1e-9    # |eigenvalue| below which an observable direction is degenerate
 

@@ -335,6 +335,10 @@ def test_critical_radius_singlet_bracket():
     rep = critical_radius_bounds(singlet(), RadiusParams(bisection_tol=5e-3))
     assert rep.steerable_detected and rep.unsteerable_certified
     assert rep.r_in <= 0.5 <= rep.r_out
+    # certified within 1e-4 of the restrict locator's t* = 0.5393447: at
+    # t* - 1e-6 the solver's weights dip below zero and the model fails its
+    # reconstruction check, so the next step back must be tried before t* - tol
+    assert rep.r_in >= ICO.eta * (0.5393447 - 1e-4)
     assert rep.r_out - rep.r_in < 0.2
     d = rep.to_dict()
     assert d["meas_polytope_level"] == 0 and d["hidden_polytope_level"] == 2
