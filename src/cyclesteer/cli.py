@@ -19,6 +19,7 @@ import numpy as np
 
 from . import entanglement as ent
 from . import lhs, search, states, steering
+from .tolerances import TOL
 
 
 def _round_floats(obj):
@@ -100,7 +101,7 @@ def _fig_data_csv(report: steering.Scenario1Report, path: str):
 def cmd_scenario1(args) -> int:
     rho_ab, _, _ = _resolve_pair(args.state, args.p)
     report = steering.one_way_gap_scenario1(rho_ab, steering.icosahedron_settings())
-    if abs(report.Q_ab - report.Q_ba) < 1e-9:
+    if abs(report.Q_ab - report.Q_ba) < TOL.scenario1_margin:
         verdict = "symmetric"
     elif report.one_way:
         verdict = "one-way"
@@ -145,6 +146,10 @@ def cmd_entanglement(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.scenario == 1 and args.stage != "full":
+        raise InputError(f"--stage {args.stage} applies to --scenario 2 only")
+    if args.resume and args.stage == "two-stage":
+        raise InputError("--resume cannot be used with --stage two-stage")
     prefilter = search.ObjectiveSpec(
         kind="scenario2_prefilter", parameterization=args.parameterization,
         meas_level=0, hidden_level=0, bisection_tol=1e-2,
@@ -161,7 +166,7 @@ def cmd_search(args) -> int:
         )
     log_file = open(args.out, "a") if args.out else None
     try:
-        if args.scenario == 2 and args.stage == "two-stage":
+        if args.stage == "two-stage":
             result = search.two_stage_search(
                 prefilter, spec, args.restarts, args.seed, log_file=log_file
             )
@@ -278,14 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("search", help="multi-restart Nelder-Mead campaigns")
     ps.add_argument("--scenario", type=int, choices=[1, 2], required=True)
-    ps.add_argument("--stage", choices=["full", "prefilter", "two-stage"], default="full")
+    ps.add_argument("--stage", choices=["full", "prefilter", "two-stage"], default="full",
+                    help="scenario-2 stage; scenario 1 takes only the default")
     ps.add_argument("--restarts", type=_POSITIVE_INT, default=500)
     ps.add_argument("--seed", type=_NONNEG_INT, default=0)
     ps.add_argument("--parameterization", choices=sorted(search.PARAM_DIMS),
                     default="real-7")
     _add_radius(ps)
     ps.add_argument("--out", default=None, help="JSON-lines restart log")
-    ps.add_argument("--resume", default=None, help="existing log to resume from")
+    ps.add_argument("--resume", default=None,
+                    help="existing log of the same campaign to resume from (not with two-stage)")
     ps.add_argument("--best-out", default=None, help="write best state file here")
     ps.set_defaults(func=cmd_search)
 

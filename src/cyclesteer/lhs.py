@@ -7,10 +7,15 @@ certified critical-radius bracketing [r_in, r_out].
 
 The LP asks for nonnegative weights w_{lambda,k} with
 
-    sum_{lambda,k} D_lambda(a|x) w_{lambda,k} h_k = sigma_{a|x}
+    sum_{lambda,k} D_lambda(a|x) w_{lambda,k} [1, r_k] = ps[x, a]
 
-where lambda runs over deterministic outcome assignments and h_k over
-hidden qubit states on polytope vertices. ``restrict`` mode keeps the
+where lambda runs over deterministic outcome assignments, r_k over the
+Bloch vectors of hidden states on polytope vertices, and ps is the
+assemblage in its (m, 2, 4) layout (see :mod:`cyclesteer.steering`),
+whose raveled entries are the LP rows; the dual, reshaped to (m, 2, 4),
+is a Farkas functional. An LHS model is reconstructed in that layout and
+checked by its max-abs error over [p, s], which bounds the error of
+every entry of the 2x2 matrices sigma_{a|x}. ``restrict`` mode keeps the
 vertices as given (feasibility certifies an LHS model); ``relax`` mode
 scales them by 1/eta so the hull contains the Bloch ball (infeasibility
 certifies steering). Strategies are enumerated while the column count is
@@ -40,7 +45,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .linalg import DensityMatrix, ID2, PAULIS, partial_trace
+from .linalg import DensityMatrix, ID2, partial_trace
 from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
 from .steering import Assemblage, make_assemblage, max_over_strategies, strategy_blocks
 from .tolerances import TOL
@@ -58,6 +63,8 @@ _LOCATOR_PENALTY = 1e4
 # A Farkas functional detects steering where its value exceeds its exact
 # ball bound by more than this.
 _DETECTION_MARGIN = 1e-12
+# t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state.
+T_CAP_MAX = 2.0
 
 
 class LpFailure(RuntimeError):
@@ -75,48 +82,37 @@ class LhsCertificate:
     hidden_blochs: np.ndarray   # (K, 3) Bloch vectors of the hidden states
 
     def reconstruct(self) -> np.ndarray:
-        """The modeled assemblage, shape (m, 2, 2, 2)."""
+        """The modeled assemblage in the (m, 2, 4) layout: each weight adds
+        [1, r_k] to the entry (x, bits[x]) of every setting x. Summed here
+        from the weights, independently of the LP's column builder."""
         m = self.strategy_bits.shape[1]
-        sig = np.zeros((m, 2, 2, 2), dtype=complex)
-        for bits, k, w in zip(self.strategy_bits, self.vertex_index, self.weights):
-            h = (ID2 + np.tensordot(self.hidden_blochs[k], PAULIS, axes=1)) / 2
-            for x in range(m):
-                sig[x, bits[x]] += w * h
-        return sig
+        h = np.hstack([np.ones((len(self.hidden_blochs), 1)), self.hidden_blochs])
+        ps = np.zeros((m, 2, 4))
+        contrib = self.weights[:, None] * h[self.vertex_index]
+        np.add.at(ps, (np.arange(m), self.strategy_bits), contrib[:, None, :])
+        return ps
 
 
 @dataclass(frozen=True)
 class GeneralFunctional:
-    """Steering functional F_{a|x} = offset I + bloch . sigma per (x, a),
-    as extracted from a Farkas dual."""
+    """Steering functional F_{a|x} = c I + v.sigma per (x, a), held as
+    coef[x, a] = [c, v] (shape (m, 2, 4)), as extracted from a Farkas dual."""
 
-    offsets: np.ndarray  # (m, 2)
-    blochs: np.ndarray   # (m, 2, 3)
+    coef: np.ndarray
     bound: float | None = None  # exact_lhs_bound(), attached by detect_steerable
 
     @property
     def m(self) -> int:
-        return self.offsets.shape[0]
+        return self.coef.shape[0]
 
     def value(self, assemblage: Assemblage) -> float:
-        p = assemblage.probabilities()
-        s = assemblage.bloch_parts()
-        return float((self.offsets * p).sum() + (self.blochs * s).sum())
+        return float((self.coef * assemblage.ps).sum())
 
     def exact_lhs_bound(self) -> float:
         """Exact bound over all LHS models with hidden states anywhere in
         the Bloch ball: max over deterministic strategies of
         lambda_max(sum_x F_{lambda(x)|x})."""
-        return max_over_strategies(self.offsets, self.blochs)[0]
-
-
-def _assemblage_rhs(assemblage: Assemblage) -> np.ndarray:
-    """Stack [p(a|x), s(a|x)] per (x, a) into the LP right-hand side."""
-    m = assemblage.m
-    rhs = np.empty((m, 2, 4))
-    rhs[:, :, 0] = assemblage.probabilities()
-    rhs[:, :, 1:] = assemblage.bloch_parts()
-    return rhs.reshape(-1)
+        return max_over_strategies(self.coef)[0]
 
 
 def _columns(bits: np.ndarray, ks: np.ndarray, verts: np.ndarray, m: int) -> sparse.csc_array:
@@ -171,11 +167,6 @@ def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float 
     t = float(res.x[ncols]) if nt else 0.0
     slack = float(res.x[ncols + nt :].sum())
     return slack, t, res.x[:ncols], np.asarray(res.eqlin.marginals)
-
-
-def _functional_from_dual(y: np.ndarray, m: int) -> GeneralFunctional:
-    yr = y.reshape(m, 2, 4)
-    return GeneralFunctional(offsets=yr[:, :, 0].copy(), blochs=yr[:, :, 1:].copy())
 
 
 def _price(y: np.ndarray, verts: np.ndarray, m: int):
@@ -266,9 +257,10 @@ def lhs_lp_feasible(
     feasibility CERTIFIES that an LHS model exists. The model is not taken
     on the solver's word: it is reconstructed from its weights and
     accepted only when it reproduces the assemblage to within
-    TOL.lp_residual (max-abs entry); otherwise the answer is (False, None),
-    "not certified". mode="relax": vertices scaled by 1/eta so the hull
-    contains the Bloch ball, so INFEASIBILITY certifies steering.
+    TOL.lp_residual (max-abs over [p, s]); otherwise the answer is
+    (False, None), "not certified". mode="relax": vertices scaled by 1/eta
+    so the hull contains the Bloch ball, so INFEASIBILITY certifies
+    steering.
 
     Returns (feasible, LhsCertificate), (False, GeneralFunctional) or
     (False, None). Raises LpFailure when neither certificate reaches its
@@ -277,8 +269,7 @@ def lhs_lp_feasible(
     if mode not in ("restrict", "relax"):
         raise ValueError(f"unknown mode {mode!r}")
     m = assemblage.m
-    b = _assemblage_rhs(assemblage)
-    fun, _, col_bits, col_ks, w, y = _solver(hidden, m)(hidden, mode, b, m)
+    fun, _, col_bits, col_ks, w, y = _solver(hidden, m)(hidden, mode, assemblage.ps.ravel(), m)
     if fun <= TOL.lp_residual:
         keep = w > 1e-12
         cert = LhsCertificate(
@@ -287,11 +278,11 @@ def lhs_lp_feasible(
             weights=w[keep],
             hidden_blochs=_hidden_vertices(hidden, mode),
         )
-        if mode == "restrict" and np.abs(cert.reconstruct() - assemblage.sigma).max() > TOL.lp_residual:
+        if mode == "restrict" and np.abs(cert.reconstruct() - assemblage.ps).max() > TOL.lp_residual:
             return False, None
         return True, cert
     if fun >= TOL.farkas_violation:
-        return False, _functional_from_dual(y, m)
+        return False, GeneralFunctional(y.reshape(m, 2, 4))
     raise LpFailure(
         f"LP infeasibility {fun:.2e} between residual tolerance "
         f"{TOL.lp_residual:.0e} and Farkas threshold {TOL.farkas_violation:.0e}"
@@ -367,7 +358,6 @@ class RadiusParams:
     meas_level: int = 0
     hidden_level: int = 2
     bisection_tol: float = TOL.bisection  # the --tol step in t; see critical_radius_bounds
-    t_cap_max: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -422,7 +412,7 @@ def _locate(hidden: SpherePolytope, mode: str, a0: Assemblage, a1: Assemblage, t
     """Largest t in [0, t_cap] at which the LP of ``mode`` is feasible for
     the assemblage b0 + t (b1 - b0), or None when no t is. A locator
     only: it certifies nothing."""
-    b0, b1 = _assemblage_rhs(a0), _assemblage_rhs(a1)
+    b0, b1 = a0.ps.ravel(), a1.ps.ravel()
     slack, t, *_ = _solver(hidden, a0.m)(hidden, mode, b0, a0.m, b0 - b1, t_cap)
     return t if slack <= TOL.lp_residual else None
 
@@ -473,7 +463,7 @@ def critical_radius_bounds(
     meas = sphere_polytope(params.meas_level)
     hidden = sphere_polytope(params.hidden_level)
     directions = antipodal_directions(meas)
-    t_cap = _psd_cap(rho_ab, params.t_cap_max)
+    t_cap = _psd_cap(rho_ab, T_CAP_MAX)
     a0 = make_assemblage(radial_mix_state(rho_ab, 0.0), directions)
     a1 = make_assemblage(rho_ab, directions)
 

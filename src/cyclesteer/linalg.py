@@ -1,9 +1,10 @@
 """Dense complex matrix kernel for small multi-qubit operators.
 
 Validated density matrices, partial trace/transpose, Hermitian
-eigendecomposition, trace norm and Bloch-vector conversions, for up to
-three qubits (dimension MAX_DIM = 8). All functions are pure; matrices
-are plain ``numpy`` complex arrays and tensor products are ``np.kron``.
+eigendecomposition, trace norm, Bloch-vector conversions and the Pauli
+form (a, b, T) of a two-qubit operator, for up to three qubits
+(dimension MAX_DIM = 8). All functions are pure; matrices are plain
+``numpy`` complex arrays and tensor products are ``np.kron``.
 """
 
 from __future__ import annotations
@@ -151,3 +152,15 @@ def bloch_to_obs(r) -> np.ndarray:
 def obs_to_bloch(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`bloch_to_obs` on the traceless part of ``m``."""
     return np.array([np.trace(m @ p).real / 2 for p in PAULIS])
+
+
+def pauli_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pauli form of a two-qubit operator, rho = (I + a.sigma (x) I +
+    I (x) b.sigma + sum_ij T_ij sigma_i (x) sigma_j) / 4 for unit trace:
+    a_i = tr(rho sigma_i (x) I), b_j = tr(rho I (x) sigma_j) and
+    T_ij = tr(rho sigma_i (x) sigma_j), real parts. Returns (a, b, T)."""
+    rho = np.asarray(mat).reshape(2, 2, 2, 2)  # indices (iA, jB, iA', jB')
+    a = np.einsum("pli,ijlj->p", PAULIS, rho).real
+    b = np.einsum("pmj,ijim->p", PAULIS, rho).real
+    corr = np.einsum("pli,qmj,ijlm->pq", PAULIS, PAULIS, rho).real
+    return a, b, corr

@@ -15,25 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lhs import RadiusParams, critical_radius_bounds
+from .linalg import pauli_form
 from .states import PureState3Q, build_family, reduce_pair, swap_state
 from .steering import icosahedron_settings, lhs_bound_L
+
+# Nelder-Mead's standard coefficients, its stop on the simplex's spread
+# in x, and the size of its initial simplex.
+_REFLECTION, _EXPANSION, _CONTRACTION, _SHRINK = 1.0, 2.0, 0.5, 0.5
+_SPREAD_TOL, _INITIAL_STEP = 1e-8, 0.25
 
 
 @dataclass(frozen=True)
 class NMParams:
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    spread_tol: float = 1e-8
     max_iter: int = 5000
-    initial_step: float = 0.25
-
-    def __post_init__(self):
-        if not (self.expansion > 1 > self.contraction > 0):
-            raise ValueError("need expansion > 1 > contraction > 0")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie in (0, 1)")
 
 
 def nelder_mead(objective, x0, params: NMParams = NMParams()):
@@ -44,7 +38,7 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
-    simplex = [x0.copy()] + [x0 + params.initial_step * np.eye(n)[i] for i in range(n)]
+    simplex = [x0.copy()] + [x0 + _INITIAL_STEP * np.eye(n)[i] for i in range(n)]
     fvals = np.array([-objective(x) for x in simplex])  # minimize -f internally
     simplex = np.array(simplex)
     best_x, best_f = simplex[fvals.argmin()].copy(), fvals.min()
@@ -58,14 +52,14 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
     for iters in range(1, params.max_iter + 1):
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
-        if np.abs(simplex[1:] - simplex[0]).max() <= params.spread_tol:
+        if np.abs(simplex[1:] - simplex[0]).max() <= _SPREAD_TOL:
             break
         centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + params.reflection * (centroid - simplex[-1])
+        xr = centroid + _REFLECTION * (centroid - simplex[-1])
         fr = -objective(xr)
         record(xr, fr)
         if fr < fvals[0]:
-            xe = centroid + params.expansion * (xr - centroid)
+            xe = centroid + _EXPANSION * (xr - centroid)
             fe = -objective(xe)
             record(xe, fe)
             if fe < fr:
@@ -76,16 +70,16 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
             simplex[-1], fvals[-1] = xr, fr
         else:
             if fr < fvals[-1]:
-                xc = centroid + params.contraction * (xr - centroid)
+                xc = centroid + _CONTRACTION * (xr - centroid)
             else:
-                xc = centroid + params.contraction * (simplex[-1] - centroid)
+                xc = centroid + _CONTRACTION * (simplex[-1] - centroid)
             fc = -objective(xc)
             record(xc, fc)
             if fc < min(fr, fvals[-1]):
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + params.shrink * (simplex[i] - simplex[0])
+                    simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
                     fvals[i] = -objective(simplex[i])
                     record(simplex[i], fvals[i])
     return best_x, -best_f, iters
@@ -138,12 +132,7 @@ def _pauli_data_ab(c: np.ndarray):
         rho += np.einsum("ijk,lmk->ijlm", t, t.conj())
         t = t.transpose(1, 2, 0)  # right shift
     rho /= 3
-    from .linalg import PAULIS
-
-    a = np.einsum("pli,ijlj->p", PAULIS, rho).real
-    b = np.einsum("pmj,ijim->p", PAULIS, rho).real
-    corr = np.einsum("pli,qmj,ijlm->pq", PAULIS, PAULIS, rho).real
-    return a, b, corr
+    return pauli_form(rho.reshape(4, 4))
 
 
 def objective_scenario1(coeffs, penalty: float = 2.0) -> float:
@@ -169,14 +158,15 @@ def _radius_midpoint(rho, params: RadiusParams) -> float:
 
 
 _PREFILTER_PARAMS = RadiusParams(meas_level=0, hidden_level=0, bisection_tol=1e-2)
+# Weights of the scenario-2 objectives (see their docstrings).
+_PREFILTER_DELTA, _PREFILTER_PENALTY = 1.2, 1.0
+_C1, _C2, _C3 = 1.0, 1.0, 0.5
 
 
-def objective_scenario2_prefilter(
-    coeffs, delta: float = 1.2, penalty: float = 1.0,
-    radius_params: RadiusParams = _PREFILTER_PARAMS,
-) -> float:
+def objective_scenario2_prefilter(coeffs, radius_params: RadiusParams = _PREFILTER_PARAMS) -> float:
     """Cheap stage: maximize rt(BA) - rt(AB) - penalty*max(0, rt(BA)-delta)
-    where rt is the coarse bracket midpoint at low polytope resolution.
+    with delta = 1.2 and penalty = 1, where rt is the coarse bracket
+    midpoint at low polytope resolution.
 
     (This proxies the analytic critical-radius upper bound the original
     procedure used for preprocessing; the functional shape is identical.)
@@ -184,7 +174,7 @@ def objective_scenario2_prefilter(
     rho_ab, rho_ba = _reduced_pair(coeffs)
     rt_ab = _radius_midpoint(rho_ab, radius_params)
     rt_ba = _radius_midpoint(rho_ba, radius_params)
-    return rt_ba - rt_ab - penalty * max(0.0, rt_ba - delta)
+    return rt_ba - rt_ab - _PREFILTER_PENALTY * max(0.0, rt_ba - _PREFILTER_DELTA)
 
 
 def _heaviside(x: float) -> float:
@@ -192,23 +182,22 @@ def _heaviside(x: float) -> float:
     return 1.0 if x > 0 else 0.0
 
 
-def objective_scenario2_full(
-    coeffs, c1: float = 1.0, c2: float = 1.0, c3: float = 0.5,
-    radius_params: RadiusParams = RadiusParams(),
-) -> float:
+def objective_scenario2_full(coeffs, radius_params: RadiusParams = RadiusParams()) -> float:
     """Full stage: with R1 = r_out(rho_AB) and R2 = r_in(rho_BA), maximize
 
         R2 - R1 - c1*max(0, R1-1) - c2*max(0, 1-R2)
-              - c3*(H(R1-1) + H(1-R2)).
+              - c3*(H(R1-1) + H(1-R2))
+
+    with c1 = c2 = 1 and c3 = 0.5.
     """
     rho_ab, rho_ba = _reduced_pair(coeffs)
     r1 = critical_radius_bounds(rho_ab, radius_params).r_out
     r2 = critical_radius_bounds(rho_ba, radius_params).r_in
     return (
         r2 - r1
-        - c1 * max(0.0, r1 - 1.0)
-        - c2 * max(0.0, 1.0 - r2)
-        - c3 * (_heaviside(r1 - 1.0) + _heaviside(1.0 - r2))
+        - _C1 * max(0.0, r1 - 1.0)
+        - _C2 * max(0.0, 1.0 - r2)
+        - _C3 * (_heaviside(r1 - 1.0) + _heaviside(1.0 - r2))
     )
 
 
@@ -217,11 +206,6 @@ class ObjectiveSpec:
     kind: str = "scenario1"  # scenario1 | scenario2_prefilter | scenario2_full
     parameterization: str = "real-7"
     scenario1_penalty: float = 2.0
-    prefilter_delta: float = 1.2
-    prefilter_penalty: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 0.5
     meas_level: int = 0
     hidden_level: int = 2
     bisection_tol: float = 1e-3
@@ -232,9 +216,8 @@ class ObjectiveSpec:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.parameterization not in PARAM_DIMS:
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
-        for name in ("scenario1_penalty", "prefilter_penalty", "c1", "c2", "c3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.scenario1_penalty < 0:
+            raise ValueError("scenario1_penalty must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -249,13 +232,8 @@ class ObjectiveSpec:
             bisection_tol=self.bisection_tol,
         )
         if self.kind == "scenario2_prefilter":
-            return lambda x: objective_scenario2_prefilter(
-                x, delta=self.prefilter_delta, penalty=self.prefilter_penalty,
-                radius_params=radius_params,
-            )
-        return lambda x: objective_scenario2_full(
-            x, c1=self.c1, c2=self.c2, c3=self.c3, radius_params=radius_params
-        )
+            return lambda x: objective_scenario2_prefilter(x, radius_params=radius_params)
+        return lambda x: objective_scenario2_full(x, radius_params=radius_params)
 
 
 @dataclass(frozen=True)
@@ -286,10 +264,12 @@ class SearchResult:
 
 
 class ResumeLogError(ValueError):
-    """A --resume log line that is not a restart record."""
+    """A --resume log line that is not a restart record of this campaign."""
 
 
-def _load_resume(resume_path) -> dict[int, RestartRecord]:
+def _load_resume(resume_path, seed: int, dim: int) -> dict[int, RestartRecord]:
+    """Restart records of the campaign (``seed``, parameter dimension
+    ``dim``) from a log; any other line raises ResumeLogError."""
     done = {}
     try:
         with open(resume_path) as f:
@@ -305,6 +285,10 @@ def _load_resume(resume_path) -> dict[int, RestartRecord]:
                     )
                 except (json.JSONDecodeError, KeyError, TypeError) as e:
                     raise ResumeLogError(f"line {n} is not a restart record ({e!r})") from None
+                if rec.seed != [seed, rec.restart]:
+                    raise ResumeLogError(f"line {n} has seed {rec.seed!r}, not [{seed}, {rec.restart!r}]")
+                if not isinstance(rec.coeffs, list) or len(rec.coeffs) != dim:
+                    raise ResumeLogError(f"line {n} does not hold {dim} coefficients")
                 done[rec.restart] = rec
     except FileNotFoundError:
         pass
@@ -325,7 +309,7 @@ def multi_restart(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     objective = spec.objective()
-    done = _load_resume(resume_path) if resume_path else {}
+    done = _load_resume(resume_path, seed, spec.dim) if resume_path else {}
     records = []
     for i in range(restarts):
         if i in done:

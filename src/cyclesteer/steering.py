@@ -2,6 +2,15 @@
 with coefficients F_{a|x} = (-1)^a b_x.sigma, the quantum value Q via
 per-setting trace norms, and optimal-observable extraction.
 
+Assemblages and steering functionals share one real layout of shape
+(m, 2, 4), the row layout of the LHS-model LP in :mod:`cyclesteer.lhs`:
+ps[x, a] = [p, s] for sigma_{a|x} = (p I + s.sigma)/2, built in closed
+form from the Pauli form (a, b, T) of rho_AB, and coef[x, a] = [c, v]
+for F_{a|x} = c I + v.sigma, whose value sum tr(F sigma) is
+(coef * ps).sum(). The assemblage checks are no looser than on the 2x2
+matrices: every entry of (dp I + ds.sigma)/2 is at most max|(dp, ds)|,
+and the eigenvalues of sigma_{a|x} are (p +- |s|)/2.
+
 It also holds the one strategy-enumeration kernel,
 :func:`max_over_strategies`: the exact maximum of a steering functional
 over all LHS models with hidden states in the Bloch ball. The classical
@@ -15,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    ID2,
-    PAULIS,
-    bloch_to_obs,
-    herm_eig,
-    obs_to_bloch,
-)
+from .linalg import DensityMatrix, ID2, bloch_to_obs, herm_eig, obs_to_bloch, pauli_form
 from .states import swap_state
 from .tolerances import TOL
 
@@ -70,51 +72,44 @@ def icosahedron_settings() -> SteeringFunctional:
 
 @dataclass(frozen=True)
 class Assemblage:
-    """Subnormalized conditional states sigma[x, a] (m settings, 2 outcomes)."""
+    """Subnormalized conditional states sigma_{a|x} = (p I + s.sigma)/2
+    for m settings and 2 outcomes, held as ps[x, a] = [p, s_x, s_y, s_z]."""
 
-    sigma: np.ndarray  # shape (m, 2, 2, 2) complex
+    ps: np.ndarray  # shape (m, 2, 4) real
 
     def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=complex)
-        if s.ndim != 4 or s.shape[1:] != (2, 2, 2):
-            raise ValueError(f"expected shape (m, 2, 2, 2), got {s.shape}")
-        object.__setattr__(self, "sigma", s)
-        rho_b = s.sum(axis=1)
+        ps = np.asarray(self.ps, dtype=float)
+        if ps.ndim != 3 or ps.shape[1:] != (2, 4):
+            raise ValueError(f"expected shape (m, 2, 4), got {ps.shape}")
+        object.__setattr__(self, "ps", ps)
+        rho_b = ps.sum(axis=1)
         if np.abs(rho_b - rho_b[0]).max() > TOL.herm_accept:
             raise ValueError("sum_a sigma_{a|x} differs across settings")
-        if abs(np.trace(rho_b[0]).real - 1.0) > TOL.herm_accept:
+        if abs(rho_b[0, 0] - 1.0) > TOL.herm_accept:
             raise ValueError("assemblage not normalized: sum_a tr(sigma_{a|x}) != 1")
-        for x in range(s.shape[0]):
-            for a in range(2):
-                wmin = np.linalg.eigvalsh((s[x, a] + s[x, a].conj().T) / 2).min()
-                if wmin < -TOL.psd:
-                    raise ValueError(f"sigma[{x},{a}] has eigenvalue {wmin:.2e} < -{TOL.psd:.0e}")
+        wmin = (ps[:, :, 0] - np.linalg.norm(ps[:, :, 1:], axis=2)) / 2
+        if wmin.min() < -TOL.psd:
+            x, a = np.unravel_index(wmin.argmin(), wmin.shape)
+            raise ValueError(f"sigma[{x},{a}] has eigenvalue {wmin[x, a]:.2e} < -{TOL.psd:.0e}")
 
     @property
     def m(self) -> int:
-        return self.sigma.shape[0]
-
-    def probabilities(self) -> np.ndarray:
-        """p(a|x), shape (m, 2)."""
-        return np.einsum("xaii->xa", self.sigma).real
-
-    def bloch_parts(self) -> np.ndarray:
-        """s_{a|x} with sigma = (p I + s.sigma)/2, shape (m, 2, 3)."""
-        return np.einsum("xaij,pji->xap", self.sigma, PAULIS).real
+        return self.ps.shape[0]
 
 
 def make_assemblage(rho_ab: DensityMatrix, directions) -> Assemblage:
-    """Assemblage produced by projective measurements of A along ``directions``."""
+    """Assemblage produced by projective measurements of A along
+    ``directions``: with rho_AB in Pauli form (a, b, T), outcome a of
+    u gives p = (1 +- u.a)/2 and s = (b +- T^T u)/2."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    sig = np.empty((dirs.shape[0], 2, 2, 2), dtype=complex)
-    for x, b in enumerate(dirs):
-        for a in range(2):
-            proj = (ID2 + (-1) ** a * bloch_to_obs(b)) / 2
-            full = np.kron(proj, ID2) @ rho_ab.mat
-            sig[x, a] = full.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    return Assemblage(sig)
+    a, b, corr = pauli_form(rho_ab.mat)
+    signs = np.array([1.0, -1.0])[None, :, None]
+    ps = np.empty((dirs.shape[0], 2, 4))
+    ps[:, :, :1] = (1 + signs * (dirs @ a)[:, None, None]) / 2
+    ps[:, :, 1:] = (b + signs * (dirs @ corr)[:, None, :]) / 2
+    return Assemblage(ps)
 
 
 def strategy_blocks(m: int):
@@ -131,20 +126,19 @@ def strategy_blocks(m: int):
         yield (idx[:, None] >> np.arange(m)) & 1
 
 
-def max_over_strategies(offsets: np.ndarray, blochs: np.ndarray) -> tuple[float, np.ndarray]:
+def max_over_strategies(coef: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact max over deterministic strategies lambda of
     sum_x c_{lambda(x)|x} + ||sum_x v_{lambda(x)|x}||, for a functional
-    with per-(x, a) offsets c (m, 2) and Bloch parts v (m, 2, 3): the
-    largest value any LHS model with hidden states in the Bloch ball can
-    reach. Returns the value and the first maximizing outcome bits.
-    Enumeration is exact; m is capped because the value is a certified
-    bound and must not be approximated."""
-    xs = np.arange(offsets.shape[0])
+    coef[x, a] = [c, v] of shape (m, 2, 4): the largest value any LHS
+    model with hidden states in the Bloch ball can reach. Returns the
+    value and the first maximizing outcome bits. Enumeration is exact; m
+    is capped because the value is a certified bound and must not be
+    approximated."""
+    xs = np.arange(coef.shape[0])
     best, best_bits = -np.inf, None
     for bits in strategy_blocks(len(xs)):
-        c0 = offsets[xs, bits].sum(axis=1)
-        cv = blochs[xs, bits].sum(axis=1)
-        vals = c0 + np.linalg.norm(cv, axis=1)
+        picked = coef[xs, bits]
+        vals = picked[:, :, 0].sum(axis=1) + np.linalg.norm(picked[:, :, 1:].sum(axis=1), axis=1)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, best_bits = float(vals[i]), bits[i].copy()
@@ -154,10 +148,11 @@ def max_over_strategies(offsets: np.ndarray, blochs: np.ndarray) -> tuple[float,
 def lhs_bound_L(functional: SteeringFunctional) -> tuple[float, np.ndarray]:
     """Exact classical bound L = max over sign strings of ||sum a_x b_x||,
     with the optimizing signs, first sign +1. The special case of
-    :func:`max_over_strategies` with zero offsets and Bloch parts
-    (-1)^a b_x."""
+    :func:`max_over_strategies` with coefficients [0, (-1)^a b_x]."""
     b = functional.blochs
-    L, bits = max_over_strategies(np.zeros((len(b), 2)), np.stack([b, -b], axis=1))
+    coef = np.zeros((len(b), 2, 4))
+    coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
+    L, bits = max_over_strategies(coef)
     signs = 1 - 2 * bits
     return L, signs * signs[0]
 
@@ -204,9 +199,8 @@ def evaluate_functional(assemblage: Assemblage, functional: SteeringFunctional) 
     """sum_x sum_a tr(F_{a|x} sigma_{a|x}) with F_{a|x} = (-1)^a b_x.sigma."""
     if assemblage.m != functional.m:
         raise ValueError(f"setting counts differ: {assemblage.m} vs {functional.m}")
-    s = assemblage.bloch_parts()  # (m, 2, 3)
     signs = np.array([1.0, -1.0])
-    return float(np.einsum("xap,a,xp->", s, signs, functional.blochs))
+    return float(np.einsum("xap,a,xp->", assemblage.ps[:, :, 1:], signs, functional.blochs))
 
 
 def evaluate_with_observables(
@@ -260,7 +254,7 @@ def one_way_gap_scenario1(
         Q_ab=q_ab,
         Q_ba=q_ba,
         violates_ab=q_ab > L,
-        respects_ba=q_ba <= L + 1e-9,
+        respects_ba=q_ba <= L + TOL.scenario1_margin,
         lhs_signs=signs,
         observables_ab=obs_ab,
         setting_blochs=functional.blochs,

@@ -21,6 +21,10 @@ class Tolerances:
     locator_margin: float = 1e-6    # first r_in check this far below the restrict locator's t*, off the
                                     # boundary of the feasible set where the LP optimum sits
     degenerate_eig: float = 1e-9    # |eigenvalue| below which an observable direction is degenerate
+    scenario1_margin: float = 1e-9  # scenario 1: Q_BA <= L + margin respects the bound, and
+                                    # |Q_AB - Q_BA| < margin reads as symmetric; far above the
+                                    # rounding of Q (eigenvalues of 2x2 matrices, ~1e-15) and far
+                                    # below the gaps of the builtin states (sc1: L - Q_BA = 4.2e-5)
 
 
 TOL = Tolerances()

@@ -95,6 +95,43 @@ def test_resume_log_without_records_is_input_error(tmp_path, capsys, line):
     assert "not a restart record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "8"], "seed [7, 0], not [8, 0]"),
+    (["--seed", "7", "--parameterization", "real-8"], "does not hold 8 coefficients"),
+])
+def test_resume_log_of_another_campaign_is_input_error(tmp_path, capsys, argv, message):
+    """A seed-7 real-7 log cannot be resumed as another campaign, and the
+    matching campaign replays it unchanged."""
+    log = tmp_path / "log.jsonl"
+    assert main(["search", "--scenario", "1", "--restarts", "2", "--seed", "7", "--out", str(log)]) == 0
+    first = capsys.readouterr().out
+    code = main(["search", "--scenario", "1", "--restarts", "2", "--resume", str(log), *argv])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    replay = tmp_path / "replay.jsonl"
+    assert main(["search", "--scenario", "1", "--restarts", "2", "--seed", "7",
+                 "--resume", str(log), "--out", str(replay)]) == 0
+    assert capsys.readouterr().out == first
+    assert not replay.exists() or replay.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--scenario", "1", "--stage", "prefilter", "--restarts", "1"],
+    ["search", "--scenario", "1", "--stage", "two-stage", "--restarts", "1"],
+    ["search", "--scenario", "2", "--stage", "two-stage", "--restarts", "1", "--resume", "{log}"],
+])
+def test_ignored_search_options_are_input_errors(argv, tmp_path, capsys, monkeypatch):
+    """Option combinations search would ignore are rejected before any work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    monkeypatch.setattr("cyclesteer.search.multi_restart", no_work)
+    monkeypatch.setattr("cyclesteer.search.two_stage_search", no_work)
+    argv = [a.format(log=tmp_path / "log.jsonl") for a in argv]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--out", "{missing}/x.json"],
     ["table", "--out", "{dir}"],

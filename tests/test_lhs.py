@@ -8,7 +8,7 @@ from cyclesteer.lhs import (
     GeneralFunctional,
     LhsCertificate,
     RadiusParams,
-    _assemblage_rhs,
+    T_CAP_MAX,
     _dense_columns,
     _psd_cap,
     _solve_cg,
@@ -22,7 +22,7 @@ from cyclesteer.lhs import (
     radial_mix,
     radial_mix_state,
 )
-from cyclesteer.linalg import DensityMatrix, bloch_to_obs
+from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.states import singlet, werner
 from cyclesteer.steering import make_assemblage, max_over_strategies, strategy_blocks
@@ -51,13 +51,47 @@ def test_strategies_enumeration():
         next(strategy_blocks(25))
 
 
+def _reconstruct_loop(cert):
+    """The complex double loop that reconstruct() replaced (oracle): the
+    modeled assemblage as 2x2 matrices, shape (m, 2, 2, 2)."""
+    m = cert.strategy_bits.shape[1]
+    sig = np.zeros((m, 2, 2, 2), dtype=complex)
+    for bits, k, w in zip(cert.strategy_bits, cert.vertex_index, cert.weights):
+        h = (ID2 + np.tensordot(cert.hidden_blochs[k], PAULIS, axes=1)) / 2
+        for x in range(m):
+            sig[x, bits[x]] += w * h
+    return sig
+
+
 def test_maximally_mixed_has_trivial_lhs_model():
     rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     a = make_assemblage(rho, ICO_DIRS)
     feasible, cert = lhs_lp_feasible(a, ICO, mode="restrict")
     assert feasible
     assert isinstance(cert, LhsCertificate)
-    assert np.abs(cert.reconstruct() - a.sigma).max() <= 1e-8
+    assert np.abs(cert.reconstruct() - a.ps).max() <= 1e-8
+
+
+def test_reconstruct_matches_complex_loop():
+    """reconstruct() in the (m, 2, 4) layout is the complex loop's
+    [tr sigma, tr(sigma.sigma_i)], on certificates from the LP and on a
+    random one with repeated (strategy, vertex) pairs."""
+    r = np.random.default_rng(17)
+    certs = []
+    for rho in (werner(0.4), radial_mix_state(random_two_qubit(r), 0.5)):
+        feasible, cert = lhs_lp_feasible(make_assemblage(rho, ICO_DIRS), HIDDEN1, mode="restrict")
+        assert feasible
+        certs.append(cert)
+    n = 50
+    certs.append(LhsCertificate(
+        strategy_bits=r.integers(0, 2, (n, 6)).astype(np.int8), vertex_index=r.integers(0, 3, n),
+        weights=r.uniform(size=n), hidden_blochs=r.standard_normal((3, 3)),
+    ))
+    for cert in certs:
+        sig = _reconstruct_loop(cert)
+        ps = cert.reconstruct()
+        assert np.abs(ps[:, :, 0] - np.einsum("xaii->xa", sig).real).max() <= 1e-14
+        assert np.abs(ps[:, :, 1:] - np.einsum("xaij,pji->xap", sig, PAULIS).real).max() <= 1e-14
 
 
 def test_werner_below_threshold_feasible():
@@ -66,7 +100,7 @@ def test_werner_below_threshold_feasible():
     assert feasible
     assert (cert.weights >= 0).all()
     assert np.isclose(cert.weights.sum(), 1.0, atol=1e-8)
-    assert np.abs(cert.reconstruct() - a.sigma).max() <= 1e-8
+    assert np.abs(cert.reconstruct() - a.ps).max() <= 1e-8
 
 
 def test_werner_above_threshold_infeasible_with_farkas():
@@ -131,7 +165,7 @@ def test_column_generation_matches_dense():
     decisions."""
     for rho in (werner(0.45), werner(0.99), random_two_qubit(np.random.default_rng(3))):
         a = make_assemblage(rho, ICO_DIRS)
-        b = _assemblage_rhs(a)
+        b = a.ps.ravel()
         for mode in ("restrict", "relax"):
             dense = _solve_dense(HIDDEN1, mode, b, a.m)[0]
             cg = _solve_cg(HIDDEN1, mode, b, a.m)[0]
@@ -150,7 +184,7 @@ def test_column_generation_locator_matches_dense():
     below_cap = 0
     for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(4))):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
-        b0, b1 = _assemblage_rhs(a0), _assemblage_rhs(make_assemblage(rho, ICO_DIRS))
+        b0, b1 = a0.ps.ravel(), make_assemblage(rho, ICO_DIRS).ps.ravel()
         t_cap = _psd_cap(rho, 2.0)
         for mode in ("restrict", "relax"):
             dense = _solve_dense(HIDDEN1, mode, b0, 6, b0 - b1, t_cap)
@@ -172,7 +206,7 @@ def test_restrict_certificate_checked_by_reconstruction(monkeypatch):
         a = make_assemblage(radial_mix_state(random_two_qubit(r), 0.6), ICO_DIRS)
         feasible, cert = lhs_lp_feasible(a, HIDDEN1, mode="restrict")
         if feasible:
-            assert np.abs(cert.reconstruct() - a.sigma).max() <= TOL.lp_residual
+            assert np.abs(cert.reconstruct() - a.ps).max() <= TOL.lp_residual
             accepted.append(a)
     assert len(accepted) >= 5
     solve = lhs._solve_dense
@@ -193,7 +227,7 @@ def _bisection_bracket(rho, params):
     certification probed at mid-points of [0, t_cap]."""
     meas, hidden = sphere_polytope(params.meas_level), sphere_polytope(params.hidden_level)
     directions = antipodal_directions(meas)
-    t_cap = _psd_cap(rho, params.t_cap_max)
+    t_cap = _psd_cap(rho, T_CAP_MAX)
 
     def detected(t):
         return detect_steerable(radial_mix_state(rho, t), directions, hidden)[0]
@@ -297,23 +331,22 @@ def test_radial_mix_indefinite_flag():
 
 def test_exact_lhs_bound_vs_sampling():
     """The enumerated ball bound dominates random LHS models."""
-    func = GeneralFunctional(
-        offsets=rng.standard_normal((4, 2)), blochs=rng.standard_normal((4, 2, 3))
-    )
+    offsets, blochs = rng.standard_normal((4, 2)), rng.standard_normal((4, 2, 3))
+    func = GeneralFunctional(np.concatenate([offsets[:, :, None], blochs], axis=2))
     bound = func.exact_lhs_bound()
     best = -np.inf
     for _ in range(2000):
         lam = rng.integers(0, 2, 4)
         u = rng.standard_normal(3)
         u *= rng.uniform() / np.linalg.norm(u)
-        val = func.offsets[np.arange(4), lam].sum() + func.blochs[np.arange(4), lam].sum(0) @ u
+        val = offsets[np.arange(4), lam].sum() + blochs[np.arange(4), lam].sum(0) @ u
         best = max(best, val)
     assert best <= bound + 1e-12
     # and is attained by the best strategy with the aligned hidden state
     xs = np.arange(4)
     attained = max(
-        func.offsets[xs, [(i >> x) & 1 for x in xs]].sum()
-        + np.linalg.norm(func.blochs[xs, [(i >> x) & 1 for x in xs]].sum(0))
+        offsets[xs, [(i >> x) & 1 for x in xs]].sum()
+        + np.linalg.norm(blochs[xs, [(i >> x) & 1 for x in xs]].sum(0))
         for i in range(16)
     )
     assert np.isclose(attained, bound)
@@ -321,7 +354,7 @@ def test_exact_lhs_bound_vs_sampling():
     r = np.random.default_rng(6)
     for m in range(1, 7):
         offsets, blochs = r.standard_normal((m, 2)), r.standard_normal((m, 2, 3))
-        value, bits = max_over_strategies(offsets, blochs)
+        value, bits = max_over_strategies(np.concatenate([offsets[:, :, None], blochs], axis=2))
         xs = np.arange(m)
 
         def score(lam):

@@ -8,6 +8,7 @@ from cyclesteer.lhs import RadiusParams
 from cyclesteer.search import (
     NMParams,
     ObjectiveSpec,
+    ResumeLogError,
     coeffs_to_state,
     multi_restart,
     nelder_mead,
@@ -44,13 +45,6 @@ def test_nelder_mead_never_below_start():
     x0 = rng.standard_normal(5)
     _, f, _ = nelder_mead(obj, x0, NMParams(max_iter=50))
     assert f >= obj(x0) - 1e-12
-
-
-def test_nm_params_validation():
-    with pytest.raises(ValueError):
-        NMParams(contraction=1.5)
-    with pytest.raises(ValueError):
-        NMParams(shrink=0.0)
 
 
 def test_coeffs_to_state_parameterizations():
@@ -122,10 +116,22 @@ def test_multi_restart_resume(tmp_path):
         resumed = multi_restart(spec, 4, seed=9, log_file=f, resume_path=log_path)
     full = multi_restart(spec, 4, seed=9)
     assert resumed.best_q == full.best_q
-    lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-    assert [d["restart"] for d in lines] == [0, 1, 2, 3]
-    for a, b in zip(lines, (r.to_json_line() for r in full.records)):
-        assert a == json.loads(b)
+    lines = log_path.read_text().splitlines()
+    assert [json.loads(l)["restart"] for l in lines] == [0, 1, 2, 3]
+    assert lines == [r.to_json_line() for r in full.records]  # byte-identical replay
+
+
+@pytest.mark.parametrize("seed, spec", [
+    (10, ObjectiveSpec(kind="scenario1", nm=NMParams(max_iter=40))),
+    (9, ObjectiveSpec(kind="scenario1", parameterization="real-8", nm=NMParams(max_iter=40))),
+])
+def test_multi_restart_resume_rejects_other_campaign(tmp_path, seed, spec):
+    """A log of another seed or parameterization is not replayed."""
+    log_path = tmp_path / "run.jsonl"
+    with open(log_path, "w") as f:
+        multi_restart(ObjectiveSpec(kind="scenario1", nm=NMParams(max_iter=40)), 2, seed=9, log_file=f)
+    with pytest.raises(ResumeLogError):
+        multi_restart(spec, 2, seed=seed, resume_path=log_path)
 
 
 def test_multi_restart_rejects_bad_counts():
@@ -139,7 +145,7 @@ def test_objective_spec_validation():
     with pytest.raises(ValueError):
         ObjectiveSpec(parameterization="real-9")
     with pytest.raises(ValueError):
-        ObjectiveSpec(c1=-1.0)
+        ObjectiveSpec(scenario1_penalty=-1.0)
     assert ObjectiveSpec(parameterization="complex-16").dim == 16
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cyclesteer.linalg import DensityMatrix, bloch_to_obs, trace_norm
+from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, trace_norm
 from cyclesteer.states import build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from cyclesteer.steering import (
     Assemblage,
@@ -69,7 +69,9 @@ def test_lhs_bound_icosahedron():
     r = np.random.default_rng(5)
     for b in [icosahedron_settings().blochs] + [r.standard_normal((m, 3)) for m in range(1, 7)]:
         L, signs = lhs_bound_L(SteeringFunctional(b))
-        assert L == max_over_strategies(np.zeros((len(b), 2)), np.stack([b, -b], axis=1))[0]
+        coef = np.zeros((len(b), 2, 4))
+        coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
+        assert L == max_over_strategies(coef)[0]
         assert signs[0] == 1
         assert np.linalg.norm(signs @ b) == pytest.approx(L, abs=1e-12)
         brute = max(np.linalg.norm(np.array(s) @ b) for s in itertools.product((1, -1), repeat=len(b)))
@@ -96,17 +98,59 @@ def test_lhs_bound_rejects_large_m():
         lhs_bound_L(SteeringFunctional(rng.standard_normal((25, 3))))
 
 
+def _matrices(ps):
+    """sigma_{a|x} = (p I + s.sigma)/2 from the (m, 2, 4) layout."""
+    return (ps[..., :1, None] * ID2 + np.tensordot(ps[..., 1:], PAULIS, axes=1)) / 2
+
+
+def _make_assemblage_loop(rho_ab, directions):
+    """The kron loop the closed form replaced (oracle): sigma_{a|x} =
+    tr_A((P_{a|x} (x) I) rho_AB) as complex 2x2 matrices, shape (m, 2, 2, 2)."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    sig = np.empty((dirs.shape[0], 2, 2, 2), dtype=complex)
+    for x, b in enumerate(dirs):
+        for a in range(2):
+            proj = (ID2 + (-1) ** a * bloch_to_obs(b)) / 2
+            full = np.kron(proj, ID2) @ rho_ab.mat
+            sig[x, a] = full.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+    return sig
+
+
+def random_two_qubit(r):
+    g = r.standard_normal((4, 4)) + 1j * r.standard_normal((4, 4))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m), (2, 2))
+
+
+@pytest.mark.parametrize("level", [0, 1])  # m = 6 and m = 21 directions
+def test_make_assemblage_matches_kron_loop(level):
+    from cyclesteer.polytope import antipodal_directions, sphere_polytope
+
+    dirs = antipodal_directions(sphere_polytope(level))
+    r = np.random.default_rng(13)
+    for rho in [random_two_qubit(r) for _ in range(5)] + [singlet(), werner(0.3)]:
+        sig = _make_assemblage_loop(rho, dirs)
+        p = np.einsum("xaii->xa", sig).real
+        s = np.einsum("xaij,pji->xap", sig, PAULIS).real
+        ps = make_assemblage(rho, dirs).ps
+        assert ps.shape == (len(dirs), 2, 4)
+        assert np.abs(ps[:, :, 0] - p).max() <= 1e-14
+        assert np.abs(ps[:, :, 1:] - s).max() <= 1e-14
+        assert np.abs(_matrices(ps) - sig).max() <= 1e-14
+
+
 def test_make_assemblage_maximally_mixed():
     a = make_assemblage(DensityMatrix(np.eye(4) / 4, (2, 2)), np.eye(3))
-    assert np.allclose(a.sigma, np.broadcast_to(np.eye(2) / 4, (3, 2, 2, 2)))
-    assert np.allclose(a.probabilities(), 0.5)
+    assert np.allclose(_matrices(a.ps), np.broadcast_to(np.eye(2) / 4, (3, 2, 2, 2)))
+    assert np.allclose(a.ps[:, :, 0], 0.5)
 
 
 def test_make_assemblage_singlet_steers_to_opposite_pole():
     a = make_assemblage(singlet(), [[0, 0, 1]])
     # outcome +1 along z leaves Bob in |1><1| with weight 1/2
-    assert np.allclose(a.sigma[0, 0], np.diag([0, 0.5]))
-    assert np.allclose(a.sigma[0, 1], np.diag([0.5, 0]))
+    sig = _matrices(a.ps)
+    assert np.allclose(sig[0, 0], np.diag([0, 0.5]))
+    assert np.allclose(sig[0, 1], np.diag([0.5, 0]))
 
 
 def test_make_assemblage_product_state():
@@ -115,18 +159,30 @@ def test_make_assemblage_product_state():
     dirs = [random_unit() for _ in range(4)]
     a = make_assemblage(rho, dirs)
     # product state: sigma_{a|x} = p(a|x) rho_B for every setting
-    p = a.probabilities()
+    p = a.ps[:, :, 0]
+    sig = _matrices(a.ps)
     for x in range(4):
         for out in range(2):
-            assert np.abs(a.sigma[x, out] - p[x, out] * rb).max() < 1e-12
+            assert np.abs(sig[x, out] - p[x, out] * rb).max() < 1e-12
 
 
 def test_assemblage_validation():
-    bad = np.zeros((2, 2, 2, 2), dtype=complex)
-    bad[0, 0] = np.eye(2) / 2
-    bad[1, 0] = np.eye(2) / 4  # settings disagree on the marginal
-    with pytest.raises(ValueError):
+    good = np.zeros((2, 2, 4))
+    good[:, :, 0] = 0.5
+    Assemblage(good)
+    bad = good.copy()
+    bad[1, 0, 0] = 0.25  # settings disagree on the marginal
+    with pytest.raises(ValueError, match="differs across settings"):
         Assemblage(bad)
+    bad = good * 0.9  # not normalized
+    with pytest.raises(ValueError, match="not normalized"):
+        Assemblage(bad)
+    bad = good.copy()
+    bad[:, 0, 3], bad[:, 1, 3] = 0.6, -0.6  # |s| > p: eigenvalue (p - |s|)/2 < 0
+    with pytest.raises(ValueError, match="eigenvalue"):
+        Assemblage(bad)
+    with pytest.raises(ValueError, match="shape"):
+        Assemblage(np.zeros((2, 2, 2, 2)))
 
 
 def test_quantum_value_singlet_saturates_directions():
