@@ -24,12 +24,13 @@ from cyclesteer.states import werner
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--hidden-level", type=int, default=2)
+    ap.add_argument("--hidden-level", type=int, default=RadiusParams().hidden_level)
     ap.add_argument("--steps", type=int, default=11)
     args = ap.parse_args()
 
-    meas = sphere_polytope(0)
-    hidden = sphere_polytope(args.hidden_level)
+    params = RadiusParams(hidden_level=args.hidden_level)
+    meas = sphere_polytope(params.meas_level)
+    hidden = sphere_polytope(params.hidden_level)
     directions = antipodal_directions(meas)
 
     print(f"{'p':>6}  {'ppt':>5}  {'detected':>8}  {'certified':>9}")
@@ -42,7 +43,7 @@ def main():
         )
         print(f"{p:>6.2f}  {str(row[0]):>5}  {str(row[1]):>8}  {str(row[2]):>9}")
 
-    rep = critical_radius_bounds(werner(1.0), RadiusParams(hidden_level=args.hidden_level))
+    rep = critical_radius_bounds(werner(1.0), params)
     print(f"\nsinglet critical-radius bracket: [{rep.r_in:.4f}, {rep.r_out:.4f}]"
           f" (exact projective threshold: 0.5)")
 

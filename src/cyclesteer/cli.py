@@ -77,11 +77,14 @@ def _resolve_pair(spec: str, p: float):
     return rho_ab, states.swap_state(rho_ab), obj
 
 
+def _radius_options(args) -> dict:
+    """The radius options given on the command line, by RadiusParams field."""
+    names = ("meas_level", "hidden_level", "bisection_tol")
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _radius_params(args) -> lhs.RadiusParams:
-    return lhs.RadiusParams(
-        meas_level=args.meas_level, hidden_level=args.hidden_level,
-        bisection_tol=args.tol,
-    )
+    return lhs.RadiusParams(**_radius_options(args))
 
 
 def _fig_data_csv(report: steering.Scenario1Report, path: str):
@@ -150,26 +153,21 @@ def cmd_search(args) -> int:
         raise InputError(f"--stage {args.stage} applies to --scenario 2 only")
     if args.resume and args.stage == "two-stage":
         raise InputError("--resume cannot be used with --stage two-stage")
-    prefilter = search.ObjectiveSpec(
-        kind="scenario2_prefilter", parameterization=args.parameterization,
-        meas_level=0, hidden_level=0, bisection_tol=1e-2,
-    )
     if args.scenario == 1:
-        spec = search.ObjectiveSpec(kind="scenario1", parameterization=args.parameterization)
+        kind = "scenario1"
     elif args.stage == "prefilter":
-        spec = prefilter
+        kind = "scenario2_prefilter"
     else:
-        spec = search.ObjectiveSpec(
-            kind="scenario2_full", parameterization=args.parameterization,
-            meas_level=args.meas_level, hidden_level=args.hidden_level,
-            bisection_tol=args.tol,
-        )
+        kind = "scenario2_full"
+    if kind != "scenario2_full" and _radius_options(args):
+        raise InputError("--meas-level, --hidden-level and --tol apply to "
+                         "--scenario 2 --stage full|two-stage only")
+    spec = search.ObjectiveSpec(kind=kind, parameterization=args.parameterization,
+                                radius=_radius_params(args))
     log_file = open(args.out, "a") if args.out else None
     try:
         if args.stage == "two-stage":
-            result = search.two_stage_search(
-                prefilter, spec, args.restarts, args.seed, log_file=log_file
-            )
+            result = search.two_stage_search(spec, args.restarts, args.seed, log_file=log_file)
         else:
             result = search.multi_restart(
                 spec, args.restarts, args.seed,
@@ -251,9 +249,10 @@ def _add_state(p: argparse.ArgumentParser):
 
 
 def _add_radius(p: argparse.ArgumentParser):
-    p.add_argument("--meas-level", type=_NONNEG_INT, default=0)
-    p.add_argument("--hidden-level", type=_NONNEG_INT, default=2)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-3,
+    """Radius options; one not given takes its RadiusParams default."""
+    p.add_argument("--meas-level", type=_NONNEG_INT, default=None)
+    p.add_argument("--hidden-level", type=_NONNEG_INT, default=None)
+    p.add_argument("--tol", type=_POSITIVE, default=None, dest="bisection_tol",
                    help="step in the mixing parameter t: steering detection is probed tol/2 "
                         "above the relaxed LP's last feasible t, and r_in is certified at most "
                         "tol below the located t*")
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=_NONNEG_INT, default=0)
     ps.add_argument("--parameterization", choices=sorted(search.PARAM_DIMS),
                     default="real-7")
-    _add_radius(ps)
+    _add_radius(ps)  # --scenario 2 --stage full|two-stage only
     ps.add_argument("--out", default=None, help="JSON-lines restart log")
     ps.add_argument("--resume", default=None,
                     help="existing log of the same campaign to resume from (not with two-stage)")

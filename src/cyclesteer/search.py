@@ -10,7 +10,8 @@ start and parameters) under multi-restart with per-restart seeding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -163,17 +164,17 @@ _PREFILTER_DELTA, _PREFILTER_PENALTY = 1.2, 1.0
 _C1, _C2, _C3 = 1.0, 1.0, 0.5
 
 
-def objective_scenario2_prefilter(coeffs, radius_params: RadiusParams = _PREFILTER_PARAMS) -> float:
+def objective_scenario2_prefilter(coeffs) -> float:
     """Cheap stage: maximize rt(BA) - rt(AB) - penalty*max(0, rt(BA)-delta)
     with delta = 1.2 and penalty = 1, where rt is the coarse bracket
-    midpoint at low polytope resolution.
+    midpoint at low polytope resolution (``_PREFILTER_PARAMS``).
 
     (This proxies the analytic critical-radius upper bound the original
     procedure used for preprocessing; the functional shape is identical.)
     """
     rho_ab, rho_ba = _reduced_pair(coeffs)
-    rt_ab = _radius_midpoint(rho_ab, radius_params)
-    rt_ba = _radius_midpoint(rho_ba, radius_params)
+    rt_ab = _radius_midpoint(rho_ab, _PREFILTER_PARAMS)
+    rt_ba = _radius_midpoint(rho_ba, _PREFILTER_PARAMS)
     return rt_ba - rt_ab - _PREFILTER_PENALTY * max(0.0, rt_ba - _PREFILTER_DELTA)
 
 
@@ -206,10 +207,8 @@ class ObjectiveSpec:
     kind: str = "scenario1"  # scenario1 | scenario2_prefilter | scenario2_full
     parameterization: str = "real-7"
     scenario1_penalty: float = 2.0
-    meas_level: int = 0
-    hidden_level: int = 2
-    bisection_tol: float = 1e-3
-    nm: NMParams = field(default_factory=NMParams)
+    radius: RadiusParams = RadiusParams()  # read by scenario2_full only
+    nm: NMParams = NMParams()
 
     def __post_init__(self):
         if self.kind not in ("scenario1", "scenario2_prefilter", "scenario2_full"):
@@ -226,14 +225,9 @@ class ObjectiveSpec:
     def objective(self):
         if self.kind == "scenario1":
             return lambda x: objective_scenario1(x, penalty=self.scenario1_penalty)
-        radius_params = RadiusParams(
-            meas_level=self.meas_level,
-            hidden_level=self.hidden_level,
-            bisection_tol=self.bisection_tol,
-        )
         if self.kind == "scenario2_prefilter":
-            return lambda x: objective_scenario2_prefilter(x, radius_params=radius_params)
-        return lambda x: objective_scenario2_full(x, radius_params=radius_params)
+            return objective_scenario2_prefilter
+        return lambda x: objective_scenario2_full(x, radius_params=self.radius)
 
 
 @dataclass(frozen=True)
@@ -245,11 +239,7 @@ class RestartRecord:
     coeffs: list
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {"restart": self.restart, "seed": self.seed, "iters": self.iters,
-             "q": self.q, "coeffs": self.coeffs},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass
@@ -267,9 +257,18 @@ class ResumeLogError(ValueError):
     """A --resume log line that is not a restart record of this campaign."""
 
 
-def _load_resume(resume_path, seed: int, dim: int) -> dict[int, RestartRecord]:
-    """Restart records of the campaign (``seed``, parameter dimension
-    ``dim``) from a log; any other line raises ResumeLogError."""
+def _number(value, kind=float):
+    """``value`` as a ``kind``; ValueError unless it is a finite JSON number of that kind."""
+    if type(value) not in (int, float) or not math.isfinite(value) or kind(value) != value:
+        raise ValueError(f"{value!r} is not a finite {kind.__name__}")
+    return kind(value)
+
+
+def _load_resume(resume_path, spec: ObjectiveSpec, seed: int) -> dict[int, RestartRecord]:
+    """Restart records of the campaign (``spec``, ``seed``) from a log; any
+    other line raises ResumeLogError. Each record's q is re-evaluated at
+    its coeffs and must equal the logged value exactly."""
+    objective = spec.objective()
     done = {}
     try:
         with open(resume_path) as f:
@@ -280,19 +279,46 @@ def _load_resume(resume_path, seed: int, dim: int) -> dict[int, RestartRecord]:
                 try:
                     d = json.loads(line)
                     rec = RestartRecord(
-                        restart=d["restart"], seed=d["seed"], iters=d["iters"],
-                        q=d["q"], coeffs=d["coeffs"],
+                        restart=_number(d["restart"], int), seed=d["seed"],
+                        iters=_number(d["iters"], int), q=_number(d["q"]),
+                        coeffs=[_number(v) for v in d["coeffs"]],
                     )
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
+                except (KeyError, TypeError, ValueError, OverflowError) as e:
                     raise ResumeLogError(f"line {n} is not a restart record ({e!r})") from None
                 if rec.seed != [seed, rec.restart]:
                     raise ResumeLogError(f"line {n} has seed {rec.seed!r}, not [{seed}, {rec.restart!r}]")
-                if not isinstance(rec.coeffs, list) or len(rec.coeffs) != dim:
-                    raise ResumeLogError(f"line {n} does not hold {dim} coefficients")
+                if len(rec.coeffs) != spec.dim or not any(rec.coeffs):
+                    raise ResumeLogError(f"line {n} does not hold {spec.dim} coefficients that are not all zero")
+                q = objective(np.array(rec.coeffs))
+                if q != rec.q:
+                    raise ResumeLogError(f"line {n} has q {rec.q!r}, but this campaign's objective gives {q!r}")
                 done[rec.restart] = rec
     except FileNotFoundError:
         pass
     return done
+
+
+def _run_restarts(spec: ObjectiveSpec, starts, log_file, done: dict) -> SearchResult:
+    """Nelder-Mead on ``spec``'s objective from each (restart, seed, x0) of
+    ``starts``, or the record in ``done`` of that restart. Each new record
+    is one ``log_file.write`` followed by ``flush()``."""
+    objective = spec.objective()
+    records = []
+    for restart, seed, x0 in starts:
+        if restart in done:
+            records.append(done[restart])
+            continue
+        x_best, f_best, iters = nelder_mead(objective, x0, spec.nm)
+        rec = RestartRecord(
+            restart=restart, seed=seed, iters=iters, q=float(f_best),
+            coeffs=[float(v) for v in x_best],
+        )
+        records.append(rec)
+        if log_file is not None:
+            log_file.write(rec.to_json_line() + "\n")
+            log_file.flush()
+    best = max(records, key=lambda r: r.q)
+    return SearchResult(records=records, best_q=best.q, best_coeffs=np.array(best.coeffs))
 
 
 def multi_restart(
@@ -308,47 +334,19 @@ def multi_restart(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    objective = spec.objective()
-    done = _load_resume(resume_path, seed, spec.dim) if resume_path else {}
-    records = []
-    for i in range(restarts):
-        if i in done:
-            records.append(done[i])
-            continue
-        rng = np.random.default_rng([seed, i])
-        x0 = rng.standard_normal(spec.dim)
-        x_best, f_best, iters = nelder_mead(objective, x0, spec.nm)
-        rec = RestartRecord(
-            restart=i, seed=[seed, i], iters=iters, q=float(f_best),
-            coeffs=[float(v) for v in x_best],
-        )
-        records.append(rec)
-        if log_file is not None:
-            log_file.write(rec.to_json_line() + "\n")
-            log_file.flush()
-    best = max(records, key=lambda r: r.q)
-    return SearchResult(records=records, best_q=best.q, best_coeffs=np.array(best.coeffs))
+    done = _load_resume(resume_path, spec, seed) if resume_path else {}
+    starts = ((i, [seed, i], np.random.default_rng([seed, i]).standard_normal(spec.dim))
+              for i in range(restarts))
+    return _run_restarts(spec, starts, log_file, done)
 
 
 def two_stage_search(
-    prefilter_spec: ObjectiveSpec, full_spec: ObjectiveSpec,
-    restarts: int, seed: int, top_k: int = 3, log_file=None,
+    full_spec: ObjectiveSpec, restarts: int, seed: int, top_k: int = 3, log_file=None,
 ) -> SearchResult:
-    """Scenario-2 pipeline: cheap prefilter restarts, then the full
-    radius-gap objective started from the best prefilter candidates."""
-    stage1 = multi_restart(prefilter_spec, restarts, seed, log_file=log_file)
+    """Scenario-2 pipeline: cheap prefilter restarts (``full_spec`` with
+    the prefilter objective), then the full radius-gap objective started
+    from the best prefilter candidates."""
+    stage1 = multi_restart(replace(full_spec, kind="scenario2_prefilter"), restarts, seed, log_file=log_file)
     candidates = sorted(stage1.records, key=lambda r: r.q, reverse=True)[:top_k]
-    objective = full_spec.objective()
-    records = []
-    for rank, cand in enumerate(candidates):
-        x_best, f_best, iters = nelder_mead(objective, np.array(cand.coeffs), full_spec.nm)
-        rec = RestartRecord(
-            restart=rank, seed=cand.seed, iters=iters, q=float(f_best),
-            coeffs=[float(v) for v in x_best],
-        )
-        records.append(rec)
-        if log_file is not None:
-            log_file.write(rec.to_json_line() + "\n")
-            log_file.flush()
-    best = max(records, key=lambda r: r.q)
-    return SearchResult(records=records, best_q=best.q, best_coeffs=np.array(best.coeffs))
+    starts = ((rank, c.seed, np.array(c.coeffs)) for rank, c in enumerate(candidates))
+    return _run_restarts(full_spec, starts, log_file, {})

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cyclesteer import steering
+from cyclesteer import lhs, search, steering
 from cyclesteer.cli import main
 from cyclesteer.states import state_to_json, werner
 
@@ -87,7 +87,15 @@ def test_malformed_resume_log_is_input_error(tmp_path, capsys):
     assert main(["search", "--scenario", "1", "--restarts", "1", "--resume", str(log)]) == 2
 
 
-@pytest.mark.parametrize("line", ['{"foo": 1}', "[1, 2]", '{"restart": 0}'])
+_RECORD = {"restart": 0, "seed": [0, 0], "iters": 1, "q": 1.0, "coeffs": [1, 0, 0, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("line", ['{"foo": 1}', "[1, 2]", '{"restart": 0}'] + [
+    json.dumps({**_RECORD, field: value}) for field, value in [
+        ("q", "3.2"), ("q", float("nan")), ("q", float("inf")), ("iters", 1.5), ("iters", True),
+        ("coeffs", [1.0, "x", 0, 0, 0, 0, 0]), ("coeffs", 1.0),
+    ]
+])
 def test_resume_log_without_records_is_input_error(tmp_path, capsys, line):
     log = tmp_path / "log.jsonl"
     log.write_text(line + "\n")
@@ -119,6 +127,11 @@ def test_resume_log_of_another_campaign_is_input_error(tmp_path, capsys, argv, m
     ["search", "--scenario", "1", "--stage", "prefilter", "--restarts", "1"],
     ["search", "--scenario", "1", "--stage", "two-stage", "--restarts", "1"],
     ["search", "--scenario", "2", "--stage", "two-stage", "--restarts", "1", "--resume", "{log}"],
+    ["search", "--scenario", "1", "--restarts", "1", "--meas-level", "0"],
+    ["search", "--scenario", "1", "--restarts", "1", "--hidden-level", "9"],
+    ["search", "--scenario", "1", "--restarts", "1", "--tol", "5"],
+    ["search", "--scenario", "2", "--stage", "prefilter", "--restarts", "1",
+     "--hidden-level", "5", "--tol", "0.3"],
 ])
 def test_ignored_search_options_are_input_errors(argv, tmp_path, capsys, monkeypatch):
     """Option combinations search would ignore are rejected before any work."""
@@ -130,6 +143,71 @@ def test_ignored_search_options_are_input_errors(argv, tmp_path, capsys, monkeyp
     argv = [a.format(log=tmp_path / "log.jsonl") for a in argv]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+class _Stop(Exception):
+    pass
+
+
+def _spy(seen):
+    def record(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Stop
+
+    return record
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["scenario2", "--state", "builtin:b1"], "one_way_report"),
+    (["radius", "--state", "builtin:b1"], "critical_radius_bounds"),
+    (["calibrate"], "critical_radius_bounds"),
+])
+def test_radius_options_default_to_radius_params(argv, target, monkeypatch):
+    seen = []
+    monkeypatch.setattr(lhs, target, _spy(seen))
+    with pytest.raises(_Stop):
+        main(argv)
+    assert seen[0][0][-1] == lhs.RadiusParams()
+
+
+@pytest.mark.parametrize("stage, target", [("full", "multi_restart"), ("two-stage", "two_stage_search")])
+@pytest.mark.parametrize("radius_argv, radius", [
+    ([], lhs.RadiusParams()),
+    (["--meas-level", "1", "--hidden-level", "3", "--tol", "0.05"],
+     lhs.RadiusParams(meas_level=1, hidden_level=3, bisection_tol=0.05)),
+])
+def test_search_passes_radius_options_to_full_stage(stage, target, radius_argv, radius, monkeypatch):
+    seen = []
+    monkeypatch.setattr(search, target, _spy(seen))
+    with pytest.raises(_Stop):
+        main(["search", "--scenario", "2", "--stage", stage, "--restarts", "1", *radius_argv])
+    spec = seen[0][0][0]
+    assert spec.kind == "scenario2_full"
+    assert spec.radius == radius
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("q", 99.0, "but this campaign's objective gives"),
+    ("coeffs", [0] * 7, "not all zero"),
+])
+def test_resume_record_the_objective_does_not_give_is_input_error(tmp_path, capsys, field, value, message):
+    """A record is replayed only when its q is the campaign's objective at its coeffs."""
+    log = tmp_path / "log.jsonl"
+    log.write_text(json.dumps({**_RECORD, field: value}) + "\n")
+    assert main(["search", "--scenario", "1", "--restarts", "1", "--resume", str(log)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_resume_replays_integer_coefficients(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    coeffs = [1, 0, 0, 0, 0, 1, 0]
+    q = search.objective_scenario1(np.array(coeffs, dtype=float))
+    log.write_text(json.dumps({"restart": 0, "seed": [3, 0], "iters": 1, "q": q, "coeffs": coeffs}) + "\n")
+    code, data = run(capsys, "search", "--scenario", "1", "--restarts", "1", "--seed", "3",
+                     "--resume", str(log))
+    assert code == 0
+    assert data["best_q"] == float(f"{q:.9g}")
+    assert data["best_coeffs"] == [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cyclesteer.lhs import RadiusParams
 from cyclesteer.search import (
+    _PREFILTER_PARAMS,
     NMParams,
     ObjectiveSpec,
     ResumeLogError,
@@ -149,16 +151,87 @@ def test_objective_spec_validation():
     assert ObjectiveSpec(parameterization="complex-16").dim == 16
 
 
-def test_two_stage_search_runs():
-    pre = ObjectiveSpec(
-        kind="scenario2_prefilter", meas_level=0, hidden_level=0,
-        bisection_tol=5e-2, nm=NMParams(max_iter=4),
-    )
+def test_objectives_read_their_radius_params(monkeypatch):
+    """scenario2_full brackets at its spec's radius; the prefilter always
+    at _PREFILTER_PARAMS."""
+    seen = []
+
+    def spy(rho, params):
+        seen.append(params)
+        return SimpleNamespace(r_in=0.5, r_out=0.6)
+
+    monkeypatch.setattr("cyclesteer.search.critical_radius_bounds", spy)
+    radius = RadiusParams(meas_level=1, hidden_level=3, bisection_tol=5e-2)
+    x = np.arange(1.0, 8.0)
+    ObjectiveSpec(kind="scenario2_full", radius=radius).objective()(x)
+    assert seen == [radius, radius]
+    seen.clear()
+    ObjectiveSpec(kind="scenario2_prefilter", radius=radius).objective()(x)
+    ObjectiveSpec(kind="scenario2_prefilter").objective()(x)
+    assert seen == [_PREFILTER_PARAMS] * 4
+
+
+class _RecordingLog:
+    """File-like log that records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(("write", text))
+
+    def flush(self):
+        self.calls.append(("flush", None))
+
+    def lines(self):
+        return [text.rstrip("\n") for call, text in self.calls if call == "write"]
+
+
+@pytest.fixture(scope="module")
+def two_stage_run():
+    """A small two-stage campaign (3 prefilter restarts, top 2) and its log."""
     full = ObjectiveSpec(
-        kind="scenario2_full", meas_level=0, hidden_level=0,
-        bisection_tol=5e-2, nm=NMParams(max_iter=4),
+        kind="scenario2_full", radius=RadiusParams(meas_level=0, hidden_level=0, bisection_tol=5e-2),
+        nm=NMParams(max_iter=4),
     )
-    result = two_stage_search(pre, full, restarts=3, seed=2, top_k=2)
+    log = _RecordingLog()
+    return two_stage_search(full, restarts=3, seed=2, top_k=2, log_file=log), log
+
+
+def test_two_stage_search_runs(two_stage_run):
+    result, log = two_stage_run
     assert len(result.records) == 2
     assert np.isfinite(result.best_q)
     assert np.isclose(result.best_state.norm(), 1.0)
+    # each record is one write followed by a flush
+    assert [call for call, _ in log.calls] == ["write", "flush"] * 5
+    stage1 = [json.loads(line) for line in log.lines()[:3]]
+    assert [r["seed"] for r in stage1] == [[2, 0], [2, 1], [2, 2]]
+    assert log.lines()[3:] == [r.to_json_line() for r in result.records]
+    top = sorted(stage1, key=lambda r: r["q"], reverse=True)[:2]
+    assert [r.seed for r in result.records] == [r["seed"] for r in top]
+
+
+def test_resume_replays_prefilter_log(two_stage_run, tmp_path):
+    """Prefilter records recompute bit for bit, so they replay unchanged."""
+    lines = two_stage_run[1].lines()[:3]
+    log_path = tmp_path / "prefilter.jsonl"
+    log_path.write_text("\n".join(lines) + "\n")
+    spec = ObjectiveSpec(kind="scenario2_prefilter", nm=NMParams(max_iter=4))
+    resumed = multi_restart(spec, 3, seed=2, resume_path=log_path)
+    assert [r.to_json_line() for r in resumed.records] == lines
+
+
+def test_resume_rejects_prefilter_log_as_scenario1(two_stage_run, tmp_path):
+    log_path = tmp_path / "prefilter.jsonl"
+    log_path.write_text("\n".join(two_stage_run[1].lines()[:3]) + "\n")
+    with pytest.raises(ResumeLogError, match="line 1 has q .* objective gives"):
+        multi_restart(ObjectiveSpec(kind="scenario1"), 3, seed=2, resume_path=log_path)
+
+
+def test_resume_rejects_two_stage_log_as_prefilter(two_stage_run, tmp_path):
+    log_path = tmp_path / "two_stage.jsonl"
+    log_path.write_text("\n".join(two_stage_run[1].lines()) + "\n")
+    spec = ObjectiveSpec(kind="scenario2_prefilter", nm=NMParams(max_iter=4))
+    with pytest.raises(ResumeLogError, match="line 4 "):
+        multi_restart(spec, 3, seed=2, resume_path=log_path)
