@@ -89,6 +89,7 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
 # --- coefficient parameterizations ----------------------------------------
 
 PARAM_DIMS = {"real-7": 7, "real-8": 8, "complex-16": 16}
+_ZERO_NORM = 1e-14  # a coefficient vector shorter than this has no state
 
 
 def coeffs_to_state(vec) -> PureState3Q:
@@ -107,7 +108,7 @@ def coeffs_to_state(vec) -> PureState3Q:
         c = vec[0::2] + 1j * vec[1::2]
     else:
         raise ValueError(f"unsupported parameter vector length {len(vec)}")
-    if np.linalg.norm(c) < 1e-14:
+    if np.linalg.norm(c) < _ZERO_NORM:
         raise ValueError("all-zero coefficient vector")
     return PureState3Q(c).normalized()
 
@@ -287,7 +288,7 @@ def _load_resume(resume_path, spec: ObjectiveSpec, seed: int) -> dict[int, Resta
                     raise ResumeLogError(f"line {n} is not a restart record ({e!r})") from None
                 if rec.seed != [seed, rec.restart]:
                     raise ResumeLogError(f"line {n} has seed {rec.seed!r}, not [{seed}, {rec.restart!r}]")
-                if len(rec.coeffs) != spec.dim or not any(rec.coeffs):
+                if len(rec.coeffs) != spec.dim or np.linalg.norm(rec.coeffs) < _ZERO_NORM:
                     raise ResumeLogError(f"line {n} does not hold {spec.dim} coefficients that are not all zero")
                 q = objective(np.array(rec.coeffs))
                 if q != rec.q:

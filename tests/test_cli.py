@@ -188,7 +188,7 @@ def test_search_passes_radius_options_to_full_stage(stage, target, radius_argv, 
 
 @pytest.mark.parametrize("field, value, message", [
     ("q", 99.0, "but this campaign's objective gives"),
-    ("coeffs", [0] * 7, "not all zero"),
+    ("coeffs", [1e-20] + [0] * 6, "not all zero"),
 ])
 def test_resume_record_the_objective_does_not_give_is_input_error(tmp_path, capsys, field, value, message):
     """A record is replayed only when its q is the campaign's objective at its coeffs."""
