@@ -357,8 +357,7 @@ def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
 class RadiusParams:
     meas_level: int = 0
     hidden_level: int = 2
-    bisection_tol: float = 1e-3  # the --tol step in t: the detection probe sits tol/2 above the
-                                 # relax locator's t, the last r_in check tol below the restrict one's
+    bisection_tol: float = 1e-3  # the --tol step in t; see critical_radius_bounds
 
 
 @dataclass(frozen=True)

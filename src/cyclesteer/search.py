@@ -265,10 +265,10 @@ def _number(value, kind=float):
     return kind(value)
 
 
-def _load_resume(resume_path, spec: ObjectiveSpec, seed: int) -> dict[int, RestartRecord]:
-    """Restart records of the campaign (``spec``, ``seed``) from a log; any
-    other line raises ResumeLogError. Each record's q is re-evaluated at
-    its coeffs and must equal the logged value exactly."""
+def _load_resume(resume_path, spec: ObjectiveSpec, seed: int, restarts: int) -> dict[int, RestartRecord]:
+    """Records of restarts 0..restarts-1 of the campaign (``spec``, ``seed``)
+    from a log, each checked to give its q at its coeffs exactly; a line that
+    is not a record of this campaign raises ResumeLogError."""
     objective = spec.objective()
     done = {}
     try:
@@ -290,6 +290,8 @@ def _load_resume(resume_path, spec: ObjectiveSpec, seed: int) -> dict[int, Resta
                     raise ResumeLogError(f"line {n} has seed {rec.seed!r}, not [{seed}, {rec.restart!r}]")
                 if len(rec.coeffs) != spec.dim or np.linalg.norm(rec.coeffs) < _ZERO_NORM:
                     raise ResumeLogError(f"line {n} does not hold {spec.dim} coefficients that are not all zero")
+                if rec.restart >= restarts:
+                    continue
                 q = objective(np.array(rec.coeffs))
                 if q != rec.q:
                     raise ResumeLogError(f"line {n} has q {rec.q!r}, but this campaign's objective gives {q!r}")
@@ -335,7 +337,7 @@ def multi_restart(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    done = _load_resume(resume_path, spec, seed) if resume_path else {}
+    done = _load_resume(resume_path, spec, seed, restarts) if resume_path else {}
     starts = ((i, [seed, i], np.random.default_rng([seed, i]).standard_normal(spec.dim))
               for i in range(restarts))
     return _run_restarts(spec, starts, log_file, done)

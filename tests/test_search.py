@@ -123,6 +123,30 @@ def test_multi_restart_resume(tmp_path):
     assert lines == [r.to_json_line() for r in full.records]  # byte-identical replay
 
 
+def test_multi_restart_resume_checks_only_replayed_records(tmp_path, monkeypatch):
+    """Replay re-evaluates each replayed record once; a record past
+    ``restarts`` is neither replayed nor re-evaluated."""
+    spec = ObjectiveSpec(kind="scenario1", nm=NMParams(max_iter=40))
+    log_path = tmp_path / "run.jsonl"
+    with open(log_path, "w") as f:
+        full = multi_restart(spec, 3, seed=9, log_file=f)
+    lines = log_path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "q": 99.0})
+    log_path.write_text("\n".join(lines) + "\n")
+    calls = []
+
+    def counted(x, penalty):
+        calls.append(x)
+        return objective_scenario1(x, penalty)
+
+    monkeypatch.setattr("cyclesteer.search.objective_scenario1", counted)
+    resumed = multi_restart(spec, 2, seed=9, resume_path=log_path)
+    assert resumed.records == full.records[:2]
+    assert len(calls) == 2
+    with pytest.raises(ResumeLogError, match="line 3 has q 99.0"):
+        multi_restart(spec, 3, seed=9, resume_path=log_path)
+
+
 @pytest.mark.parametrize("seed, spec", [
     (10, ObjectiveSpec(kind="scenario1", nm=NMParams(max_iter=40))),
     (9, ObjectiveSpec(kind="scenario1", parameterization="real-8", nm=NMParams(max_iter=40))),
