@@ -392,3 +392,61 @@ def test_one_way_report_symmetric_state_refuted_or_undetermined():
     assert rep.verdict in ("refuted", "undetermined-at-this-resolution")
     assert rep.delta == rep.r2 - rep.r1
     assert set(rep.to_dict()) >= {"rho_AB", "rho_BA", "R1_out_AB", "R2_in_BA", "verdict"}
+
+
+# Brackets (r_in, r_out) of the hidden-polytope LPs (restrict/relax modes on
+# the level-k vertices) that the Bloch-ball LP replaced. Each is an outer
+# limit: a later LP may tighten a bracket but never widen it.
+HIDDEN_POLYTOPE_BRACKETS = {
+    "b1-AB": (0.8056774087854022, 1.0138713577762246),
+    "b1-BA": (0.8192296330965988, 1.0630786390975118),
+    "b2-AB": (0.8090258340305853, 1.0180850448086858),
+    "b2-BA": (0.8222700996189224, 1.061911841854453),
+    "b3-AB": (0.807055064091817, 1.015605011023581),
+    "b3-BA": (0.8085122340779958, 1.0477487975731492),
+    "sc1-AB": (0.7242191359898206, 0.9373267649661484),
+    "sc1-BA": (0.7199574524143818, 0.9317951427841129),
+    "singlet": (0.42858470194873904, 0.5415328270555857),
+    "coarse0-AB": (1.0697051011430332, 1.3711631745100021),
+    "coarse0-BA": (1.0170591930263406, 1.3652236675843596),
+    "coarse1-AB": (0.8589518239677032, 1.1689647240564227),
+    "coarse1-BA": (1.0204304139615483, 1.3186963656917214),
+    "coarse2-AB": (0.9752429245340212, 1.2272540563717484),
+    "coarse2-BA": (0.9807868227010214, 1.2342305453494191),
+    "coarse3-AB": (0.7620946868434177, 1.0353055503219366),
+    "coarse3-BA": (0.7605267834235306, 1.0420814836397767),
+    "coarse4-AB": (1.3642915034169578, 1.9386579245328903),
+    "coarse4-BA": (1.5893089445835322, 2.0),
+    "coarse5-AB": (0.6869013298136442, 1.0735112698748708),
+    "coarse5-BA": (0.8153005555667406, 1.0907238610088825),
+}
+
+
+def _pinned_inputs():
+    """(key, state, params): the builtin search states at default
+    parameters, the singlet at calibrate's (the defaults), and the first
+    six states of the coarse-brackets pool (pool seed 7) at the
+    prefilter's parameters, each in both directions."""
+    from cyclesteer.search import _PREFILTER_PARAMS, coeffs_to_state
+    from cyclesteer.states import build_family, builtin_state, reduce_pair, swap_state
+
+    def pair(psi):
+        ab = reduce_pair(build_family(psi, 1.0), "AB")
+        return {"AB": ab, "BA": swap_state(ab)}
+
+    for sid in ("b1", "b2", "b3", "sc1"):
+        for d, rho in pair(builtin_state(sid).normalized()).items():
+            yield f"{sid}-{d}", rho, RadiusParams()
+    yield "singlet", singlet(), RadiusParams()
+    # the first rows of the pool's (27, 7) draw
+    for j, c in enumerate(np.random.default_rng(7).standard_normal((6, 7))):
+        for d, rho in pair(coeffs_to_state(c)).items():
+            yield f"coarse{j}-{d}", rho, _PREFILTER_PARAMS
+
+
+def test_brackets_inside_hidden_polytope_brackets():
+    for key, rho, params in _pinned_inputs():
+        rep = critical_radius_bounds(rho, params)
+        old_in, old_out = HIDDEN_POLYTOPE_BRACKETS[key]
+        assert rep.r_in >= old_in - 1e-12, key
+        assert rep.r_out <= old_out + 1e-12, key
