@@ -2,11 +2,12 @@
 """Sweep the Werner family and print where each pipeline flips.
 
 Three columns per noise value p: PPT across the A|B cut (flips at
-p = 1/3), six-direction steering detection via the relaxed LP (flips
-near p ~ 0.55 at hidden level 2), and the restricted-LP unsteerability
-certificate (holds up to p ~ eta_hidden / 2 after shrinking). The
-certified critical-radius bracket for the singlet is printed last; the
-exact projective threshold 0.5 must fall inside it.
+p = 1/3), six-direction steering detection by the Bloch-ball LHS LP, and
+its LHS-model certificate for the same six directions (both flip at the
+six-setting threshold p ~ 0.539; the certificate covers all projective
+measurements of the state shrunk by the measurement polytope's inradius).
+The certified critical-radius bracket for the singlet is printed last;
+the exact projective threshold 0.5 must fall inside it.
 
 Usage:
     python scripts/werner_calibration.py [--hidden-level K] [--steps N]

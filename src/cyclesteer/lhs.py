@@ -1,45 +1,37 @@
 """LP-based local-hidden-state machinery.
 
-Feasibility of an LHS model for a finite assemblage over a discretized
-Bloch sphere, steering detection with Farkas certificates, unsteerability
-certification for all projective measurements via inradius shrinking, and
-certified critical-radius bracketing [r_in, r_out].
+LHS-model feasibility for a finite assemblage with hidden states anywhere
+in the Bloch ball, steering detection with Farkas certificates,
+unsteerability for all projective measurements via inradius shrinking,
+and certified critical-radius brackets [r_in, r_out].
 
-The LP asks for nonnegative weights w_{lambda,k} with
+The LP asks for weights w_j >= 0 with sum_j D_{lambda_j}(a|x) w_j [1, r_j]
+= ps[x, a]: one column j per deterministic strategy lambda_j and hidden
+Bloch vector |r_j| <= 1, and one row per entry of the assemblage's
+(m, 2, 4) layout (see :mod:`cyclesteer.steering`); the dual, reshaped to
+(m, 2, 4), is a Farkas functional. For finite m this is the standard LHS
+program (Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)),
+solved by column generation from the (strategy, vertex) columns of a
+geodesic polytope while those are few, priced from its vertices. Pricing
+sets accuracy, not soundness: a model from any pool is an LHS model once
+it passes reconstruction with every |r| <= 1 in floating point, and a
+dual detects steering only when it beats its exact Bloch-ball bound
+(:func:`cyclesteer.steering.max_over_strategies`), whose maximizing
+column closes every LP.
 
-    sum_{lambda,k} D_lambda(a|x) w_{lambda,k} [1, r_k] = ps[x, a]
-
-where lambda runs over deterministic outcome assignments, r_k over the
-Bloch vectors of hidden states on polytope vertices, and ps is the
-assemblage in its (m, 2, 4) layout (see :mod:`cyclesteer.steering`),
-whose raveled entries are the LP rows; the dual, reshaped to (m, 2, 4),
-is a Farkas functional. An LHS model is reconstructed in that layout and
-checked by its max-abs error over [p, s], which bounds the error of
-every entry of the 2x2 matrices sigma_{a|x}. ``restrict`` mode keeps the
-vertices as given (feasibility certifies an LHS model); ``relax`` mode
-scales them by 1/eta so the hull contains the Bloch ball (infeasibility
-certifies steering). Strategies are enumerated while the column count is
-desk-scale and generated by exact pricing above that; the enumerated
-matrix is built once per (hidden polytope, m, mode).
-
-Brackets come from a *locator* LP per side. Along the radial family
+Brackets come from one *locator* LP. Along the radial family
 rho(t) = t rho + (1 - t) I/2 (x) rho_B the right-hand side is affine,
-b(t) = b0 + t (b1 - b0), so the set of t in [0, t_cap] with an LP
-solution is the projection of a polyhedron: an interval (and it contains
-t = 0 whenever it is non-empty, since Bob's marginal does not depend on
-t). One LP, max t s.t. A w + t (b0 - b1) = b0, finds its upper end. The
-locator is not a certificate: every reported bound is re-checked by an
-independent certificate after it (an LHS model reconstructed and
-compared with the assemblage for r_in, a Farkas functional beating its
-exact Bloch-ball bound for r_out). The inner bound is checked a margin
-below the located t, because the LP optimum sits on the boundary of the
-feasible set, where the phase-1 certificate would rest on solver
-tolerance.
+b(t) = b0 + t (b1 - b0), so the t in [0, t_cap] with an LP solution form
+an interval that contains t = 0 (b0 has an exact two-column model), and
+max t s.t. A w + t (b0 - b1) = b0 finds its upper end. The locator
+certifies nothing: r_in rests on its model mixed with the t = 0 model and
+checked by reconstruction, r_out on a Farkas functional that beats its
+exact bound, re-checked at its crossing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -50,8 +42,10 @@ from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
 from .steering import Assemblage, make_assemblage, max_over_strategies, strategy_blocks
 from .tolerances import TOL
 
-DENSE_MAX_SETTINGS = 13
-DENSE_COLUMN_CAP = 700_000
+# The pool starts from every (strategy, vertex) column of the hidden
+# polytope while there are at most this many (the prefilter's 64 x 12),
+# and empty above: seeding radius-default's 64 x 162 doubled its time.
+SEED_MAX_COLUMNS = 1024
 _PRICING_TOL = 1e-9
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
@@ -74,23 +68,29 @@ class LpFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class LhsCertificate:
-    """Explicit LHS model: weights over (strategy, hidden-vertex) pairs."""
+    """Explicit LHS model: weights over (strategy, hidden state) columns."""
 
     strategy_bits: np.ndarray   # (ncols, m) outcomes per setting
-    vertex_index: np.ndarray    # (ncols,)
+    blochs: np.ndarray          # (ncols, 3) hidden Bloch vector per column
     weights: np.ndarray         # (ncols,) nonnegative
-    hidden_blochs: np.ndarray   # (K, 3) Bloch vectors of the hidden states
 
     def reconstruct(self) -> np.ndarray:
         """The modeled assemblage in the (m, 2, 4) layout: each weight adds
-        [1, r_k] to the entry (x, bits[x]) of every setting x. Summed here
+        [1, r] to the entry (x, bits[x]) of every setting x. Summed here
         from the weights, independently of the LP's column builder."""
         m = self.strategy_bits.shape[1]
-        h = np.hstack([np.ones((len(self.hidden_blochs), 1)), self.hidden_blochs])
+        h = np.hstack([np.ones((len(self.blochs), 1)), self.blochs])
         ps = np.zeros((m, 2, 4))
-        contrib = self.weights[:, None] * h[self.vertex_index]
-        np.add.at(ps, (np.arange(m), self.strategy_bits), contrib[:, None, :])
+        np.add.at(ps, (np.arange(m), self.strategy_bits), (self.weights[:, None] * h)[:, None, :])
         return ps
+
+    def residual(self, ps: np.ndarray) -> float:
+        """Max-abs error of the model against the assemblage ps, or inf
+        unless every weight is >= 0 and every |r| <= 1 in floating point
+        (no tolerance: a state outside the ball is no state)."""
+        if (self.weights < 0).any() or (np.linalg.norm(self.blochs, axis=1) > 1.0).any():
+            return np.inf
+        return float(np.abs(self.reconstruct() - ps).max())
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,7 @@ class GeneralFunctional:
     coef[x, a] = [c, v] (shape (m, 2, 4)), as extracted from a Farkas dual."""
 
     coef: np.ndarray
-    bound: float | None = None  # exact_lhs_bound(), attached by detect_steerable
-
-    @property
-    def m(self) -> int:
-        return self.coef.shape[0]
+    bound: float | None = None  # exact_lhs_bound(), attached on detection
 
     def value(self, assemblage: Assemblage) -> float:
         return float((self.coef * assemblage.ps).sum())
@@ -115,18 +111,26 @@ class GeneralFunctional:
         return max_over_strategies(self.coef)[0]
 
 
-def _columns(bits: np.ndarray, ks: np.ndarray, verts: np.ndarray, m: int) -> sparse.csc_array:
-    """LP columns for (strategy, vertex) pairs; shape (8m, len(ks)).
+def _into_ball(r: np.ndarray) -> np.ndarray:
+    """r with every row whose norm rounds to 1 or more scaled by 1 - 2^-50,
+    so that |r| <= 1 holds in floating point however the norm is summed."""
+    r = np.array(r, dtype=float)
+    r[np.linalg.norm(r, axis=-1) >= 1 - 2.0**-51] *= 1 - 2.0**-50
+    return r
+
+
+def _columns(bits: np.ndarray, blochs: np.ndarray) -> sparse.csc_array:
+    """LP columns for (strategy, hidden state) pairs; shape (8m, n).
 
     Column j has a 1 in row 4(2x + bits[j, x]) and the hidden Bloch
-    vector verts[ks[j]] in the three rows below it, for each setting x.
+    vector blochs[j] in the three rows below it, for each setting x.
     Exact zeros are dropped, as a dense-to-sparse conversion would.
     """
-    n = len(ks)
+    n, m = bits.shape
     rows = 4 * (2 * np.arange(m) + np.asarray(bits, dtype=np.int64))[:, :, None] + np.arange(4)
     vals = np.empty((n, m, 4))
     vals[:, :, 0] = 1.0
-    vals[:, :, 1:] = verts[ks][:, None, :]
+    vals[:, :, 1:] = blochs[:, None, :]
     cols = sparse.csc_array(
         (vals.ravel(), rows.ravel(), np.arange(0, 4 * m * n + 1, 4 * m)), shape=(8 * m, n)
     )
@@ -134,182 +138,188 @@ def _columns(bits: np.ndarray, ks: np.ndarray, verts: np.ndarray, m: int) -> spa
     return cols
 
 
+@dataclass
+class _Pool:
+    """The columns of the ball LP so far, with the polytope whose vertices
+    price new ones."""
+
+    hidden: SpherePolytope
+    cols: sparse.csc_array
+    bits: np.ndarray
+    blochs: np.ndarray
+    added: set = field(default_factory=set)
+
+    @classmethod
+    def seed(cls, hidden: SpherePolytope, m: int) -> "_Pool":
+        """Every (strategy, vertex) column while there are at most
+        SEED_MAX_COLUMNS, else none. The seed is built once per (polytope,
+        m) and kept on the polytope: strategy i = sum_x bits[x] 2^x major,
+        vertex minor."""
+        if (1 << m) * hidden.n_vertices > SEED_MAX_COLUMNS:
+            return cls(hidden, sparse.csc_array((8 * m, 0)), np.zeros((0, m), np.int8), np.zeros((0, 3)))
+        if m not in hidden.lp_columns:
+            strategies = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
+            bits = np.repeat(strategies, hidden.n_vertices, axis=0)
+            blochs = np.tile(_into_ball(hidden.vertices), (len(strategies), 1))
+            cols = _columns(bits, blochs)
+            for arr in (cols.data, cols.indices, cols.indptr, bits, blochs):
+                arr.flags.writeable = False
+            hidden.lp_columns[m] = (cols, bits, blochs)
+        return cls(hidden, *hidden.lp_columns[m])
+
+    def add(self, bits: np.ndarray, blochs: np.ndarray) -> bool:
+        """Append the columns not added before; False if there are none
+        (an LP that returns the same dual prices the same columns)."""
+        bits = bits.astype(np.int8)
+        keys = {bi.tobytes() + r.tobytes(): j for j, (bi, r) in enumerate(zip(bits, blochs))}
+        fresh = [j for key, j in keys.items() if key not in self.added]
+        self.added.update(keys)
+        if fresh:
+            self.cols = sparse.hstack([self.cols, _columns(bits[fresh], blochs[fresh])], format="csc")
+            self.bits = np.vstack([self.bits, bits[fresh]])
+            self.blochs = np.vstack([self.blochs, blochs[fresh]])
+        return bool(fresh)
+
+    def model(self, w: np.ndarray) -> LhsCertificate:
+        """The LHS model of LP weights w over this pool, with negative
+        weights (solver tolerance) clipped to zero."""
+        keep = w > 0
+        return LhsCertificate(self.bits[keep], self.blochs[keep], w[keep])
+
+
+def _best_column(coef: np.ndarray, bits: np.ndarray):
+    """Score and hidden state of strategies ``bits`` (..., m) at their
+    best state r = V/|V|: the functional's value on the column is
+    sum_x c_{bits(x)|x} + V.r with V = sum_x v_{bits(x)|x}."""
+    picked = coef[np.arange(coef.shape[0]), bits]
+    v = picked[..., 1:].sum(axis=-2)
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    r = _into_ball(np.divide(v, norm, out=np.zeros_like(v), where=norm > 0))
+    return picked[..., 0].sum(axis=-1) + norm[..., 0], r
+
+
+def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray):
+    """Vertex pricing: from each vertex d, the strategy best at d
+    (argmax_a c_{a|x} + v_{a|x}.d per setting) at its best state V/|V|,
+    then three more steps alternating strategy and state, none of which
+    lowers the score (over the 54 prefilter brackets they cut the LPs
+    from 168 to 155). Bob's own state b is priced as it is: when it is
+    pure, no other state can stand in for it. Returns bits, Bloch
+    vectors and scores of the best distinct columns, best first."""
+    r = verts
+    for _ in range(4):
+        vals = coef[None, :, :, 0] + np.einsum("kd,xad->kxa", r, coef[:, :, 1:])
+        bits = np.unique(vals.argmax(axis=2), axis=0)
+        scores, r = _best_column(coef, bits)
+    at_bob = (coef[:, :, 0] + coef[:, :, 1:] @ bob).argmax(axis=1)
+    bits, r = np.vstack([bits, at_bob]), np.vstack([r, bob])
+    scores = np.append(scores, (coef[np.arange(len(at_bob)), at_bob] @ np.append(1.0, bob)).sum())
+    order = np.argsort(scores)[::-1][:_CG_COLUMNS_PER_ROUND]
+    return bits[order], r[order], scores[order]
+
+
 def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float = 0.0):
-    """The LP both jobs share, over the given columns:
+    """One LP over the given columns:
 
         min M.(s+ + s-) - t   s.t.   a_cols w + t t_col + s+ - s- = b,
         w, s+, s- >= 0,  0 <= t <= t_cap.
 
     Without ``t_col`` it is the phase-1 LP (M = 1, no t): its optimum is
-    the infeasibility, and its equality-constraint marginals are exactly
-    the Farkas vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With
+    the infeasibility, and its equality-constraint marginals are the
+    Farkas vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With
     ``t_col`` it is the locator (M = _LOCATOR_PENALTY), whose optimal t is
     the largest feasible one when the slacks come back zero.
 
     Returns (slack sum, t, w, y).
     """
-    nrows = len(b)
-    ncols = a_cols.shape[1]
+    nrows, ncols = a_cols.shape
     eye = sparse.eye_array(nrows, format="csc")
-    if t_col is None:
-        blocks, c_t, penalty = [a_cols], [], 1.0
-    else:
-        blocks, c_t, penalty = [a_cols, sparse.csc_array(t_col[:, None])], [-1.0], _LOCATOR_PENALTY
-    nt = len(c_t)
-    afull = sparse.hstack([*blocks, eye, -eye], format="csc")
-    c = np.concatenate([np.zeros(ncols), c_t, np.full(2 * nrows, penalty)])
+    t_block = [] if t_col is None else [sparse.csc_array(t_col[:, None])]
+    penalty = 1.0 if t_col is None else _LOCATOR_PENALTY
+    nt = len(t_block)
+    afull = sparse.hstack([a_cols, *t_block, eye, -eye], format="csc")
+    c = np.concatenate([np.zeros(ncols), -np.ones(nt), np.full(2 * nrows, penalty)])
     bounds = np.zeros((len(c), 2))
     bounds[:, 1] = np.inf
     bounds[ncols : ncols + nt, 1] = t_cap
-    res = linprog(c, A_eq=afull, b_eq=b, bounds=bounds, method="highs")
+    res = linprog(c, A_eq=afull, b_eq=b, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise LpFailure(f"LP solver status {res.status}: {res.message}")
     t = float(res.x[ncols]) if nt else 0.0
-    slack = float(res.x[ncols + nt :].sum())
-    return slack, t, res.x[:ncols], np.asarray(res.eqlin.marginals)
+    return float(res.x[ncols + nt :].sum()), t, res.x[:ncols], np.asarray(res.eqlin.marginals)
 
 
-def _price(y: np.ndarray, verts: np.ndarray, m: int):
-    """Exact pricing: for each vertex the best strategy is chosen
-    greedily per setting from the dual. Returns (scores, best_bits)."""
-    yr = y.reshape(m, 2, 4)
-    vals = np.einsum("kd,xad->kxa", verts, yr[:, :, 1:]) + yr[None, :, :, 0]  # (K, m, 2)
-    best_bits = vals.argmax(axis=2).astype(np.int8)
-    scores = vals.max(axis=2).sum(axis=1)
-    return scores, best_bits
+def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
+    """``_solve_lp`` over the pool, adding priced columns until no new one
+    prices above _PRICING_TOL relative to the slack weight M. When vertex
+    pricing offers none, the exact kernel's maximizing column
+    (lambda*, V/|V|) is priced, so every LP ends optimal over the ball.
 
+    An infeasible phase-1 LP (no ``t_col``) has its dual re-bounded
+    exactly whenever no priced column rules detection out; once the dual
+    beats its bound by more than _DETECTION_MARGIN it is returned as a
+    functional carrying that bound, whether or not pricing has converged.
 
-def _hidden_vertices(hidden: SpherePolytope, mode: str) -> np.ndarray:
-    return hidden.vertices if mode == "restrict" else hidden.vertices / hidden.eta
-
-
-def _dense_columns(hidden: SpherePolytope, mode: str, m: int):
-    """Every (strategy, vertex) column, built once per (polytope, m, mode)
-    and kept on the polytope. Returns (columns, col_bits, col_ks)."""
-    key = (m, mode)
-    if key not in hidden.lp_columns:
-        verts = _hidden_vertices(hidden, mode)
-        bits = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
-        col_bits = np.repeat(bits, len(verts), axis=0)
-        col_ks = np.tile(np.arange(len(verts)), len(bits))
-        cols = _columns(col_bits, col_ks, verts, m)
-        for arr in (cols.data, cols.indices, cols.indptr, col_bits, col_ks):
-            arr.flags.writeable = False
-        hidden.lp_columns[key] = (cols, col_bits, col_ks)
-    return hidden.lp_columns[key]
-
-
-def _solve_dense(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int, t_col=None, t_cap=0.0):
-    """``_solve_lp`` over every (strategy, vertex) pair.
-    Returns (slack sum, t, col_bits, col_ks, w, y)."""
-    cols, col_bits, col_ks = _dense_columns(hidden, mode, m)
-    slack, t, w, y = _solve_lp(cols, b, t_col, t_cap)
-    return slack, t, col_bits, col_ks, w, y
-
-
-def _solve_cg(hidden: SpherePolytope, mode: str, b: np.ndarray, m: int, t_col=None, t_cap=0.0):
-    """``_solve_lp`` by column generation over (strategy, vertex) pairs
-    with exact pricing. Returns (slack sum, t, col_bits, col_ks, w, y)."""
-    verts = _hidden_vertices(hidden, mode)
-    bits_list: list[np.ndarray] = []
-    k_list: list[int] = []
-    seen: set[tuple] = set()
-    a_cols = sparse.csc_array((8 * m, 0))
+    Returns (slack sum, t, w over the pool, functional or None). Raises
+    LpFailure when a phase-1 LP ends infeasible without a detection.
+    """
+    m = len(b) // 8
+    tol = _PRICING_TOL * (1.0 if t_col is None else _LOCATOR_PENALTY)
+    bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     for _ in range(_CG_MAX_ROUNDS):
-        slack, t, w, y = _solve_lp(a_cols, b, t_col, t_cap)
-        scores, best_bits = _price(y, verts, m)
-        order = np.argsort(scores)[::-1]
-        added = 0
-        new_bits, new_ks = [], []
-        for k in order[:_CG_COLUMNS_PER_ROUND]:
-            if scores[k] <= _PRICING_TOL:
-                break
-            key = (int(k), best_bits[k].tobytes())
-            if key in seen:
-                continue
-            seen.add(key)
-            new_bits.append(best_bits[k])
-            new_ks.append(int(k))
-            added += 1
-        if added == 0:
-            return slack, t, np.array(bits_list, dtype=np.int8).reshape(-1, m), \
-                np.array(k_list, dtype=int), w, y
-        cols = _columns(np.array(new_bits), np.array(new_ks), verts, m)
-        a_cols = sparse.hstack([a_cols, cols], format="csc")
-        bits_list += new_bits
-        k_list += new_ks
+        slack, t, w, y = _solve_lp(pool.cols, b, t_col, t_cap)
+        if slack <= TOL.lp_residual and (t_col is None or t >= t_cap):
+            return slack, t, w, None  # feasible, or t at its cap: no column can improve
+        coef = y.reshape(m, 2, 4)
+        bits, blochs, scores = _price(coef, pool.hidden.vertices, bob)
+        infeasible = t_col is None and slack > TOL.lp_residual
+        if scores[0] <= tol or (infeasible and scores[0] < y @ b - _DETECTION_MARGIN):
+            bound, best = max_over_strategies(coef)
+            if infeasible and y @ b > bound + _DETECTION_MARGIN:
+                return slack, t, w, GeneralFunctional(coef, bound)
+            bits = np.vstack([bits, best])
+            blochs = np.vstack([blochs, _best_column(coef, best)[1]])
+            scores = np.append(scores, bound)
+        if not pool.add(bits[scores > tol], blochs[scores > tol]):
+            if infeasible:
+                raise LpFailure(f"LP infeasibility {slack:.2e}, but no functional beats its exact bound")
+            return slack, t, w, None
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 
-def _solver(hidden: SpherePolytope, m: int):
-    """The dense path while the enumerated matrix is desk-scale, column
-    generation above that."""
-    dense = m <= DENSE_MAX_SETTINGS and (1 << m) * hidden.n_vertices <= DENSE_COLUMN_CAP
-    return _solve_dense if dense else _solve_cg
+def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
+    """Decide LHS feasibility with hidden states anywhere in the Bloch
+    ball, by column generation seeded and priced by the polytope
+    ``hidden``.
 
-
-def lhs_lp_feasible(
-    assemblage: Assemblage, hidden: SpherePolytope, mode: str = "restrict"
-):
-    """Decide LHS feasibility over a discretized hidden-state set.
-
-    mode="restrict": hidden states confined to the polytope hull, so
-    feasibility CERTIFIES that an LHS model exists. The model is not taken
-    on the solver's word: it is reconstructed from its weights and
-    accepted only when it reproduces the assemblage to within
-    TOL.lp_residual (max-abs over [p, s]); otherwise the answer is
-    (False, None), "not certified". mode="relax": vertices scaled by 1/eta
-    so the hull contains the Bloch ball, so INFEASIBILITY certifies
-    steering.
-
-    Returns (feasible, LhsCertificate), (False, GeneralFunctional) or
-    (False, None). Raises LpFailure when neither certificate reaches its
-    tolerance.
+    A model is accepted only when every hidden state lies in the ball
+    and its reconstruction reproduces the assemblage to within
+    TOL.lp_residual (max-abs over [p, s]); infeasibility only with a
+    Farkas functional that beats its exact Bloch-ball bound, which it
+    carries. Returns (True, LhsCertificate), (False, GeneralFunctional)
+    or (False, None), "not certified"; raises LpFailure when the solver
+    gives neither.
     """
-    if mode not in ("restrict", "relax"):
-        raise ValueError(f"unknown mode {mode!r}")
-    m = assemblage.m
-    fun, _, col_bits, col_ks, w, y = _solver(hidden, m)(hidden, mode, assemblage.ps.ravel(), m)
-    if fun <= TOL.lp_residual:
-        keep = w > 1e-12
-        cert = LhsCertificate(
-            strategy_bits=col_bits[keep],
-            vertex_index=col_ks[keep],
-            weights=w[keep],
-            hidden_blochs=_hidden_vertices(hidden, mode),
-        )
-        if mode == "restrict" and np.abs(cert.reconstruct() - assemblage.ps).max() > TOL.lp_residual:
-            return False, None
+    pool = _Pool.seed(hidden, assemblage.m)
+    slack, _, w, functional = _solve(pool, assemblage.ps.ravel())
+    if functional is not None:
+        return False, functional
+    cert = pool.model(w)
+    if slack <= TOL.lp_residual and cert.residual(assemblage.ps) <= TOL.lp_residual:
         return True, cert
-    if fun >= TOL.farkas_violation:
-        return False, GeneralFunctional(y.reshape(m, 2, 4))
-    raise LpFailure(
-        f"LP infeasibility {fun:.2e} between residual tolerance "
-        f"{TOL.lp_residual:.0e} and Farkas threshold {TOL.farkas_violation:.0e}"
-    )
+    return False, None
 
 
-def detect_steerable(
-    rho_ab: DensityMatrix, directions, hidden: SpherePolytope
-):
-    """Steering detection with a closed-loop certificate.
-
-    On LP infeasibility the Farkas functional is re-bounded exactly over
-    the full Bloch ball by enumeration; steering is reported only when
-    the assemblage value exceeds that exact bound by more than
-    _DETECTION_MARGIN.
-
-    Returns (steerable, GeneralFunctional carrying its bound, or None).
-    """
+def detect_steerable(rho_ab: DensityMatrix, directions, hidden: SpherePolytope):
+    """Steering detection with a closed-loop certificate: steering is
+    reported only when the LP's Farkas functional beats its exact bound
+    over the Bloch ball by more than _DETECTION_MARGIN on the assemblage.
+    Returns (steerable, GeneralFunctional carrying its bound, or None)."""
     assemblage = make_assemblage(rho_ab, directions)
-    feasible, cert = lhs_lp_feasible(assemblage, hidden, mode="relax")
-    if feasible:
-        return False, None
-    functional = replace(cert, bound=cert.exact_lhs_bound())
-    if _detects(functional, assemblage):
-        return True, functional
-    # The discrete relaxation flagged infeasibility but the exact ball
-    # bound absorbs it; conservative answer is "not detected".
+    _, cert = lhs_lp_feasible(assemblage, hidden)
+    if isinstance(cert, GeneralFunctional) and _detects(cert, assemblage):
+        return True, cert
     return False, None
 
 
@@ -317,18 +327,13 @@ def _detects(functional: GeneralFunctional, assemblage: Assemblage) -> bool:
     return functional.value(assemblage) > functional.bound + _DETECTION_MARGIN
 
 
-def certify_unsteerable_shrunk(
-    rho_ab: DensityMatrix, meas: SpherePolytope, hidden: SpherePolytope
-) -> bool:
+def certify_unsteerable_shrunk(rho_ab: DensityMatrix, meas: SpherePolytope, hidden: SpherePolytope) -> bool:
     """True certifies radial_mix(rho_ab, meas.eta) unsteerable from A to B
     for ALL projective measurements: any effect (I + eta u.sigma)/2 is a
     convex mixture of vertex effects because eta u lies in the vertex
     hull, and eta-depolarized measurements on rho are equivalent to
     projective measurements on the radially shrunk state."""
-    directions = antipodal_directions(meas)
-    assemblage = make_assemblage(rho_ab, directions)
-    feasible, _ = lhs_lp_feasible(assemblage, hidden, mode="restrict")
-    return feasible
+    return lhs_lp_feasible(make_assemblage(rho_ab, antipodal_directions(meas)), hidden)[0]
 
 
 def radial_mix(rho_ab: DensityMatrix, t: float) -> tuple[np.ndarray, bool]:
@@ -382,7 +387,6 @@ class RadiusReport:
             "meas_polytope_level": self.params.meas_level,
             "hidden_polytope_level": self.params.hidden_level,
             "bisection_tol": self.params.bisection_tol,
-            "psd_cap": self.t_cap,
             "meas_eta": self.meas_eta,
         }
 
@@ -408,19 +412,34 @@ def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
     return bisect(lambda t: radial_mix(rho_ab, t)[1], 1.0, t_max, 1e-9)[0]
 
 
-def _locate(hidden: SpherePolytope, mode: str, a0: Assemblage, a1: Assemblage, t_cap: float):
-    """Largest t in [0, t_cap] at which the LP of ``mode`` is feasible for
-    the assemblage b0 + t (b1 - b0), or None when no t is. A locator
-    only: it certifies nothing."""
-    b0, b1 = a0.ps.ravel(), a1.ps.ravel()
-    slack, t, *_ = _solver(hidden, a0.m)(hidden, mode, b0, a0.m, b0 - b1, t_cap)
-    return t if slack <= TOL.lp_residual else None
+def _anchor(bob: np.ndarray, m: int) -> LhsCertificate:
+    """The exact LHS model of the t = 0 assemblage ps[x, a] = [1, b]/2:
+    lambda = 0 and lambda = 1, both with hidden state b (pulled into the
+    ball in floating point), weight 1/2 each."""
+    bits = np.array([np.zeros(m), np.ones(m)], dtype=np.int8)
+    return LhsCertificate(bits, _into_ball(np.array([bob, bob])), np.array([0.5, 0.5]))
 
 
-def _first_detection(
-    functional: GeneralFunctional, a0: Assemblage, a1: Assemblage,
-    rho_ab: DensityMatrix, directions, t_d: float,
-) -> float:
+def _inner_model(model: LhsCertificate, s: float, anchor: LhsCertificate) -> LhsCertificate:
+    """s model + (1 - s) anchor, the r_in model at t = s t*.
+
+    Lemma. Let M* reproduce b(t*) = b0 + t* (b1 - b0) with max-abs error
+    e*, and let M0 reproduce b0 exactly. Then s M* + (1 - s) M0 with
+    s = t/t* in (0, 1] reproduces b(t) with error at most s e*, since
+    s b(t*) + (1 - s) b0 = b0 + t (b1 - b0) = b(t) and the right-hand
+    side is affine in t. Mixing keeps the weights nonnegative and the
+    hidden states in the ball, so the mix is an LHS model whenever M*
+    and M0 are, and checking it by reconstruction needs no LP.
+    """
+    return LhsCertificate(
+        np.vstack([model.strategy_bits, anchor.strategy_bits]),
+        np.vstack([model.blochs, anchor.blochs]),
+        np.concatenate([s * model.weights, (1 - s) * anchor.weights]),
+    )
+
+
+def _first_detection(functional: GeneralFunctional, a0: Assemblage, a1: Assemblage,
+                     rho_ab: DensityMatrix, directions, t_d: float) -> float:
     """Smallest t <= t_d at which ``functional`` still detects steering,
     given that it detects at t_d. Its value is affine in t, so the
     crossing of bound + _DETECTION_MARGIN has a closed form; the point
@@ -434,70 +453,53 @@ def _first_detection(
     return t if _detects(functional, mixed) else t_d
 
 
-def critical_radius_bounds(
-    rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()
-) -> RadiusReport:
-    """Bracket the critical radius with one locator LP per side.
+def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> RadiusReport:
+    """Bracket the critical radius with one locator LP, whose pool starts
+    from the level-``hidden_level`` seed and the t = 0 model.
 
-    r_out: the relax-mode locator gives t_relax, the upper end of the
-    interval of t at which the ball-containing relaxation has a solution.
-    If t_relax < t_cap, detect_steerable probes t_d = min(t_cap, t_relax +
-    tol/2) (tol = params.bisection_tol); its Farkas functional, re-bounded
-    exactly over the Bloch ball, detects steering at every t from its
-    closed-form crossing point up to t_d, and r_out is the smallest such t
-    (detection at t implies R <= t). A locator answer of t_cap (or none),
-    or no detection at t_d, gives the vacuous r_out = t_cap.
+    r_in = meas.eta t (by the shrinking lemma, unsteerability of the
+    shrunk state for all projective measurements) for t = t_cap if the
+    locator reaches t* = t_cap, else t = t* - TOL.locator_margin, when
+    the locator's model mixed down to t (:func:`_inner_model`)
+    reproduces the mixed state's assemblage to within TOL.lp_residual.
+    Otherwise, or if the locator finds no t, r_in = 0 is vacuous
+    (unsteerable_certified False).
 
-    r_in: the restrict-mode locator gives t*, the upper end of the
-    interval of t with a restrict-mode LP solution. The LHS certificate is
-    then checked at t_cap if t* = t_cap, else at t* - d for d =
-    TOL.locator_margin, 10 times that, and so on while d < tol, and last
-    at t* - tol, never at t <= 0; r_in is meas.eta times the first t that
-    certifies (the shrinking lemma turns it into unsteerability of the
-    shrunk state for all projective measurements). The steps exist
-    because right at the boundary the solver's weights can dip below
-    zero within its tolerance, and the reconstruction check then rejects
-    the model. If no t certifies, or the locator finds no feasible t,
-    r_in = 0 is reported as vacuous (unsteerable_certified = False).
+    r_out: if t* < t_cap, the phase-1 LP on the locator's pool at
+    t_d = min(t_cap, t* + tol/2) (tol = params.bisection_tol) may return
+    a functional that beats its exact bound at t_d. It detects steering
+    from its closed-form crossing up to t_d, and r_out is that crossing
+    (detection at t implies R <= t). Otherwise r_out = t_cap is vacuous.
     """
     meas = sphere_polytope(params.meas_level)
-    hidden = sphere_polytope(params.hidden_level)
     directions = antipodal_directions(meas)
     t_cap = _psd_cap(rho_ab, T_CAP_MAX)
-    a0 = make_assemblage(radial_mix_state(rho_ab, 0.0), directions)
-    a1 = make_assemblage(rho_ab, directions)
 
-    r_out, det = t_cap, False
-    t_relax = _locate(hidden, "relax", a0, a1, t_cap)
-    if t_relax is not None and t_relax < t_cap:
-        t_d = min(t_cap, t_relax + params.bisection_tol / 2)
-        steerable, functional = detect_steerable(radial_mix_state(rho_ab, t_d), directions, hidden)
-        if steerable:
-            r_out, det = _first_detection(functional, a0, a1, rho_ab, directions, t_d), True
+    def assemblage_at(t: float) -> Assemblage:
+        return make_assemblage(radial_mix_state(rho_ab, t), directions)
 
-    t_in = 0.0
-    t_star = _locate(hidden, "restrict", a0, a1, t_cap)
-    if t_star is not None:
-        probes = [t_cap] if t_star >= t_cap else []
-        backoff = TOL.locator_margin
-        while backoff < params.bisection_tol:
-            probes.append(t_star - backoff)
-            backoff *= 10
-        probes.append(t_star - params.bisection_tol)
-        for t in probes:
-            if t > 0 and certify_unsteerable_shrunk(radial_mix_state(rho_ab, t), meas, hidden):
+    a0, a1 = assemblage_at(0.0), make_assemblage(rho_ab, directions)
+    b0, b1 = a0.ps.ravel(), a1.ps.ravel()
+    anchor = _anchor(2 * a0.ps[0, 0, 1:], a0.m)
+    pool = _Pool.seed(sphere_polytope(params.hidden_level), a0.m)
+    pool.add(anchor.strategy_bits, anchor.blochs)
+    slack, t_star, w, _ = _solve(pool, b0, b0 - b1, t_cap)
+
+    t_in, r_out, det = 0.0, t_cap, False
+    if slack <= TOL.lp_residual:
+        t = t_cap if t_star >= t_cap else t_star - TOL.locator_margin
+        if t > 0:
+            model = _inner_model(pool.model(w), t / t_star, anchor)
+            if model.residual(assemblage_at(t).ps) <= TOL.lp_residual:
                 t_in = t
-                break
+        if t_star < t_cap:
+            t_d = min(t_cap, t_star + params.bisection_tol / 2)
+            functional = _solve(pool, assemblage_at(t_d).ps.ravel())[3]
+            if functional is not None:
+                r_out, det = _first_detection(functional, a0, a1, rho_ab, directions, t_d), True
 
-    return RadiusReport(
-        r_in=meas.eta * t_in,
-        r_out=r_out,
-        t_cap=t_cap,
-        steerable_detected=det,
-        unsteerable_certified=t_in > 0,
-        params=params,
-        meas_eta=meas.eta,
-    )
+    return RadiusReport(r_in=meas.eta * t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
+                        unsteerable_certified=t_in > 0, params=params, meas_eta=meas.eta)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ k-1 and renormalizes. The triangulation is carried along explicitly, so
 the inradius eta is certified directly from the facet planes without a
 generic convex-hull algorithm. The vertex set is antipodally symmetric
 at every level, which lets a vertex set double as antipodal measurement
-directions.
+directions. In the LHS LP of :mod:`cyclesteer.lhs` the vertices seed the
+column pool and price new columns; the hidden states themselves range
+over the whole Bloch ball.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ class SpherePolytope:
     faces: np.ndarray     # (F, 3) vertex index triangles of the hull
     eta: float            # certified inradius lower bound
     level: int
-    # LP constraint matrices over these vertices, keyed (m, mode); filled
-    # by cyclesteer.lhs so each is built once per polytope
+    # the LP's seed columns over these vertices, keyed by the setting
+    # count m; filled by cyclesteer.lhs so each is built once per polytope
     lp_columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

@@ -2,17 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclesteer import lhs
 from cyclesteer.lhs import (
     GeneralFunctional,
     LhsCertificate,
     RadiusParams,
+    SEED_MAX_COLUMNS,
     T_CAP_MAX,
-    _dense_columns,
+    _anchor,
+    _columns,
+    _inner_model,
+    _Pool,
     _psd_cap,
-    _solve_cg,
-    _solve_dense,
+    _solve,
+    _solve_lp,
     bisect,
     certify_unsteerable_shrunk,
     critical_radius_bounds,
@@ -56,8 +62,8 @@ def _reconstruct_loop(cert):
     modeled assemblage as 2x2 matrices, shape (m, 2, 2, 2)."""
     m = cert.strategy_bits.shape[1]
     sig = np.zeros((m, 2, 2, 2), dtype=complex)
-    for bits, k, w in zip(cert.strategy_bits, cert.vertex_index, cert.weights):
-        h = (ID2 + np.tensordot(cert.hidden_blochs[k], PAULIS, axes=1)) / 2
+    for bits, r, w in zip(cert.strategy_bits, cert.blochs, cert.weights):
+        h = (ID2 + np.tensordot(r, PAULIS, axes=1)) / 2
         for x in range(m):
             sig[x, bits[x]] += w * h
     return sig
@@ -66,7 +72,7 @@ def _reconstruct_loop(cert):
 def test_maximally_mixed_has_trivial_lhs_model():
     rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     a = make_assemblage(rho, ICO_DIRS)
-    feasible, cert = lhs_lp_feasible(a, ICO, mode="restrict")
+    feasible, cert = lhs_lp_feasible(a, ICO)
     assert feasible
     assert isinstance(cert, LhsCertificate)
     assert np.abs(cert.reconstruct() - a.ps).max() <= 1e-8
@@ -75,17 +81,17 @@ def test_maximally_mixed_has_trivial_lhs_model():
 def test_reconstruct_matches_complex_loop():
     """reconstruct() in the (m, 2, 4) layout is the complex loop's
     [tr sigma, tr(sigma.sigma_i)], on certificates from the LP and on a
-    random one with repeated (strategy, vertex) pairs."""
+    random one with repeated (strategy, hidden state) pairs."""
     r = np.random.default_rng(17)
     certs = []
     for rho in (werner(0.4), radial_mix_state(random_two_qubit(r), 0.5)):
-        feasible, cert = lhs_lp_feasible(make_assemblage(rho, ICO_DIRS), HIDDEN1, mode="restrict")
+        feasible, cert = lhs_lp_feasible(make_assemblage(rho, ICO_DIRS), HIDDEN1)
         assert feasible
         certs.append(cert)
     n = 50
     certs.append(LhsCertificate(
-        strategy_bits=r.integers(0, 2, (n, 6)).astype(np.int8), vertex_index=r.integers(0, 3, n),
-        weights=r.uniform(size=n), hidden_blochs=r.standard_normal((3, 3)),
+        strategy_bits=r.integers(0, 2, (n, 6)).astype(np.int8),
+        blochs=r.standard_normal((3, 3))[r.integers(0, 3, n)], weights=r.uniform(size=n),
     ))
     for cert in certs:
         sig = _reconstruct_loop(cert)
@@ -96,7 +102,7 @@ def test_reconstruct_matches_complex_loop():
 
 def test_werner_below_threshold_feasible():
     a = make_assemblage(werner(0.5), ICO_DIRS)
-    feasible, cert = lhs_lp_feasible(a, HIDDEN1, mode="restrict")
+    feasible, cert = lhs_lp_feasible(a, HIDDEN1)
     assert feasible
     assert (cert.weights >= 0).all()
     assert np.isclose(cert.weights.sum(), 1.0, atol=1e-8)
@@ -105,121 +111,211 @@ def test_werner_below_threshold_feasible():
 
 def test_werner_above_threshold_infeasible_with_farkas():
     a = make_assemblage(werner(0.8), ICO_DIRS)
-    feasible, cert = lhs_lp_feasible(a, HIDDEN1, mode="relax")
+    feasible, cert = lhs_lp_feasible(a, HIDDEN1)
     assert not feasible
     assert isinstance(cert, GeneralFunctional)
     # Farkas closure: the assemblage value beats the exact ball bound
     assert cert.value(a) > cert.exact_lhs_bound() + 1e-7
+    assert cert.bound == cert.exact_lhs_bound()
 
 
-def test_restrict_feasibility_implies_relax_feasibility():
-    """The relax hull contains the restrict hull, so a restrict LHS model
-    is a fortiori a relax one."""
-    rho = radial_mix_state(random_two_qubit(), 0.4)
-    a = make_assemblage(rho, ICO_DIRS)
-    if lhs_lp_feasible(a, HIDDEN1, mode="restrict")[0]:
-        assert lhs_lp_feasible(a, HIDDEN1, mode="relax")[0]
-
-
-def test_bad_mode_rejected():
-    a = make_assemblage(werner(0.5), ICO_DIRS)
-    with pytest.raises(ValueError):
-        lhs_lp_feasible(a, HIDDEN1, mode="approx")
-
-
-def _columns_loop(bits, ks, verts, m):
+def _columns_loop(bits, blochs, m):
     """The per-column double loop the sparse builder replaced (oracle)."""
-    cols = np.zeros((8 * m, len(ks)))
-    for j in range(len(ks)):
-        v = verts[ks[j]]
+    cols = np.zeros((8 * m, len(bits)))
+    for j in range(len(bits)):
         for x in range(m):
             r = (2 * x + int(bits[j, x])) * 4
             cols[r, j] = 1.0
-            cols[r + 1 : r + 4, j] = v
+            cols[r + 1 : r + 4, j] = blochs[j]
     return cols
 
 
-@pytest.mark.parametrize("level", [0, 1, 2])
-@pytest.mark.parametrize("mode", ["restrict", "relax"])
-def test_cached_columns_match_loop(level, mode):
-    """The cached sparse matrix has the loop's entries in the loop's column
-    order: strategy i = sum_x bits[x] 2^x major, hidden vertex minor."""
-    m = 6
+@pytest.mark.parametrize("level,m", [(0, 6), (1, 4), (2, 2)])
+def test_seed_columns_match_loop(level, m):
+    """The cached seed has the loop's entries in the loop's column order:
+    strategy i = sum_x bits[x] 2^x major, hidden vertex minor, with the
+    vertices pulled into the ball in floating point; above
+    SEED_MAX_COLUMNS the pool starts empty."""
     hidden = sphere_polytope(level)
-    verts = hidden.vertices if mode == "restrict" else hidden.vertices / hidden.eta
-    cols, col_bits, col_ks = _dense_columns(hidden, mode, m)
+    pool = _Pool.seed(hidden, m)
     idx = np.arange(1 << m)
-    bits = np.repeat((idx[:, None] >> np.arange(m)) & 1, len(verts), axis=0)
-    ks = np.tile(np.arange(len(verts)), 1 << m)
-    assert np.array_equal(col_bits, bits) and np.array_equal(col_ks, ks)
-    assert np.array_equal(cols.toarray(), _columns_loop(bits, ks, verts, m))
-    assert _dense_columns(hidden, mode, m)[0] is cols  # built once
-    assert not cols.data.flags.writeable
+    bits = np.repeat((idx[:, None] >> np.arange(m)) & 1, hidden.n_vertices, axis=0)
+    blochs = np.tile(hidden.vertices, (1 << m, 1))
+    assert np.array_equal(pool.bits, bits)
+    assert np.abs(pool.blochs - blochs).max() <= 2.0**-50
+    assert (np.linalg.norm(pool.blochs, axis=1) <= 1.0).all()
+    assert np.array_equal(pool.cols.toarray(), _columns_loop(bits, pool.blochs, m))
+    assert _Pool.seed(hidden, m).cols is pool.cols  # built once
+    assert not pool.cols.data.flags.writeable
+    assert (1 << (m + 1)) * hidden.n_vertices > SEED_MAX_COLUMNS
+    assert _Pool.seed(hidden, m + 1).cols.shape == (8 * (m + 1), 0)
+    r = np.random.default_rng(level)
+    bits, blochs = r.integers(0, 2, (20, m)), r.standard_normal((20, 3))
+    assert np.array_equal(_columns(bits, blochs).toarray(), _columns_loop(bits, blochs, m))
 
 
-def test_column_generation_matches_dense():
-    """Column generation reaches the dense phase-1 value, hence the same
-    decision, on m = 6 assemblages that both paths can solve (two Werner
-    states and one random state, on which a missing dense column shows);
-    at m = 21, above the dense cap, it still gives the expected
+def _empty_pool(hidden, m):
+    return _Pool(hidden, _columns(np.zeros((0, m), np.int8), np.zeros((0, 3))),
+                 np.zeros((0, m), np.int8), np.zeros((0, 3)))
+
+
+def test_column_generation_from_seed_or_empty():
+    """From the level-0 seed or from an empty pool, the phase-1 LP ends at
+    the same decision on m = 6 assemblages (two Werner states and one
+    random state); at m = 21, above the seed cap, it gives the expected
     decisions."""
     for rho in (werner(0.45), werner(0.99), random_two_qubit(np.random.default_rng(3))):
-        a = make_assemblage(rho, ICO_DIRS)
-        b = a.ps.ravel()
-        for mode in ("restrict", "relax"):
-            dense = _solve_dense(HIDDEN1, mode, b, a.m)[0]
-            cg = _solve_cg(HIDDEN1, mode, b, a.m)[0]
-            assert (dense <= TOL.lp_residual) == (cg <= TOL.lp_residual)
-            assert abs(dense - cg) <= TOL.lp_residual
+        b = make_assemblage(rho, ICO_DIRS).ps.ravel()
+        seeded = _solve(_Pool.seed(ICO, 6), b)
+        empty = _solve(_empty_pool(ICO, 6), b)
+        assert (seeded[3] is None) == (empty[3] is None)
+        if seeded[3] is None:
+            assert seeded[0] <= TOL.lp_residual and empty[0] <= TOL.lp_residual
     dirs = antipodal_directions(sphere_polytope(1))
     for p, expected in ((0.45, True), (0.99, False)):
         a = make_assemblage(werner(p), dirs)
-        feasible, _ = lhs_lp_feasible(a, HIDDEN1, mode="relax")
+        feasible, cert = lhs_lp_feasible(a, HIDDEN1)
         assert feasible is expected
+        assert isinstance(cert, LhsCertificate if expected else GeneralFunctional)
 
 
-def test_column_generation_locator_matches_dense():
-    """The locator LP (max t with slacks priced at _LOCATOR_PENALTY) gives
-    the same t* by column generation as over the full matrix."""
+def _hidden_polytope_t_star(hidden, b0, b1, t_cap, scale):
+    """The locator of the hidden-polytope LP that the ball LP replaced:
+    every (strategy, vertex) column at m = 6, with the vertices scaled by
+    ``scale`` (1 for the inner restrict hull, 1/eta for the outer relax
+    hull)."""
+    strategies = np.concatenate(list(strategy_blocks(6)))
+    bits = np.repeat(strategies, hidden.n_vertices, axis=0)
+    blochs = np.tile(hidden.vertices * scale, (len(strategies), 1))
+    slack, t, _, _ = _solve_lp(_columns(bits, blochs), b0, b0 - b1, t_cap)
+    assert slack <= TOL.lp_residual
+    return t
+
+
+def test_ball_locator_between_hidden_polytope_locators():
+    """The ball lies between the restrict hull and the relax hull, so at
+    m = 6 the ball locator's t* lies between their dense t*; the same t*,
+    to within the locator's pricing tolerance 1e-9 M = 1e-5, comes out
+    from the seed and from an empty pool."""
     below_cap = 0
     for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(4))):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         b0, b1 = a0.ps.ravel(), make_assemblage(rho, ICO_DIRS).ps.ravel()
         t_cap = _psd_cap(rho, 2.0)
-        for mode in ("restrict", "relax"):
-            dense = _solve_dense(HIDDEN1, mode, b0, 6, b0 - b1, t_cap)
-            cg = _solve_cg(HIDDEN1, mode, b0, 6, b0 - b1, t_cap)
-            assert dense[0] <= TOL.lp_residual and cg[0] <= TOL.lp_residual
-            assert abs(dense[1] - cg[1]) <= 1e-7
-            below_cap += dense[1] < t_cap
-    assert below_cap >= 3  # the cap does not decide the comparison
+        inner = _hidden_polytope_t_star(HIDDEN1, b0, b1, t_cap, 1.0)
+        outer = _hidden_polytope_t_star(HIDDEN1, b0, b1, t_cap, 1 / HIDDEN1.eta)
+        balls = []
+        for pool in (_Pool.seed(ICO, 6), _empty_pool(HIDDEN1, 6)):
+            slack, t, _, _ = _solve(pool, b0, b0 - b1, t_cap)
+            assert slack <= TOL.lp_residual
+            balls.append(t)
+        assert inner - 1e-7 <= balls[0] <= outer + 1e-7
+        assert abs(balls[0] - balls[1]) <= 1e-5
+        below_cap += outer < t_cap
+    assert below_cap >= 2  # the cap does not decide the comparison
 
 
-def test_restrict_certificate_checked_by_reconstruction(monkeypatch):
+def test_certificate_checked_by_reconstruction(monkeypatch):
     """In the style of acceptance 09: on random states every accepted
-    restrict-mode certificate reproduces its assemblage to within
-    TOL.lp_residual, and a solver answer with one weight perturbed is
-    reported as not certified."""
+    certificate reproduces its assemblage to within TOL.lp_residual with
+    every hidden state in the ball, and a solver answer with one weight
+    perturbed is reported as not certified."""
     r = np.random.default_rng(9)
     accepted = []
     for _ in range(10):
         a = make_assemblage(radial_mix_state(random_two_qubit(r), 0.6), ICO_DIRS)
-        feasible, cert = lhs_lp_feasible(a, HIDDEN1, mode="restrict")
+        feasible, cert = lhs_lp_feasible(a, HIDDEN1)
         if feasible:
             assert np.abs(cert.reconstruct() - a.ps).max() <= TOL.lp_residual
+            assert all(np.linalg.norm(v) <= 1.0 for v in cert.blochs)
             accepted.append(a)
     assert len(accepted) >= 5
-    solve = lhs._solve_dense
+    solve = lhs._solve
 
     def perturbed(*args):
-        slack, t, bits, ks, w, y = solve(*args)
+        slack, t, w, functional = solve(*args)
         w = w.copy()
         w[np.argmax(w)] += 1e-6
-        return slack, t, bits, ks, w, y
+        return slack, t, w, functional
 
-    monkeypatch.setattr(lhs, "_solve_dense", perturbed)
+    monkeypatch.setattr(lhs, "_solve", perturbed)
     for a in accepted:
-        assert lhs_lp_feasible(a, HIDDEN1, mode="restrict") == (False, None)
+        assert lhs_lp_feasible(a, HIDDEN1) == (False, None)
+
+
+def test_hidden_state_outside_ball_rejected():
+    """Ball soundness: a model is rejected once one hidden state has norm
+    1 + 1e-15, with no tolerance, although its reconstruction barely
+    moves; negative weights are rejected the same way."""
+    a = make_assemblage(werner(0.5), ICO_DIRS)
+    feasible, cert = lhs_lp_feasible(a, HIDDEN1)
+    assert feasible and cert.residual(a.ps) <= TOL.lp_residual
+    blochs = cert.blochs.copy()
+    j = np.argmax(cert.weights)
+    blochs[j] *= (1 + 1e-15) / np.linalg.norm(blochs[j])
+    assert np.linalg.norm(blochs[j]) > 1.0
+    pushed = LhsCertificate(cert.strategy_bits, blochs, cert.weights)
+    assert np.abs(pushed.reconstruct() - a.ps).max() <= TOL.lp_residual
+    assert pushed.residual(a.ps) == np.inf
+    weights = cert.weights.copy()
+    weights[j] = -1e-300
+    assert LhsCertificate(cert.strategy_bits, cert.blochs, weights).residual(a.ps) == np.inf
+
+
+def _locator_model(rho, hidden=ICO):
+    """(t*, the locator's model at t*, the t = 0 model, assemblages at 0
+    and 1) at m = 6, as critical_radius_bounds finds them."""
+    t_cap = _psd_cap(rho, T_CAP_MAX)
+    a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
+    a1 = make_assemblage(rho, ICO_DIRS)
+    anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
+    pool = _Pool.seed(hidden, 6)
+    pool.add(anchor.strategy_bits, anchor.blochs)
+    slack, t_star, w, _ = _solve(pool, a0.ps.ravel(), (a0.ps - a1.ps).ravel(), t_cap)
+    assert slack <= TOL.lp_residual
+    return t_star, pool.model(w), anchor
+
+
+@st.composite
+def _states(draw):
+    """Random two-qubit states, a third of them products with a pure Bob
+    marginal (|b| = 1)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = np.random.default_rng(seed)
+    if draw(st.integers(0, 2)) == 0:
+        b = r.standard_normal(3)
+        bob = (ID2 + bloch_to_obs(b / np.linalg.norm(b))) / 2
+        alice = random_two_qubit(r).mat.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+        return DensityMatrix(np.kron(alice, bob), (2, 2))
+    return random_two_qubit(r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_states(), st.floats(0.01, 1.0))
+def test_mixing_lemma(rho, u):
+    """The lemma of the r_in step (see _inner_model): the two-column model
+    reproduces the t = 0 assemblage to 1e-15, and the locator's model
+    at t* mixed to t = u t* reproduces the assemblage at t with error at
+    most u err(t*), up to the rounding of the two assemblages (1e-15)."""
+    t_star, model, anchor = _locator_model(rho)
+    a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
+    assert anchor.residual(a0.ps) <= 1e-15
+    err_star = model.residual(make_assemblage(radial_mix_state(rho, t_star), ICO_DIRS).ps)
+    assert err_star <= TOL.lp_residual
+    mixed = _inner_model(model, u, anchor)
+    assert mixed.residual(make_assemblage(radial_mix_state(rho, u * t_star), ICO_DIRS).ps) <= u * err_star + 1e-15
+
+
+def test_mixing_lemma_wrong_weight_fails():
+    """The mutant that mixes with weight t instead of t/t* does not pass
+    reconstruction once t* is away from 1."""
+    for rho in (singlet(), werner(0.7)):
+        t_star, model, anchor = _locator_model(rho)
+        assert abs(t_star - 1) > 0.1
+        t = t_star / 2
+        target = make_assemblage(radial_mix_state(rho, t), ICO_DIRS).ps
+        assert _inner_model(model, t / t_star, anchor).residual(target) <= TOL.lp_residual
+        assert _inner_model(model, t, anchor).residual(target) > TOL.lp_residual
 
 
 def _bisection_bracket(rho, params):
@@ -255,16 +351,33 @@ def test_locator_bracket_inside_bisection_bracket():
         assert rep.r_out <= r_out + 1e-9
 
 
-def test_pure_bob_marginal_gives_vacuous_r_in():
-    """Bob's marginal is a pure state off every polytope vertex, so no LHS
-    model over the restricted hull exists at any t and the restrict
-    locator finds none: r_in = 0 must come with unsteerable_certified
-    False (it was once reported as certified)."""
+def test_pure_bob_marginal_certified():
+    """Bob's marginal is a pure state off every polytope vertex. Only
+    columns whose hidden state is b itself can model the product state,
+    and b is a ball column, so r_in is certified up to t_cap (no
+    hidden-polytope LP found any t for it)."""
     bob = (np.eye(2) + bloch_to_obs(np.array([0.48, 0.6, 0.64]))) / 2
     rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), bob).astype(complex), (2, 2))
     rep = critical_radius_bounds(rho, RadiusParams(hidden_level=1, bisection_tol=1e-2))
-    assert rep.r_in == 0.0
-    assert not rep.unsteerable_certified
+    assert rep.unsteerable_certified
+    assert rep.r_in == ICO.eta * rep.t_cap
+
+
+def test_no_located_t_gives_vacuous_bracket(monkeypatch):
+    """A locator that finds no t leaves r_in = 0 with unsteerable_certified
+    False (it was once reported as certified) and r_out = t_cap."""
+    solve = lhs._solve
+
+    def no_t(pool, b, t_col=None, t_cap=0.0):
+        if t_col is None:
+            return solve(pool, b)
+        slack, t, w, functional = solve(pool, b, t_col, t_cap)
+        return 1.0, 0.0, w, functional
+
+    monkeypatch.setattr(lhs, "_solve", no_t)
+    rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
+    assert rep.r_in == 0.0 and not rep.unsteerable_certified
+    assert rep.r_out == rep.t_cap and not rep.steerable_detected
 
 
 def test_detect_steerable_werner():
@@ -368,10 +481,9 @@ def test_critical_radius_singlet_bracket():
     rep = critical_radius_bounds(singlet(), RadiusParams(bisection_tol=5e-3))
     assert rep.steerable_detected and rep.unsteerable_certified
     assert rep.r_in <= 0.5 <= rep.r_out
-    # certified within 1e-4 of the restrict locator's t* = 0.5393447: at
-    # t* - 1e-6 the solver's weights dip below zero and the model fails its
-    # reconstruction check, so the next step back must be tried before t* - tol
-    assert rep.r_in >= ICO.eta * (0.5393447 - 1e-4)
+    # certified TOL.locator_margin below the ball locator's t* = 0.539345,
+    # which it finds to within its pricing tolerance 1e-9 M = 1e-5
+    assert rep.r_in >= ICO.eta * (0.539345 - 1e-5)
     assert rep.r_out - rep.r_in < 0.2
     d = rep.to_dict()
     assert d["meas_polytope_level"] == 0 and d["hidden_polytope_level"] == 2
