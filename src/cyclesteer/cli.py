@@ -251,11 +251,10 @@ def _add_state(p: argparse.ArgumentParser):
 def _add_radius(p: argparse.ArgumentParser):
     """Radius options; one not given takes its RadiusParams default."""
     p.add_argument("--meas-level", type=_NONNEG_INT, default=None)
-    p.add_argument("--hidden-level", type=_NONNEG_INT, default=None)
+    p.add_argument("--hidden-level", type=_NONNEG_INT, default=None,
+                   help="polytope whose vertices seed and price the LP's columns")
     p.add_argument("--tol", type=_POSITIVE, default=None, dest="bisection_tol",
-                   help="step in the mixing parameter t: steering detection is probed tol/2 "
-                        "above the relaxed LP's last feasible t, and r_in is certified at most "
-                        "tol below the located t*")
+                   help="step in the mixing parameter t: steering detection is probed tol/2 above t*")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,7 @@ exact bound, re-checked at its crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -54,16 +54,14 @@ _CG_COLUMNS_PER_ROUND = 40
 # the max-t LP; over the builtin, random and family states at hidden
 # levels 0 and 2 that dual was at most 27, and M = 10 already failed.
 _LOCATOR_PENALTY = 1e4
-# A Farkas functional detects steering where its value exceeds its exact
-# ball bound by more than this.
+# A Farkas functional detects steering where it beats its exact bound by more.
 _DETECTION_MARGIN = 1e-12
 # t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state.
 T_CAP_MAX = 2.0
 
 
 class LpFailure(RuntimeError):
-    """The LP solver returned neither a clean feasibility certificate nor
-    a clean Farkas certificate."""
+    """The LP ended with neither an LHS model nor a detecting functional."""
 
 
 @dataclass(frozen=True)
@@ -75,9 +73,8 @@ class LhsCertificate:
     weights: np.ndarray         # (ncols,) nonnegative
 
     def reconstruct(self) -> np.ndarray:
-        """The modeled assemblage in the (m, 2, 4) layout: each weight adds
-        [1, r] to the entry (x, bits[x]) of every setting x. Summed here
-        from the weights, independently of the LP's column builder."""
+        """The modeled assemblage in the (m, 2, 4) layout, summed from the
+        weights apart from the LP: each adds [1, r] at (x, bits[x]) for every x."""
         m = self.strategy_bits.shape[1]
         h = np.hstack([np.ones((len(self.blochs), 1)), self.blochs])
         ps = np.zeros((m, 2, 4))
@@ -105,9 +102,8 @@ class GeneralFunctional:
         return float((self.coef * assemblage.ps).sum())
 
     def exact_lhs_bound(self) -> float:
-        """Exact bound over all LHS models with hidden states anywhere in
-        the Bloch ball: max over deterministic strategies of
-        lambda_max(sum_x F_{lambda(x)|x})."""
+        """Exact bound over all LHS models with hidden states anywhere in the
+        Bloch ball: max over strategies of lambda_max(sum_x F_{lambda(x)|x})."""
         return max_over_strategies(self.coef)[0]
 
 
@@ -140,14 +136,12 @@ def _columns(bits: np.ndarray, blochs: np.ndarray) -> sparse.csc_array:
 
 @dataclass
 class _Pool:
-    """The columns of the ball LP so far, with the polytope whose vertices
-    price new ones."""
+    """The ball LP's columns so far, and the polytope that prices more."""
 
     hidden: SpherePolytope
     cols: sparse.csc_array
     bits: np.ndarray
     blochs: np.ndarray
-    added: set = field(default_factory=set)
 
     @classmethod
     def seed(cls, hidden: SpherePolytope, m: int) -> "_Pool":
@@ -167,18 +161,10 @@ class _Pool:
             hidden.lp_columns[m] = (cols, bits, blochs)
         return cls(hidden, *hidden.lp_columns[m])
 
-    def add(self, bits: np.ndarray, blochs: np.ndarray) -> bool:
-        """Append the columns not added before; False if there are none
-        (an LP that returns the same dual prices the same columns)."""
-        bits = bits.astype(np.int8)
-        keys = {bi.tobytes() + r.tobytes(): j for j, (bi, r) in enumerate(zip(bits, blochs))}
-        fresh = [j for key, j in keys.items() if key not in self.added]
-        self.added.update(keys)
-        if fresh:
-            self.cols = sparse.hstack([self.cols, _columns(bits[fresh], blochs[fresh])], format="csc")
-            self.bits = np.vstack([self.bits, bits[fresh]])
-            self.blochs = np.vstack([self.blochs, blochs[fresh]])
-        return bool(fresh)
+    def add(self, bits: np.ndarray, blochs: np.ndarray):
+        self.cols = sparse.hstack([self.cols, _columns(bits, blochs)], format="csc")
+        self.bits = np.vstack([self.bits, bits.astype(np.int8)])
+        self.blochs = np.vstack([self.blochs, blochs])
 
     def model(self, w: np.ndarray) -> LhsCertificate:
         """The LHS model of LP weights w over this pool, with negative
@@ -211,9 +197,9 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray):
         vals = coef[None, :, :, 0] + np.einsum("kd,xad->kxa", r, coef[:, :, 1:])
         bits = np.unique(vals.argmax(axis=2), axis=0)
         scores, r = _best_column(coef, bits)
-    at_bob = (coef[:, :, 0] + coef[:, :, 1:] @ bob).argmax(axis=1)
-    bits, r = np.vstack([bits, at_bob]), np.vstack([r, bob])
-    scores = np.append(scores, (coef[np.arange(len(at_bob)), at_bob] @ np.append(1.0, bob)).sum())
+    at_bob = coef[:, :, 0] + coef[:, :, 1:] @ bob
+    bits, r = np.vstack([bits, at_bob.argmax(axis=1)]), np.vstack([r, bob])
+    scores = np.append(scores, at_bob.max(axis=1).sum())
     order = np.argsort(scores)[::-1][:_CG_COLUMNS_PER_ROUND]
     return bits[order], r[order], scores[order]
 
@@ -227,8 +213,10 @@ def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float 
     Without ``t_col`` it is the phase-1 LP (M = 1, no t): its optimum is
     the infeasibility, and its equality-constraint marginals are the
     Farkas vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With
-    ``t_col`` it is the locator (M = _LOCATOR_PENALTY), whose optimal t is
-    the largest feasible one when the slacks come back zero.
+    ``t_col`` it is the locator (M = _LOCATOR_PENALTY), whose optimal t
+    is the largest feasible one when the slacks come back zero. HiGHS
+    keeps primal feasibility to 1e-10, below the 1e-8 model check (at its
+    default 1e-7 a locator model came back with a weight of -9e-8).
 
     Returns (slack sum, t, w, y).
     """
@@ -251,7 +239,7 @@ def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float 
 
 
 def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
-    """``_solve_lp`` over the pool, adding priced columns until no new one
+    """``_solve_lp`` over the pool, adding priced columns until none
     prices above _PRICING_TOL relative to the slack weight M. When vertex
     pricing offers none, the exact kernel's maximizing column
     (lambda*, V/|V|) is priced, so every LP ends optimal over the ball.
@@ -281,10 +269,11 @@ def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
             bits = np.vstack([bits, best])
             blochs = np.vstack([blochs, _best_column(coef, best)[1]])
             scores = np.append(scores, bound)
-        if not pool.add(bits[scores > tol], blochs[scores > tol]):
+        if not (scores > tol).any():
             if infeasible:
                 raise LpFailure(f"LP infeasibility {slack:.2e}, but no functional beats its exact bound")
             return slack, t, w, None
+        pool.add(bits[scores > tol], blochs[scores > tol])
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 
@@ -537,6 +526,4 @@ def one_way_report(
         verdict = "refuted"
     else:
         verdict = "undetermined-at-this-resolution"
-    return OneWayReport(
-        report_ab=rep_ab, report_ba=rep_ba, r1=r1, r2=r2, delta=r2 - r1, verdict=verdict
-    )
+    return OneWayReport(report_ab=rep_ab, report_ba=rep_ba, r1=r1, r2=r2, delta=r2 - r1, verdict=verdict)

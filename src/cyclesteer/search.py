@@ -168,7 +168,7 @@ _C1, _C2, _C3 = 1.0, 1.0, 0.5
 def objective_scenario2_prefilter(coeffs) -> float:
     """Cheap stage: maximize rt(BA) - rt(AB) - penalty*max(0, rt(BA)-delta)
     with delta = 1.2 and penalty = 1, where rt is the coarse bracket
-    midpoint at low polytope resolution (``_PREFILTER_PARAMS``).
+    midpoint at low resolution (``_PREFILTER_PARAMS``).
 
     (This proxies the analytic critical-radius upper bound the original
     procedure used for preprocessing; the functional shape is identical.)
