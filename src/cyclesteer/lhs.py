@@ -44,7 +44,8 @@ from .tolerances import TOL
 
 # The pool starts from every (strategy, vertex) column of the hidden
 # polytope while there are at most this many (the prefilter's 64 x 12),
-# and empty above: seeding radius-default's 64 x 162 doubled its time.
+# and empty above: seeded with 64 x 162, radius-default's 8 brackets took
+# 14 s instead of 2.5 s.
 SEED_MAX_COLUMNS = 1024
 _PRICING_TOL = 1e-9
 _CG_MAX_ROUNDS = 400
@@ -54,7 +55,7 @@ _CG_COLUMNS_PER_ROUND = 40
 # the max-t LP; over the builtin, random and family states at hidden
 # levels 0 and 2 that dual was at most 27, and M = 10 already failed.
 _LOCATOR_PENALTY = 1e4
-# A Farkas functional detects steering where it beats its exact bound by more.
+# A Farkas functional detects steering where it beats its exact bound by more than this.
 _DETECTION_MARGIN = 1e-12
 # t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state.
 T_CAP_MAX = 2.0

@@ -303,6 +303,7 @@ def test_mixing_lemma(rho, u):
     err_star = model.residual(make_assemblage(radial_mix_state(rho, t_star), ICO_DIRS).ps)
     assert err_star <= TOL.lp_residual
     mixed = _inner_model(model, u, anchor)
+    assert all(np.linalg.norm(r) <= 1.0 for r in mixed.blochs)
     assert mixed.residual(make_assemblage(radial_mix_state(rho, u * t_star), ICO_DIRS).ps) <= u * err_star + 1e-15
 
 
