@@ -15,8 +15,7 @@ class Tolerances:
     psd: float = 1e-10              # min eigenvalue >= -psd
     state_norm: float = 1e-9        # pure-state normalization guard
     lp_residual: float = 1e-8       # LP primal residual / feasibility threshold
-    farkas_violation: float = 1e-7  # accept a Farkas dual only above this certified violation
-    locator_margin: float = 1e-6    # first r_in check this far below the restrict locator's t*, off the
+    locator_margin: float = 1e-6    # r_in is certified this far below the locator's t*, off the
                                     # boundary of the feasible set where the LP optimum sits
     degenerate_eig: float = 1e-9    # |eigenvalue| below which an observable direction is degenerate
     scenario1_margin: float = 1e-9  # scenario 1: Q_BA <= L + margin respects the bound, and
