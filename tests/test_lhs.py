@@ -563,3 +563,40 @@ def test_brackets_inside_hidden_polytope_brackets():
         old_in, old_out = HIDDEN_POLYTOPE_BRACKETS[key]
         assert rep.r_in >= old_in - 1e-12, key
         assert rep.r_out <= old_out + 1e-12, key
+
+
+# Brackets (r_in, r_out, t_cap) of the Bloch-ball flow that ran two LPs per
+# bracket: the locator for r_in, then a phase-1 LP at t* + tol/2 for r_out's
+# functional. Outer limits again, and t_cap, which no LP touches, must not move.
+TWO_LP_BRACKETS = {
+    "b1-AB": (0.8056774087854022, 1.0138713577762246, 1.0138713577762246),
+    "b1-BA": (0.8447801949566821, 1.0630786390975118, 1.0630786390975118),
+    "b2-AB": (0.8090258340305853, 1.0180850448086858, 1.0180850448086858),
+    "b2-BA": (0.8438529943092278, 1.061911841854453, 1.061911841854453),
+    "b3-AB": (0.807055064091817, 1.015605011023581, 1.015605011023581),
+    "b3-BA": (0.8325982678298234, 1.0477487975731492, 1.0477487975731492),
+    "sc1-AB": (0.7332020018736284, 0.9226789792416709, 1.0000162357464433),
+    "sc1-BA": (0.7315234755249342, 0.9205691972000225, 1.0000211726874113),
+    "singlet": (0.4285889235958329, 0.5393655555911626, 1.0),
+    "coarse0-AB": (1.0896009488661484, 1.3711631745100021, 1.3711631745100021),
+    "coarse0-BA": (1.0848810931244788, 1.3652236675843596, 1.3652236675843596),
+    "coarse1-AB": (0.9289230459227465, 1.1689647240564227, 1.1689647240564227),
+    "coarse1-BA": (1.0479079645918248, 1.3186963656917214, 1.3186963656917214),
+    "coarse2-AB": (0.9752429245340212, 1.2272540563717484, 1.2272540563717484),
+    "coarse2-BA": (0.9807868227010214, 1.2342305453494191, 1.2342305453494191),
+    "coarse3-AB": (0.8227101857518151, 1.0353055503219366, 1.0353055503219366),
+    "coarse3-BA": (0.8280947114667875, 1.0420814836397767, 1.0420814836397767),
+    "coarse4-AB": (1.5405631899739345, 1.9386579245328903, 1.9386579245328903),
+    "coarse4-BA": (1.5893089445835322, 2.0, 2.0),
+    "coarse5-AB": (0.8530705316616791, 1.0735112698748708, 1.0735112698748708),
+    "coarse5-BA": (0.8667485941860512, 1.0907238610088825, 1.0907238610088825),
+}
+
+
+def test_brackets_inside_two_lp_brackets():
+    for key, rho, params in _pinned_inputs():
+        rep = critical_radius_bounds(rho, params)
+        old_in, old_out, old_cap = TWO_LP_BRACKETS[key]
+        assert rep.r_in >= old_in - 1e-12, key
+        assert rep.r_out <= old_out + 1e-12, key
+        assert rep.t_cap == old_cap, key
