@@ -19,6 +19,7 @@ from .lhs import RadiusParams, critical_radius_bounds
 from .linalg import pauli_form
 from .states import PureState3Q, build_family, reduce_pair, swap_state
 from .steering import icosahedron_settings, lhs_bound_L
+from .tolerances import TOL
 
 # Nelder-Mead's standard coefficients, its stop on the simplex's spread
 # in x, and the size of its initial simplex.
@@ -89,7 +90,6 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
 # --- coefficient parameterizations ----------------------------------------
 
 PARAM_DIMS = {"real-7": 7, "real-8": 8, "complex-16": 16}
-_ZERO_NORM = 1e-14  # a coefficient vector shorter than this has no state
 
 
 def coeffs_to_state(vec) -> PureState3Q:
@@ -97,7 +97,8 @@ def coeffs_to_state(vec) -> PureState3Q:
 
     real-7 fixes c_111 = 0; real-8 frees all real coefficients;
     complex-16 interleaves (re, im) pairs. The redundant global scale is
-    removed by normalization inside this call.
+    removed by normalization inside this call, which raises ValueError
+    below TOL.zero_norm.
     """
     vec = np.asarray(vec, dtype=float)
     if len(vec) == 7:
@@ -108,8 +109,6 @@ def coeffs_to_state(vec) -> PureState3Q:
         c = vec[0::2] + 1j * vec[1::2]
     else:
         raise ValueError(f"unsupported parameter vector length {len(vec)}")
-    if np.linalg.norm(c) < _ZERO_NORM:
-        raise ValueError("all-zero coefficient vector")
     return PureState3Q(c).normalized()
 
 
@@ -288,7 +287,7 @@ def _load_resume(resume_path, spec: ObjectiveSpec, seed: int, restarts: int) -> 
                     raise ResumeLogError(f"line {n} is not a restart record ({e!r})") from None
                 if rec.seed != [seed, rec.restart]:
                     raise ResumeLogError(f"line {n} has seed {rec.seed!r}, not [{seed}, {rec.restart!r}]")
-                if len(rec.coeffs) != spec.dim or np.linalg.norm(rec.coeffs) < _ZERO_NORM:
+                if len(rec.coeffs) != spec.dim or np.linalg.norm(rec.coeffs) < TOL.zero_norm:
                     raise ResumeLogError(f"line {n} does not hold {spec.dim} coefficients that are not all zero")
                 if rec.restart >= restarts:
                     continue

@@ -33,7 +33,7 @@ class PureState3Q:
 
     def normalized(self) -> "PureState3Q":
         n = self.norm()
-        if n < 1e-14:
+        if n < TOL.zero_norm:
             raise ValueError("cannot normalize the zero state")
         return PureState3Q(self.c / n)
 

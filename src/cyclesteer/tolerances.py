@@ -1,7 +1,9 @@
-"""Central numerical tolerances.
-
-Every module pulls its thresholds from here so a tolerance change is a
-one-line edit rather than a grep across the codebase.
+"""Numerical tolerances shared across modules: state validation, the
+zero-norm guard, the LHS model check, r_in's margin below the locator's
+t*, degenerate observable directions and the scenario-1 margin. A
+threshold of one algorithm stays a documented constant of its module,
+such as the LP's pricing tolerance, slack weight and detection margin in
+``lhs`` and Nelder-Mead's stop in ``search``.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ class Tolerances:
     trace_one: float = 1e-10        # |tr(rho) - 1|
     psd: float = 1e-10              # min eigenvalue >= -psd
     state_norm: float = 1e-9        # pure-state normalization guard
+    zero_norm: float = 1e-14        # a coefficient vector shorter than this has no state
     lp_residual: float = 1e-8       # LP primal residual / feasibility threshold
     locator_margin: float = 1e-6    # r_in is certified this far below the locator's t*, off the
                                     # boundary of the feasible set where the LP optimum sits
