@@ -21,7 +21,6 @@ from .lhs import (
     detect_steerable,
     lhs_lp_feasible,
     one_way_report,
-    radial_mix,
 )
 from .entanglement import gte_criterion, is_ppt, negativity
 from .search import ObjectiveSpec, multi_restart, nelder_mead

@@ -23,10 +23,11 @@ Brackets come from one *locator* LP. Along the radial family
 rho(t) = t rho + (1 - t) I/2 (x) rho_B the right-hand side is affine,
 b(t) = b0 + t (b1 - b0), so the t in [0, t_cap] with an LP solution form
 an interval that contains t = 0 (b0 has an exact two-column model), and
-max t s.t. A w + t (b0 - b1) = b0 finds its upper end. The locator
-certifies nothing: r_in rests on its model mixed with the t = 0 model and
-checked by reconstruction, r_out on a Farkas functional that beats its
-exact bound, re-checked at its crossing.
+max t s.t. A w + t (b0 - b1) = b0 finds its upper end. Its primal and
+dual certify nothing until checked: r_in rests on its model mixed with
+the t = 0 model and checked by reconstruction, r_out on its dual, a
+Farkas functional with y.b(t) = t - t* that beats its exact bound just
+above t*, re-checked at its crossing.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .tolerances import TOL
 # and empty above: seeded with 64 x 162, radius-default's 8 brackets took
 # 14 s instead of 2.5 s.
 SEED_MAX_COLUMNS = 1024
+_SEEDS: dict = {}  # (polytope level, m) -> read-only seed (cols, bits, blochs)
 _PRICING_TOL = 1e-9
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
@@ -147,20 +149,20 @@ class _Pool:
     @classmethod
     def seed(cls, hidden: SpherePolytope, m: int) -> "_Pool":
         """Every (strategy, vertex) column while there are at most
-        SEED_MAX_COLUMNS, else none. The seed is built once per (polytope,
-        m) and kept on the polytope: strategy i = sum_x bits[x] 2^x major,
+        SEED_MAX_COLUMNS, else none. The seed is built once per (polytope
+        level, m) and kept in _SEEDS: strategy i = sum_x bits[x] 2^x major,
         vertex minor."""
         if (1 << m) * hidden.n_vertices > SEED_MAX_COLUMNS:
             return cls(hidden, sparse.csc_array((8 * m, 0)), np.zeros((0, m), np.int8), np.zeros((0, 3)))
-        if m not in hidden.lp_columns:
+        if (hidden.level, m) not in _SEEDS:
             strategies = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
             bits = np.repeat(strategies, hidden.n_vertices, axis=0)
             blochs = np.tile(_into_ball(hidden.vertices), (len(strategies), 1))
             cols = _columns(bits, blochs)
             for arr in (cols.data, cols.indices, cols.indptr, bits, blochs):
                 arr.flags.writeable = False
-            hidden.lp_columns[m] = (cols, bits, blochs)
-        return cls(hidden, *hidden.lp_columns[m])
+            _SEEDS[hidden.level, m] = (cols, bits, blochs)
+        return cls(hidden, *_SEEDS[hidden.level, m])
 
     def add(self, bits: np.ndarray, blochs: np.ndarray):
         self.cols = sparse.hstack([self.cols, _columns(bits, blochs)], format="csc")
@@ -244,11 +246,15 @@ def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
     prices above _PRICING_TOL relative to the slack weight M. When vertex
     pricing offers none, the exact kernel's maximizing column
     (lambda*, V/|V|) is priced, so every LP ends optimal over the ball.
+    The kernel bounds the dual divided by max(1, its max-abs entry), so
+    every functional has coefficients of at most 1.
 
     An infeasible phase-1 LP (no ``t_col``) has its dual re-bounded
     exactly whenever no priced column rules detection out; once the dual
     beats its bound by more than _DETECTION_MARGIN it is returned as a
     functional carrying that bound, whether or not pricing has converged.
+    A locator ending below t_cap returns its final dual y: t is basic, so
+    y.b(t) = t - t*, and its bound over the ball is below the pricing tolerance.
 
     Returns (slack sum, t, w over the pool, functional or None). Raises
     LpFailure when a phase-1 LP ends infeasible without a detection.
@@ -263,17 +269,20 @@ def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
         coef = y.reshape(m, 2, 4)
         bits, blochs, scores = _price(coef, pool.hidden.vertices, bob)
         infeasible = t_col is None and slack > TOL.lp_residual
+        functional = None
         if scores[0] <= tol or (infeasible and scores[0] < y @ b - _DETECTION_MARGIN):
-            bound, best = max_over_strategies(coef)
-            if infeasible and y @ b > bound + _DETECTION_MARGIN:
-                return slack, t, w, GeneralFunctional(coef, bound)
+            scale = max(1.0, np.abs(y).max())
+            bound, best = max_over_strategies(coef / scale)
+            functional = GeneralFunctional(coef / scale, bound)
+            if infeasible and y @ b / scale > bound + _DETECTION_MARGIN:
+                return slack, t, w, functional
             bits = np.vstack([bits, best])
             blochs = np.vstack([blochs, _best_column(coef, best)[1]])
-            scores = np.append(scores, bound)
+            scores = np.append(scores, bound * scale)
         if not (scores > tol).any():
             if infeasible:
                 raise LpFailure(f"LP infeasibility {slack:.2e}, but no functional beats its exact bound")
-            return slack, t, w, None
+            return slack, t, w, functional
         pool.add(bits[scores > tol], blochs[scores > tol])
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
@@ -318,7 +327,7 @@ def _detects(functional: GeneralFunctional, assemblage: Assemblage) -> bool:
 
 
 def certify_unsteerable_shrunk(rho_ab: DensityMatrix, meas: SpherePolytope, hidden: SpherePolytope) -> bool:
-    """True certifies radial_mix(rho_ab, meas.eta) unsteerable from A to B
+    """True certifies radial_mix_state(rho_ab, meas.eta) unsteerable from A to B
     for ALL projective measurements: any effect (I + eta u.sigma)/2 is a
     convex mixture of vertex effects because eta u lies in the vertex
     hull, and eta-depolarized measurements on rho are equivalent to
@@ -326,26 +335,18 @@ def certify_unsteerable_shrunk(rho_ab: DensityMatrix, meas: SpherePolytope, hidd
     return lhs_lp_feasible(make_assemblage(rho_ab, antipodal_directions(meas)), hidden)[0]
 
 
-def radial_mix(rho_ab: DensityMatrix, t: float) -> tuple[np.ndarray, bool]:
-    """t rho_AB + (1-t) (I/2 (x) rho_B); returns (matrix, indefinite).
-
-    Bob's marginal is invariant under the mix. Indefinite is possible for
-    t > 1, flagged when the minimum eigenvalue drops below -psd tolerance.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    rho_b = partial_trace(rho_ab, [1]).mat
-    anchor = np.kron(ID2 / 2, rho_b)
-    mat = t * rho_ab.mat + (1 - t) * anchor
-    indefinite = bool(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -TOL.psd)
-    return mat, indefinite
+def _radial_family(rho_ab: DensityMatrix):
+    """t -> t rho_AB + (1 - t) I/2 (x) rho_B, which keeps Bob's marginal."""
+    anchor = np.kron(ID2 / 2, partial_trace(rho_ab, [1]).mat)
+    return lambda t: t * rho_ab.mat + (1 - t) * anchor
 
 
 def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
-    mat, indefinite = radial_mix(rho_ab, t)
-    if indefinite:
-        raise ValueError(f"radial mix at t={t} is indefinite")
-    return DensityMatrix(mat, (2, 2))
+    """The radial mix at t as a state: ValueError for t < 0 and, by the
+    TOL.psd check of DensityMatrix, where it is indefinite (t > 1 only)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return DensityMatrix(_radial_family(rho_ab)(t), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -396,10 +397,14 @@ def bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
-    """Largest t <= t_max with radial_mix PSD (t = 1 always qualifies)."""
-    if not radial_mix(rho_ab, t_max)[1]:
-        return t_max
-    return bisect(lambda t: radial_mix(rho_ab, t)[1], 1.0, t_max, 1e-9)[0]
+    """Largest t <= t_max with the radial mix PSD (t = 1 always qualifies)."""
+    mix = _radial_family(rho_ab)
+
+    def indefinite(t: float) -> bool:
+        mat = mix(t)
+        return np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -TOL.psd
+
+    return bisect(indefinite, 1.0, t_max, 1e-9)[0] if indefinite(t_max) else t_max
 
 
 def _anchor(bob: np.ndarray, m: int) -> LhsCertificate:
@@ -429,7 +434,7 @@ def _inner_model(model: LhsCertificate, s: float, anchor: LhsCertificate) -> Lhs
 
 
 def _first_detection(functional: GeneralFunctional, a0: Assemblage, a1: Assemblage,
-                     rho_ab: DensityMatrix, directions, t_d: float) -> float:
+                     assemblage_at, t_d: float) -> float:
     """Smallest t <= t_d at which ``functional`` still detects steering,
     given that it detects at t_d. Its value is affine in t, so the
     crossing of bound + _DETECTION_MARGIN has a closed form; the point
@@ -439,13 +444,13 @@ def _first_detection(functional: GeneralFunctional, a0: Assemblage, a1: Assembla
     if v1 <= v0:
         return t_d
     t = min(t_d, max(0.0, (functional.bound + 2 * _DETECTION_MARGIN - v0) / (v1 - v0)))
-    mixed = make_assemblage(radial_mix_state(rho_ab, t), directions)
-    return t if _detects(functional, mixed) else t_d
+    return t if _detects(functional, assemblage_at(t)) else t_d
 
 
 def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> RadiusReport:
     """Bracket the critical radius with one locator LP, whose pool starts
-    from the level-``hidden_level`` seed and the t = 0 model.
+    from the level-``hidden_level`` seed and the t = 0 model; its primal
+    gives r_in and its dual r_out.
 
     r_in = meas.eta t (by the shrinking lemma, unsteerability of the
     shrunk state for all projective measurements) for t = t_cap if the
@@ -455,11 +460,11 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     Otherwise, or if the locator finds no t, r_in = 0 is vacuous
     (unsteerable_certified False).
 
-    r_out: if t* < t_cap, the phase-1 LP on the locator's pool at
-    t_d = min(t_cap, t* + tol/2) (tol = params.bisection_tol) may return
-    a functional that beats its exact bound at t_d. It detects steering
-    from its closed-form crossing up to t_d, and r_out is that crossing
-    (detection at t implies R <= t). Otherwise r_out = t_cap is vacuous.
+    r_out: if t* < t_cap, the locator's dual (see :func:`_solve`) is checked
+    on the mixed state's assemblage at t_d = min(t_cap, t* + tol/2) (tol =
+    params.bisection_tol). If it beats its exact bound there, it detects
+    steering from its closed-form crossing up to t_d, and r_out is that
+    crossing (detection at t implies R <= t). Else r_out = t_cap is vacuous.
     """
     meas = sphere_polytope(params.meas_level)
     directions = antipodal_directions(meas)
@@ -473,7 +478,7 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     anchor = _anchor(2 * a0.ps[0, 0, 1:], a0.m)
     pool = _Pool.seed(sphere_polytope(params.hidden_level), a0.m)
     pool.add(anchor.strategy_bits, anchor.blochs)
-    slack, t_star, w, _ = _solve(pool, b0, b0 - b1, t_cap)
+    slack, t_star, w, functional = _solve(pool, b0, b0 - b1, t_cap)
 
     t_in, r_out, det = 0.0, t_cap, False
     if slack <= TOL.lp_residual:
@@ -482,11 +487,10 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
             model = _inner_model(pool.model(w), t / t_star, anchor)
             if model.residual(assemblage_at(t).ps) <= TOL.lp_residual:
                 t_in = t
-        if t_star < t_cap:
+        if functional is not None:
             t_d = min(t_cap, t_star + params.bisection_tol / 2)
-            functional = _solve(pool, assemblage_at(t_d).ps.ravel())[3]
-            if functional is not None:
-                r_out, det = _first_detection(functional, a0, a1, rho_ab, directions, t_d), True
+            if _detects(functional, assemblage_at(t_d)):
+                r_out, det = _first_detection(functional, a0, a1, assemblage_at, t_d), True
 
     return RadiusReport(r_in=meas.eta * t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
                         unsteerable_certified=t_in > 0, params=params, meas_eta=meas.eta)

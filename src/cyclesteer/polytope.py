@@ -5,14 +5,12 @@ k-1 and renormalizes. The triangulation is carried along explicitly, so
 the inradius eta is certified directly from the facet planes without a
 generic convex-hull algorithm. The vertex set is antipodally symmetric
 at every level, which lets a vertex set double as antipodal measurement
-directions. In the LHS LP of :mod:`cyclesteer.lhs` the vertices seed the
-column pool and price new columns; the hidden states themselves range
-over the whole Bloch ball.
+directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -27,9 +25,6 @@ class SpherePolytope:
     faces: np.ndarray     # (F, 3) vertex index triangles of the hull
     eta: float            # certified inradius lower bound
     level: int
-    # the LP's seed columns over these vertices, keyed by the setting
-    # count m; filled by cyclesteer.lhs so each is built once per polytope
-    lp_columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:

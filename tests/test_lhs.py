@@ -25,10 +25,9 @@ from cyclesteer.lhs import (
     detect_steerable,
     lhs_lp_feasible,
     one_way_report,
-    radial_mix,
     radial_mix_state,
 )
-from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs
+from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.states import singlet, werner
 from cyclesteer.steering import make_assemblage, max_over_strategies, strategy_blocks
@@ -366,19 +365,82 @@ def test_pure_bob_marginal_certified():
 
 def test_no_located_t_gives_vacuous_bracket(monkeypatch):
     """A locator that finds no t leaves r_in = 0 with unsteerable_certified
-    False (it was once reported as certified) and r_out = t_cap."""
+    False (it was once reported as certified) and r_out = t_cap: its dual
+    is not used either."""
     solve = lhs._solve
 
-    def no_t(pool, b, t_col=None, t_cap=0.0):
-        if t_col is None:
-            return solve(pool, b)
-        slack, t, w, functional = solve(pool, b, t_col, t_cap)
+    def no_t(*args):
+        slack, t, w, functional = solve(*args)
+        assert functional is not None
         return 1.0, 0.0, w, functional
 
     monkeypatch.setattr(lhs, "_solve", no_t)
     rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
     assert rep.r_in == 0.0 and not rep.unsteerable_certified
     assert rep.r_out == rep.t_cap and not rep.steerable_detected
+
+
+def _product_state():
+    return DensityMatrix(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), (2, 2))
+
+
+def test_one_lp_run_per_bracket(monkeypatch):
+    """The locator's primal gives r_in and its dual r_out: one _solve per
+    bracket, whether the bracket detects steering or reaches t_cap."""
+    calls = []
+    solve = lhs._solve
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lhs, "_solve", spy)
+    for rho, detects in ((singlet(), True), (_product_state(), False)):
+        calls.clear()
+        rep = critical_radius_bounds(rho, RadiusParams(hidden_level=0, bisection_tol=1e-2))
+        assert rep.steerable_detected is detects and rep.unsteerable_certified
+        assert len(calls) == 1
+
+
+def test_locator_dual_is_the_r_out_functional():
+    """The locator's final dual comes back divided by its max-abs entry
+    (which reaches the slack weight M = 1e4 scale otherwise), bounded by
+    the pricing tolerance, with value (t - t*)/scale along the radial
+    family; on the singlet at default parameters its crossing, r_out,
+    lies within 2e-5 of t* = 0.539345."""
+    a0 = make_assemblage(radial_mix_state(singlet(), 0.0), ICO_DIRS)
+    a1 = make_assemblage(singlet(), ICO_DIRS)
+    anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
+    pool = _Pool.seed(sphere_polytope(2), 6)
+    pool.add(anchor.strategy_bits, anchor.blochs)
+    slack, t_star, _, functional = _solve(pool, a0.ps.ravel(), (a0.ps - a1.ps).ravel(), 1.0)
+    assert slack <= TOL.lp_residual and abs(t_star - 0.539345) <= 1e-5
+    assert np.abs(functional.coef).max() <= 1.0
+    assert functional.bound <= lhs._PRICING_TOL * lhs._LOCATOR_PENALTY
+    v0, v1 = functional.value(a0), functional.value(a1)
+    assert v1 > v0 and abs(v0 + t_star * (v1 - v0)) <= 1e-12
+    rep = critical_radius_bounds(singlet())
+    assert rep.steerable_detected and abs(rep.r_out - 0.539345) <= 2e-5
+
+
+def test_functional_that_misses_t_d_gives_vacuous_r_out(monkeypatch):
+    """r_out uses the locator's dual only where it beats its bound at
+    t_d = t* + tol/2 on the mixed state's own assemblage; a dual that does
+    not leaves r_out = t_cap and steerable_detected False, and r_in, from
+    the primal, as it was."""
+    params = RadiusParams(hidden_level=0, bisection_tol=1e-2)
+    r_in = critical_radius_bounds(singlet(), params).r_in
+    solve = lhs._solve
+
+    def blunt(*args):
+        slack, t, w, functional = solve(*args)
+        return slack, t, w, GeneralFunctional(functional.coef, functional.bound + 1.0)
+
+    monkeypatch.setattr(lhs, "_solve", blunt)
+    rep = critical_radius_bounds(singlet(), params)
+    assert rep.r_out == rep.t_cap and not rep.steerable_detected
+    assert rep.r_in == r_in and rep.unsteerable_certified
+    assert rep.to_dict()["steerable_detected"] is False
 
 
 def test_detect_steerable_werner():
@@ -405,8 +467,7 @@ def test_detection_tightens_with_hidden_refinement():
 
 
 def test_certify_unsteerable_shrunk_separable():
-    rho = DensityMatrix(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), (2, 2))
-    assert certify_unsteerable_shrunk(rho, ICO, HIDDEN1)
+    assert certify_unsteerable_shrunk(_product_state(), ICO, HIDDEN1)
 
 
 def test_certify_fails_on_singlet():
@@ -414,33 +475,26 @@ def test_certify_fails_on_singlet():
 
 
 def test_radial_mix_algebra():
-    """On the Werner family the mix acts as p -> t p."""
+    """On the Werner family the mix acts as p -> t p, also for t > 1."""
     for p, t in ((0.8, 0.5), (0.6, 1.2)):
-        mat, indef = radial_mix(werner(p), t)
-        assert np.abs(mat - werner(min(t * p, 1.0)).mat).max() <= 1e-12 or t * p > 1
-        if t * p <= 1:
-            assert np.abs(mat - werner(t * p).mat).max() <= 1e-12
-            assert not indef
+        assert np.abs(radial_mix_state(werner(p), t).mat - werner(t * p).mat).max() <= 1e-12
 
 
 def test_radial_mix_preserves_bob_marginal():
     rho = random_two_qubit()
-    from cyclesteer.linalg import partial_trace
-
     rb = partial_trace(rho, [1]).mat
     for t in (0.0, 0.3, 1.0):
         mixed = radial_mix_state(rho, t)
         assert np.abs(partial_trace(mixed, [1]).mat - rb).max() <= 1e-12
-    assert np.abs(radial_mix(rho, 0.0)[0] - np.kron(np.eye(2) / 2, rb)).max() <= 1e-12
+    assert np.abs(radial_mix_state(rho, 0.0).mat - np.kron(np.eye(2) / 2, rb)).max() <= 1e-12
 
 
 def test_radial_mix_indefinite_flag():
-    mat, indef = radial_mix(singlet(), 2.0)
-    assert indef
-    with pytest.raises(ValueError):
+    """An indefinite mix (the singlet at t = 2) and t < 0 are rejected."""
+    with pytest.raises(ValueError, match="minimum eigenvalue"):
         radial_mix_state(singlet(), 2.0)
-    with pytest.raises(ValueError):
-        radial_mix(singlet(), -0.1)
+    with pytest.raises(ValueError, match="t must be"):
+        radial_mix_state(singlet(), -0.1)
 
 
 def test_exact_lhs_bound_vs_sampling():
@@ -491,8 +545,7 @@ def test_critical_radius_singlet_bracket():
 
 
 def test_critical_radius_unsteerable_state_vacuous_upper():
-    rho = DensityMatrix(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex), (2, 2))
-    rep = critical_radius_bounds(rho, RadiusParams(hidden_level=1, bisection_tol=1e-2))
+    rep = critical_radius_bounds(_product_state(), RadiusParams(hidden_level=1, bisection_tol=1e-2))
     assert not rep.steerable_detected
     assert rep.r_out == rep.t_cap
     assert rep.unsteerable_certified
