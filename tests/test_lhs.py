@@ -404,23 +404,27 @@ def test_one_lp_run_per_bracket(monkeypatch):
 
 def test_locator_dual_is_the_r_out_functional():
     """The locator's final dual comes back divided by its max-abs entry
-    (which reaches the slack weight M = 1e4 scale otherwise), bounded by
-    the pricing tolerance, with value (t - t*)/scale along the radial
-    family; on the singlet at default parameters its crossing, r_out,
-    lies within 2e-5 of t* = 0.539345."""
-    a0 = make_assemblage(radial_mix_state(singlet(), 0.0), ICO_DIRS)
-    a1 = make_assemblage(singlet(), ICO_DIRS)
-    anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
-    pool = _Pool.seed(sphere_polytope(2), 6)
-    pool.add(anchor.strategy_bits, anchor.blochs)
-    slack, t_star, _, functional = _solve(pool, a0.ps.ravel(), (a0.ps - a1.ps).ravel(), 1.0)
-    assert slack <= TOL.lp_residual and abs(t_star - 0.539345) <= 1e-5
-    assert np.abs(functional.coef).max() <= 1.0
-    assert functional.bound <= lhs._PRICING_TOL * lhs._LOCATOR_PENALTY
-    v0, v1 = functional.value(a0), functional.value(a1)
-    assert v1 > v0 and abs(v0 + t_star * (v1 - v0)) <= 1e-12
-    rep = critical_radius_bounds(singlet())
-    assert rep.steerable_detected and abs(rep.r_out - 0.539345) <= 2e-5
+    (on Werner(0.9) one entry reaches the slack weight M = 1e4), bounded
+    by the pricing tolerance, with value (t - t*)/scale along the radial
+    family, and it detects just above t*; on the singlet at default
+    parameters r_out lies within 2e-5 of t* = 0.539345."""
+    hidden = sphere_polytope(RadiusParams().hidden_level)
+    for rho in (singlet(), werner(0.9)):
+        a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
+        a1 = make_assemblage(rho, ICO_DIRS)
+        anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
+        pool = _Pool.seed(hidden, 6)
+        pool.add(anchor.strategy_bits, anchor.blochs)
+        slack, t_star, _, functional = _solve(pool, a0.ps.ravel(), (a0.ps - a1.ps).ravel(),
+                                             _psd_cap(rho, T_CAP_MAX))
+        assert slack <= TOL.lp_residual and t_star < 1.0
+        assert np.abs(functional.coef).max() <= 1.0
+        assert functional.bound <= lhs._PRICING_TOL * lhs._LOCATOR_PENALTY
+        v0, v1 = functional.value(a0), functional.value(a1)
+        assert v1 > v0 and abs(v0 + t_star * (v1 - v0)) <= 1e-12
+        rep = critical_radius_bounds(rho)
+        assert rep.steerable_detected and t_star <= rep.r_out <= t_star + 2e-5
+    assert abs(critical_radius_bounds(singlet()).r_out - 0.539345) <= 2e-5
 
 
 def test_functional_that_misses_t_d_gives_vacuous_r_out(monkeypatch):
