@@ -254,7 +254,7 @@ def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
     beats its bound by more than _DETECTION_MARGIN it is returned as a
     functional carrying that bound, whether or not pricing has converged.
     A locator ending below t_cap returns its final dual y: t is basic, so
-    y.b(t) = t - t*, and its bound over the ball is below the pricing tolerance.
+    y.b(t) = t - t*, and its bound over the ball is at most the pricing tolerance.
 
     Returns (slack sum, t, w over the pool, functional or None). Raises
     LpFailure when a phase-1 LP ends infeasible without a detection.
