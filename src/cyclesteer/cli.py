@@ -58,6 +58,8 @@ def _load_source(spec: str):
             return loaded[0].normalized(), loaded[1]
     except FileNotFoundError:
         raise InputError(f"state file not found: {spec}") from None
+    except OSError as e:
+        raise InputError(f"cannot read state file {spec}: {e.strerror}") from None
     except (ValueError, KeyError, json.JSONDecodeError) as e:
         raise InputError(f"bad state file {spec}: {e}") from None
     return loaded, None

@@ -12,7 +12,8 @@ Bloch vector |r_j| <= 1, and one row per entry of the assemblage's
 (m, 2, 4), is a Farkas functional. For finite m this is the standard LHS
 program (Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)),
 solved by column generation from the (strategy, vertex) columns of a
-geodesic polytope while those are few, priced from its vertices. Pricing
+geodesic polytope while those are few, priced from its vertices. Each LP
+gets a dense matrix from its run's pool (strategy bits, Bloch vectors). Pricing
 sets accuracy, not soundness: a model from any pool is an LHS model once
 it passes reconstruction with every |r| <= 1 in floating point, and a
 dual detects steering only when it beats its exact Bloch-ball bound
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from .linalg import DensityMatrix, ID2, partial_trace
@@ -48,7 +48,6 @@ from .tolerances import TOL
 # and empty above: seeded with 64 x 162, radius-default's 8 brackets took
 # 14 s instead of 2.5 s.
 SEED_MAX_COLUMNS = 1024
-_SEEDS: dict = {}  # (polytope level, m) -> read-only seed (cols, bits, blochs)
 _PRICING_TOL = 1e-9
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
@@ -118,62 +117,26 @@ def _into_ball(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _columns(bits: np.ndarray, blochs: np.ndarray) -> sparse.csc_array:
+def _columns(bits: np.ndarray, blochs: np.ndarray) -> np.ndarray:
     """LP columns for (strategy, hidden state) pairs; shape (8m, n).
 
     Column j has a 1 in row 4(2x + bits[j, x]) and the hidden Bloch
     vector blochs[j] in the three rows below it, for each setting x.
-    Exact zeros are dropped, as a dense-to-sparse conversion would.
     """
     n, m = bits.shape
-    rows = 4 * (2 * np.arange(m) + np.asarray(bits, dtype=np.int64))[:, :, None] + np.arange(4)
-    vals = np.empty((n, m, 4))
-    vals[:, :, 0] = 1.0
-    vals[:, :, 1:] = blochs[:, None, :]
-    cols = sparse.csc_array(
-        (vals.ravel(), rows.ravel(), np.arange(0, 4 * m * n + 1, 4 * m)), shape=(8 * m, n)
-    )
-    cols.eliminate_zeros()
-    return cols
+    cols = np.zeros((n, m, 2, 4))
+    cols[np.arange(n)[:, None], np.arange(m), bits] = np.hstack([np.ones((n, 1)), blochs])[:, None, :]
+    return cols.reshape(n, 8 * m).T
 
 
-@dataclass
-class _Pool:
-    """The ball LP's columns so far, and the polytope that prices more."""
-
-    hidden: SpherePolytope
-    cols: sparse.csc_array
-    bits: np.ndarray
-    blochs: np.ndarray
-
-    @classmethod
-    def seed(cls, hidden: SpherePolytope, m: int) -> "_Pool":
-        """Every (strategy, vertex) column while there are at most
-        SEED_MAX_COLUMNS, else none. The seed is built once per (polytope
-        level, m) and kept in _SEEDS: strategy i = sum_x bits[x] 2^x major,
-        vertex minor."""
-        if (1 << m) * hidden.n_vertices > SEED_MAX_COLUMNS:
-            return cls(hidden, sparse.csc_array((8 * m, 0)), np.zeros((0, m), np.int8), np.zeros((0, 3)))
-        if (hidden.level, m) not in _SEEDS:
-            strategies = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
-            bits = np.repeat(strategies, hidden.n_vertices, axis=0)
-            blochs = np.tile(_into_ball(hidden.vertices), (len(strategies), 1))
-            cols = _columns(bits, blochs)
-            for arr in (cols.data, cols.indices, cols.indptr, bits, blochs):
-                arr.flags.writeable = False
-            _SEEDS[hidden.level, m] = (cols, bits, blochs)
-        return cls(hidden, *_SEEDS[hidden.level, m])
-
-    def add(self, bits: np.ndarray, blochs: np.ndarray):
-        self.cols = sparse.hstack([self.cols, _columns(bits, blochs)], format="csc")
-        self.bits = np.vstack([self.bits, bits.astype(np.int8)])
-        self.blochs = np.vstack([self.blochs, blochs])
-
-    def model(self, w: np.ndarray) -> LhsCertificate:
-        """The LHS model of LP weights w over this pool, with negative
-        weights (solver tolerance) clipped to zero."""
-        keep = w > 0
-        return LhsCertificate(self.bits[keep], self.blochs[keep], w[keep])
+def _seed(hidden: SpherePolytope, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bits, blochs) of every (strategy, vertex) column, strategy i = sum_x
+    bits[x] 2^x major and vertex minor, while at most SEED_MAX_COLUMNS; else none."""
+    if (1 << m) * hidden.n_vertices > SEED_MAX_COLUMNS:
+        return np.zeros((0, m), np.int8), np.zeros((0, 3))
+    strategies = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
+    return (np.repeat(strategies, hidden.n_vertices, axis=0),
+            np.tile(_into_ball(hidden.vertices), (len(strategies), 1)))
 
 
 def _best_column(coef: np.ndarray, bits: np.ndarray):
@@ -207,8 +170,8 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray):
     return bits[order], r[order], scores[order]
 
 
-def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float = 0.0):
-    """One LP over the given columns:
+def _solve_lp(a_cols: np.ndarray, b: np.ndarray, t_col=None, t_cap: float = 0.0):
+    """One LP over the given dense columns (linprog hands HiGHS its CSC form):
 
         min M.(s+ + s-) - t   s.t.   a_cols w + t t_col + s+ - s- = b,
         w, s+, s- >= 0,  0 <= t <= t_cap.
@@ -224,11 +187,10 @@ def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float 
     Returns (slack sum, t, w, y).
     """
     nrows, ncols = a_cols.shape
-    eye = sparse.eye_array(nrows, format="csc")
-    t_block = [] if t_col is None else [sparse.csc_array(t_col[:, None])]
+    t_block = [] if t_col is None else [t_col[:, None]]
     penalty = 1.0 if t_col is None else _LOCATOR_PENALTY
     nt = len(t_block)
-    afull = sparse.hstack([a_cols, *t_block, eye, -eye], format="csc")
+    afull = np.hstack([a_cols, *t_block, np.eye(nrows), -np.eye(nrows)])
     c = np.concatenate([np.zeros(ncols), -np.ones(nt), np.full(2 * nrows, penalty)])
     bounds = np.zeros((len(c), 2))
     bounds[:, 1] = np.inf
@@ -241,13 +203,14 @@ def _solve_lp(a_cols: sparse.csc_array, b: np.ndarray, t_col=None, t_cap: float 
     return float(res.x[ncols + nt :].sum()), t, res.x[:ncols], np.asarray(res.eqlin.marginals)
 
 
-def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
-    """``_solve_lp`` over the pool, adding priced columns until none
-    prices above _PRICING_TOL relative to the slack weight M. When vertex
-    pricing offers none, the exact kernel's maximizing column
-    (lambda*, V/|V|) is priced, so every LP ends optimal over the ball.
-    The kernel bounds the dual divided by max(1, its max-abs entry), so
-    every functional has coefficients of at most 1.
+def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap: float = 0.0):
+    """``_solve_lp`` over the columns of ``pool`` = (bits, blochs), adding
+    priced columns until none prices above _PRICING_TOL relative to the
+    slack weight M. Vertex pricing runs over ``hidden``; when it offers
+    none, the exact kernel's maximizing column (lambda*, V/|V|) is priced,
+    so every LP ends optimal over the ball. The kernel bounds the dual
+    divided by max(1, its max-abs entry), so every functional has
+    coefficients of at most 1.
 
     An infeasible phase-1 LP (no ``t_col``) has its dual re-bounded
     exactly whenever no priced column rules detection out; once the dual
@@ -256,18 +219,20 @@ def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
     A locator ending below t_cap returns its final dual y: t is basic, so
     y.b(t) = t - t*, and its bound over the ball is at most the pricing tolerance.
 
-    Returns (slack sum, t, w over the pool, functional or None). Raises
-    LpFailure when a phase-1 LP ends infeasible without a detection.
+    Returns (slack sum, t, LHS model of the positive weights, functional or
+    None). Raises LpFailure when a phase-1 LP ends infeasible undetected.
     """
     m = len(b) // 8
+    pool_bits, pool_blochs = pool
     tol = _PRICING_TOL * (1.0 if t_col is None else _LOCATOR_PENALTY)
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     for _ in range(_CG_MAX_ROUNDS):
-        slack, t, w, y = _solve_lp(pool.cols, b, t_col, t_cap)
+        slack, t, w, y = _solve_lp(_columns(pool_bits, pool_blochs), b, t_col, t_cap)
+        model = LhsCertificate(pool_bits[w > 0], pool_blochs[w > 0], w[w > 0])
         if slack <= TOL.lp_residual and (t_col is None or t >= t_cap):
-            return slack, t, w, None  # feasible, or t at its cap: no column can improve
+            return slack, t, model, None  # feasible, or t at its cap: no column can improve
         coef = y.reshape(m, 2, 4)
-        bits, blochs, scores = _price(coef, pool.hidden.vertices, bob)
+        bits, blochs, scores = _price(coef, hidden.vertices, bob)
         infeasible = t_col is None and slack > TOL.lp_residual
         functional = None
         if scores[0] <= tol or (infeasible and scores[0] < y @ b - _DETECTION_MARGIN):
@@ -275,15 +240,16 @@ def _solve(pool: _Pool, b: np.ndarray, t_col=None, t_cap: float = 0.0):
             bound, best = max_over_strategies(coef / scale)
             functional = GeneralFunctional(coef / scale, bound)
             if infeasible and y @ b / scale > bound + _DETECTION_MARGIN:
-                return slack, t, w, functional
+                return slack, t, model, functional
             bits = np.vstack([bits, best])
             blochs = np.vstack([blochs, _best_column(coef, best)[1]])
             scores = np.append(scores, bound * scale)
         if not (scores > tol).any():
             if infeasible:
                 raise LpFailure(f"LP infeasibility {slack:.2e}, but no functional beats its exact bound")
-            return slack, t, w, functional
-        pool.add(bits[scores > tol], blochs[scores > tol])
+            return slack, t, model, functional
+        pool_bits = np.vstack([pool_bits, bits[scores > tol].astype(np.int8)])
+        pool_blochs = np.vstack([pool_blochs, blochs[scores > tol]])
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 
@@ -300,13 +266,11 @@ def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     or (False, None), "not certified"; raises LpFailure when the solver
     gives neither.
     """
-    pool = _Pool.seed(hidden, assemblage.m)
-    slack, _, w, functional = _solve(pool, assemblage.ps.ravel())
+    slack, _, model, functional = _solve(hidden, _seed(hidden, assemblage.m), assemblage.ps.ravel())
     if functional is not None:
         return False, functional
-    cert = pool.model(w)
-    if slack <= TOL.lp_residual and cert.residual(assemblage.ps) <= TOL.lp_residual:
-        return True, cert
+    if slack <= TOL.lp_residual and model.residual(assemblage.ps) <= TOL.lp_residual:
+        return True, model
     return False, None
 
 
@@ -476,17 +440,16 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     a0, a1 = assemblage_at(0.0), make_assemblage(rho_ab, directions)
     b0, b1 = a0.ps.ravel(), a1.ps.ravel()
     anchor = _anchor(2 * a0.ps[0, 0, 1:], a0.m)
-    pool = _Pool.seed(sphere_polytope(params.hidden_level), a0.m)
-    pool.add(anchor.strategy_bits, anchor.blochs)
-    slack, t_star, w, functional = _solve(pool, b0, b0 - b1, t_cap)
+    hidden = sphere_polytope(params.hidden_level)
+    bits, blochs = _seed(hidden, a0.m)
+    pool = np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])
+    slack, t_star, model, functional = _solve(hidden, pool, b0, b0 - b1, t_cap)
 
     t_in, r_out, det = 0.0, t_cap, False
     if slack <= TOL.lp_residual:
         t = t_cap if t_star >= t_cap else t_star - TOL.locator_margin
-        if t > 0:
-            model = _inner_model(pool.model(w), t / t_star, anchor)
-            if model.residual(assemblage_at(t).ps) <= TOL.lp_residual:
-                t_in = t
+        if t > 0 and _inner_model(model, t / t_star, anchor).residual(assemblage_at(t).ps) <= TOL.lp_residual:
+            t_in = t
         if functional is not None:
             t_d = min(t_cap, t_star + params.bisection_tol / 2)
             if _detects(functional, assemblage_at(t_d)):

@@ -36,20 +36,14 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
     """Maximize ``objective`` from ``x0``; returns (x_best, f_best, iters).
 
     f_best is the best value over every vertex ever evaluated, so it is
-    monotone in the iteration count and never below objective(x0).
+    monotone in the iteration count and never below objective(x0); x_best is
+    the first point that reached it, which the simplex keeps as its best vertex.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     simplex = [x0.copy()] + [x0 + _INITIAL_STEP * np.eye(n)[i] for i in range(n)]
     fvals = np.array([-objective(x) for x in simplex])  # minimize -f internally
     simplex = np.array(simplex)
-    best_x, best_f = simplex[fvals.argmin()].copy(), fvals.min()
-
-    def record(x, f):
-        nonlocal best_x, best_f
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-
     iters = 0
     for iters in range(1, params.max_iter + 1):
         order = np.argsort(fvals, kind="stable")
@@ -59,11 +53,9 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
         centroid = simplex[:-1].mean(axis=0)
         xr = centroid + _REFLECTION * (centroid - simplex[-1])
         fr = -objective(xr)
-        record(xr, fr)
         if fr < fvals[0]:
             xe = centroid + _EXPANSION * (xr - centroid)
             fe = -objective(xe)
-            record(xe, fe)
             if fe < fr:
                 simplex[-1], fvals[-1] = xe, fe
             else:
@@ -76,15 +68,14 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
             else:
                 xc = centroid + _CONTRACTION * (simplex[-1] - centroid)
             fc = -objective(xc)
-            record(xc, fc)
             if fc < min(fr, fvals[-1]):
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
                     simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
                     fvals[i] = -objective(simplex[i])
-                    record(simplex[i], fvals[i])
-    return best_x, -best_f, iters
+    best = fvals.argmin()
+    return simplex[best].copy(), -fvals[best], iters
 
 
 # --- coefficient parameterizations ----------------------------------------
@@ -297,6 +288,8 @@ def _load_resume(resume_path, spec: ObjectiveSpec, seed: int, restarts: int) -> 
                 done[rec.restart] = rec
     except FileNotFoundError:
         pass
+    except (OSError, UnicodeDecodeError) as e:
+        raise ResumeLogError(f"cannot be read ({e})") from None
     return done
 
 

@@ -163,20 +163,34 @@ def state_to_json(obj: PureState3Q | DensityMatrix, p: float | None = None) -> d
     }
 
 
-def state_from_json(data: dict) -> tuple[PureState3Q, float] | DensityMatrix:
-    """Parse the state file schema; input is validated (a family needs p
-    in [0, 1]; non-PSD or non-unit-trace density matrices are rejected
-    by DensityMatrix)."""
+def _numbers(value, what: str, shape: tuple, kind: str = "iuf") -> np.ndarray:
+    """``value`` as an array of numpy dtype ``kind`` and of ``shape``, where
+    -1 matches any length; else ValueError, naming ``what``."""
+    arr = np.array(value)  # ragged nesting raises ValueError
+    fits = arr.ndim == len(shape) and all(s in (-1, n) for s, n in zip(shape, arr.shape))
+    if arr.dtype.kind not in kind or not fits:
+        raise ValueError(f"expected {what}, got {value!r:.60}")
+    return arr
+
+
+def state_from_json(data) -> tuple[PureState3Q, float] | DensityMatrix:
+    """Parse the state file schema; malformed input raises ValueError: an
+    object with 8 [re, im] pairs ``c`` and a number ``p`` in [0, 1], or an
+    integer list ``dims`` and numeric matrices ``re``, ``im`` of one shape."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "three_qubit_family":
-        c = np.array([complex(re, im) for re, im in data["c"]])
-        p = float(data.get("p", 1.0))
+        c = _numbers(data["c"], "c as 8 [re, im] pairs of numbers", (8, 2))
+        p = float(_numbers(data.get("p", 1.0), "p as a number", ()))
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p={p} outside [0, 1]")
-        return PureState3Q(c), p
+        return PureState3Q(np.array([complex(re, im) for re, im in c.tolist()])), p
     if kind == "density_matrix":
-        mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-        return DensityMatrix(mat, tuple(data["dims"]))
+        dims = _numbers(data["dims"], "dims as a list of integers", (-1,), kind="iu")
+        re = _numbers(data["re"], "re as a matrix of numbers", (-1, -1))
+        im = _numbers(data["im"], f"im as a {re.shape} matrix of numbers", re.shape)
+        return DensityMatrix(re + 1j * im, tuple(dims))
     raise ValueError(f"unknown state file type {kind!r}")
 
 

@@ -81,6 +81,34 @@ def test_bad_family_p_in_state_file_is_input_error(tmp_path, capsys):
     assert main(["scenario1", "--state", str(path)]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    {"type": "three_qubit_family", "c": [1, 2, 3, 4, 5, 6, 7, 8]},
+    [1, 2],
+    {"type": "density_matrix", "dims": 2, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()},
+    {"type": "three_qubit_family", "c": [[1, 0]] * 8, "p": None},
+    None,  # a directory
+], ids=["c-not-pairs", "top-level-list", "dims-not-list", "p-null", "directory"])
+def test_malformed_state_file_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "s.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
+    assert main(["scenario1", "--state", str(path)]) == 2
+    assert "state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe not utf-8\n"),
+], ids=["directory", "not-utf-8"])
+def test_unreadable_resume_log_is_input_error(tmp_path, capsys, make):
+    log = tmp_path / "log.jsonl"
+    make(log)
+    assert main(["search", "--scenario", "1", "--restarts", "1", "--resume", str(log)]) == 2
+    assert "cannot be read" in capsys.readouterr().err
+
+
 def test_malformed_resume_log_is_input_error(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text('{"restart": 0, "seed": [0, 0]\n')  # truncated record

@@ -15,8 +15,8 @@ from cyclesteer.lhs import (
     _anchor,
     _columns,
     _inner_model,
-    _Pool,
     _psd_cap,
+    _seed,
     _solve,
     _solve_lp,
     bisect,
@@ -119,7 +119,7 @@ def test_werner_above_threshold_infeasible_with_farkas():
 
 
 def _columns_loop(bits, blochs, m):
-    """The per-column double loop the sparse builder replaced (oracle)."""
+    """The per-column double loop the vectorized builder replaced (oracle)."""
     cols = np.zeros((8 * m, len(bits)))
     for j in range(len(bits)):
         for x in range(m):
@@ -131,31 +131,28 @@ def _columns_loop(bits, blochs, m):
 
 @pytest.mark.parametrize("level,m", [(0, 6), (1, 4), (2, 2)])
 def test_seed_columns_match_loop(level, m):
-    """The cached seed has the loop's entries in the loop's column order:
+    """The seed has the loop's entries in the loop's column order:
     strategy i = sum_x bits[x] 2^x major, hidden vertex minor, with the
     vertices pulled into the ball in floating point; above
     SEED_MAX_COLUMNS the pool starts empty."""
     hidden = sphere_polytope(level)
-    pool = _Pool.seed(hidden, m)
+    seed_bits, seed_blochs = _seed(hidden, m)
     idx = np.arange(1 << m)
     bits = np.repeat((idx[:, None] >> np.arange(m)) & 1, hidden.n_vertices, axis=0)
     blochs = np.tile(hidden.vertices, (1 << m, 1))
-    assert np.array_equal(pool.bits, bits)
-    assert np.abs(pool.blochs - blochs).max() <= 2.0**-50
-    assert (np.linalg.norm(pool.blochs, axis=1) <= 1.0).all()
-    assert np.array_equal(pool.cols.toarray(), _columns_loop(bits, pool.blochs, m))
-    assert _Pool.seed(hidden, m).cols is pool.cols  # built once
-    assert not pool.cols.data.flags.writeable
+    assert np.array_equal(seed_bits, bits)
+    assert np.abs(seed_blochs - blochs).max() <= 2.0**-50
+    assert (np.linalg.norm(seed_blochs, axis=1) <= 1.0).all()
+    assert np.array_equal(_columns(seed_bits, seed_blochs), _columns_loop(bits, seed_blochs, m))
     assert (1 << (m + 1)) * hidden.n_vertices > SEED_MAX_COLUMNS
-    assert _Pool.seed(hidden, m + 1).cols.shape == (8 * (m + 1), 0)
+    assert _columns(*_seed(hidden, m + 1)).shape == (8 * (m + 1), 0)
     r = np.random.default_rng(level)
     bits, blochs = r.integers(0, 2, (20, m)), r.standard_normal((20, 3))
-    assert np.array_equal(_columns(bits, blochs).toarray(), _columns_loop(bits, blochs, m))
+    assert np.array_equal(_columns(bits, blochs), _columns_loop(bits, blochs, m))
 
 
-def _empty_pool(hidden, m):
-    return _Pool(hidden, _columns(np.zeros((0, m), np.int8), np.zeros((0, 3))),
-                 np.zeros((0, m), np.int8), np.zeros((0, 3)))
+def _empty_pool(m):
+    return np.zeros((0, m), np.int8), np.zeros((0, 3))
 
 
 def test_column_generation_from_seed_or_empty():
@@ -165,8 +162,8 @@ def test_column_generation_from_seed_or_empty():
     decisions."""
     for rho in (werner(0.45), werner(0.99), random_two_qubit(np.random.default_rng(3))):
         b = make_assemblage(rho, ICO_DIRS).ps.ravel()
-        seeded = _solve(_Pool.seed(ICO, 6), b)
-        empty = _solve(_empty_pool(ICO, 6), b)
+        seeded = _solve(ICO, _seed(ICO, 6), b)
+        empty = _solve(ICO, _empty_pool(6), b)
         assert (seeded[3] is None) == (empty[3] is None)
         if seeded[3] is None:
             assert seeded[0] <= TOL.lp_residual and empty[0] <= TOL.lp_residual
@@ -204,8 +201,8 @@ def test_ball_locator_between_hidden_polytope_locators():
         inner = _hidden_polytope_t_star(HIDDEN1, b0, b1, t_cap, 1.0)
         outer = _hidden_polytope_t_star(HIDDEN1, b0, b1, t_cap, 1 / HIDDEN1.eta)
         balls = []
-        for pool in (_Pool.seed(ICO, 6), _empty_pool(HIDDEN1, 6)):
-            slack, t, _, _ = _solve(pool, b0, b0 - b1, t_cap)
+        for hidden, pool in ((ICO, _seed(ICO, 6)), (HIDDEN1, _empty_pool(6))):
+            slack, t, _, _ = _solve(hidden, pool, b0, b0 - b1, t_cap)
             assert slack <= TOL.lp_residual
             balls.append(t)
         assert inner - 1e-7 <= balls[0] <= outer + 1e-7
@@ -232,10 +229,10 @@ def test_certificate_checked_by_reconstruction(monkeypatch):
     solve = lhs._solve
 
     def perturbed(*args):
-        slack, t, w, functional = solve(*args)
-        w = w.copy()
+        slack, t, model, functional = solve(*args)
+        w = model.weights.copy()
         w[np.argmax(w)] += 1e-6
-        return slack, t, w, functional
+        return slack, t, LhsCertificate(model.strategy_bits, model.blochs, w), functional
 
     monkeypatch.setattr(lhs, "_solve", perturbed)
     for a in accepted:
@@ -261,6 +258,12 @@ def test_hidden_state_outside_ball_rejected():
     assert LhsCertificate(cert.strategy_bits, cert.blochs, weights).residual(a.ps) == np.inf
 
 
+def _locator_pool(hidden, anchor):
+    """The locator's starting pool: the seed of ``hidden`` and the t = 0 model's columns."""
+    bits, blochs = _seed(hidden, 6)
+    return np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])
+
+
 def _locator_model(rho, hidden=ICO):
     """(t*, the locator's model at t*, the t = 0 model, assemblages at 0
     and 1) at m = 6, as critical_radius_bounds finds them."""
@@ -268,11 +271,10 @@ def _locator_model(rho, hidden=ICO):
     a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
     a1 = make_assemblage(rho, ICO_DIRS)
     anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
-    pool = _Pool.seed(hidden, 6)
-    pool.add(anchor.strategy_bits, anchor.blochs)
-    slack, t_star, w, _ = _solve(pool, a0.ps.ravel(), (a0.ps - a1.ps).ravel(), t_cap)
+    slack, t_star, model, _ = _solve(hidden, _locator_pool(hidden, anchor), a0.ps.ravel(),
+                                     (a0.ps - a1.ps).ravel(), t_cap)
     assert slack <= TOL.lp_residual
-    return t_star, pool.model(w), anchor
+    return t_star, model, anchor
 
 
 @st.composite
@@ -370,9 +372,9 @@ def test_no_located_t_gives_vacuous_bracket(monkeypatch):
     solve = lhs._solve
 
     def no_t(*args):
-        slack, t, w, functional = solve(*args)
+        slack, t, model, functional = solve(*args)
         assert functional is not None
-        return 1.0, 0.0, w, functional
+        return 1.0, 0.0, model, functional
 
     monkeypatch.setattr(lhs, "_solve", no_t)
     rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
@@ -413,10 +415,8 @@ def test_locator_dual_is_the_r_out_functional():
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         a1 = make_assemblage(rho, ICO_DIRS)
         anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
-        pool = _Pool.seed(hidden, 6)
-        pool.add(anchor.strategy_bits, anchor.blochs)
-        slack, t_star, _, functional = _solve(pool, a0.ps.ravel(), (a0.ps - a1.ps).ravel(),
-                                             _psd_cap(rho, T_CAP_MAX))
+        slack, t_star, _, functional = _solve(hidden, _locator_pool(hidden, anchor), a0.ps.ravel(),
+                                              (a0.ps - a1.ps).ravel(), _psd_cap(rho, T_CAP_MAX))
         assert slack <= TOL.lp_residual and t_star < 1.0
         assert np.abs(functional.coef).max() <= 1.0
         assert functional.bound <= lhs._PRICING_TOL * lhs._LOCATOR_PENALTY
@@ -437,8 +437,8 @@ def test_functional_that_misses_t_d_gives_vacuous_r_out(monkeypatch):
     solve = lhs._solve
 
     def blunt(*args):
-        slack, t, w, functional = solve(*args)
-        return slack, t, w, GeneralFunctional(functional.coef, functional.bound + 1.0)
+        slack, t, model, functional = solve(*args)
+        return slack, t, model, GeneralFunctional(functional.coef, functional.bound + 1.0)
 
     monkeypatch.setattr(lhs, "_solve", blunt)
     rep = critical_radius_bounds(singlet(), params)

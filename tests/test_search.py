@@ -49,6 +49,26 @@ def test_nelder_mead_never_below_start():
     assert f >= obj(x0) - 1e-12
 
 
+@pytest.mark.parametrize("objective", [
+    lambda v: -np.sum((v - 0.3) ** 2),
+    lambda v: -np.floor(4 * np.abs(v - 0.3).sum()),  # plateaus: many ties
+])
+def test_nelder_mead_returns_first_best_evaluation(objective):
+    """The returned f is the largest value over every evaluation and x the
+    first point evaluated at it: a rejected point never beats the simplex's
+    best vertex, shrinking keeps that vertex, and on ties the stable sort
+    and argmin keep the older vertex first."""
+    seen = []
+
+    def spy(v):
+        seen.append((v.copy(), objective(v)))
+        return seen[-1][1]
+
+    x, f, _ = nelder_mead(spy, np.zeros(3), NMParams(max_iter=300))
+    assert f == max(value for _, value in seen)
+    assert np.array_equal(x, next(point for point, value in seen if value == f))
+
+
 def test_coeffs_to_state_parameterizations():
     s7 = coeffs_to_state(np.arange(1.0, 8.0))
     assert s7.c[7] == 0
