@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lhs import RadiusParams, critical_radius_bounds
-from .linalg import pauli_form
-from .states import PureState3Q, build_family, reduce_pair, swap_state
+from .linalg import PAULIS
+from .states import PureState3Q, build_family, reduce_pair, shift_operator, swap_state
 from .steering import icosahedron_settings, lhs_bound_L
 from .tolerances import TOL
 
@@ -41,9 +41,8 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
-    simplex = [x0.copy()] + [x0 + _INITIAL_STEP * np.eye(n)[i] for i in range(n)]
+    simplex = np.vstack([x0, x0 + _INITIAL_STEP * np.eye(n)])
     fvals = np.array([-objective(x) for x in simplex])  # minimize -f internally
-    simplex = np.array(simplex)
     iters = 0
     for iters in range(1, params.max_iter + 1):
         order = np.argsort(fvals, kind="stable")
@@ -81,26 +80,18 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
 # --- coefficient parameterizations ----------------------------------------
 
 PARAM_DIMS = {"real-7": 7, "real-8": 8, "complex-16": 16}
+_EMBEDDINGS = {7: np.eye(8)[:, :7], 8: np.eye(8), 16: np.kron(np.eye(8), [1, 1j])}
 
 
 def coeffs_to_state(vec) -> PureState3Q:
-    """Raw optimization vector -> normalized pure three-qubit state.
-
-    real-7 fixes c_111 = 0; real-8 frees all real coefficients;
-    complex-16 interleaves (re, im) pairs. The redundant global scale is
-    removed by normalization inside this call, which raises ValueError
-    below TOL.zero_norm.
-    """
+    """Raw optimization vector x -> normalized pure three-qubit state with
+    amplitudes _EMBEDDINGS[len(x)] @ x: real-7 fixes c_111 = 0, real-8 frees all
+    real coefficients, complex-16 interleaves (re, im) pairs. Normalization
+    removes the redundant global scale and raises ValueError below TOL.zero_norm."""
     vec = np.asarray(vec, dtype=float)
-    if len(vec) == 7:
-        c = np.append(vec, 0.0).astype(complex)
-    elif len(vec) == 8:
-        c = vec.astype(complex)
-    elif len(vec) == 16:
-        c = vec[0::2] + 1j * vec[1::2]
-    else:
+    if len(vec) not in _EMBEDDINGS:
         raise ValueError(f"unsupported parameter vector length {len(vec)}")
-    return PureState3Q(c).normalized()
+    return PureState3Q(_EMBEDDINGS[len(vec)] @ vec).normalized()
 
 
 def _reduced_pair(vec) -> tuple:
@@ -115,16 +106,22 @@ _ICO = icosahedron_settings()
 _L_ICO = lhs_bound_L(_ICO)[0]
 
 
-def _pauli_data_ab(c: np.ndarray):
-    """Local Bloch vectors and correlation matrix of rho_AB = tr_C of the
-    p = 1 family state built from amplitudes ``c`` (normalized)."""
-    t = c.reshape(2, 2, 2)
-    rho = np.zeros((2, 2, 2, 2), dtype=complex)  # indices (iA, jB, iA', jB')
-    for _ in range(3):
-        rho += np.einsum("ijk,lmk->ijlm", t, t.conj())
-        t = t.transpose(1, 2, 0)  # right shift
-    rho /= 3
-    return pauli_form(rho.reshape(4, 4))
+def _scenario1_forms() -> dict[int, np.ndarray]:
+    """Per coefficient count d, real (48 d, d) forms F with (F @ x).reshape(48, d) @ x
+    = |x|^2 (b_x . b, T b_x) for each setting b_x, then (b_x . a, T^T b_x), in the Pauli
+    form (a, b, T) of rho_AB = tr_C (1/3) sum_k S^k |c><c| S^k+ / |c|^2 at c = _EMBEDDINGS[d] @ x
+    (``build_family`` at p = 1, then ``reduce_pair``)."""
+    sigma = np.concatenate([np.eye(2)[None], PAULIS])  # I, X, Y, Z
+    bx = np.tensordot(_ICO.blochs, PAULIS, axes=1)  # b_x . sigma
+    ab = np.einsum("kij,xlm->xkiljm", sigma, bx).reshape(6, 4, 4, 4)  # sigma_k (x) b_x.sigma
+    ba = np.einsum("xij,klm->xkiljm", bx, sigma).reshape(6, 4, 4, 4)  # b_x.sigma (x) sigma_k
+    obs = np.kron(np.stack([ab, ba]).reshape(48, 4, 4), np.eye(2))  # (x) I_C
+    s = shift_operator()
+    m = sum(p.conj().T @ obs @ p for p in (np.eye(8), s, s @ s)) / 3
+    return {d: np.ascontiguousarray((e.conj().T @ m @ e).real.reshape(-1, d)) for d, e in _EMBEDDINGS.items()}
+
+
+_S1_FORMS = _scenario1_forms()
 
 
 def objective_scenario1(coeffs, penalty: float = 2.0) -> float:
@@ -133,14 +130,16 @@ def objective_scenario1(coeffs, penalty: float = 2.0) -> float:
     penalizing any violation of the swapped direction's classical bound.
 
     Uses the closed form ||G_x||_1 = max(|b . b_x|, ||T b_x||) in the
-    Pauli decomposition of rho_AB (tested against the generic trace-norm
-    path) to keep a multi-restart search desk-scale.
+    Pauli decomposition of rho_AB, read off quadratic forms in ``coeffs``
+    (tested against the generic trace-norm path), to keep a multi-restart
+    search desk-scale. Raises ValueError where ``coeffs_to_state`` does.
     """
-    psi = coeffs_to_state(coeffs)
-    a, b, corr = _pauli_data_ab(psi.c)
-    bx = _ICO.blochs
-    q_ab = np.maximum(np.abs(bx @ b), np.linalg.norm(bx @ corr.T, axis=1)).sum()
-    q_ba = np.maximum(np.abs(bx @ a), np.linalg.norm(bx @ corr, axis=1)).sum()
+    x = np.asarray(coeffs, dtype=float)
+    norm2 = float(x @ x)
+    if len(x) not in _S1_FORMS or math.sqrt(norm2) < TOL.zero_norm:
+        coeffs_to_state(x)  # raises its ValueError
+    sq = (((_S1_FORMS[len(x)] @ x).reshape(-1, len(x)) @ x) ** 2).reshape(2, 6, 4)
+    q_ab, q_ba = np.sqrt(np.maximum(sq[..., 0], sq[..., 1:].sum(axis=-1))).sum(axis=1) / norm2
     return float(q_ab - penalty * max(0.0, q_ba - _L_ICO))
 
 

@@ -164,11 +164,12 @@ def state_to_json(obj: PureState3Q | DensityMatrix, p: float | None = None) -> d
 
 
 def _numbers(value, what: str, shape: tuple, kind: str = "iuf") -> np.ndarray:
-    """``value`` as an array of numpy dtype ``kind`` and of ``shape``, where
-    -1 matches any length; else ValueError, naming ``what``."""
+    """``value`` as an array of numpy dtype ``kind`` and of ``shape`` (-1 matches
+    any length) with no JSON boolean, which numpy reads as 0 or 1 in a list of
+    numbers; else ValueError, naming ``what``."""
     arr = np.array(value)  # ragged nesting raises ValueError
     fits = arr.ndim == len(shape) and all(s in (-1, n) for s, n in zip(shape, arr.shape))
-    if arr.dtype.kind not in kind or not fits:
+    if arr.dtype.kind not in kind or not fits or bool in map(type, np.array(value, dtype=object).flat):
         raise ValueError(f"expected {what}, got {value!r:.60}")
     return arr
 

@@ -86,8 +86,9 @@ def test_bad_family_p_in_state_file_is_input_error(tmp_path, capsys):
     [1, 2],
     {"type": "density_matrix", "dims": 2, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()},
     {"type": "three_qubit_family", "c": [[1, 0]] * 8, "p": None},
+    {"type": "three_qubit_family", "c": [[True, 0]] + [[0, 0]] * 7},
     None,  # a directory
-], ids=["c-not-pairs", "top-level-list", "dims-not-list", "p-null", "directory"])
+], ids=["c-not-pairs", "top-level-list", "dims-not-list", "p-null", "c-boolean", "directory"])
 def test_malformed_state_file_is_input_error(tmp_path, capsys, content):
     path = tmp_path / "s.json"
     if content is None:

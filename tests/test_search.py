@@ -8,6 +8,7 @@ import pytest
 from cyclesteer.lhs import RadiusParams
 from cyclesteer.search import (
     _PREFILTER_PARAMS,
+    PARAM_DIMS,
     NMParams,
     ObjectiveSpec,
     ResumeLogError,
@@ -18,12 +19,14 @@ from cyclesteer.search import (
     objective_scenario2_full,
     two_stage_search,
 )
-from cyclesteer.states import builtin_state, build_family, reduce_pair, swap_state
+from cyclesteer.states import builtin_state, build_family, reduce_pair
 from cyclesteer.steering import icosahedron_settings, lhs_bound_L, quantum_value_Q
+from cyclesteer.tolerances import TOL
 
 rng = np.random.default_rng(5)
 
-L_ICO = lhs_bound_L(icosahedron_settings())[0]
+ICO = icosahedron_settings()
+L_ICO = lhs_bound_L(ICO)[0]
 
 
 def test_nelder_mead_quadratic():
@@ -82,17 +85,51 @@ def test_coeffs_to_state_parameterizations():
         coeffs_to_state(np.ones(5))
 
 
-def test_objective_scenario1_matches_generic_path():
-    """Fast Pauli closed form agrees with the trace-norm pipeline."""
-    ico = icosahedron_settings()
+def _eigendecomposition_q(vec, penalty=2.0):
+    """Scenario-1 objective by the generic path: build_family -> reduce_pair
+    -> quantum_value_Q (eigendecomposition of each G_x)."""
+    rho3 = build_family(coeffs_to_state(vec), 1.0)
+    q_ab = quantum_value_Q(reduce_pair(rho3, "AB"), ICO)[0]
+    q_ba = quantum_value_Q(reduce_pair(rho3, "BA"), ICO)[0]
+    return q_ab - penalty * max(0.0, q_ba - L_ICO)
+
+
+@pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
+def test_objective_scenario1_matches_generic_path(parameterization):
+    """The closed-form quadratic kernel agrees with the trace-norm pipeline."""
     for _ in range(10):
-        vec = rng.standard_normal(8)
-        psi = coeffs_to_state(vec)
-        rho_ab = reduce_pair(build_family(psi, 1.0), "AB")
-        q_ab = quantum_value_Q(rho_ab, ico)[0]
-        q_ba = quantum_value_Q(swap_state(rho_ab), ico)[0]
-        expected = q_ab - 2.0 * max(0.0, q_ba - L_ICO)
-        assert abs(objective_scenario1(vec) - expected) <= 1e-10
+        vec = rng.standard_normal(PARAM_DIMS[parameterization])
+        assert abs(objective_scenario1(vec) - _eigendecomposition_q(vec)) <= 1e-10
+
+
+@pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 2 * TOL.zero_norm])
+def test_objective_scenario1_scale_invariant(parameterization, scale):
+    vec = rng.standard_normal(PARAM_DIMS[parameterization])
+    vec /= np.linalg.norm(vec)
+    assert abs(objective_scenario1(scale * vec) - objective_scenario1(vec)) <= 1e-12
+
+
+@pytest.mark.parametrize("vec", [np.zeros(7), np.full(16, TOL.zero_norm / 8), np.ones(5)],
+                         ids=["zero", "below-zero-norm", "length-5"])
+def test_objective_scenario1_rejects_what_coeffs_to_state_rejects(vec):
+    with pytest.raises(ValueError):
+        coeffs_to_state(vec)
+    with pytest.raises(ValueError):
+        objective_scenario1(vec)
+
+
+@pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
+def test_scenario1_campaign_q_matches_eigendecomposition(parameterization):
+    """Every logged q of a short campaign is the eigendecomposition value at
+    its coeffs, the check the benchmark's s1-search gate makes."""
+    spec = ObjectiveSpec(kind="scenario1", parameterization=parameterization, nm=NMParams(max_iter=60))
+    log = io.StringIO()
+    multi_restart(spec, 4, seed=7, log_file=log)
+    records = [json.loads(line) for line in log.getvalue().splitlines()]
+    assert len(records) == 4
+    for rec in records:
+        assert abs(rec["q"] - _eigendecomposition_q(rec["coeffs"])) <= 1e-9
 
 
 def test_objective_scenario1_at_builtin_optimum():
