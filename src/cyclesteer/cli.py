@@ -254,7 +254,7 @@ def _add_radius(p: argparse.ArgumentParser):
     """Radius options; one not given takes its RadiusParams default."""
     p.add_argument("--meas-level", type=_NONNEG_INT, default=None)
     p.add_argument("--hidden-level", type=_NONNEG_INT, default=None,
-                   help="polytope whose vertices seed and price the LP's columns")
+                   help="polytope whose vertices seed the LP's pool and, above m = 10, price it")
     p.add_argument("--tol", type=_POSITIVE, default=None, dest="bisection_tol",
                    help="step in the mixing parameter t: steering detection is probed tol/2 above t*")
 

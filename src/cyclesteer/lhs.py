@@ -12,8 +12,9 @@ Bloch vector |r_j| <= 1, and one row per entry of the assemblage's
 (m, 2, 4), is a Farkas functional. For finite m this is the standard LHS
 program (Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)),
 solved by column generation from the (strategy, vertex) columns of a
-geodesic polytope while those are few, priced from its vertices. Each LP
-gets a dense matrix from its run's pool (strategy bits, Bloch vectors). Pricing
+geodesic polytope while those are few, priced over all 2^m strategies
+for m <= 10 (exact) and from its vertices above. Each LP gets a dense
+matrix from its run's pool (strategy bits, Bloch vectors). Pricing
 sets accuracy, not soundness: a model from any pool is an LHS model once
 it passes reconstruction with every |r| <= 1 in floating point, and a
 dual detects steering only when it beats its exact Bloch-ball bound
@@ -46,9 +47,9 @@ from .tolerances import TOL
 # The pool starts from every (strategy, vertex) column of the hidden
 # polytope while there are at most this many (the prefilter's 64 x 12),
 # and empty above: seeded with 64 x 162, radius-default's 8 brackets took
-# 14 s instead of 2.5 s.
+# 14 s instead of 2.5 s. Pricing is exact while 2^m is at most this many.
 SEED_MAX_COLUMNS = 1024
-_PRICING_TOL = 1e-9
+_PRICING_TOL = 1e-10
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
 # Weight M on the locator's slacks. The penalty is exact (the slacks stay
@@ -129,12 +130,17 @@ def _columns(bits: np.ndarray, blochs: np.ndarray) -> np.ndarray:
     return cols.reshape(n, 8 * m).T
 
 
+def _strategies(m: int) -> np.ndarray | None:
+    """All 2^m strategies, row i = sum_x bits[x] 2^x, while 2^m <= SEED_MAX_COLUMNS; else None."""
+    return np.concatenate(list(strategy_blocks(m))).astype(np.int8) if (1 << m) <= SEED_MAX_COLUMNS else None
+
+
 def _seed(hidden: SpherePolytope, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(bits, blochs) of every (strategy, vertex) column, strategy i = sum_x
     bits[x] 2^x major and vertex minor, while at most SEED_MAX_COLUMNS; else none."""
     if (1 << m) * hidden.n_vertices > SEED_MAX_COLUMNS:
         return np.zeros((0, m), np.int8), np.zeros((0, 3))
-    strategies = np.concatenate(list(strategy_blocks(m))).astype(np.int8)
+    strategies = _strategies(m)
     return (np.repeat(strategies, hidden.n_vertices, axis=0),
             np.tile(_into_ball(hidden.vertices), (len(strategies), 1)))
 
@@ -150,19 +156,24 @@ def _best_column(coef: np.ndarray, bits: np.ndarray):
     return picked[..., 0].sum(axis=-1) + norm[..., 0], r
 
 
-def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray):
-    """Vertex pricing: from each vertex d, the strategy best at d
-    (argmax_a c_{a|x} + v_{a|x}.d per setting) at its best state V/|V|,
-    then three more steps alternating strategy and state, none of which
-    lowers the score (over the 54 prefilter brackets they cut the LPs
-    from 168 to 155). Bob's own state b is priced as it is: when it is
-    pure, no other state can stand in for it. Returns bits, Bloch
-    vectors and scores of the best distinct columns, best first."""
-    r = verts
-    for _ in range(4):
-        vals = coef[None, :, :, 0] + np.einsum("kd,xad->kxa", r, coef[:, :, 1:])
-        bits = np.unique(vals.argmax(axis=2), axis=0)
+def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.ndarray | None):
+    """Pricing, exact with the table of all 2^m strategies (m <= 10, see
+    _strategies): each strategy at its best state V/|V|, so the top score
+    is the functional's maximum over the Bloch ball. Without the table,
+    from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
+    per setting) at V/|V|, then three more steps alternating strategy and
+    state, none of which lowers the score (over the 54 prefilter brackets
+    they cut the LPs from 168 to 155). Bob's own state b is priced as it
+    is: when it is pure, no other state can stand in for it. Returns bits,
+    Bloch vectors and scores of the best distinct columns, best first."""
+    bits, r = strategies, verts
+    if bits is not None:
         scores, r = _best_column(coef, bits)
+    else:
+        for _ in range(4):
+            vals = coef[None, :, :, 0] + np.einsum("kd,xad->kxa", r, coef[:, :, 1:])
+            bits = np.unique(vals.argmax(axis=2), axis=0)
+            scores, r = _best_column(coef, bits)
     at_bob = coef[:, :, 0] + coef[:, :, 1:] @ bob
     bits, r = np.vstack([bits, at_bob.argmax(axis=1)]), np.vstack([r, bob])
     scores = np.append(scores, at_bob.max(axis=1).sum())
@@ -181,8 +192,10 @@ def _solve_lp(a_cols: np.ndarray, b: np.ndarray, t_col=None, t_cap: float = 0.0)
     Farkas vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With
     ``t_col`` it is the locator (M = _LOCATOR_PENALTY), whose optimal t
     is the largest feasible one when the slacks come back zero. HiGHS
-    keeps primal feasibility to 1e-10, below the 1e-8 model check (at its
-    default 1e-7 a locator model came back with a weight of -9e-8).
+    keeps primal and dual feasibility to 1e-10, below the 1e-8 model check
+    (at the default 1e-7 a locator model came back with a weight of -9e-8,
+    and with presolve the singlet's at meas 0, hidden 2 with status
+    Unknown); presolve is off, as at 48 rows it costs more than it saves.
 
     Returns (slack sum, t, w, y).
     """
@@ -196,7 +209,8 @@ def _solve_lp(a_cols: np.ndarray, b: np.ndarray, t_col=None, t_cap: float = 0.0)
     bounds[:, 1] = np.inf
     bounds[ncols : ncols + nt, 1] = t_cap
     res = linprog(c, A_eq=afull, b_eq=b, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10})
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10, "presolve": False})
     if res.status != 0:
         raise LpFailure(f"LP solver status {res.status}: {res.message}")
     t = float(res.x[ncols]) if nt else 0.0
@@ -206,11 +220,11 @@ def _solve_lp(a_cols: np.ndarray, b: np.ndarray, t_col=None, t_cap: float = 0.0)
 def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap: float = 0.0):
     """``_solve_lp`` over the columns of ``pool`` = (bits, blochs), adding
     priced columns until none prices above _PRICING_TOL relative to the
-    slack weight M. Vertex pricing runs over ``hidden``; when it offers
-    none, the exact kernel's maximizing column (lambda*, V/|V|) is priced,
-    so every LP ends optimal over the ball. The kernel bounds the dual
-    divided by max(1, its max-abs entry), so every functional has
-    coefficients of at most 1.
+    slack weight M (``_price``, from the vertices of ``hidden`` above
+    m = 10); when it offers none, the exact kernel's maximizing column
+    (lambda*, V/|V|) is priced, so every LP ends optimal over the ball.
+    The kernel bounds the dual divided by max(1, its max-abs entry), so
+    every functional has coefficients of at most 1.
 
     An infeasible phase-1 LP (no ``t_col``) has its dual re-bounded
     exactly whenever no priced column rules detection out; once the dual
@@ -226,13 +240,14 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap
     pool_bits, pool_blochs = pool
     tol = _PRICING_TOL * (1.0 if t_col is None else _LOCATOR_PENALTY)
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
+    strategies = _strategies(m)
     for _ in range(_CG_MAX_ROUNDS):
         slack, t, w, y = _solve_lp(_columns(pool_bits, pool_blochs), b, t_col, t_cap)
         model = LhsCertificate(pool_bits[w > 0], pool_blochs[w > 0], w[w > 0])
         if slack <= TOL.lp_residual and (t_col is None or t >= t_cap):
             return slack, t, model, None  # feasible, or t at its cap: no column can improve
         coef = y.reshape(m, 2, 4)
-        bits, blochs, scores = _price(coef, hidden.vertices, bob)
+        bits, blochs, scores = _price(coef, hidden.vertices, bob, strategies)
         infeasible = t_col is None and slack > TOL.lp_residual
         functional = None
         if scores[0] <= tol or (infeasible and scores[0] < y @ b - _DETECTION_MARGIN):
@@ -255,8 +270,8 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap
 
 def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     """Decide LHS feasibility with hidden states anywhere in the Bloch
-    ball, by column generation seeded and priced by the polytope
-    ``hidden``.
+    ball, by column generation seeded by the polytope ``hidden`` (which
+    also prices, above m = 10).
 
     A model is accepted only when every hidden state lies in the ball
     and its reconstruction reproduces the assemblage to within

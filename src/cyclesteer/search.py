@@ -49,7 +49,7 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
         simplex, fvals = simplex[order], fvals[order]
         if np.abs(simplex[1:] - simplex[0]).max() <= _SPREAD_TOL:
             break
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = simplex[:-1].sum(axis=0) / n
         xr = centroid + _REFLECTION * (centroid - simplex[-1])
         fr = -objective(xr)
         if fr < fvals[0]:

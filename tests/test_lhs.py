@@ -15,10 +15,12 @@ from cyclesteer.lhs import (
     _anchor,
     _columns,
     _inner_model,
+    _price,
     _psd_cap,
     _seed,
     _solve,
     _solve_lp,
+    _strategies,
     bisect,
     certify_unsteerable_shrunk,
     critical_radius_bounds,
@@ -30,7 +32,7 @@ from cyclesteer.lhs import (
 from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.states import singlet, werner
-from cyclesteer.steering import make_assemblage, max_over_strategies, strategy_blocks
+from cyclesteer.steering import icosahedron_settings, make_assemblage, max_over_strategies, strategy_blocks
 from cyclesteer.tolerances import TOL
 
 rng = np.random.default_rng(21)
@@ -149,6 +151,35 @@ def test_seed_columns_match_loop(level, m):
     r = np.random.default_rng(level)
     bits, blochs = r.integers(0, 2, (20, m)), r.standard_normal((20, 3))
     assert np.array_equal(_columns(bits, blochs), _columns_loop(bits, blochs, m))
+
+
+def _assert_exact_pricing(coef, bob):
+    # one vertex, so that pricing from the vertices would miss the maximum
+    _, blochs, scores = _price(coef, np.array([[0.0, 0.0, 1.0]]), bob, _strategies(len(coef)))
+    assert abs(scores[0] - max_over_strategies(coef)[0]) <= 1e-12
+    assert (np.linalg.norm(blochs, axis=1) <= 1.0).all()
+    return scores[0]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+def test_pricing_exact_while_strategies_enumerated(m):
+    """Up to m = 10 pricing scores every strategy, so its top score is the
+    exact kernel's maximum over the Bloch ball; above, there is no table."""
+    r = np.random.default_rng(m)
+    for _ in range(5):
+        bob = r.standard_normal(3)
+        _assert_exact_pricing(r.standard_normal((m, 2, 4)), bob / max(1.0, np.linalg.norm(bob)))
+    assert len(_strategies(m)) == 1 << m
+    assert _strategies(11) is None
+
+
+def test_pricing_exact_on_icosahedral_functional():
+    """The degenerate functional [0, +-b_x] of the six icosahedral settings
+    has many tied maximizers; its top score is L = 1 + sqrt(5)."""
+    b = icosahedron_settings().blochs
+    coef = np.zeros((6, 2, 4))
+    coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
+    assert abs(_assert_exact_pricing(coef, np.zeros(3)) - (1 + np.sqrt(5))) <= 1e-12
 
 
 def _empty_pool(m):

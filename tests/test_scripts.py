@@ -1,6 +1,5 @@
 """Smoke tests: each script in scripts/ runs end to end on tiny inputs."""
 
-import json
 import runpy
 import sys
 from pathlib import Path
@@ -16,21 +15,6 @@ def run_script(monkeypatch, name, *argv) -> int:
     except SystemExit as e:
         return e.code or 0
     return 0
-
-
-def test_run_scenario1_search_script(tmp_path, monkeypatch, capsys):
-    log, best = tmp_path / "log.jsonl", tmp_path / "best.json"
-    argv = ["--restarts", "1", "--top", "1", "--log", str(log), "--best-out", str(best)]
-    assert run_script(monkeypatch, "run_scenario1_search.py", *argv) == 0
-    first = capsys.readouterr().out
-    assert "best q = " in first
-    records = [json.loads(line) for line in log.read_text().splitlines()]
-    assert [r["restart"] for r in records] == [0]
-    assert json.loads(best.read_text())["type"] == "three_qubit_family"
-    # a second run resumes from its own log: same report, no new record
-    assert run_script(monkeypatch, "run_scenario1_search.py", *argv) == 0
-    assert capsys.readouterr().out == first
-    assert len(log.read_text().splitlines()) == 1
 
 
 def test_werner_calibration_script(tmp_path, monkeypatch, capsys):
