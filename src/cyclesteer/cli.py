@@ -192,12 +192,15 @@ def cmd_search(args) -> int:
 def cmd_calibrate(args) -> int:
     """Werner-family calibration against the known thresholds: the
     entanglement boundary at p = 1/3 (PPT) and the projective steering
-    boundary at p = 1/2 (critical-radius bracket on the singlet)."""
+    boundary at p = 1/2 (critical-radius bracket on the singlet). Werner(p)
+    is the singlet's radial mix at t = p, so [r_in / meas_eta, r_out]
+    brackets the p where the m settings stop detecting steering."""
     ppt_bracket = lhs.bisect(lambda p: not ent.is_ppt(states.werner(p), 0), 0.2, 0.5, 1e-4)
     report = lhs.critical_radius_bounds(states.werner(1.0), _radius_params(args))
     data = {
         "entanglement_threshold_bracket": list(ppt_bracket),
         "entanglement_threshold_known": 1 / 3,
+        "finite_setting_threshold_bracket": [report.r_in / report.meas_eta, report.r_out],
         "steering_radius_bracket": [report.r_in, report.r_out],
         "steering_threshold_known": 0.5,
     }
@@ -214,14 +217,12 @@ def cmd_table(args) -> int:
     for sid in states.BUILTIN_IDS:
         rho3 = states.build_family(states.builtin_state(sid).normalized(), 1.0)
         rho_ab = states.reduce_pair(rho3, "AB")
-        q_ab = steering.quantum_value_Q(rho_ab, ico)[0]
-        q_ba = steering.quantum_value_Q(states.swap_state(rho_ab), ico)[0]
-        gte = ent.gte_criterion(rho3)
+        report = steering.one_way_gap_scenario1(rho_ab, ico)
         rows[sid] = {
             "negativity_AB": ent.negativity(rho_ab, 0),
-            "Q_AB": q_ab,
-            "Q_BA": q_ba,
-            "gte": gte.to_dict(),
+            "Q_AB": report.Q_ab,
+            "Q_BA": report.Q_ba,
+            "gte": ent.gte_criterion(rho3).to_dict(),
         }
     _emit({"L": float(steering.lhs_bound_L(ico)[0]), "states": rows}, args.out)
     return 0

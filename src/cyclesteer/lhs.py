@@ -162,10 +162,12 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     is the functional's maximum over the Bloch ball. Without the table,
     from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
     per setting) at V/|V|, then three more steps alternating strategy and
-    state, none of which lowers the score (over the 54 prefilter brackets
-    they cut the LPs from 168 to 155). Bob's own state b is priced as it
-    is: when it is pure, no other state can stand in for it. Returns bits,
-    Bloch vectors and scores of the best distinct columns, best first."""
+    state, none of which lowers the score. On the singlet at m = 21 they
+    take 235 LPs instead of 314 at hidden level 0, but 121 instead of 105
+    at level 1 (radius-fine) and 103 instead of 87 at level 2. Bob's own
+    state b is priced as it is: when it is pure, no other state can stand
+    in for it. Returns bits, Bloch vectors and scores of the best distinct
+    columns, best first."""
     bits, r = strategies, verts
     if bits is not None:
         scores, r = _best_column(coef, bits)

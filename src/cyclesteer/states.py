@@ -41,10 +41,6 @@ class PureState3Q:
         """Apply the party shift: (S psi)_{ijk} = c_{kij}."""
         return PureState3Q(self.c.reshape(2, 2, 2).transpose(1, 2, 0).reshape(8))
 
-    def density(self) -> DensityMatrix:
-        c = self.normalized().c
-        return DensityMatrix(np.outer(c, c.conj()), (2, 2, 2))
-
 
 def singlet() -> DensityMatrix:
     """(|01> - |10>)/sqrt(2) as a density matrix."""

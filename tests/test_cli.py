@@ -1,11 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cyclesteer import lhs, search, steering
 from cyclesteer.cli import main
-from cyclesteer.states import state_to_json, werner
+from cyclesteer.linalg import DensityMatrix
+from cyclesteer.polytope import antipodal_directions, sphere_polytope
+from cyclesteer.states import builtin_state, state_to_json, werner
 
 
 def run(capsys, *argv):
@@ -325,11 +328,86 @@ def test_table_command(capsys):
     assert data["states"]["sc1"]["Q_AB"] > data["L"]
 
 
-def test_calibrate_command(capsys):
+def test_calibrate_command(capsys, monkeypatch):
+    """One locator run brackets the Werner thresholds, and the phase-1 LP
+    flips inside its finite-setting bracket: Werner(p) is the singlet's
+    radial mix at t = p."""
+    solve, calls = lhs._solve, []
+    monkeypatch.setattr(lhs, "_solve", lambda *a, **k: calls.append(a) or solve(*a, **k))
     code, data = run(capsys, "calibrate", "--tol", "2e-2")
     assert code == 0
+    assert len(calls) == 1
     assert data["brackets_contain_known_thresholds"] is True
     lo, hi = data["entanglement_threshold_bracket"]
     assert lo <= 1 / 3 <= hi and hi - lo < 1e-3
     rlo, rhi = data["steering_radius_bracket"]
     assert rlo <= 0.5 <= rhi
+    lo, hi = data["finite_setting_threshold_bracket"]
+    assert rlo < lo <= hi == rhi
+    meas, hidden = sphere_polytope(0), sphere_polytope(2)
+    directions = antipodal_directions(meas)
+    assert lhs.detect_steerable(werner(hi + 1e-4), directions, hidden)[0]
+    assert not lhs.detect_steerable(werner(lo - 1e-4), directions, hidden)[0]
+    assert lhs.certify_unsteerable_shrunk(werner(lo - 1e-4), meas, hidden)
+    assert not lhs.certify_unsteerable_shrunk(werner(hi + 1e-4), meas, hidden)
+
+
+def test_out_writes_what_stdout_gets(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["scenario2", "--state", "builtin:b1"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["scenario2", "--state", "builtin:b1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_family_state_file_matches_builtin(capsys, tmp_path):
+    """A family file's --p overrides its own p, and its coefficients are normalized on load."""
+    path = tmp_path / "sc1.json"
+    path.write_text(json.dumps(state_to_json(builtin_state("sc1"), 0.5)))
+    assert main(["scenario1", "--state", "builtin:sc1"]) == 0
+    builtin = capsys.readouterr().out
+    assert main(["scenario1", "--state", str(path), "--p", "1"]) == 0
+    assert capsys.readouterr().out == builtin
+
+
+def test_lp_failure_exits_1(monkeypatch, capsys):
+    failed = SimpleNamespace(status=4, message="numerical difficulties")
+    monkeypatch.setattr(lhs, "linprog", lambda *a, **k: failed)
+    assert main(["radius", "--state", "builtin:b1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("LP failure: LP solver status 4")
+
+
+def test_missing_resume_log_starts_fresh(tmp_path, capsys):
+    fresh, resumed = tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"
+    argv = ["search", "--scenario", "1", "--restarts", "2", "--seed", "5"]
+    assert main([*argv, "--out", str(fresh)]) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--resume", str(tmp_path / "missing.jsonl"), "--out", str(resumed)]) == 0
+    assert capsys.readouterr().out == printed
+    assert resumed.read_text() == fresh.read_text()
+    assert len(fresh.read_text().splitlines()) == 2
+
+
+def test_certify_exits_1_when_refuted(tmp_path, capsys):
+    """The maximally mixed state stays I/4 along the radial family, so
+    r_in(AB) = meas_eta t_cap = 2 meas_eta >= 1 refutes the cyclic property."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(state_to_json(DensityMatrix(np.eye(4) / 4, (2, 2)))))
+    code, data = run(capsys, "scenario2", "--state", str(path))
+    assert code == 0
+    assert data["verdict"] == "refuted"
+    assert data["rho_AB"]["r_in"] == pytest.approx(2 * data["rho_AB"]["meas_eta"])
+    assert main(["scenario2", "--state", str(path), "--certify"]) == 1
+
+
+def test_scenario1_verdict_none(tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(state_to_json(DensityMatrix(np.diag([0.4, 0.1, 0.3, 0.2]), (2, 2)))))
+    code, data = run(capsys, "scenario1", "--state", str(path))
+    assert code == 1
+    assert data["verdict"] == "none"
+    assert data["Q_AB"] == pytest.approx(1.101, abs=1e-3)
+    assert data["Q_BA"] == pytest.approx(0.551, abs=1e-3)
