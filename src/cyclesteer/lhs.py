@@ -13,8 +13,8 @@ Bloch vector |r_j| <= 1, and one row per entry of the assemblage's
 program (Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)),
 solved by column generation from the (strategy, vertex) columns of a
 geodesic polytope while those are few, priced over all 2^m strategies
-for m <= 10 (exact) and from its vertices above. Each LP gets a dense
-matrix from its run's pool (strategy bits, Bloch vectors). Pricing
+for m <= 10 (exact) and from its vertices above, on one HiGHS model per
+run that each round's columns join, warm-starting the simplex. Pricing
 sets accuracy, not soundness: a model from any pool is an LHS model once
 it passes reconstruction with every |r| <= 1 in floating point, and a
 dual detects steering only when it beats its exact Bloch-ball bound
@@ -37,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+# Only the lhs.linprog name perfbench/spans.py resolves; goes when ROADMAP item 1 re-points it.
+from scipy.optimize import linprog  # noqa: F401
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .linalg import DensityMatrix, ID2, partial_trace
 from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
@@ -183,44 +185,63 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     return bits[order], r[order], scores[order]
 
 
-def _solve_lp(a_cols: np.ndarray, b: np.ndarray, t_col=None, t_cap: float = 0.0):
-    """One LP over the given dense columns (linprog hands HiGHS its CSC form):
+class _Lp:
+    """One HiGHS model per column-generation run, kept across its rounds:
 
-        min M.(s+ + s-) - t   s.t.   a_cols w + t t_col + s+ - s- = b,
-        w, s+, s- >= 0,  0 <= t <= t_cap.
+        min M.(s+ + s-) - t   s.t.   A w + t t_col + s+ - s- = b,
+        w, s+, s- >= 0,  0 <= t <= t_cap,
 
-    Without ``t_col`` it is the phase-1 LP (M = 1, no t): its optimum is
-    the infeasibility, and its equality-constraint marginals are the
-    Farkas vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With
-    ``t_col`` it is the locator (M = _LOCATOR_PENALTY), whose optimal t
-    is the largest feasible one when the slacks come back zero. HiGHS
-    keeps primal and dual feasibility to 1e-10, below the 1e-8 model check
-    (at the default 1e-7 a locator model came back with a weight of -9e-8,
-    and with presolve the singlet's at meas 0, hidden 2 with status
-    Unknown); presolve is off, as at 48 rows it costs more than it saves.
-
-    Returns (slack sum, t, w, y).
+    with columns [t, s+, s-] and then the pool's w in the order ``add``
+    appends them; each ``solve`` warm-starts the simplex from the last
+    basis. Without ``t_col`` it is the phase-1 LP (M = 1, no t): its
+    optimum is the infeasibility, and its row duals are the Farkas
+    vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With ``t_col`` it
+    is the locator (M = _LOCATOR_PENALTY), whose optimal t is the largest
+    feasible one when the slacks come back zero. HiGHS keeps primal and
+    dual feasibility to 1e-10, below the 1e-8 model check (at the default
+    1e-7 a locator model came back with a weight of -9e-8, and with
+    presolve the singlet's at meas 0, hidden 2 with status Unknown);
+    presolve is off, as at 48 rows it costs more than it saves.
     """
-    nrows, ncols = a_cols.shape
-    t_block = [] if t_col is None else [t_col[:, None]]
-    penalty = 1.0 if t_col is None else _LOCATOR_PENALTY
-    nt = len(t_block)
-    afull = np.hstack([a_cols, *t_block, np.eye(nrows), -np.eye(nrows)])
-    c = np.concatenate([np.zeros(ncols), -np.ones(nt), np.full(2 * nrows, penalty)])
-    bounds = np.zeros((len(c), 2))
-    bounds[:, 1] = np.inf
-    bounds[ncols : ncols + nt, 1] = t_cap
-    res = linprog(c, A_eq=afull, b_eq=b, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10, "presolve": False})
-    if res.status != 0:
-        raise LpFailure(f"LP solver status {res.status}: {res.message}")
-    t = float(res.x[ncols]) if nt else 0.0
-    return float(res.x[ncols + nt :].sum()), t, res.x[:ncols], np.asarray(res.eqlin.marginals)
+
+    def __init__(self, b: np.ndarray, t_col=None, t_cap: float = 0.0):
+        self.highs = _Highs()
+        for option, value in (("output_flag", False), ("presolve", "off"),
+                              ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10)):
+            self.highs.setOptionValue(option, value)
+        self.highs.addRows(len(b), b, b, 0, [], [], [])
+        self.nt = 0 if t_col is None else 1
+        if t_col is not None:
+            self.add(t_col[:, None], -1.0, t_cap)
+        self.add(np.hstack([np.eye(len(b)), -np.eye(len(b))]), 1.0 if t_col is None else _LOCATOR_PENALTY)
+        self.first = self.highs.getNumCol()
+
+    def add(self, cols: np.ndarray, cost: float = 0.0, upper: float = np.inf):
+        """Append the dense columns ``cols`` (rows, k), each with this cost and upper bound."""
+        k = cols.shape[1]
+        j, i = np.nonzero(cols.T)
+        starts = np.searchsorted(j, np.arange(k)).astype(np.int32)
+        self.highs.addCols(k, np.full(k, cost), np.zeros(k), np.full(k, upper),
+                           len(i), starts, i.astype(np.int32), cols.T[j, i])
+
+    def solve(self):
+        """Returns (slack sum, t, w, y); LpFailure unless HiGHS ends optimal."""
+        self.highs.run()
+        if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
+            # A warm start can end Unknown (one unscaled dual infeasibility, in 4 of
+            # 600 random m = 6 locators); one cold solve from a cleared basis ends it.
+            self.highs.clearSolver()
+            self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise LpFailure(f"LP solver status {int(status)}: {self.highs.modelStatusToString(status)}")
+        sol = self.highs.getSolution()
+        x, y = np.array(sol.col_value), np.array(sol.row_dual)
+        return float(x[self.nt : self.first].sum()), float(x[: self.nt].sum()), x[self.first :], y
 
 
 def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap: float = 0.0):
-    """``_solve_lp`` over the columns of ``pool`` = (bits, blochs), adding
+    """An ``_Lp`` over the columns of ``pool`` = (bits, blochs), adding
     priced columns until none prices above _PRICING_TOL relative to the
     slack weight M (``_price``, from the vertices of ``hidden`` above
     m = 10); when it offers none, the exact kernel's maximizing column
@@ -243,8 +264,10 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap
     tol = _PRICING_TOL * (1.0 if t_col is None else _LOCATOR_PENALTY)
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     strategies = _strategies(m)
+    lp = _Lp(b, t_col, t_cap)
+    lp.add(_columns(pool_bits, pool_blochs))
     for _ in range(_CG_MAX_ROUNDS):
-        slack, t, w, y = _solve_lp(_columns(pool_bits, pool_blochs), b, t_col, t_cap)
+        slack, t, w, y = lp.solve()
         model = LhsCertificate(pool_bits[w > 0], pool_blochs[w > 0], w[w > 0])
         if slack <= TOL.lp_residual and (t_col is None or t >= t_cap):
             return slack, t, model, None  # feasible, or t at its cap: no column can improve
@@ -265,8 +288,9 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap
             if infeasible:
                 raise LpFailure(f"LP infeasibility {slack:.2e}, but no functional beats its exact bound")
             return slack, t, model, functional
-        pool_bits = np.vstack([pool_bits, bits[scores > tol].astype(np.int8)])
-        pool_blochs = np.vstack([pool_blochs, blochs[scores > tol]])
+        bits, blochs = bits[scores > tol].astype(np.int8), blochs[scores > tol]
+        lp.add(_columns(bits, blochs))
+        pool_bits, pool_blochs = np.vstack([pool_bits, bits]), np.vstack([pool_blochs, blochs])
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 

@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,13 +370,29 @@ def test_family_state_file_matches_builtin(capsys, tmp_path):
     assert capsys.readouterr().out == builtin
 
 
+class _StalledHighs(lhs._Highs):
+    """HiGHS allowed no simplex iteration, so it ends with status "Iteration limit reached"."""
+
+    def run(self):
+        self.setOptionValue("simplex_iteration_limit", 0)
+        return super().run()
+
+
 def test_lp_failure_exits_1(monkeypatch, capsys):
-    failed = SimpleNamespace(status=4, message="numerical difficulties")
-    monkeypatch.setattr(lhs, "linprog", lambda *a, **k: failed)
+    monkeypatch.setattr(lhs, "_Highs", _StalledHighs)
     assert main(["radius", "--state", "builtin:b1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("LP failure: LP solver status 4")
+    assert captured.err.startswith("LP failure: LP solver status")
+
+
+def test_radius_writes_only_its_report(capfd):
+    """At the file descriptors, not just sys.stdout: the report JSON is all
+    of fd 1 and nothing reaches fd 2, so no solver console output leaks."""
+    assert main(["radius", "--state", "builtin:b1"]) == 0
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["r_in"] > 0  # one JSON document and nothing else
 
 
 def test_missing_resume_log_starts_fresh(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from cyclesteer import lhs
 from cyclesteer.lhs import (
@@ -12,6 +13,7 @@ from cyclesteer.lhs import (
     RadiusParams,
     SEED_MAX_COLUMNS,
     T_CAP_MAX,
+    _Lp,
     _anchor,
     _columns,
     _inner_model,
@@ -19,7 +21,6 @@ from cyclesteer.lhs import (
     _psd_cap,
     _seed,
     _solve,
-    _solve_lp,
     _strategies,
     bisect,
     certify_unsteerable_shrunk,
@@ -206,6 +207,75 @@ def test_column_generation_from_seed_or_empty():
         assert isinstance(cert, LhsCertificate if expected else GeneralFunctional)
 
 
+class _ColdChecked(_Lp):
+    """The warm-started model, checked after every solve against a cold
+    linprog over every column added so far (the oracle). Errors are
+    measured against max(1, max|y|): a degenerate optimum with a slack
+    basic at zero carries a dual entry at M = 1e4 (Werner(0.9)'s locator),
+    and there the slack's own -3e-12 feasibility error moves M.slack by 3e-8."""
+
+    rounds = []
+
+    def __init__(self, b, t_col=None, t_cap=0.0):
+        self.b, self.parts = b, []
+        super().__init__(b, t_col, t_cap)
+
+    def add(self, cols, cost=0.0, upper=np.inf):
+        self.parts.append((cols, np.full(cols.shape[1], cost), np.full(cols.shape[1], upper)))
+        super().add(cols, cost, upper)
+
+    def solve(self):
+        slack, t, w, y = super().solve()
+        a, c, upper = (np.concatenate(part, axis=-1) for part in zip(*self.parts))
+        cold = linprog(c, A_eq=a, b_eq=self.b, bounds=np.column_stack([np.zeros(len(c)), upper]),
+                       method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                                "dual_feasibility_tolerance": 1e-10, "presolve": False})
+        assert cold.status == 0
+        objective = c[self.nt] * slack - t  # M.(s+ + s-) - t
+        reduced = c - a.T @ y
+        # t at its cap t_cap has reduced cost <= 0, which enters the dual objective
+        at_cap = upper[0] * min(0.0, reduced[0]) if self.nt else 0.0
+        scale = max(1.0, np.abs(y).max())
+        assert abs(objective - cold.fun) <= 1e-9 * scale
+        assert abs(y @ self.b + at_cap - objective) <= 1e-9 * scale
+        assert reduced[self.nt :].min() >= -1e-9 * scale
+        self.rounds.append(scale)
+        return slack, t, w, y
+
+
+def test_warm_start_matches_cold_solve(monkeypatch):
+    """After every column-generation round the warm-started model's optimum
+    is a cold solve's over the same columns, and its dual is optimal on
+    all of them: phase-1 and locator at m = 6 (singlet, Werner(0.9), a
+    random state), and one phase-1 run at m = 21."""
+    monkeypatch.setattr(lhs, "_Lp", _ColdChecked)
+    monkeypatch.setattr(_ColdChecked, "rounds", [])
+    for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(5))):
+        lhs_lp_feasible(make_assemblage(rho, ICO_DIRS), ICO)
+        critical_radius_bounds(rho)
+    feasible, _ = lhs_lp_feasible(make_assemblage(werner(0.45), antipodal_directions(HIDDEN1)), HIDDEN1)
+    assert feasible
+    assert len(_ColdChecked.rounds) > 50
+
+
+class _StalledFirstRun(lhs._Highs):
+    """HiGHS allowed no simplex iteration on a model's first run only."""
+
+    def run(self):
+        first = not hasattr(self, "ran")
+        self.ran = True
+        self.setOptionValue("simplex_iteration_limit", 0 if first else 2**31 - 1)
+        return super().run()
+
+
+def test_non_optimal_solve_gets_one_cold_resolve(monkeypatch):
+    """A run that ends non-optimal is solved again from a cleared basis,
+    and the bracket comes out as if the first run had succeeded."""
+    expected = critical_radius_bounds(werner(0.9))
+    monkeypatch.setattr(lhs, "_Highs", _StalledFirstRun)
+    assert critical_radius_bounds(werner(0.9)) == expected
+
+
 def _hidden_polytope_t_star(hidden, b0, b1, t_cap, scale):
     """The locator of the hidden-polytope LP that the ball LP replaced:
     every (strategy, vertex) column at m = 6, with the vertices scaled by
@@ -214,7 +284,9 @@ def _hidden_polytope_t_star(hidden, b0, b1, t_cap, scale):
     strategies = np.concatenate(list(strategy_blocks(6)))
     bits = np.repeat(strategies, hidden.n_vertices, axis=0)
     blochs = np.tile(hidden.vertices * scale, (len(strategies), 1))
-    slack, t, _, _ = _solve_lp(_columns(bits, blochs), b0, b0 - b1, t_cap)
+    lp = _Lp(b0, b0 - b1, t_cap)
+    lp.add(_columns(bits, blochs))
+    slack, t, _, _ = lp.solve()
     assert slack <= TOL.lp_residual
     return t
 
