@@ -37,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# Only the lhs.linprog name perfbench/spans.py resolves; goes when ROADMAP item 1 re-points it.
-from scipy.optimize import linprog  # noqa: F401
+from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .linalg import DensityMatrix, ID2, partial_trace
@@ -224,20 +223,35 @@ class _Lp:
         self.highs.addCols(k, np.full(k, cost), np.zeros(k), np.full(k, upper),
                            len(i), starts, i.astype(np.int32), cols.T[j, i])
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.highs.getNumRow(), self.highs.getNumCol()
+
     def solve(self):
         """Returns (slack sum, t, w, y); LpFailure unless HiGHS ends optimal."""
-        self.highs.run()
-        if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
-            # A warm start can end Unknown (one unscaled dual infeasibility, in 4 of
-            # 600 random m = 6 locators); one cold solve from a cleared basis ends it.
-            self.highs.clearSolver()
-            self.highs.run()
-        status = self.highs.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
-            raise LpFailure(f"LP solver status {int(status)}: {self.highs.modelStatusToString(status)}")
-        sol = self.highs.getSolution()
-        x, y = np.array(sol.col_value), np.array(sol.row_dual)
-        return float(x[self.nt : self.first].sum()), float(x[: self.nt].sum()), x[self.first :], y
+        res = linprog(A_eq=self)
+        return float(res.x[self.nt : self.first].sum()), float(res.x[: self.nt].sum()), res.x[self.first :], res.y
+
+
+def linprog(*, A_eq: _Lp) -> OptimizeResult:
+    """Run HiGHS on the model ``A_eq`` from its last basis: x, y (row duals)
+    and nit, or LpFailure. The one LP entry point, called as scipy's
+    ``linprog(A_eq=...)`` was, so perfbench's ``lhs.linprog`` span times
+    and sizes (``A_eq.shape``, ``nit``) every run."""
+    highs = A_eq.highs
+    highs.run()
+    nit = highs.getInfo().simplex_iteration_count
+    if highs.getModelStatus() != HighsModelStatus.kOptimal:
+        # A warm start can end Unknown (one unscaled dual infeasibility, in 4 of
+        # 600 random m = 6 locators); one cold solve from a cleared basis ends it.
+        highs.clearSolver()
+        highs.run()
+        nit += highs.getInfo().simplex_iteration_count
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise LpFailure(f"LP solver status {int(status)}: {highs.modelStatusToString(status)}")
+    sol = highs.getSolution()
+    return OptimizeResult(x=np.array(sol.col_value), y=np.array(sol.row_dual), nit=nit)
 
 
 def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap: float = 0.0):

@@ -276,6 +276,16 @@ def test_non_optimal_solve_gets_one_cold_resolve(monkeypatch):
     assert critical_radius_bounds(werner(0.9)) == expected
 
 
+def test_linprog_reports_size_and_iterations():
+    """Every HiGHS run goes through ``lhs.linprog(A_eq=model)``: the model
+    has a (rows, cols) shape and the result its simplex iteration count."""
+    lp = _Lp(make_assemblage(werner(0.45), ICO_DIRS).ps.ravel())
+    lp.add(_columns(*_seed(ICO, 6)))
+    res = lhs.linprog(A_eq=lp)
+    assert lp.shape == (48, 96 + 64 * 12)
+    assert res.nit > 0 and res.x.shape == (96 + 64 * 12,) and res.y.shape == (48,)
+
+
 def _hidden_polytope_t_star(hidden, b0, b1, t_cap, scale):
     """The locator of the hidden-polytope LP that the ball LP replaced:
     every (strategy, vertex) column at m = 6, with the vertices scaled by
