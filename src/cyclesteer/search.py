@@ -4,7 +4,9 @@ Two campaigns: scenario 1 maximizes the steering-inequality gap with a
 penalty on the swapped direction; scenario 2 maximizes the critical-radius
 gap, with a cheap low-resolution prefilter stage feeding a full-resolution
 stage. Both use a hand-rolled Nelder-Mead simplex (deterministic for fixed
-start and parameters) under multi-restart with per-restart seeding.
+start and parameters) under multi-restart with per-restart seeding; the
+restarts of a scenario-1 campaign step in lockstep through one batched
+objective, each on the bits it would reach alone.
 """
 
 from __future__ import annotations
@@ -39,42 +41,70 @@ def nelder_mead(objective, x0, params: NMParams = NMParams()):
     monotone in the iteration count and never below objective(x0); x_best is
     the first point that reached it, which the simplex keeps as its best vertex.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    simplex = np.vstack([x0, x0 + _INITIAL_STEP * np.eye(n)])
-    fvals = np.array([-objective(x) for x in simplex])  # minimize -f internally
+    [(_, x_best, f_best, iters)] = _lockstep(_per_row(objective), [x0], params)
+    return x_best, f_best, iters
+
+
+def _per_row(objective):
+    """A batch objective that calls ``objective`` on each row in turn."""
+    return lambda xs: np.array([objective(x) for x in xs], dtype=float)
+
+
+def _lockstep(objective, x0s, params: NMParams):
+    """Nelder-Mead from each row of ``x0s`` (R, n) at once; yields (row,
+    x_best, f_best, iters) for each row at the iteration where it stops.
+
+    ``objective`` maps a (k, n) batch to its k values, each independent of
+    the other rows. Every row takes the steps a one-start run would, in the
+    same order and with the same arithmetic, so it ends on the same bits:
+    per-row masks pick reflection, expansion, contraction or shrink, and a
+    row leaves the stack when its simplex's spread is within _SPREAD_TOL.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    rows, n = np.arange(len(x0s)), x0s.shape[1]
+    simplex = np.concatenate([x0s[:, None], x0s[:, None] + _INITIAL_STEP * np.eye(n)], axis=1)
+    fvals = -objective(simplex.reshape(-1, n)).reshape(-1, n + 1)  # minimize -f internally
     iters = 0
     for iters in range(1, params.max_iter + 1):
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if np.abs(simplex[1:] - simplex[0]).max() <= _SPREAD_TOL:
-            break
-        centroid = simplex[:-1].sum(axis=0) / n
-        xr = centroid + _REFLECTION * (centroid - simplex[-1])
+        at, order = np.arange(len(rows))[:, None], np.argsort(fvals, axis=1, kind="stable")
+        simplex, fvals = simplex[at, order], fvals[at, order]
+        stop = np.abs(simplex[:, 1:] - simplex[:, :1]).max(axis=(1, 2)) <= _SPREAD_TOL
+        if stop.any():
+            yield from _best(rows[stop], simplex[stop], fvals[stop], iters)
+            rows, simplex, fvals = rows[~stop], simplex[~stop], fvals[~stop]
+            if not len(rows):
+                return
+        centroid = simplex[:, :-1].sum(axis=1) / n
+        worst, f_worst = simplex[:, -1], fvals[:, -1]
+        xr = centroid + _REFLECTION * (centroid - worst)
         fr = -objective(xr)
-        if fr < fvals[0]:
-            xe = centroid + _EXPANSION * (xr - centroid)
-            fe = -objective(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            if fr < fvals[-1]:
-                xc = centroid + _CONTRACTION * (xr - centroid)
-            else:
-                xc = centroid + _CONTRACTION * (simplex[-1] - centroid)
-            fc = -objective(xc)
-            if fc < min(fr, fvals[-1]):
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
-                    fvals[i] = -objective(simplex[i])
-    best = fvals.argmin()
-    return simplex[best].copy(), -fvals[best], iters
+        expand = fr < fvals[:, 0]
+        contract = ~expand & ~(fr < fvals[:, -2])
+        # the second point: expansion, or contraction on the side of the better of xr and worst
+        x2 = np.where(expand[:, None], centroid + _EXPANSION * (xr - centroid),
+                      centroid + _CONTRACTION * (np.where((fr < f_worst)[:, None], xr, worst) - centroid))
+        f2 = np.full_like(fr, np.nan)
+        second = expand | contract
+        if second.any():
+            f2[second] = -objective(x2[second])
+        # accept x2 below fr (expansion) or below min(fr, f_worst) as Python's min takes it
+        take2 = f2 < np.where(contract & (f_worst < fr), f_worst, fr)
+        take_r = ~take2 & ~contract
+        simplex[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
+        fvals[:, -1] = np.where(take2, f2, np.where(take_r, fr, f_worst))
+        shrink = contract & ~take2
+        if shrink.any():
+            best = simplex[shrink, :1]
+            simplex[shrink, 1:] = best + _SHRINK * (simplex[shrink, 1:] - best)
+            fvals[shrink, 1:] = -objective(simplex[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+    yield from _best(rows, simplex, fvals, iters)
+
+
+def _best(rows, simplex, fvals, iters):
+    """(row, x_best, f_best, iters) of each row, at its first best vertex."""
+    for row, s, f in zip(rows, simplex, fvals):
+        best = f.argmin()
+        yield int(row), s[best].copy(), -f[best], iters
 
 
 # --- coefficient parameterizations ----------------------------------------
@@ -124,7 +154,7 @@ def _scenario1_forms() -> dict[int, np.ndarray]:
 _S1_FORMS = _scenario1_forms()
 
 
-def objective_scenario1(coeffs, penalty: float = 2.0) -> float:
+def objective_scenario1(coeffs, penalty: float = 2.0):
     """Q(rho_AB) - penalty * max(0, Q(rho_BA) - L) at p = 1 with the
     icosahedral settings: maximize the violation in one direction while
     penalizing any violation of the swapped direction's classical bound.
@@ -132,15 +162,21 @@ def objective_scenario1(coeffs, penalty: float = 2.0) -> float:
     Uses the closed form ||G_x||_1 = max(|b . b_x|, ||T b_x||) in the
     Pauli decomposition of rho_AB, read off quadratic forms in ``coeffs``
     (tested against the generic trace-norm path), to keep a multi-restart
-    search desk-scale. Raises ValueError where ``coeffs_to_state`` does.
+    search desk-scale. One vector (d,) gives a float and a batch (R, d) an
+    array of R values; stacked matrix-vector products give each row the
+    bits it has alone. Raises ValueError where ``coeffs_to_state`` does,
+    for any row.
     """
     x = np.asarray(coeffs, dtype=float)
-    norm2 = float(x @ x)
-    if len(x) not in _S1_FORMS or math.sqrt(norm2) < TOL.zero_norm:
-        coeffs_to_state(x)  # raises its ValueError
-    sq = (((_S1_FORMS[len(x)] @ x).reshape(-1, len(x)) @ x) ** 2).reshape(2, 6, 4)
-    q_ab, q_ba = np.sqrt(np.maximum(sq[..., 0], sq[..., 1:].sum(axis=-1))).sum(axis=1) / norm2
-    return float(q_ab - penalty * max(0.0, q_ba - _L_ICO))
+    X = x.reshape(-1, x.shape[-1])
+    R, d = X.shape
+    norm2 = (X[:, None, :] @ X[:, :, None]).reshape(R)
+    if d not in _S1_FORMS or (np.sqrt(norm2) < TOL.zero_norm).any():
+        coeffs_to_state(X[norm2.argmin()])  # raises its ValueError
+    sq = (((_S1_FORMS[d] @ X[:, :, None]).reshape(R, -1, d) @ X[:, :, None]) ** 2).reshape(R, 2, 6, 4)
+    q = np.sqrt(np.maximum(sq[..., 0], sq[..., 1:].sum(axis=-1))).sum(axis=-1) / norm2[:, None]
+    value = q[:, 0] - penalty * np.fmax(q[:, 1] - _L_ICO, 0.0)  # fmax: max(0, .) even at NaN
+    return float(value[0]) if x.ndim == 1 else value
 
 
 def _radius_midpoint(rho, params: RadiusParams) -> float:
@@ -294,23 +330,31 @@ def _load_resume(resume_path, spec: ObjectiveSpec, seed: int, restarts: int) -> 
 
 def _run_restarts(spec: ObjectiveSpec, starts, log_file, done: dict) -> SearchResult:
     """Nelder-Mead on ``spec``'s objective from each (restart, seed, x0) of
-    ``starts``, or the record in ``done`` of that restart. Each new record
-    is one ``log_file.write`` followed by ``flush()``."""
-    objective = spec.objective()
-    records = []
-    for restart, seed, x0 in starts:
-        if restart in done:
-            records.append(done[restart])
-            continue
-        x_best, f_best, iters = nelder_mead(objective, x0, spec.nm)
-        rec = RestartRecord(
-            restart=restart, seed=seed, iters=iters, q=float(f_best),
-            coeffs=[float(v) for v in x_best],
-        )
-        records.append(rec)
-        if log_file is not None:
-            log_file.write(rec.to_json_line() + "\n")
-            log_file.flush()
+    ``starts``, or the record in ``done`` of that restart. Scenario-1
+    restarts run as one lockstep batch through the batched kernel; each
+    scenario-2 restart, whose every evaluation is an LP bracket, runs alone.
+    Each new record is one ``log_file.write`` followed by ``flush()``, in the
+    order of ``starts``, as soon as it and every earlier new record are done."""
+    starts = list(starts)
+    todo = [start for start in starts if start[0] not in done]
+    if spec.kind == "scenario1":
+        objective, batches = spec.objective(), [todo] if todo else []
+    else:
+        objective, batches = _per_row(spec.objective()), [[start] for start in todo]
+    found, written = dict(done), 0
+    for batch in batches:
+        for i, x_best, f_best, iters in _lockstep(objective, [x0 for _, _, x0 in batch], spec.nm):
+            restart, seed, _ = batch[i]
+            found[restart] = RestartRecord(
+                restart=restart, seed=seed, iters=iters, q=float(f_best),
+                coeffs=[float(v) for v in x_best],
+            )
+            while written < len(todo) and todo[written][0] in found:
+                if log_file is not None:
+                    log_file.write(found[todo[written][0]].to_json_line() + "\n")
+                    log_file.flush()
+                written += 1
+    records = [found[restart] for restart, _, _ in starts]
     best = max(records, key=lambda r: r.q)
     return SearchResult(records=records, best_q=best.q, best_coeffs=np.array(best.coeffs))
 

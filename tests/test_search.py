@@ -7,10 +7,19 @@ import pytest
 
 from cyclesteer.lhs import RadiusParams
 from cyclesteer.search import (
+    _CONTRACTION,
+    _EXPANSION,
+    _INITIAL_STEP,
+    _L_ICO,
     _PREFILTER_PARAMS,
+    _REFLECTION,
+    _S1_FORMS,
+    _SHRINK,
+    _SPREAD_TOL,
     PARAM_DIMS,
     NMParams,
     ObjectiveSpec,
+    RestartRecord,
     ResumeLogError,
     coeffs_to_state,
     multi_restart,
@@ -72,6 +81,97 @@ def test_nelder_mead_returns_first_best_evaluation(objective):
     assert np.array_equal(x, next(point for point, value in seen if value == f))
 
 
+def _reference_nelder_mead(objective, x0, params: NMParams = NMParams()):
+    """The one-start simplex loop that the lockstep loop replaced, kept as
+    the oracle: the lockstep loop must give every row these bits."""
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    simplex = np.vstack([x0, x0 + _INITIAL_STEP * np.eye(n)])
+    fvals = np.array([-objective(x) for x in simplex])  # minimize -f internally
+    iters = 0
+    for iters in range(1, params.max_iter + 1):
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+        if np.abs(simplex[1:] - simplex[0]).max() <= _SPREAD_TOL:
+            break
+        centroid = simplex[:-1].sum(axis=0) / n
+        xr = centroid + _REFLECTION * (centroid - simplex[-1])
+        fr = -objective(xr)
+        if fr < fvals[0]:
+            xe = centroid + _EXPANSION * (xr - centroid)
+            fe = -objective(xe)
+            if fe < fr:
+                simplex[-1], fvals[-1] = xe, fe
+            else:
+                simplex[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            simplex[-1], fvals[-1] = xr, fr
+        else:
+            if fr < fvals[-1]:
+                xc = centroid + _CONTRACTION * (xr - centroid)
+            else:
+                xc = centroid + _CONTRACTION * (simplex[-1] - centroid)
+            fc = -objective(xc)
+            if fc < min(fr, fvals[-1]):
+                simplex[-1], fvals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
+                    fvals[i] = -objective(simplex[i])
+    best = fvals.argmin()
+    return simplex[best].copy(), -fvals[best], iters
+
+
+@pytest.mark.parametrize("objective, x0, max_iter", [
+    (lambda v: -np.sum((v - 3.0) ** 2), np.zeros(4), 5000),
+    (lambda v: -((1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2), np.array([-1.2, 1.0]), 10000),
+    (lambda v: -np.floor(4 * np.abs(v - 0.3).sum()), np.zeros(3), 300),  # plateaus: many ties
+    (lambda v: float(np.sin(v).sum() - 0.1 * np.dot(v, v)), np.arange(5.0), 0),
+    # NaN where sin(3v) sums above 1.5: min(fr, f_worst) as Python takes it at a NaN worst vertex
+    (lambda v: np.nan if np.sin(3 * v).sum() > 1.5 else np.cos(5 * v).sum() - np.sum((v - 1.0) ** 2),
+     np.array([-1.8434507525168389, -0.9154516513346783, 0.4403902469400988]), 100),
+], ids=["quadratic", "rosenbrock", "plateaus", "max-iter-0", "nan-region"])
+def test_nelder_mead_matches_reference_loop(objective, x0, max_iter):
+    x, f, iters = nelder_mead(objective, x0, NMParams(max_iter=max_iter))
+    x_ref, f_ref, iters_ref = _reference_nelder_mead(objective, x0, NMParams(max_iter=max_iter))
+    assert (x.tobytes(), f.tobytes(), iters) == (x_ref.tobytes(), f_ref.tobytes(), iters_ref)
+
+
+def _reference_log(spec: ObjectiveSpec, restarts: int, seed: int) -> list[str]:
+    """The campaign's log lines by the reference loop, one restart at a time."""
+    lines = []
+    for i in range(restarts):
+        x0 = np.random.default_rng([seed, i]).standard_normal(spec.dim)
+        x, f, iters = _reference_nelder_mead(spec.objective(), x0, spec.nm)
+        rec = RestartRecord(restart=i, seed=[seed, i], iters=iters, q=float(f), coeffs=[float(v) for v in x])
+        lines.append(rec.to_json_line())
+    return lines
+
+
+def test_lockstep_campaign_matches_reference_loop():
+    """Restarts 0-11 of seed 7 at the default max_iter log the reference's
+    bytes; their rows leave the stack at different iterations, and some
+    run to max_iter."""
+    spec = ObjectiveSpec(kind="scenario1", parameterization="real-7")
+    log = io.StringIO()
+    multi_restart(spec, 12, seed=7, log_file=log)
+    lines = log.getvalue().splitlines()
+    assert lines == _reference_log(spec, 12, seed=7)
+    iters = [json.loads(line)["iters"] for line in lines]
+    assert len(set(iters)) > 2 and min(iters) < spec.nm.max_iter == max(iters)
+
+
+@pytest.mark.parametrize("parameterization", ["real-8", "complex-16"])
+def test_short_lockstep_campaign_matches_reference_loop(parameterization, monkeypatch):
+    """Also where the simplex shrinks: another shrink factor changes the log."""
+    spec = ObjectiveSpec(kind="scenario1", parameterization=parameterization, nm=NMParams(max_iter=300))
+    log = io.StringIO()
+    multi_restart(spec, 4, seed=7, log_file=log)
+    assert log.getvalue().splitlines() == _reference_log(spec, 4, seed=7)
+    monkeypatch.setattr("cyclesteer.search._SHRINK", 0.4)
+    assert [r.to_json_line() for r in multi_restart(spec, 4, seed=7).records] != log.getvalue().splitlines()
+
+
 def test_coeffs_to_state_parameterizations():
     s7 = coeffs_to_state(np.arange(1.0, 8.0))
     assert s7.c[7] == 0
@@ -100,6 +200,37 @@ def test_objective_scenario1_matches_generic_path(parameterization):
     for _ in range(10):
         vec = rng.standard_normal(PARAM_DIMS[parameterization])
         assert abs(objective_scenario1(vec) - _eigendecomposition_q(vec)) <= 1e-10
+
+
+def _reference_scenario1(x, penalty=2.0):
+    """The one-vector kernel as it was before batching; logs written with it
+    must replay bit for bit."""
+    norm2 = float(x @ x)
+    sq = (((_S1_FORMS[len(x)] @ x).reshape(-1, len(x)) @ x) ** 2).reshape(2, 6, 4)
+    q_ab, q_ba = np.sqrt(np.maximum(sq[..., 0], sq[..., 1:].sum(axis=-1))).sum(axis=1) / norm2
+    return float(q_ab - penalty * max(0.0, q_ba - _L_ICO))
+
+
+@pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
+@pytest.mark.parametrize("rows", [1, 2, 7, 64])
+def test_objective_scenario1_batch_rows_match_one_vector(parameterization, rows):
+    """Each row of a batch gets the bits it gets alone, which are the bits
+    of the one-vector kernel before batching."""
+    batch = rng.standard_normal((rows, PARAM_DIMS[parameterization])) * rng.uniform(1e-3, 1e3, (rows, 1))
+    values = objective_scenario1(batch, penalty=1.5)
+    assert values.shape == (rows,)
+    singles = [objective_scenario1(x, penalty=1.5) for x in batch]
+    assert values.tolist() == singles == [_reference_scenario1(x, penalty=1.5) for x in batch]
+
+
+@pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
+def test_objective_scenario1_batch_rejects_any_zero_row(parameterization):
+    batch = rng.standard_normal((5, PARAM_DIMS[parameterization]))
+    batch[3] *= TOL.zero_norm / np.linalg.norm(batch[3]) / 8
+    with pytest.raises(ValueError, match="cannot normalize the zero state"):
+        coeffs_to_state(batch[3])
+    with pytest.raises(ValueError, match="cannot normalize the zero state"):
+        objective_scenario1(batch)
 
 
 @pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
@@ -178,6 +309,18 @@ def test_multi_restart_resume(tmp_path):
     lines = log_path.read_text().splitlines()
     assert [json.loads(l)["restart"] for l in lines] == [0, 1, 2, 3]
     assert lines == [r.to_json_line() for r in full.records]  # byte-identical replay
+
+
+def test_multi_restart_resume_fills_a_gap_in_restart_order(tmp_path):
+    """A log holding restarts 0 and 2 resumes by appending 1, then 3."""
+    spec = ObjectiveSpec(kind="scenario1", nm=NMParams(max_iter=40))
+    full = [r.to_json_line() for r in multi_restart(spec, 4, seed=9).records]
+    log_path = tmp_path / "run.jsonl"
+    log_path.write_text(full[0] + "\n" + full[2] + "\n")
+    with open(log_path, "a") as f:
+        resumed = multi_restart(spec, 4, seed=9, log_file=f, resume_path=log_path)
+    assert log_path.read_text().splitlines() == [full[0], full[2], full[1], full[3]]
+    assert [r.to_json_line() for r in resumed.records] == full
 
 
 def test_multi_restart_resume_checks_only_replayed_records(tmp_path, monkeypatch):
