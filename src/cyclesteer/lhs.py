@@ -5,31 +5,28 @@ in the Bloch ball, steering detection with Farkas certificates,
 unsteerability for all projective measurements via inradius shrinking,
 and certified critical-radius brackets [r_in, r_out].
 
-The LP asks for weights w_j >= 0 with sum_j D_{lambda_j}(a|x) w_j [1, r_j]
-= ps[x, a]: one column j per deterministic strategy lambda_j and hidden
-Bloch vector |r_j| <= 1, and one row per entry of the assemblage's
-(m, 2, 4) layout (see :mod:`cyclesteer.steering`); the dual, reshaped to
-(m, 2, 4), is a Farkas functional. For finite m this is the standard LHS
-program (Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)),
-solved by column generation from the (strategy, vertex) columns of a
-geodesic polytope while those are few, priced over all 2^m strategies
-for m <= 10 (exact) and from its vertices above, on one HiGHS model per
-run that each round's columns join, warm-starting the simplex. Pricing
-sets accuracy, not soundness: a model from any pool is an LHS model once
-it passes reconstruction with every |r| <= 1 in floating point, and a
-dual detects steering only when it beats its exact Bloch-ball bound
+The LP asks for weights w_j >= 0 and the largest t in [0, t_cap] with
+sum_j D_{lambda_j}(a|x) w_j [1, r_j] + t (b0 - b1) = b0: one column j per
+deterministic strategy lambda_j and hidden Bloch vector |r_j| <= 1, one
+row per entry of the assemblage's (m, 2, 4) layout (see
+:mod:`cyclesteer.steering`), along a family b(t) = b0 + t (b1 - b0) from
+b0, ps[x, a] = [1, b]/2 with b Bob's Bloch vector. The exact two-column
+model of b0 (:func:`_anchor`) is always in the pool, so the LP is
+feasible without slacks. At each t this is the standard LHS program
+(Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)), solved by
+column generation from the (strategy, vertex) columns of a geodesic
+polytope while those are few, priced over all 2^m strategies for m <= 10
+(exact) and from its vertices above, on one HiGHS model per run that
+each round's columns join, warm-starting the simplex. Its dual, reshaped
+to (m, 2, 4), is a Farkas functional with y.b(t) = t - t*. Pricing sets
+accuracy, not soundness: a model from any pool is an LHS model once it
+passes reconstruction with every |r| <= 1 in floating point, and a dual
+detects steering only when it beats its exact Bloch-ball bound
 (:func:`cyclesteer.steering.max_over_strategies`), whose maximizing
-column closes every LP.
-
-Brackets come from one *locator* LP. Along the radial family
-rho(t) = t rho + (1 - t) I/2 (x) rho_B the right-hand side is affine,
-b(t) = b0 + t (b1 - b0), so the t in [0, t_cap] with an LP solution form
-an interval that contains t = 0 (b0 has an exact two-column model), and
-max t s.t. A w + t (b0 - b1) = b0 finds its upper end. Its primal and
-dual certify nothing until checked: r_in rests on its model mixed with
-the t = 0 model and checked by reconstruction, r_out on its dual, a
-Farkas functional with y.b(t) = t - t* that beats its exact bound just
-above t*, re-checked at its crossing.
+column closes every LP. Decisions run it on an assemblage's own radial
+family up to t_cap = 1 (:func:`lhs_lp_feasible`), brackets on a state's
+(:func:`critical_radius_bounds`): r_in from its model mixed with the
+t = 0 model, r_out from its dual, each checked.
 """
 
 from __future__ import annotations
@@ -50,14 +47,10 @@ from .tolerances import TOL
 # and empty above: seeded with 64 x 162, radius-default's 8 brackets took
 # 14 s instead of 2.5 s. Pricing is exact while 2^m is at most this many.
 SEED_MAX_COLUMNS = 1024
-_PRICING_TOL = 1e-10
+# A column prices in when the dual's value on it exceeds this (absolute).
+_PRICING_TOL = 1e-6
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
-# Weight M on the locator's slacks. The penalty is exact (the slacks stay
-# at zero whenever some t is feasible) once M exceeds the largest dual of
-# the max-t LP; over the builtin, random and family states at hidden
-# levels 0 and 2 that dual was at most 27, and M = 10 already failed.
-_LOCATOR_PENALTY = 1e4
 # A Farkas functional detects steering where it beats its exact bound by more than this.
 _DETECTION_MARGIN = 1e-12
 # t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state.
@@ -65,7 +58,7 @@ T_CAP_MAX = 2.0
 
 
 class LpFailure(RuntimeError):
-    """The LP ended with neither an LHS model nor a detecting functional."""
+    """HiGHS or column generation did not end at an optimum."""
 
 
 @dataclass(frozen=True)
@@ -187,33 +180,24 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
 class _Lp:
     """One HiGHS model per column-generation run, kept across its rounds:
 
-        min M.(s+ + s-) - t   s.t.   A w + t t_col + s+ - s- = b,
-        w, s+, s- >= 0,  0 <= t <= t_cap,
+        min -t   s.t.   A w + t t_col = b,   w >= 0,   0 <= t <= t_cap,
 
-    with columns [t, s+, s-] and then the pool's w in the order ``add``
-    appends them; each ``solve`` warm-starts the simplex from the last
-    basis. Without ``t_col`` it is the phase-1 LP (M = 1, no t): its
-    optimum is the infeasibility, and its row duals are the Farkas
-    vector: y.b = infeasibility, A^T y <= 0, |y| <= 1. With ``t_col`` it
-    is the locator (M = _LOCATOR_PENALTY), whose optimal t is the largest
-    feasible one when the slacks come back zero. HiGHS keeps primal and
-    dual feasibility to 1e-10, below the 1e-8 model check (at the default
-    1e-7 a locator model came back with a weight of -9e-8, and with
-    presolve the singlet's at meas 0, hidden 2 with status Unknown);
-    presolve is off, as at 48 rows it costs more than it saves.
+    with column t and then the pool's w in the order ``add`` appends
+    them; each ``solve`` warm-starts the simplex from the last basis.
+    HiGHS keeps primal and dual feasibility to 1e-10, below the 1e-8
+    model check (at the default 1e-7 a model came back with a weight of
+    -9e-8, and with presolve the singlet's at meas 0, hidden 2 with
+    status Unknown); presolve is off, as at 48 rows it costs more than it
+    saves.
     """
 
-    def __init__(self, b: np.ndarray, t_col=None, t_cap: float = 0.0):
+    def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
         self.highs = _Highs()
         for option, value in (("output_flag", False), ("presolve", "off"),
                               ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10)):
             self.highs.setOptionValue(option, value)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
-        self.nt = 0 if t_col is None else 1
-        if t_col is not None:
-            self.add(t_col[:, None], -1.0, t_cap)
-        self.add(np.hstack([np.eye(len(b)), -np.eye(len(b))]), 1.0 if t_col is None else _LOCATOR_PENALTY)
-        self.first = self.highs.getNumCol()
+        self.add(t_col[:, None], -1.0, t_cap)
 
     def add(self, cols: np.ndarray, cost: float = 0.0, upper: float = np.inf):
         """Append the dense columns ``cols`` (rows, k), each with this cost and upper bound."""
@@ -228,9 +212,9 @@ class _Lp:
         return self.highs.getNumRow(), self.highs.getNumCol()
 
     def solve(self):
-        """Returns (slack sum, t, w, y); LpFailure unless HiGHS ends optimal."""
+        """Returns (t, w, y); LpFailure unless HiGHS ends optimal."""
         res = linprog(A_eq=self)
-        return float(res.x[self.nt : self.first].sum()), float(res.x[: self.nt].sum()), res.x[self.first :], res.y
+        return float(res.x[0]), res.x[1:], res.y
 
 
 def linprog(*, A_eq: _Lp) -> OptimizeResult:
@@ -254,78 +238,90 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     return OptimizeResult(x=np.array(sol.col_value), y=np.array(sol.row_dual), nit=nit)
 
 
-def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col=None, t_cap: float = 0.0):
-    """An ``_Lp`` over the columns of ``pool`` = (bits, blochs), adding
-    priced columns until none prices above _PRICING_TOL relative to the
-    slack weight M (``_price``, from the vertices of ``hidden`` above
-    m = 10); when it offers none, the exact kernel's maximizing column
-    (lambda*, V/|V|) is priced, so every LP ends optimal over the ball.
-    The kernel bounds the dual divided by max(1, its max-abs entry), so
-    every functional has coefficients of at most 1.
+def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray, t_cap: float):
+    """The ``_Lp`` over the columns of ``pool`` = (bits, blochs), adding
+    priced columns until none prices above _PRICING_TOL (``_price``, from
+    the vertices of ``hidden`` above m = 10); when it offers none, the
+    exact kernel's maximizing column (lambda*, V/|V|) is priced, so every
+    LP ends optimal over the ball. The kernel bounds the dual divided by
+    max(1, its max-abs entry), so every functional has coefficients of
+    at most 1. Ending below t_cap, t is basic, so the final dual y has
+    y.b(t) = t - t* along the family, and its bound over the ball is at
+    most the pricing tolerance.
 
-    An infeasible phase-1 LP (no ``t_col``) has its dual re-bounded
-    exactly whenever no priced column rules detection out; once the dual
-    beats its bound by more than _DETECTION_MARGIN it is returned as a
-    functional carrying that bound, whether or not pricing has converged.
-    A locator ending below t_cap returns its final dual y: t is basic, so
-    y.b(t) = t - t*, and its bound over the ball is at most the pricing tolerance.
-
-    Returns (slack sum, t, LHS model of the positive weights, functional or
-    None). Raises LpFailure when a phase-1 LP ends infeasible undetected.
+    Returns (t*, LHS model of the positive weights at t*, functional or
+    None at t* = t_cap). Raises LpFailure when HiGHS or column generation
+    does not end optimal.
     """
     m = len(b) // 8
     pool_bits, pool_blochs = pool
-    tol = _PRICING_TOL * (1.0 if t_col is None else _LOCATOR_PENALTY)
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     strategies = _strategies(m)
     lp = _Lp(b, t_col, t_cap)
     lp.add(_columns(pool_bits, pool_blochs))
     for _ in range(_CG_MAX_ROUNDS):
-        slack, t, w, y = lp.solve()
+        t, w, y = lp.solve()
         model = LhsCertificate(pool_bits[w > 0], pool_blochs[w > 0], w[w > 0])
-        if slack <= TOL.lp_residual and (t_col is None or t >= t_cap):
-            return slack, t, model, None  # feasible, or t at its cap: no column can improve
+        if t >= t_cap:
+            return t, model, None  # no column can improve
         coef = y.reshape(m, 2, 4)
         bits, blochs, scores = _price(coef, hidden.vertices, bob, strategies)
-        infeasible = t_col is None and slack > TOL.lp_residual
         functional = None
-        if scores[0] <= tol or (infeasible and scores[0] < y @ b - _DETECTION_MARGIN):
+        if scores[0] <= _PRICING_TOL:
             scale = max(1.0, np.abs(y).max())
             bound, best = max_over_strategies(coef / scale)
             functional = GeneralFunctional(coef / scale, bound)
-            if infeasible and y @ b / scale > bound + _DETECTION_MARGIN:
-                return slack, t, model, functional
             bits = np.vstack([bits, best])
             blochs = np.vstack([blochs, _best_column(coef, best)[1]])
             scores = np.append(scores, bound * scale)
-        if not (scores > tol).any():
-            if infeasible:
-                raise LpFailure(f"LP infeasibility {slack:.2e}, but no functional beats its exact bound")
-            return slack, t, model, functional
-        bits, blochs = bits[scores > tol].astype(np.int8), blochs[scores > tol]
+        if not (scores > _PRICING_TOL).any():
+            return t, model, functional
+        bits, blochs = bits[scores > _PRICING_TOL].astype(np.int8), blochs[scores > _PRICING_TOL]
         lp.add(_columns(bits, blochs))
         pool_bits, pool_blochs = np.vstack([pool_bits, bits]), np.vstack([pool_blochs, blochs])
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 
+def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float):
+    """``_solve`` along b(t) = b0 + t (b1 - b0) from a0 to a1 (a0 the t = 0
+    assemblage). The pool is the level seed of ``hidden``, the t = 0 model
+    and, at m <= 10 when Bob's marginal b is pure, every strategy at b. A
+    pure b puts every b(t) on the boundary of the columns' cone: only
+    columns at b can carry weight and the optimal duals are unbounded.
+    Without those columns, pricing from HiGHS's duals (up to 1e9) stalled
+    until HiGHS ended Infeasible or Unknown on 3 of 1000 random product
+    states at hidden level 0, and cycled on others.
+    """
+    anchor = _anchor(a0)
+    bits, blochs = _seed(hidden, a0.m)
+    bits, blochs = np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])
+    strategies, bob = _strategies(a0.m), anchor.blochs[0]
+    if strategies is not None and (bob != 2 * a0.ps[0, 0, 1:]).any():  # _into_ball moved b: pure
+        bits, blochs = np.vstack([bits, strategies]), np.vstack([blochs, np.tile(bob, (len(strategies), 1))])
+    b0 = a0.ps.ravel()
+    return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap)
+
+
 def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     """Decide LHS feasibility with hidden states anywhere in the Bloch
-    ball, by column generation seeded by the polytope ``hidden`` (which
-    also prices, above m = 10).
+    ball: the LP along the assemblage's own radial family, from the t = 0
+    assemblage [1, b]/2 of its Bob marginal b to t = t_cap = 1, with the
+    pool seeded by the polytope ``hidden`` (which also prices, above m = 10).
 
-    A model is accepted only when every hidden state lies in the ball
-    and its reconstruction reproduces the assemblage to within
-    TOL.lp_residual (max-abs over [p, s]); infeasibility only with a
-    Farkas functional that beats its exact Bloch-ball bound, which it
-    carries. Returns (True, LhsCertificate), (False, GeneralFunctional)
-    or (False, None), "not certified"; raises LpFailure when the solver
-    gives neither.
+    A model is accepted only when t* reaches 1, every hidden state lies
+    in the ball and its reconstruction reproduces the assemblage to
+    within TOL.lp_residual (max-abs over [p, s]); infeasibility only with
+    a Farkas functional that beats its exact Bloch-ball bound on the
+    assemblage, which it carries. Returns (True, LhsCertificate),
+    (False, GeneralFunctional) or (False, None), "not certified"; raises
+    LpFailure when the solver fails.
     """
-    slack, _, model, functional = _solve(hidden, _seed(hidden, assemblage.m), assemblage.ps.ravel())
-    if functional is not None:
-        return False, functional
-    if slack <= TOL.lp_residual and model.residual(assemblage.ps) <= TOL.lp_residual:
+    a0 = Assemblage(np.broadcast_to(assemblage.ps[0].sum(axis=0) / 2, assemblage.ps.shape))
+    t, model, functional = _locate(hidden, a0, assemblage, 1.0)
+    if t >= 1.0 and model.residual(assemblage.ps) <= TOL.lp_residual:
         return True, model
+    if functional is not None and _detects(functional, assemblage):
+        return False, functional
     return False, None
 
 
@@ -334,11 +330,8 @@ def detect_steerable(rho_ab: DensityMatrix, directions, hidden: SpherePolytope):
     reported only when the LP's Farkas functional beats its exact bound
     over the Bloch ball by more than _DETECTION_MARGIN on the assemblage.
     Returns (steerable, GeneralFunctional carrying its bound, or None)."""
-    assemblage = make_assemblage(rho_ab, directions)
-    _, cert = lhs_lp_feasible(assemblage, hidden)
-    if isinstance(cert, GeneralFunctional) and _detects(cert, assemblage):
-        return True, cert
-    return False, None
+    cert = lhs_lp_feasible(make_assemblage(rho_ab, directions), hidden)[1]
+    return (True, cert) if isinstance(cert, GeneralFunctional) else (False, None)
 
 
 def _detects(functional: GeneralFunctional, assemblage: Assemblage) -> bool:
@@ -426,11 +419,12 @@ def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
     return bisect(indefinite, 1.0, t_max, 1e-9)[0] if indefinite(t_max) else t_max
 
 
-def _anchor(bob: np.ndarray, m: int) -> LhsCertificate:
-    """The exact LHS model of the t = 0 assemblage ps[x, a] = [1, b]/2:
+def _anchor(a0: Assemblage) -> LhsCertificate:
+    """The exact LHS model of the t = 0 assemblage a0, ps[x, a] = [1, b]/2:
     lambda = 0 and lambda = 1, both with hidden state b (pulled into the
     ball in floating point), weight 1/2 each."""
-    bits = np.array([np.zeros(m), np.ones(m)], dtype=np.int8)
+    bob = 2 * a0.ps[0, 0, 1:]
+    bits = np.array([np.zeros(a0.m), np.ones(a0.m)], dtype=np.int8)
     return LhsCertificate(bits, _into_ball(np.array([bob, bob])), np.array([0.5, 0.5]))
 
 
@@ -467,19 +461,18 @@ def _first_detection(functional: GeneralFunctional, a0: Assemblage, a1: Assembla
 
 
 def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> RadiusReport:
-    """Bracket the critical radius with one locator LP, whose pool starts
-    from the level-``hidden_level`` seed and the t = 0 model; its primal
-    gives r_in and its dual r_out.
+    """Bracket the critical radius with one LP run (:func:`_locate`) along
+    the radial family, from the level-``hidden_level`` seed and the t = 0
+    model; its primal gives r_in and its dual r_out.
 
     r_in = meas.eta t (by the shrinking lemma, unsteerability of the
     shrunk state for all projective measurements) for t = t_cap if the
-    locator reaches t* = t_cap, else t = t* - TOL.locator_margin, when
-    the locator's model mixed down to t (:func:`_inner_model`)
-    reproduces the mixed state's assemblage to within TOL.lp_residual.
-    Otherwise, or if the locator finds no t, r_in = 0 is vacuous
-    (unsteerable_certified False).
+    LP reaches t* = t_cap, else t = t* - TOL.locator_margin, when the
+    LP's model mixed down to t (:func:`_inner_model`) reproduces the
+    mixed state's assemblage to within TOL.lp_residual. Otherwise, or if
+    t <= 0, r_in = 0 is vacuous (unsteerable_certified False).
 
-    r_out: if t* < t_cap, the locator's dual (see :func:`_solve`) is checked
+    r_out: if t* < t_cap, the LP's dual (see :func:`_solve`) is checked
     on the mixed state's assemblage at t_d = min(t_cap, t* + tol/2) (tol =
     params.bisection_tol). If it beats its exact bound there, it detects
     steering from its closed-form crossing up to t_d, and r_out is that
@@ -493,22 +486,16 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
         return make_assemblage(radial_mix_state(rho_ab, t), directions)
 
     a0, a1 = assemblage_at(0.0), make_assemblage(rho_ab, directions)
-    b0, b1 = a0.ps.ravel(), a1.ps.ravel()
-    anchor = _anchor(2 * a0.ps[0, 0, 1:], a0.m)
-    hidden = sphere_polytope(params.hidden_level)
-    bits, blochs = _seed(hidden, a0.m)
-    pool = np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])
-    slack, t_star, model, functional = _solve(hidden, pool, b0, b0 - b1, t_cap)
+    t_star, model, functional = _locate(sphere_polytope(params.hidden_level), a0, a1, t_cap)
 
     t_in, r_out, det = 0.0, t_cap, False
-    if slack <= TOL.lp_residual:
-        t = t_cap if t_star >= t_cap else t_star - TOL.locator_margin
-        if t > 0 and _inner_model(model, t / t_star, anchor).residual(assemblage_at(t).ps) <= TOL.lp_residual:
-            t_in = t
-        if functional is not None:
-            t_d = min(t_cap, t_star + params.bisection_tol / 2)
-            if _detects(functional, assemblage_at(t_d)):
-                r_out, det = _first_detection(functional, a0, a1, assemblage_at, t_d), True
+    t = t_cap if t_star >= t_cap else t_star - TOL.locator_margin
+    if t > 0 and _inner_model(model, t / t_star, _anchor(a0)).residual(assemblage_at(t).ps) <= TOL.lp_residual:
+        t_in = t
+    if functional is not None:
+        t_d = min(t_cap, t_star + params.bisection_tol / 2)
+        if _detects(functional, assemblage_at(t_d)):
+            r_out, det = _first_detection(functional, a0, a1, assemblage_at, t_d), True
 
     return RadiusReport(r_in=meas.eta * t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
                         unsteerable_certified=t_in > 0, params=params, meas_eta=meas.eta)

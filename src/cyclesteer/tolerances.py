@@ -2,7 +2,7 @@
 zero-norm guard, the LHS model check, r_in's margin below the locator's
 t*, degenerate observable directions and the scenario-1 margin. A
 threshold of one algorithm stays a documented constant of its module,
-such as the LP's pricing tolerance, slack weight and detection margin in
+such as the LP's pricing tolerance and detection margin in
 ``lhs`` and Nelder-Mead's stop in ``search``.
 """
 

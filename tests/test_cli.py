@@ -328,8 +328,8 @@ def test_table_command(capsys):
 
 
 def test_calibrate_command(capsys, monkeypatch):
-    """One locator run brackets the Werner thresholds, and the phase-1 LP
-    flips inside its finite-setting bracket: Werner(p) is the singlet's
+    """One locator run brackets the Werner thresholds, and the decisions
+    flip inside its finite-setting bracket: Werner(p) is the singlet's
     radial mix at t = p."""
     solve, calls = lhs._solve, []
     monkeypatch.setattr(lhs, "_solve", lambda *a, **k: calls.append(a) or solve(*a, **k))

@@ -17,6 +17,7 @@ from cyclesteer.lhs import (
     _anchor,
     _columns,
     _inner_model,
+    _locate,
     _price,
     _psd_cap,
     _seed,
@@ -183,22 +184,24 @@ def test_pricing_exact_on_icosahedral_functional():
     assert abs(_assert_exact_pricing(coef, np.zeros(3)) - (1 + np.sqrt(5))) <= 1e-12
 
 
-def _empty_pool(m):
-    return np.zeros((0, m), np.int8), np.zeros((0, 3))
+def _anchor_pool(anchor):
+    """A pool of the t = 0 model's two columns alone."""
+    return anchor.strategy_bits, anchor.blochs
 
 
 def test_column_generation_from_seed_or_empty():
-    """From the level-0 seed or from an empty pool, the phase-1 LP ends at
-    the same decision on m = 6 assemblages (two Werner states and one
-    random state); at m = 21, above the seed cap, it gives the expected
-    decisions."""
+    """From the level-0 seed and the t = 0 model, or from the t = 0 model
+    alone, the LP to t_cap = 1 ends at the same decision on m = 6
+    assemblages (two Werner states and one random state); at m = 21,
+    above the seed cap, lhs_lp_feasible gives the expected decisions."""
     for rho in (werner(0.45), werner(0.99), random_two_qubit(np.random.default_rng(3))):
-        b = make_assemblage(rho, ICO_DIRS).ps.ravel()
-        seeded = _solve(ICO, _seed(ICO, 6), b)
-        empty = _solve(ICO, _empty_pool(6), b)
-        assert (seeded[3] is None) == (empty[3] is None)
-        if seeded[3] is None:
-            assert seeded[0] <= TOL.lp_residual and empty[0] <= TOL.lp_residual
+        a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
+        b0, b1 = a0.ps.ravel(), make_assemblage(rho, ICO_DIRS).ps.ravel()
+        anchor = _anchor(a0)
+        seeded = _solve(ICO, _locator_pool(ICO, anchor), b0, b0 - b1, 1.0)
+        empty = _solve(ICO, _anchor_pool(anchor), b0, b0 - b1, 1.0)
+        assert (seeded[0] >= 1.0) == (empty[0] >= 1.0)
+        assert (seeded[2] is None) == (empty[2] is None) == (seeded[0] >= 1.0)
     dirs = antipodal_directions(sphere_polytope(1))
     for p, expected in ((0.45, True), (0.99, False)):
         a = make_assemblage(werner(p), dirs)
@@ -210,13 +213,11 @@ def test_column_generation_from_seed_or_empty():
 class _ColdChecked(_Lp):
     """The warm-started model, checked after every solve against a cold
     linprog over every column added so far (the oracle). Errors are
-    measured against max(1, max|y|): a degenerate optimum with a slack
-    basic at zero carries a dual entry at M = 1e4 (Werner(0.9)'s locator),
-    and there the slack's own -3e-12 feasibility error moves M.slack by 3e-8."""
+    measured against max(1, max|y|), the scale of the dual's rounding."""
 
     rounds = []
 
-    def __init__(self, b, t_col=None, t_cap=0.0):
+    def __init__(self, b, t_col, t_cap):
         self.b, self.parts = b, []
         super().__init__(b, t_col, t_cap)
 
@@ -225,29 +226,28 @@ class _ColdChecked(_Lp):
         super().add(cols, cost, upper)
 
     def solve(self):
-        slack, t, w, y = super().solve()
+        t, w, y = super().solve()
         a, c, upper = (np.concatenate(part, axis=-1) for part in zip(*self.parts))
         cold = linprog(c, A_eq=a, b_eq=self.b, bounds=np.column_stack([np.zeros(len(c)), upper]),
                        method="highs", options={"primal_feasibility_tolerance": 1e-10,
                                                 "dual_feasibility_tolerance": 1e-10, "presolve": False})
         assert cold.status == 0
-        objective = c[self.nt] * slack - t  # M.(s+ + s-) - t
         reduced = c - a.T @ y
         # t at its cap t_cap has reduced cost <= 0, which enters the dual objective
-        at_cap = upper[0] * min(0.0, reduced[0]) if self.nt else 0.0
+        at_cap = upper[0] * min(0.0, reduced[0])
         scale = max(1.0, np.abs(y).max())
-        assert abs(objective - cold.fun) <= 1e-9 * scale
-        assert abs(y @ self.b + at_cap - objective) <= 1e-9 * scale
-        assert reduced[self.nt :].min() >= -1e-9 * scale
+        assert abs(-t - cold.fun) <= 1e-9 * scale
+        assert abs(y @ self.b + at_cap + t) <= 1e-9 * scale
+        assert reduced[1:].min() >= -1e-9 * scale
         self.rounds.append(scale)
-        return slack, t, w, y
+        return t, w, y
 
 
 def test_warm_start_matches_cold_solve(monkeypatch):
     """After every column-generation round the warm-started model's optimum
     is a cold solve's over the same columns, and its dual is optimal on
-    all of them: phase-1 and locator at m = 6 (singlet, Werner(0.9), a
-    random state), and one phase-1 run at m = 21."""
+    all of them: decisions and brackets at m = 6 (singlet, Werner(0.9), a
+    random state), and one decision at m = 21."""
     monkeypatch.setattr(lhs, "_Lp", _ColdChecked)
     monkeypatch.setattr(_ColdChecked, "rounds", [])
     for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(5))):
@@ -279,49 +279,85 @@ def test_non_optimal_solve_gets_one_cold_resolve(monkeypatch):
 def test_linprog_reports_size_and_iterations():
     """Every HiGHS run goes through ``lhs.linprog(A_eq=model)``: the model
     has a (rows, cols) shape and the result its simplex iteration count."""
-    lp = _Lp(make_assemblage(werner(0.45), ICO_DIRS).ps.ravel())
+    a0 = make_assemblage(radial_mix_state(werner(0.45), 0.0), ICO_DIRS)
+    b0 = a0.ps.ravel()
+    lp = _Lp(b0, b0 - make_assemblage(werner(0.45), ICO_DIRS).ps.ravel(), 1.0)
     lp.add(_columns(*_seed(ICO, 6)))
     res = lhs.linprog(A_eq=lp)
-    assert lp.shape == (48, 96 + 64 * 12)
-    assert res.nit > 0 and res.x.shape == (96 + 64 * 12,) and res.y.shape == (48,)
+    assert lp.shape == (48, 1 + 64 * 12)
+    assert res.nit > 0 and res.x.shape == (1 + 64 * 12,) and res.y.shape == (48,)
 
 
-def _hidden_polytope_t_star(hidden, b0, b1, t_cap, scale):
-    """The locator of the hidden-polytope LP that the ball LP replaced:
-    every (strategy, vertex) column at m = 6, with the vertices scaled by
-    ``scale`` (1 for the inner restrict hull, 1/eta for the outer relax
-    hull)."""
+def _hull_columns(hidden, scale):
+    """(bits, blochs) of every (strategy, vertex) column at m = 6, with the
+    vertices scaled by ``scale`` (1 for the inner restrict hull, 1/eta for
+    the outer relax hull): the hidden-polytope LP that the ball LP replaced."""
     strategies = np.concatenate(list(strategy_blocks(6)))
-    bits = np.repeat(strategies, hidden.n_vertices, axis=0)
-    blochs = np.tile(hidden.vertices * scale, (len(strategies), 1))
+    return (np.repeat(strategies, hidden.n_vertices, axis=0),
+            np.tile(hidden.vertices * scale, (len(strategies), 1)))
+
+
+def _hidden_polytope_t_star(hidden, a0, b1, t_cap, scale):
+    """The max-t LP over one hull's columns and the t = 0 model's."""
+    anchor = _anchor(a0)
+    bits, blochs = _hull_columns(hidden, scale)
+    b0 = a0.ps.ravel()
     lp = _Lp(b0, b0 - b1, t_cap)
-    lp.add(_columns(bits, blochs))
-    slack, t, _, _ = lp.solve()
-    assert slack <= TOL.lp_residual
-    return t
+    lp.add(_columns(np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])))
+    return lp.solve()[0]
 
 
 def test_ball_locator_between_hidden_polytope_locators():
     """The ball lies between the restrict hull and the relax hull, so at
-    m = 6 the ball locator's t* lies between their dense t*; the same t*,
-    to within the locator's pricing tolerance 1e-9 M = 1e-5, comes out
-    from the seed and from an empty pool."""
+    m = 6 the ball LP's t* lies between their dense t*; the same t*, to
+    within 1e-5, comes out from the seed and from the t = 0 model alone."""
     below_cap = 0
     for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(4))):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         b0, b1 = a0.ps.ravel(), make_assemblage(rho, ICO_DIRS).ps.ravel()
         t_cap = _psd_cap(rho, 2.0)
-        inner = _hidden_polytope_t_star(HIDDEN1, b0, b1, t_cap, 1.0)
-        outer = _hidden_polytope_t_star(HIDDEN1, b0, b1, t_cap, 1 / HIDDEN1.eta)
-        balls = []
-        for hidden, pool in ((ICO, _seed(ICO, 6)), (HIDDEN1, _empty_pool(6))):
-            slack, t, _, _ = _solve(hidden, pool, b0, b0 - b1, t_cap)
-            assert slack <= TOL.lp_residual
-            balls.append(t)
+        inner = _hidden_polytope_t_star(HIDDEN1, a0, b1, t_cap, 1.0)
+        outer = _hidden_polytope_t_star(HIDDEN1, a0, b1, t_cap, 1 / HIDDEN1.eta)
+        anchor = _anchor(a0)
+        balls = [_solve(hidden, pool, b0, b0 - b1, t_cap)[0]
+                 for hidden, pool in ((ICO, _locator_pool(ICO, anchor)), (HIDDEN1, _anchor_pool(anchor)))]
         assert inner - 1e-7 <= balls[0] <= outer + 1e-7
         assert abs(balls[0] - balls[1]) <= 1e-5
         below_cap += outer < t_cap
     assert below_cap >= 2  # the cap does not decide the comparison
+
+
+def test_decisions_match_hull_feasibility_oracle():
+    """lhs_lp_feasible against feasibility LPs that share none of its LP
+    code: scipy's linprog over every (strategy, vertex) column at m = 6,
+    built by the loop oracle. The ball lies between the restrict hull (the
+    level-1 vertices) and the relax hull (the vertices / eta), so what the
+    restrict hull models gets a model, and what the relax hull cannot
+    model gets a detecting functional. Random pure and mixed states at a
+    random t count only when the hull decides the same 2 % further along
+    the ray, away from the threshold."""
+    hulls = {scale: _columns_loop(*_hull_columns(HIDDEN1, scale), 6) for scale in (1.0, 1 / HIDDEN1.eta)}
+
+    def hull_models(scale, rho, t):
+        a = make_assemblage(radial_mix_state(rho, t), ICO_DIRS)
+        res = linprog(np.zeros(hulls[scale].shape[1]), A_eq=hulls[scale], b_eq=a.ps.ravel(), method="highs")
+        assert res.status in (0, 2)  # feasible or infeasible
+        return res.status == 0
+
+    r = np.random.default_rng(31)
+    decided = {True: 0, False: 0}
+    for k in range(24):
+        psi = r.standard_normal(4) + 1j * r.standard_normal(4)
+        rho = DensityMatrix(np.outer(psi, psi.conj()) / (psi.conj() @ psi), (2, 2)) if k % 3 else random_two_qubit(r)
+        t = r.uniform(0.3, 0.95)
+        feasible, cert = lhs_lp_feasible(make_assemblage(radial_mix_state(rho, t), ICO_DIRS), HIDDEN1)
+        if hull_models(1.0, rho, t) and hull_models(1.0, rho, 1.02 * t):
+            assert feasible and isinstance(cert, LhsCertificate)
+            decided[True] += 1
+        elif not hull_models(1 / HIDDEN1.eta, rho, t) and not hull_models(1 / HIDDEN1.eta, rho, 0.98 * t):
+            assert not feasible and isinstance(cert, GeneralFunctional)
+            decided[False] += 1
+    assert min(decided.values()) >= 6, decided
 
 
 def test_certificate_checked_by_reconstruction(monkeypatch):
@@ -342,10 +378,10 @@ def test_certificate_checked_by_reconstruction(monkeypatch):
     solve = lhs._solve
 
     def perturbed(*args):
-        slack, t, model, functional = solve(*args)
+        t, model, functional = solve(*args)
         w = model.weights.copy()
         w[np.argmax(w)] += 1e-6
-        return slack, t, LhsCertificate(model.strategy_bits, model.blochs, w), functional
+        return t, LhsCertificate(model.strategy_bits, model.blochs, w), functional
 
     monkeypatch.setattr(lhs, "_solve", perturbed)
     for a in accepted:
@@ -378,16 +414,11 @@ def _locator_pool(hidden, anchor):
 
 
 def _locator_model(rho, hidden=ICO):
-    """(t*, the locator's model at t*, the t = 0 model, assemblages at 0
-    and 1) at m = 6, as critical_radius_bounds finds them."""
-    t_cap = _psd_cap(rho, T_CAP_MAX)
+    """(t*, the LP's model at t*, the t = 0 model) at m = 6, as
+    critical_radius_bounds finds them."""
     a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
-    a1 = make_assemblage(rho, ICO_DIRS)
-    anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
-    slack, t_star, model, _ = _solve(hidden, _locator_pool(hidden, anchor), a0.ps.ravel(),
-                                     (a0.ps - a1.ps).ravel(), t_cap)
-    assert slack <= TOL.lp_residual
-    return t_star, model, anchor
+    t_star, model, _ = _locate(hidden, a0, make_assemblage(rho, ICO_DIRS), _psd_cap(rho, T_CAP_MAX))
+    return t_star, model, _anchor(a0)
 
 
 @st.composite
@@ -470,29 +501,32 @@ def test_pure_bob_marginal_certified():
     """Bob's marginal is a pure state off every polytope vertex. Only
     columns whose hidden state is b itself can model the product state,
     and b is a ball column, so r_in is certified up to t_cap (no
-    hidden-polytope LP found any t for it)."""
+    hidden-polytope LP found any t for it). The same holds on random
+    product states at hidden level 0, where without every strategy at b
+    in the pool the LP's unbounded duals stalled pricing until HiGHS
+    ended Infeasible or Unknown (these seeds)."""
     bob = (np.eye(2) + bloch_to_obs(np.array([0.48, 0.6, 0.64]))) / 2
     rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), bob).astype(complex), (2, 2))
     rep = critical_radius_bounds(rho, RadiusParams(hidden_level=1, bisection_tol=1e-2))
     assert rep.unsteerable_certified
     assert rep.r_in == ICO.eta * rep.t_cap
+    for seed in (509, 751, 768, 911, 1876):
+        r = np.random.default_rng(seed)
+        b = r.standard_normal(3)
+        alice = random_two_qubit(r).mat.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+        rho = DensityMatrix(np.kron(alice, (ID2 + bloch_to_obs(b / np.linalg.norm(b))) / 2), (2, 2))
+        rep = critical_radius_bounds(rho, RadiusParams(hidden_level=0))
+        assert rep.unsteerable_certified and rep.r_in == ICO.eta * rep.t_cap
 
 
 def test_no_located_t_gives_vacuous_bracket(monkeypatch):
-    """A locator that finds no t leaves r_in = 0 with unsteerable_certified
-    False (it was once reported as certified) and r_out = t_cap: its dual
-    is not used either."""
+    """An LP whose t* is at most TOL.locator_margin leaves r_in = 0 with
+    unsteerable_certified False (it was once reported as certified)."""
     solve = lhs._solve
-
-    def no_t(*args):
-        slack, t, model, functional = solve(*args)
-        assert functional is not None
-        return 1.0, 0.0, model, functional
-
-    monkeypatch.setattr(lhs, "_solve", no_t)
-    rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
-    assert rep.r_in == 0.0 and not rep.unsteerable_certified
-    assert rep.r_out == rep.t_cap and not rep.steerable_detected
+    for t_star in (0.0, TOL.locator_margin):
+        monkeypatch.setattr(lhs, "_solve", lambda *args, t_star=t_star: (t_star, *solve(*args)[1:]))
+        rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
+        assert rep.r_in == 0.0 and not rep.unsteerable_certified
 
 
 def _product_state():
@@ -518,21 +552,18 @@ def test_one_lp_run_per_bracket(monkeypatch):
 
 
 def test_locator_dual_is_the_r_out_functional():
-    """The locator's final dual comes back divided by its max-abs entry
-    (on Werner(0.9) one entry reaches the slack weight M = 1e4), bounded
-    by the pricing tolerance, with value (t - t*)/scale along the radial
-    family, and it detects just above t*; on the singlet at default
+    """The LP's final dual comes back divided by max(1, its max-abs entry),
+    bounded by the pricing tolerance, with value (t - t*)/scale along the
+    radial family, and it detects just above t*; on the singlet at default
     parameters r_out lies within 2e-5 of t* = 0.539345."""
     hidden = sphere_polytope(RadiusParams().hidden_level)
     for rho in (singlet(), werner(0.9)):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         a1 = make_assemblage(rho, ICO_DIRS)
-        anchor = _anchor(2 * a0.ps[0, 0, 1:], 6)
-        slack, t_star, _, functional = _solve(hidden, _locator_pool(hidden, anchor), a0.ps.ravel(),
-                                              (a0.ps - a1.ps).ravel(), _psd_cap(rho, T_CAP_MAX))
-        assert slack <= TOL.lp_residual and t_star < 1.0
+        t_star, _, functional = _locate(hidden, a0, a1, _psd_cap(rho, T_CAP_MAX))
+        assert t_star < 1.0
         assert np.abs(functional.coef).max() <= 1.0
-        assert functional.bound <= lhs._PRICING_TOL * lhs._LOCATOR_PENALTY
+        assert functional.bound <= lhs._PRICING_TOL
         v0, v1 = functional.value(a0), functional.value(a1)
         assert v1 > v0 and abs(v0 + t_star * (v1 - v0)) <= 1e-12
         rep = critical_radius_bounds(rho)
@@ -550,8 +581,8 @@ def test_functional_that_misses_t_d_gives_vacuous_r_out(monkeypatch):
     solve = lhs._solve
 
     def blunt(*args):
-        slack, t, model, functional = solve(*args)
-        return slack, t, model, GeneralFunctional(functional.coef, functional.bound + 1.0)
+        t, model, functional = solve(*args)
+        return t, model, GeneralFunctional(functional.coef, functional.bound + 1.0)
 
     monkeypatch.setattr(lhs, "_solve", blunt)
     rep = critical_radius_bounds(singlet(), params)
@@ -653,8 +684,8 @@ def test_critical_radius_singlet_bracket():
     rep = critical_radius_bounds(singlet(), RadiusParams(bisection_tol=5e-3))
     assert rep.steerable_detected and rep.unsteerable_certified
     assert rep.r_in <= 0.5 <= rep.r_out
-    # certified TOL.locator_margin below the ball locator's t* = 0.539345,
-    # which it finds to within its pricing tolerance 1e-9 M = 1e-5
+    # certified TOL.locator_margin below the ball LP's t* = 0.539345,
+    # which it finds to within 1e-5
     assert rep.r_in >= ICO.eta * (0.539345 - 1e-5)
     assert rep.r_out - rep.r_in < 0.2
     d = rep.to_dict()

@@ -148,10 +148,11 @@ def _reference_log(spec: ObjectiveSpec, restarts: int, seed: int) -> list[str]:
     return lines
 
 
-def test_lockstep_campaign_matches_reference_loop():
+def test_lockstep_campaign_matches_reference_loop(monkeypatch, tmp_path):
     """Restarts 0-11 of seed 7 at the default max_iter log the reference's
     bytes; their rows leave the stack at different iterations, and some
-    run to max_iter."""
+    run to max_iter. In lockstep blocks of 5 the log is the same, also
+    when a --resume fills the gaps of a log holding restarts 1, 2, 7 and 11."""
     spec = ObjectiveSpec(kind="scenario1", parameterization="real-7")
     log = io.StringIO()
     multi_restart(spec, 12, seed=7, log_file=log)
@@ -159,6 +160,18 @@ def test_lockstep_campaign_matches_reference_loop():
     assert lines == _reference_log(spec, 12, seed=7)
     iters = [json.loads(line)["iters"] for line in lines]
     assert len(set(iters)) > 2 and min(iters) < spec.nm.max_iter == max(iters)
+    monkeypatch.setattr("cyclesteer.search._LOCKSTEP_BLOCK", 5)
+    blocked = io.StringIO()
+    multi_restart(spec, 12, seed=7, log_file=blocked)
+    assert blocked.getvalue().splitlines() == lines
+    kept = [1, 2, 7, 11]
+    log_path = tmp_path / "run.jsonl"
+    log_path.write_text("".join(lines[i] + "\n" for i in kept))
+    with open(log_path, "a") as f:
+        resumed = multi_restart(spec, 12, seed=7, log_file=f, resume_path=log_path)
+    assert log_path.read_text().splitlines() == [lines[i] for i in kept] + [
+        line for i, line in enumerate(lines) if i not in kept]
+    assert [r.to_json_line() for r in resumed.records] == lines
 
 
 @pytest.mark.parametrize("parameterization", ["real-8", "complex-16"])
