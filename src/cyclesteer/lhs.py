@@ -51,6 +51,10 @@ SEED_MAX_COLUMNS = 1024
 _PRICING_TOL = 1e-6
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
+# At m <= 10 the pool holds every strategy at Bob's state b where 1 - |b| <= this. Without
+# them the LP's largest dual on random product states at hidden level 0 reached 1.4e4 at
+# 1 - |b| = 0.1 (the benchmark states' least), 1e6 at 1e-2, 2e9 at 1e-9 where HiGHS failed.
+_NEAR_PURE = 1e-2
 # A Farkas functional detects steering where it beats its exact bound by more than this.
 _DETECTION_MARGIN = 1e-12
 # t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state.
@@ -282,22 +286,18 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 
-def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float):
-    """``_solve`` along b(t) = b0 + t (b1 - b0) from a0 to a1 (a0 the t = 0
-    assemblage). The pool is the level seed of ``hidden``, the t = 0 model
-    and, at m <= 10 when Bob's marginal b is pure, every strategy at b. A
-    pure b puts every b(t) on the boundary of the columns' cone: only
-    columns at b can carry weight and the optimal duals are unbounded.
-    Without those columns, pricing from HiGHS's duals (up to 1e9) stalled
-    until HiGHS ended Infeasible or Unknown on 3 of 1000 random product
-    states at hidden level 0, and cycled on others.
-    """
-    anchor = _anchor(a0)
+def _locate(hidden: SpherePolytope, anchor: LhsCertificate, a0: Assemblage, a1: Assemblage, t_cap: float):
+    """``_solve`` along b(t) = b0 + t (b1 - b0) from a0 to a1, with a0 the
+    t = 0 assemblage and ``anchor`` its exact model (``_anchor(a0)``).
+    The pool is the level seed of ``hidden`` and the columns at Bob's
+    state b: every strategy where 1 - |b| <= _NEAR_PURE at m <= 10, else
+    the anchor's two. As b nears the sphere, only columns near b can
+    carry weight and the optimal duals grow without bound."""
     bits, blochs = _seed(hidden, a0.m)
-    bits, blochs = np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])
     strategies, bob = _strategies(a0.m), anchor.blochs[0]
-    if strategies is not None and (bob != 2 * a0.ps[0, 0, 1:]).any():  # _into_ball moved b: pure
-        bits, blochs = np.vstack([bits, strategies]), np.vstack([blochs, np.tile(bob, (len(strategies), 1))])
+    near_pure = strategies is not None and 1 - np.linalg.norm(bob) <= _NEAR_PURE
+    at_b = strategies if near_pure else anchor.strategy_bits
+    bits, blochs = np.vstack([bits, at_b]), np.vstack([blochs, np.tile(bob, (len(at_b), 1))])
     b0 = a0.ps.ravel()
     return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap)
 
@@ -314,10 +314,12 @@ def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     a Farkas functional that beats its exact Bloch-ball bound on the
     assemblage, which it carries. Returns (True, LhsCertificate),
     (False, GeneralFunctional) or (False, None), "not certified"; raises
-    LpFailure when the solver fails.
+    LpFailure when the solver fails. Pricing stops at _PRICING_TOL, so the
+    functional's bound can be up to about 1e-6 and an assemblage whose t*
+    lies within about 1e-6 of 1 can come back (False, None).
     """
     a0 = Assemblage(np.broadcast_to(assemblage.ps[0].sum(axis=0) / 2, assemblage.ps.shape))
-    t, model, functional = _locate(hidden, a0, assemblage, 1.0)
+    t, model, functional = _locate(hidden, _anchor(a0), a0, assemblage, 1.0)
     if t >= 1.0 and model.residual(assemblage.ps) <= TOL.lp_residual:
         return True, model
     if functional is not None and _detects(functional, assemblage):
@@ -486,11 +488,12 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
         return make_assemblage(radial_mix_state(rho_ab, t), directions)
 
     a0, a1 = assemblage_at(0.0), make_assemblage(rho_ab, directions)
-    t_star, model, functional = _locate(sphere_polytope(params.hidden_level), a0, a1, t_cap)
+    anchor = _anchor(a0)
+    t_star, model, functional = _locate(sphere_polytope(params.hidden_level), anchor, a0, a1, t_cap)
 
     t_in, r_out, det = 0.0, t_cap, False
     t = t_cap if t_star >= t_cap else t_star - TOL.locator_margin
-    if t > 0 and _inner_model(model, t / t_star, _anchor(a0)).residual(assemblage_at(t).ps) <= TOL.lp_residual:
+    if t > 0 and _inner_model(model, t / t_star, anchor).residual(assemblage_at(t).ps) <= TOL.lp_residual:
         t_in = t
     if functional is not None:
         t_d = min(t_cap, t_star + params.bisection_tol / 2)

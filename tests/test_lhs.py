@@ -360,6 +360,18 @@ def test_decisions_match_hull_feasibility_oracle():
     assert min(decided.values()) >= 6, decided
 
 
+def test_decisions_near_threshold():
+    """The undecided band of lhs_lp_feasible around the LP's threshold t*
+    is narrower than 1e-5 in t: mixed 1e-5 below t* it gives a model,
+    1e-5 above t* a detecting functional (pricing stops at 1e-6)."""
+    for rho in (singlet(), werner(0.9)):
+        t_star = _locator_model(rho, HIDDEN1)[0]
+        assert t_star < 0.99
+        for t, expected in ((t_star - 1e-5, LhsCertificate), (t_star + 1e-5, GeneralFunctional)):
+            feasible, cert = lhs_lp_feasible(make_assemblage(radial_mix_state(rho, t), ICO_DIRS), HIDDEN1)
+            assert feasible is (expected is LhsCertificate) and isinstance(cert, expected)
+
+
 def test_certificate_checked_by_reconstruction(monkeypatch):
     """In the style of acceptance 09: on random states every accepted
     certificate reproduces its assemblage to within TOL.lp_residual with
@@ -408,7 +420,8 @@ def test_hidden_state_outside_ball_rejected():
 
 
 def _locator_pool(hidden, anchor):
-    """The locator's starting pool: the seed of ``hidden`` and the t = 0 model's columns."""
+    """The locator's starting pool on states with Bob's state away from
+    the sphere: the seed of ``hidden`` and the t = 0 model's columns."""
     bits, blochs = _seed(hidden, 6)
     return np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])
 
@@ -417,8 +430,9 @@ def _locator_model(rho, hidden=ICO):
     """(t*, the LP's model at t*, the t = 0 model) at m = 6, as
     critical_radius_bounds finds them."""
     a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
-    t_star, model, _ = _locate(hidden, a0, make_assemblage(rho, ICO_DIRS), _psd_cap(rho, T_CAP_MAX))
-    return t_star, model, _anchor(a0)
+    anchor = _anchor(a0)
+    t_star, model, _ = _locate(hidden, anchor, a0, make_assemblage(rho, ICO_DIRS), _psd_cap(rho, T_CAP_MAX))
+    return t_star, model, anchor
 
 
 @st.composite
@@ -502,19 +516,20 @@ def test_pure_bob_marginal_certified():
     columns whose hidden state is b itself can model the product state,
     and b is a ball column, so r_in is certified up to t_cap (no
     hidden-polytope LP found any t for it). The same holds on random
-    product states at hidden level 0, where without every strategy at b
-    in the pool the LP's unbounded duals stalled pricing until HiGHS
-    ended Infeasible or Unknown (these seeds)."""
+    product states at hidden level 0, with b pure or at |b| = 1 - 1e-9,
+    where without every strategy at b in the pool the LP's growing duals
+    stalled pricing until HiGHS ended Infeasible, Unknown or Not Set
+    (these seeds)."""
     bob = (np.eye(2) + bloch_to_obs(np.array([0.48, 0.6, 0.64]))) / 2
     rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), bob).astype(complex), (2, 2))
     rep = critical_radius_bounds(rho, RadiusParams(hidden_level=1, bisection_tol=1e-2))
     assert rep.unsteerable_certified
     assert rep.r_in == ICO.eta * rep.t_cap
-    for seed in (509, 751, 768, 911, 1876):
+    for seed, purity in ((509, 1.0), (751, 1.0), (768, 1.0), (911, 1.0), (1876, 1.0), (52, 1 - 1e-9)):
         r = np.random.default_rng(seed)
         b = r.standard_normal(3)
         alice = random_two_qubit(r).mat.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        rho = DensityMatrix(np.kron(alice, (ID2 + bloch_to_obs(b / np.linalg.norm(b))) / 2), (2, 2))
+        rho = DensityMatrix(np.kron(alice, (ID2 + bloch_to_obs(purity * b / np.linalg.norm(b))) / 2), (2, 2))
         rep = critical_radius_bounds(rho, RadiusParams(hidden_level=0))
         assert rep.unsteerable_certified and rep.r_in == ICO.eta * rep.t_cap
 
@@ -560,7 +575,7 @@ def test_locator_dual_is_the_r_out_functional():
     for rho in (singlet(), werner(0.9)):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         a1 = make_assemblage(rho, ICO_DIRS)
-        t_star, _, functional = _locate(hidden, a0, a1, _psd_cap(rho, T_CAP_MAX))
+        t_star, _, functional = _locate(hidden, _anchor(a0), a0, a1, _psd_cap(rho, T_CAP_MAX))
         assert t_star < 1.0
         assert np.abs(functional.coef).max() <= 1.0
         assert functional.bound <= lhs._PRICING_TOL
