@@ -5,7 +5,6 @@ from .states import PureState3Q, build_family, builtin_state, reduce_pair, singl
 from .steering import (
     Assemblage,
     SteeringFunctional,
-    evaluate_functional,
     icosahedron_settings,
     lhs_bound_L,
     make_assemblage,

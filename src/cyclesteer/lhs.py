@@ -25,8 +25,9 @@ detects steering only when it beats its exact Bloch-ball bound
 (:func:`cyclesteer.steering.max_over_strategies`), whose maximizing
 column closes every LP. Decisions run it on an assemblage's own radial
 family up to t_cap = 1 (:func:`lhs_lp_feasible`), brackets on a state's
-(:func:`critical_radius_bounds`): r_in from its model mixed with the
-t = 0 model, r_out from its dual, each checked.
+(:func:`critical_radius_bounds`): r_in from its model, r_out from its
+dual. Every reported LHS model is the LP's own model at the t it was
+solved for, checked by reconstruction against that t's assemblage.
 """
 
 from __future__ import annotations
@@ -160,12 +161,15 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     is the functional's maximum over the Bloch ball. Without the table,
     from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
     per setting) at V/|V|, then three more steps alternating strategy and
-    state, none of which lowers the score. On the singlet at m = 21 they
-    take 235 LPs instead of 314 at hidden level 0, but 121 instead of 105
-    at level 1 (radius-fine) and 103 instead of 87 at level 2. Bob's own
-    state b is priced as it is: when it is pure, no other state can stand
-    in for it. Returns bits, Bloch vectors and scores of the best distinct
-    columns, best first."""
+    state, none of which lowers the score. They save exact-kernel calls,
+    which dominate at m = 21: on the singlet there, four steps against
+    one took 247 LPs and 18 kernel calls against 328 and 30 (62 s vs
+    92 s) at hidden level 0, 122 and 4 against 121 and 5 (15 s vs 20 s)
+    at level 1 (radius-fine), 105 and 1 against 93 and 2 (6 s vs 11 s)
+    at level 2, and on Werner(0.8) at level 1 128 and 3 against 117 and
+    6 (12 s vs 21 s). Bob's own state b is priced as it is: when it is
+    pure, no other state can stand in for it. Returns bits, Bloch vectors
+    and scores of the best distinct columns, best first."""
     bits, r = strategies, verts
     if bits is not None:
         scores, r = _best_column(coef, bits)
@@ -286,13 +290,23 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
 
 
-def _locate(hidden: SpherePolytope, anchor: LhsCertificate, a0: Assemblage, a1: Assemblage, t_cap: float):
+def _anchor(a0: Assemblage) -> LhsCertificate:
+    """The exact LHS model of the t = 0 assemblage a0, ps[x, a] = [1, b]/2:
+    lambda = 0 and lambda = 1, both with hidden state b (pulled into the
+    ball in floating point), weight 1/2 each."""
+    bob = 2 * a0.ps[0, 0, 1:]
+    bits = np.array([np.zeros(a0.m), np.ones(a0.m)], dtype=np.int8)
+    return LhsCertificate(bits, _into_ball(np.array([bob, bob])), np.array([0.5, 0.5]))
+
+
+def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float):
     """``_solve`` along b(t) = b0 + t (b1 - b0) from a0 to a1, with a0 the
-    t = 0 assemblage and ``anchor`` its exact model (``_anchor(a0)``).
-    The pool is the level seed of ``hidden`` and the columns at Bob's
-    state b: every strategy where 1 - |b| <= _NEAR_PURE at m <= 10, else
-    the anchor's two. As b nears the sphere, only columns near b can
-    carry weight and the optimal duals grow without bound."""
+    t = 0 assemblage. The pool is the level seed of ``hidden`` and the
+    columns at Bob's state b: every strategy where 1 - |b| <= _NEAR_PURE
+    at m <= 10, else the two of a0's exact model (``_anchor``). As b
+    nears the sphere, only columns near b can carry weight and the
+    optimal duals grow without bound."""
+    anchor = _anchor(a0)
     bits, blochs = _seed(hidden, a0.m)
     strategies, bob = _strategies(a0.m), anchor.blochs[0]
     near_pure = strategies is not None and 1 - np.linalg.norm(bob) <= _NEAR_PURE
@@ -319,7 +333,7 @@ def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     lies within about 1e-6 of 1 can come back (False, None).
     """
     a0 = Assemblage(np.broadcast_to(assemblage.ps[0].sum(axis=0) / 2, assemblage.ps.shape))
-    t, model, functional = _locate(hidden, _anchor(a0), a0, assemblage, 1.0)
+    t, model, functional = _locate(hidden, a0, assemblage, 1.0)
     if t >= 1.0 and model.residual(assemblage.ps) <= TOL.lp_residual:
         return True, model
     if functional is not None and _detects(functional, assemblage):
@@ -421,33 +435,6 @@ def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
     return bisect(indefinite, 1.0, t_max, 1e-9)[0] if indefinite(t_max) else t_max
 
 
-def _anchor(a0: Assemblage) -> LhsCertificate:
-    """The exact LHS model of the t = 0 assemblage a0, ps[x, a] = [1, b]/2:
-    lambda = 0 and lambda = 1, both with hidden state b (pulled into the
-    ball in floating point), weight 1/2 each."""
-    bob = 2 * a0.ps[0, 0, 1:]
-    bits = np.array([np.zeros(a0.m), np.ones(a0.m)], dtype=np.int8)
-    return LhsCertificate(bits, _into_ball(np.array([bob, bob])), np.array([0.5, 0.5]))
-
-
-def _inner_model(model: LhsCertificate, s: float, anchor: LhsCertificate) -> LhsCertificate:
-    """s model + (1 - s) anchor, the r_in model at t = s t*.
-
-    Lemma. Let M* reproduce b(t*) = b0 + t* (b1 - b0) with max-abs error
-    e*, and let M0 reproduce b0 exactly. Then s M* + (1 - s) M0 with
-    s = t/t* in (0, 1] reproduces b(t) with error at most s e*, since
-    s b(t*) + (1 - s) b0 = b0 + t (b1 - b0) = b(t) and the right-hand
-    side is affine in t. Mixing keeps the weights nonnegative and the
-    hidden states in the ball, so the mix is an LHS model whenever M*
-    and M0 are, and checking it by reconstruction needs no LP.
-    """
-    return LhsCertificate(
-        np.vstack([model.strategy_bits, anchor.strategy_bits]),
-        np.vstack([model.blochs, anchor.blochs]),
-        np.concatenate([s * model.weights, (1 - s) * anchor.weights]),
-    )
-
-
 def _first_detection(functional: GeneralFunctional, a0: Assemblage, a1: Assemblage,
                      assemblage_at, t_d: float) -> float:
     """Smallest t <= t_d at which ``functional`` still detects steering,
@@ -467,12 +454,11 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     the radial family, from the level-``hidden_level`` seed and the t = 0
     model; its primal gives r_in and its dual r_out.
 
-    r_in = meas.eta t (by the shrinking lemma, unsteerability of the
-    shrunk state for all projective measurements) for t = t_cap if the
-    LP reaches t* = t_cap, else t = t* - TOL.locator_margin, when the
-    LP's model mixed down to t (:func:`_inner_model`) reproduces the
-    mixed state's assemblage to within TOL.lp_residual. Otherwise, or if
-    t <= 0, r_in = 0 is vacuous (unsteerable_certified False).
+    r_in = meas.eta t for t = min(t*, t_cap) (by the shrinking lemma,
+    unsteerability of the shrunk state for all projective measurements)
+    when t > 0 and the LP's own model at t* reproduces the mixed state's
+    assemblage at t to within TOL.lp_residual, the check decisions
+    apply. Otherwise r_in = 0 is vacuous (unsteerable_certified False).
 
     r_out: if t* < t_cap, the LP's dual (see :func:`_solve`) is checked
     on the mixed state's assemblage at t_d = min(t_cap, t* + tol/2) (tol =
@@ -488,12 +474,11 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
         return make_assemblage(radial_mix_state(rho_ab, t), directions)
 
     a0, a1 = assemblage_at(0.0), make_assemblage(rho_ab, directions)
-    anchor = _anchor(a0)
-    t_star, model, functional = _locate(sphere_polytope(params.hidden_level), anchor, a0, a1, t_cap)
+    t_star, model, functional = _locate(sphere_polytope(params.hidden_level), a0, a1, t_cap)
 
     t_in, r_out, det = 0.0, t_cap, False
-    t = t_cap if t_star >= t_cap else t_star - TOL.locator_margin
-    if t > 0 and _inner_model(model, t / t_star, anchor).residual(assemblage_at(t).ps) <= TOL.lp_residual:
+    t = min(t_star, t_cap)
+    if t > 0 and model.residual(assemblage_at(t).ps) <= TOL.lp_residual:
         t_in = t
     if functional is not None:
         t_d = min(t_cap, t_star + params.bisection_tol / 2)

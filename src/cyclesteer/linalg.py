@@ -88,10 +88,6 @@ class HermEig:
     eigenvalues: np.ndarray   # real, descending
     eigenvectors: np.ndarray  # orthonormal columns, eigenvectors[:, i] <-> eigenvalues[i]
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def _to_tensor(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return mat.reshape(tuple(dims) * 2)
@@ -134,13 +130,12 @@ def herm_eig(h: np.ndarray) -> HermEig:
 
 
 def trace_norm(g: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
+    """Sum of |eigenvalues| of a Hermitian matrix, its sum of singular
+    values; NonHermitianError beyond TOL.herm_accept (see require_hermitian)."""
     g = np.asarray(g, dtype=complex)
     if g.shape[0] != g.shape[1]:
         raise ValueError("trace_norm requires a square matrix")
-    if hermiticity_residual(g) <= TOL.herm_accept:
-        return float(np.abs(np.linalg.eigvalsh((g + g.conj().T) / 2)).sum())
-    return float(np.linalg.svd(g, compute_uv=False).sum())
+    return float(np.abs(np.linalg.eigvalsh(require_hermitian(g))).sum())
 
 
 def bloch_to_obs(r) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.spatial import KDTree
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -105,9 +104,11 @@ def _build(level: int) -> SpherePolytope:
     return SpherePolytope(vertices=verts, faces=faces, eta=_facet_inradius(verts, faces), level=level)
 
 
-def _check_antipodal(verts: np.ndarray, tol: float = 1e-9):
-    dist, _ = KDTree(verts).query(-verts)
-    if dist.max() > tol:
+def _check_antipodal(verts: np.ndarray):
+    """The row set equals its negation exactly: the icosahedron's vertices
+    are bitwise antipodal, and so are the normalized midpoints of
+    antipodal edges, since float sums and quotients are sign-symmetric."""
+    if not np.array_equal(np.unique(verts + 0.0, axis=0), np.unique(-verts + 0.0, axis=0)):
         raise AssertionError("vertex set not closed under negation")
 
 
@@ -115,13 +116,11 @@ def antipodal_directions(poly: SpherePolytope) -> np.ndarray:
     """One canonical representative per antipodal vertex pair (N/2
     measurement directions), in vertex order: each vertex is mapped to
     whichever of +-v is lexicographically larger, and the first of each
-    group of coinciding representatives is kept."""
+    group of equal representatives is kept (-0.0 matching 0.0)."""
     v = poly.vertices
     nonzero = v != 0
     first = nonzero.argmax(axis=1)
     positive = v[np.arange(len(v)), first] > 0
     keys = np.where(positive[:, None], v, -v)
-    pairs = KDTree(keys).query_pairs(1e-9, output_type="ndarray")
-    duplicate = np.zeros(len(keys), dtype=bool)
-    duplicate[pairs.max(axis=1)] = True
-    return keys[~duplicate]
+    _, idx = np.unique(keys + 0.0, axis=0, return_index=True)
+    return keys[np.sort(idx)]

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, ID2, bloch_to_obs, herm_eig, obs_to_bloch, pauli_form
+from .polytope import GOLDEN
 from .states import swap_state
 from .tolerances import TOL
 
-GOLDEN = (1 + np.sqrt(5)) / 2
 MAX_ENUM_SETTINGS = 24
 
 
@@ -166,9 +166,6 @@ class OptimalObservable:
     bloch: np.ndarray
     identity_weight: float
 
-    def operator(self) -> np.ndarray:
-        return self.identity_weight * ID2 + bloch_to_obs(self.bloch)
-
 
 def quantum_value_Q(
     rho_ab: DensityMatrix, functional: SteeringFunctional
@@ -193,25 +190,6 @@ def quantum_value_Q(
             OptimalObservable(bloch=obs_to_bloch(ax), identity_weight=float(np.trace(ax).real / 2))
         )
     return q, observables
-
-
-def evaluate_functional(assemblage: Assemblage, functional: SteeringFunctional) -> float:
-    """sum_x sum_a tr(F_{a|x} sigma_{a|x}) with F_{a|x} = (-1)^a b_x.sigma."""
-    if assemblage.m != functional.m:
-        raise ValueError(f"setting counts differ: {assemblage.m} vs {functional.m}")
-    signs = np.array([1.0, -1.0])
-    return float(np.einsum("xap,a,xp->", assemblage.ps[:, :, 1:], signs, functional.blochs))
-
-
-def evaluate_with_observables(
-    rho_ab: DensityMatrix, functional: SteeringFunctional, observables: list[OptimalObservable]
-) -> float:
-    """sum_x tr((A_x (x) B_x) rho_AB) for explicit observables A_x."""
-    total = 0.0
-    for x, obs in enumerate(observables):
-        op = np.kron(obs.operator(), functional.setting_operator(x))
-        total += float(np.trace(op @ rho_ab.mat).real)
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Numerical tolerances shared across modules: state validation, the
-zero-norm guard, the LHS model check, r_in's margin below the locator's
-t*, degenerate observable directions and the scenario-1 margin. A
+zero-norm guard, the LHS model check (every reported model is the LP's
+own, reconstructed against the assemblage at the t it was solved for),
+degenerate observable directions and the scenario-1 margin. A
 threshold of one algorithm stays a documented constant of its module,
 such as the LP's pricing tolerance and detection margin in
 ``lhs`` and Nelder-Mead's stop in ``search``.
@@ -18,8 +19,6 @@ class Tolerances:
     state_norm: float = 1e-9        # pure-state normalization guard
     zero_norm: float = 1e-14        # a coefficient vector shorter than this has no state
     lp_residual: float = 1e-8       # LP primal residual / feasibility threshold
-    locator_margin: float = 1e-6    # r_in is certified this far below the locator's t*, off the
-                                    # boundary of the feasible set where the LP optimum sits
     degenerate_eig: float = 1e-9    # |eigenvalue| below which an observable direction is degenerate
     scenario1_margin: float = 1e-9  # scenario 1: Q_BA <= L + margin respects the bound, and
                                     # |Q_AB - Q_BA| < margin reads as symmetric; far above the

@@ -16,7 +16,6 @@ from cyclesteer.lhs import (
     _Lp,
     _anchor,
     _columns,
-    _inner_model,
     _locate,
     _price,
     _psd_cap,
@@ -376,7 +375,8 @@ def test_certificate_checked_by_reconstruction(monkeypatch):
     """In the style of acceptance 09: on random states every accepted
     certificate reproduces its assemblage to within TOL.lp_residual with
     every hidden state in the ball, and a solver answer with one weight
-    perturbed is reported as not certified."""
+    perturbed is reported as not certified, by decisions and by brackets
+    (r_in = 0 whether or not the LP reaches t_cap, r_out unchanged)."""
     r = np.random.default_rng(9)
     accepted = []
     for _ in range(10):
@@ -387,6 +387,7 @@ def test_certificate_checked_by_reconstruction(monkeypatch):
             assert all(np.linalg.norm(v) <= 1.0 for v in cert.blochs)
             accepted.append(a)
     assert len(accepted) >= 5
+    brackets = [critical_radius_bounds(rho) for rho in (singlet(), _product_state())]
     solve = lhs._solve
 
     def perturbed(*args):
@@ -398,6 +399,11 @@ def test_certificate_checked_by_reconstruction(monkeypatch):
     monkeypatch.setattr(lhs, "_solve", perturbed)
     for a in accepted:
         assert lhs_lp_feasible(a, HIDDEN1) == (False, None)
+    for rho, rep in zip((singlet(), _product_state()), brackets):
+        assert rep.unsteerable_certified
+        bad = critical_radius_bounds(rho)
+        assert bad.r_in == 0.0 and not bad.unsteerable_certified
+        assert (bad.r_out, bad.steerable_detected) == (rep.r_out, rep.steerable_detected)
 
 
 def test_hidden_state_outside_ball_rejected():
@@ -430,9 +436,8 @@ def _locator_model(rho, hidden=ICO):
     """(t*, the LP's model at t*, the t = 0 model) at m = 6, as
     critical_radius_bounds finds them."""
     a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
-    anchor = _anchor(a0)
-    t_star, model, _ = _locate(hidden, anchor, a0, make_assemblage(rho, ICO_DIRS), _psd_cap(rho, T_CAP_MAX))
-    return t_star, model, anchor
+    t_star, model, _ = _locate(hidden, a0, make_assemblage(rho, ICO_DIRS), _psd_cap(rho, T_CAP_MAX))
+    return t_star, model, _anchor(a0)
 
 
 @st.composite
@@ -450,32 +455,15 @@ def _states(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_states(), st.floats(0.01, 1.0))
-def test_mixing_lemma(rho, u):
-    """The lemma of the r_in step (see _inner_model): the two-column model
-    reproduces the t = 0 assemblage to 1e-15, and the locator's model
-    at t* mixed to t = u t* reproduces the assemblage at t with error at
-    most u err(t*), up to the rounding of the two assemblages (1e-15)."""
+@given(_states())
+def test_anchor_exact_and_locator_model_checked(rho):
+    """The two-column model reproduces the t = 0 assemblage to 1e-15, and
+    the LP's own model at t* passes the TOL.lp_residual check against the
+    assemblage at t*, on random states and pure-b products alike."""
     t_star, model, anchor = _locator_model(rho)
     a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
     assert anchor.residual(a0.ps) <= 1e-15
-    err_star = model.residual(make_assemblage(radial_mix_state(rho, t_star), ICO_DIRS).ps)
-    assert err_star <= TOL.lp_residual
-    mixed = _inner_model(model, u, anchor)
-    assert all(np.linalg.norm(r) <= 1.0 for r in mixed.blochs)
-    assert mixed.residual(make_assemblage(radial_mix_state(rho, u * t_star), ICO_DIRS).ps) <= u * err_star + 1e-15
-
-
-def test_mixing_lemma_wrong_weight_fails():
-    """The mutant that mixes with weight t instead of t/t* does not pass
-    reconstruction once t* is away from 1."""
-    for rho in (singlet(), werner(0.7)):
-        t_star, model, anchor = _locator_model(rho)
-        assert abs(t_star - 1) > 0.1
-        t = t_star / 2
-        target = make_assemblage(radial_mix_state(rho, t), ICO_DIRS).ps
-        assert _inner_model(model, t / t_star, anchor).residual(target) <= TOL.lp_residual
-        assert _inner_model(model, t, anchor).residual(target) > TOL.lp_residual
+    assert model.residual(make_assemblage(radial_mix_state(rho, t_star), ICO_DIRS).ps) <= TOL.lp_residual
 
 
 def _bisection_bracket(rho, params):
@@ -535,13 +523,31 @@ def test_pure_bob_marginal_certified():
 
 
 def test_no_located_t_gives_vacuous_bracket(monkeypatch):
-    """An LP whose t* is at most TOL.locator_margin leaves r_in = 0 with
-    unsteerable_certified False (it was once reported as certified)."""
+    """An LP whose t* is 0 leaves r_in = 0 with unsteerable_certified
+    False (it was once reported as certified)."""
     solve = lhs._solve
-    for t_star in (0.0, TOL.locator_margin):
-        monkeypatch.setattr(lhs, "_solve", lambda *args, t_star=t_star: (t_star, *solve(*args)[1:]))
-        rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
-        assert rep.r_in == 0.0 and not rep.unsteerable_certified
+    monkeypatch.setattr(lhs, "_solve", lambda *args: (0.0, *solve(*args)[1:]))
+    rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
+    assert rep.r_in == 0.0 and not rep.unsteerable_certified
+
+
+def test_r_in_is_meas_eta_times_the_lp_t(monkeypatch):
+    """r_in is meas_eta t* to the bit where the LP stops below t_cap (the
+    singlet, Werner(0.9)), and meas_eta t_cap where it reaches t_cap."""
+    t_stars = []
+    solve = lhs._solve
+
+    def spy(*args):
+        result = solve(*args)
+        t_stars.append(result[0])
+        return result
+
+    monkeypatch.setattr(lhs, "_solve", spy)
+    for rho in (singlet(), werner(0.9)):
+        rep = critical_radius_bounds(rho)
+        assert t_stars[-1] < rep.t_cap and rep.r_in == rep.meas_eta * t_stars[-1]
+    rep = critical_radius_bounds(_product_state())
+    assert t_stars[-1] == rep.t_cap and rep.r_in == rep.meas_eta * rep.t_cap
 
 
 def _product_state():
@@ -575,7 +581,7 @@ def test_locator_dual_is_the_r_out_functional():
     for rho in (singlet(), werner(0.9)):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         a1 = make_assemblage(rho, ICO_DIRS)
-        t_star, _, functional = _locate(hidden, _anchor(a0), a0, a1, _psd_cap(rho, T_CAP_MAX))
+        t_star, _, functional = _locate(hidden, a0, a1, _psd_cap(rho, T_CAP_MAX))
         assert t_star < 1.0
         assert np.abs(functional.coef).max() <= 1.0
         assert functional.bound <= lhs._PRICING_TOL
@@ -699,8 +705,8 @@ def test_critical_radius_singlet_bracket():
     rep = critical_radius_bounds(singlet(), RadiusParams(bisection_tol=5e-3))
     assert rep.steerable_detected and rep.unsteerable_certified
     assert rep.r_in <= 0.5 <= rep.r_out
-    # certified TOL.locator_margin below the ball LP's t* = 0.539345,
-    # which it finds to within 1e-5
+    # certified at the ball LP's t* = 0.539345, which it finds to
+    # within 1e-5
     assert rep.r_in >= ICO.eta * (0.539345 - 1e-5)
     assert rep.r_out - rep.r_in < 0.2
     d = rep.to_dict()

@@ -91,7 +91,8 @@ def test_herm_eig_bloch_direction():
 def test_herm_eig_reconstruction_and_gram():
     h = random_hermitian(8)
     eig = herm_eig(h)
-    assert np.abs(eig.reconstruct() - h).max() <= 1e-10
+    v = eig.eigenvectors
+    assert np.abs((v * eig.eigenvalues) @ v.conj().T - h).max() <= 1e-10
     gram = eig.eigenvectors.conj().T @ eig.eigenvectors
     assert np.abs(gram - np.eye(8)).max() <= 1e-10
     assert (np.diff(eig.eigenvalues) <= 1e-14).all()
@@ -107,6 +108,11 @@ def test_trace_norm_basics():
     b = rng.standard_normal(3)
     b /= np.linalg.norm(b)
     assert np.isclose(trace_norm(bloch_to_obs(b) / 2), 1)
+
+
+def test_trace_norm_rejects_non_hermitian():
+    with pytest.raises(NonHermitianError):
+        trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_trace_norm_dominates_sampled_observables():

@@ -7,10 +7,7 @@ from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, trace_no
 from cyclesteer.states import build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from cyclesteer.steering import (
     Assemblage,
-    GOLDEN,
     SteeringFunctional,
-    evaluate_functional,
-    evaluate_with_observables,
     icosahedron_settings,
     lhs_bound_L,
     make_assemblage,
@@ -224,7 +221,10 @@ def test_quantum_value_beats_random_observables():
     rho_ab, _ = sc1_pair()
     ico = icosahedron_settings()
     q, obs = quantum_value_Q(rho_ab, ico)
-    attained = evaluate_with_observables(rho_ab, ico, obs)
+    attained = sum(
+        np.trace(np.kron(o.identity_weight * ID2 + bloch_to_obs(o.bloch), ico.setting_operator(x)) @ rho_ab.mat).real
+        for x, o in enumerate(obs)
+    )
     assert abs(attained - q) < 1e-10
     for _ in range(100):
         total = 0.0
@@ -248,31 +248,6 @@ def test_product_states_never_violate():
         rho = DensityMatrix(np.kron(ra, rb), (2, 2))
         q, _ = quantum_value_Q(rho, f)
         assert q <= L + 1e-9
-
-
-def test_evaluate_functional_matches_observable_form():
-    """The assemblage form of the functional equals the correlator with
-    A_x = sign-optimal observables, by construction of Q."""
-    rho_ab, _ = sc1_pair()
-    ico = icosahedron_settings()
-    a = make_assemblage(rho_ab, ico.blochs)
-    q, obs = quantum_value_Q(rho_ab, ico)
-    # evaluate_functional uses F_{a|x} = (-1)^a b_x.sigma on Bob's side of
-    # the UNMEASURED correlator; with Alice measuring along b_x it gives
-    # sum_x tr((b_x.sigma (x) b_x.sigma) rho)
-    direct = sum(
-        np.trace(np.kron(ico.setting_operator(x), ico.setting_operator(x)) @ rho_ab.mat).real
-        for x in range(6)
-    )
-    assert abs(evaluate_functional(a, ico) - direct) < 1e-10
-    assert evaluate_functional(a, ico) <= q + 1e-10
-
-
-def test_evaluate_functional_m_mismatch():
-    rho_ab, _ = sc1_pair()
-    a = make_assemblage(rho_ab, np.eye(3))
-    with pytest.raises(ValueError):
-        evaluate_functional(a, icosahedron_settings())
 
 
 def test_scenario1_report_sc1():
