@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,30 @@ def test_antipodal_directions():
         # no two chosen directions are (anti)parallel
         gram = np.abs(dirs @ dirs.T)
         assert (gram[~np.eye(len(dirs), dtype=bool)] < 1 - 1e-9).all()
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_antipodal_check_is_exact(level):
+    """Every level's vertex set is bitwise closed under negation, and a
+    one-ulp move of a single vertex is caught (no distance tolerance)."""
+    v = sphere_polytope(level).vertices
+    _check_antipodal(v)
+    moved = v.copy()
+    moved[0, 0] = np.nextafter(moved[0, 0], np.inf)
+    assert _antipodally_closed_loop(moved)
+    with pytest.raises(AssertionError):
+        _check_antipodal(moved)
+
+
+def test_antipodal_directions_signed_zero():
+    """-0.0 and 0.0 count as one coordinate: the octahedron's six
+    vertices, whose negations carry -0.0, give its three axes in order."""
+    axes = np.eye(3)
+    verts = np.stack([s * e for e in axes for s in (1.0, -1.0)])
+    assert np.signbit(verts[1]).all()
+    _check_antipodal(verts)
+    dirs = antipodal_directions(SimpleNamespace(vertices=verts))
+    assert np.array_equal(dirs, axes)
 
 
 def test_negative_level_rejected():
