@@ -161,15 +161,16 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     is the functional's maximum over the Bloch ball. Without the table,
     from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
     per setting) at V/|V|, then three more steps alternating strategy and
-    state, none of which lowers the score. They save exact-kernel calls,
-    which dominate at m = 21: on the singlet there, four steps against
-    one took 247 LPs and 18 kernel calls against 328 and 30 (62 s vs
-    92 s) at hidden level 0, 122 and 4 against 121 and 5 (15 s vs 20 s)
-    at level 1 (radius-fine), 105 and 1 against 93 and 2 (6 s vs 11 s)
-    at level 2, and on Werner(0.8) at level 1 128 and 3 against 117 and
-    6 (12 s vs 21 s). Bob's own state b is priced as it is: when it is
-    pure, no other state can stand in for it. Returns bits, Bloch vectors
-    and scores of the best distinct columns, best first."""
+    state, none of which lowers the score. At m = 21, where exact-kernel
+    calls dominate, they save calls at hidden level 0 but not everywhere:
+    on the singlet there, four steps against one took 245 LPs and 19
+    kernel calls against 312 and 22 (59 s vs 71 s) at hidden level 0,
+    125 and 1 against 119 and 1 (4.4 s vs 4.9 s) at level 1
+    (radius-fine), 101 and 1 against 103 and 1 (4.8 s vs 4.5 s) at level
+    2, and on Werner(0.8) at level 1 109 and 8 against 108 and 4 (25 s vs
+    14 s). Bob's own state b is priced as it is: when it is pure, no
+    other state can stand in for it. Returns bits, Bloch vectors and
+    scores of the best distinct columns, best first."""
     bits, r = strategies, verts
     if bits is not None:
         scores, r = _best_column(coef, bits)
@@ -192,11 +193,15 @@ class _Lp:
 
     with column t and then the pool's w in the order ``add`` appends
     them; each ``solve`` warm-starts the simplex from the last basis.
-    HiGHS keeps primal and dual feasibility to 1e-10, below the 1e-8
-    model check (at the default 1e-7 a model came back with a weight of
-    -9e-8, and with presolve the singlet's at meas 0, hidden 2 with
-    status Unknown); presolve is off, as at 48 rows it costs more than it
-    saves.
+    The first run is HiGHS's dual simplex from the logical basis; every
+    later one is the primal simplex, since added columns leave the last
+    optimal basis primal feasible but not dual feasible: on radius-default
+    25 iterations per run instead of 55. The dual simplex stays first, as
+    it solves the 771-column seed of a prefilter bracket faster. HiGHS
+    keeps primal and dual feasibility to 1e-10, below the 1e-8 model
+    check (at the default 1e-7 a model came back with a weight of -9e-8,
+    and with presolve the singlet's at meas 0, hidden 2 with status
+    Unknown); presolve is off, as at 48 rows it costs more than it saves.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
@@ -222,6 +227,7 @@ class _Lp:
     def solve(self):
         """Returns (t, w, y); LpFailure unless HiGHS ends optimal."""
         res = linprog(A_eq=self)
+        self.highs.setOptionValue("simplex_strategy", 4)
         return float(res.x[0]), res.x[1:], res.y
 
 

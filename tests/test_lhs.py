@@ -1,10 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 from cyclesteer import lhs
 from cyclesteer.lhs import (
@@ -209,10 +210,25 @@ def test_column_generation_from_seed_or_empty():
         assert isinstance(cert, LhsCertificate if expected else GeneralFunctional)
 
 
+def _cold_solve(c, a, b, upper, method="highs", **options):
+    """scipy's cold HiGHS solve of min c.x, a x = b, 0 <= x <= upper at the
+    model's 1e-10 tolerances, presolve off, with extra HiGHS ``options``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)  # options scipy passes on verbatim
+        return linprog(c, A_eq=a, b_eq=b, bounds=np.column_stack([np.zeros(len(c)), upper]), method=method,
+                       options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+                                "presolve": False, **options})
+
+
 class _ColdChecked(_Lp):
     """The warm-started model, checked after every solve against a cold
     linprog over every column added so far (the oracle). Errors are
-    measured against max(1, max|y|), the scale of the dual's rounding."""
+    measured against max(1, max|y|), the scale of the dual's rounding.
+    Where the oracle's dual simplex ends non-optimal (Unknown on the
+    singlet's default bracket, a 48 x 1144 LP on which the model's t*
+    equals the cold primal solve's and matches presolved and
+    1e-7-tolerance solves to 1.3e-15),
+    the oracle is the same LP solved cold by the primal simplex."""
 
     rounds = []
 
@@ -227,9 +243,9 @@ class _ColdChecked(_Lp):
     def solve(self):
         t, w, y = super().solve()
         a, c, upper = (np.concatenate(part, axis=-1) for part in zip(*self.parts))
-        cold = linprog(c, A_eq=a, b_eq=self.b, bounds=np.column_stack([np.zeros(len(c)), upper]),
-                       method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                                "dual_feasibility_tolerance": 1e-10, "presolve": False})
+        cold = _cold_solve(c, a, self.b, upper)
+        if cold.status != 0:
+            cold = _cold_solve(c, a, self.b, upper, method="highs-ds", simplex_strategy=4)
         assert cold.status == 0
         reduced = c - a.T @ y
         # t at its cap t_cap has reduced cost <= 0, which enters the dual objective
@@ -257,22 +273,87 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     assert len(_ColdChecked.rounds) > 50
 
 
-class _StalledFirstRun(lhs._Highs):
-    """HiGHS allowed no simplex iteration on a model's first run only."""
+class _StalledRun(lhs._Highs):
+    """HiGHS allowed no simplex iteration on one run of each model, the
+    ``stalled_run``-th (1: its first, dual run; 2: its first warm, primal
+    run after ``add``); records the model status each stalled run ends in."""
+
+    stalled_run, stalled = 1, []
 
     def run(self):
-        first = not hasattr(self, "ran")
-        self.ran = True
-        self.setOptionValue("simplex_iteration_limit", 0 if first else 2**31 - 1)
-        return super().run()
+        self.runs = getattr(self, "runs", 0) + 1
+        self.setOptionValue("simplex_iteration_limit", 0 if self.runs == self.stalled_run else 2**31 - 1)
+        status = super().run()
+        if self.runs == self.stalled_run:
+            self.stalled.append(self.getModelStatus())
+        return status
 
 
 def test_non_optimal_solve_gets_one_cold_resolve(monkeypatch):
     """A run that ends non-optimal is solved again from a cleared basis,
     and the bracket comes out as if the first run had succeeded."""
     expected = critical_radius_bounds(werner(0.9))
-    monkeypatch.setattr(lhs, "_Highs", _StalledFirstRun)
+    monkeypatch.setattr(lhs, "_Highs", _StalledRun)
+    monkeypatch.setattr(_StalledRun, "stalled", [])
     assert critical_radius_bounds(werner(0.9)) == expected
+    assert _StalledRun.stalled and lhs.HighsModelStatus.kOptimal not in _StalledRun.stalled
+
+
+def test_stalled_warm_run_gets_one_cold_resolve(monkeypatch):
+    """A warm primal run that ends non-optimal is solved again from a
+    cleared basis: the Werner(0.9) and singlet brackets keep their flags,
+    the singlet's stays inside its TWO_LP_BRACKETS limits and Werner's
+    around its exact threshold 1/(2 0.9). The cold re-solve may end at
+    another optimal vertex, so the ends are not compared to the bit."""
+    states = {"werner": werner(0.9), "singlet": singlet()}
+    expected = {key: critical_radius_bounds(rho) for key, rho in states.items()}
+    monkeypatch.setattr(lhs, "_Highs", _StalledRun)
+    monkeypatch.setattr(_StalledRun, "stalled_run", 2)
+    monkeypatch.setattr(_StalledRun, "stalled", [])
+    reports = {key: critical_radius_bounds(rho) for key, rho in states.items()}
+    assert len(_StalledRun.stalled) == 2
+    assert lhs.HighsModelStatus.kOptimal not in _StalledRun.stalled
+    for key, rep in reports.items():
+        assert (rep.steerable_detected, rep.unsteerable_certified, rep.t_cap) == (
+            expected[key].steerable_detected, expected[key].unsteerable_certified, expected[key].t_cap)
+    old_in, old_out, _ = TWO_LP_BRACKETS["singlet"]
+    assert old_in - 1e-12 <= reports["singlet"].r_in <= reports["singlet"].r_out <= old_out + 1e-12
+    assert reports["werner"].r_in <= 1 / 1.8 <= reports["werner"].r_out
+
+
+class _StrategySpy(lhs._Highs):
+    """HiGHS recording, per model, the simplex strategy of each run."""
+
+    models = []
+
+    def run(self):
+        if not hasattr(self, "strategies"):
+            self.strategies = []
+            self.models.append(self.strategies)
+        self.strategies.append(self.getOptionValue("simplex_strategy")[1])
+        return super().run()
+
+
+def test_first_run_dual_then_primal(monkeypatch):
+    """Each model's first run is HiGHS's dual simplex (strategy 1) from
+    the logical basis; every later run, warm after ``add``, is the primal
+    simplex (strategy 4): on one bracket and one decision."""
+    monkeypatch.setattr(lhs, "_Highs", _StrategySpy)
+    monkeypatch.setattr(_StrategySpy, "models", [])
+    critical_radius_bounds(werner(0.9))
+    lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
+    assert len(_StrategySpy.models) == 2
+    for strategies in _StrategySpy.models:
+        assert len(strategies) > 1
+        assert strategies[0] == 1 and set(strategies[1:]) == {4}
+
+
+def test_bracket_that_failed_on_dual_warm_runs():
+    """A random state whose default bracket ended in LpFailure (status
+    Unknown, also after the cold re-solve) while warm runs used the dual
+    simplex: with primal warm runs its model certifies r_in."""
+    rep = critical_radius_bounds(random_two_qubit(np.random.default_rng(200)))
+    assert rep.unsteerable_certified and rep.r_in <= rep.r_out
 
 
 def test_linprog_reports_size_and_iterations():
