@@ -7,19 +7,24 @@ and certified critical-radius brackets [r_in, r_out].
 
 The LP asks for weights w_j >= 0 and the largest t in [0, t_cap] with
 sum_j D_{lambda_j}(a|x) w_j [1, r_j] + t (b0 - b1) = b0: one column j per
-deterministic strategy lambda_j and hidden Bloch vector |r_j| <= 1, one
-row per entry of the assemblage's (m, 2, 4) layout (see
-:mod:`cyclesteer.steering`), along a family b(t) = b0 + t (b1 - b0) from
-b0, ps[x, a] = [1, b]/2 with b Bob's Bloch vector. The exact two-column
-model of b0 (:func:`_anchor`) is always in the pool, so the LP is
-feasible without slacks. At each t this is the standard LHS program
-(Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)), solved by
-column generation from the (strategy, vertex) columns of a geodesic
-polytope while those are few, priced over all 2^m strategies for m <= 10
-(exact) and from its vertices above, on one HiGHS model per run that
-each round's columns join, warm-starting the simplex. Its dual, reshaped
-to (m, 2, 4), is a Farkas functional with y.b(t) = t - t*. Pricing sets
-accuracy, not soundness: a model from any pool is an LHS model once it
+deterministic strategy lambda_j and hidden Bloch vector |r_j| <= 1, along
+a family b(t) = b0 + t (b1 - b0) from b0, ps[x, a] = [1, b]/2 with b
+Bob's Bloch vector, in the assemblage's (m, 2, 4) layout (see
+:mod:`cyclesteer.steering`). Every column and every b(t) is no-signalling,
+sigma_{1|x} = rho_B - sigma_{0|x}, so the LP keeps only the 4(m + 1) rows
+T ps of rho_B = sigma_{0|0} + sigma_{1|0} and of each sigma_{0|x}
+(:func:`_rows`), not all 8m. The exact two-column model of b0
+(:func:`_anchor`) is always in the pool, so the LP is feasible without
+slacks. At each t this is the standard LHS program (Cavalcanti &
+Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)), solved by column
+generation: the pool starts from the (strategy, vertex) columns of a
+geodesic polytope while those are few and from the columns that price
+best on the family's direction b1 - b0, columns are priced over all 2^m
+strategies for m <= 10 (exact) and from the vertices above, and one
+HiGHS model per run takes each round's columns, warm-starting the
+simplex. Its dual y, mapped back to the (m, 2, 4) layout as T^T y
+(:func:`_coef`), is a Farkas functional with y.b(t) = t - t*. Pricing
+sets accuracy, not soundness: a model from any pool is an LHS model once it
 passes reconstruction with every |r| <= 1 in floating point, and a dual
 detects steering only when it beats its exact Bloch-ball bound
 (:func:`cyclesteer.steering.max_over_strategies`), whose maximizing
@@ -117,16 +122,34 @@ def _into_ball(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _columns(bits: np.ndarray, blochs: np.ndarray) -> np.ndarray:
-    """LP columns for (strategy, hidden state) pairs; shape (8m, n).
+def _rows(v: np.ndarray) -> np.ndarray:
+    """T v: the LP's 4(m + 1) rows of a flat (m, 2, 4)-layout vector v,
+    rho_B = v[0, 0] + v[0, 1] and then v[x, 0] for each setting x."""
+    v = v.reshape(-1, 2, 4)
+    return np.concatenate([v[0, 0] + v[0, 1], v[:, 0].ravel()])
 
-    Column j has a 1 in row 4(2x + bits[j, x]) and the hidden Bloch
-    vector blochs[j] in the three rows below it, for each setting x.
+
+def _coef(y: np.ndarray) -> np.ndarray:
+    """T^T y: a dual y of the LP's rows as an (m, 2, 4) functional, with
+    coef[x, 0] = y_x and coef[x, 1] = 0, plus y_B on both outcomes of
+    setting 0. On no-signalling assemblages its value is y.(T ps)."""
+    y = y.reshape(-1, 4)
+    coef = np.zeros((len(y) - 1, 2, 4))
+    coef[:, 0] = y[1:]
+    coef[0] += y[0]
+    return coef
+
+
+def _columns(bits: np.ndarray, blochs: np.ndarray) -> np.ndarray:
+    """LP columns for (strategy, hidden state) pairs; shape (4(m + 1), n).
+
+    Column j holds [1, blochs[j]] in the rho_B rows and in the rows of
+    each setting x with bits[j, x] = 0, zeros elsewhere: T times its
+    (m, 2, 4) layout.
     """
     n, m = bits.shape
-    cols = np.zeros((n, m, 2, 4))
-    cols[np.arange(n)[:, None], np.arange(m), bits] = np.hstack([np.ones((n, 1)), blochs])[:, None, :]
-    return cols.reshape(n, 8 * m).T
+    h = np.hstack([np.ones((n, 1)), blochs])
+    return np.hstack([h, np.where((bits == 0)[:, :, None], h[:, None, :], 0.0).reshape(n, 4 * m)]).T
 
 
 def _strategies(m: int) -> np.ndarray | None:
@@ -161,16 +184,15 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     is the functional's maximum over the Bloch ball. Without the table,
     from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
     per setting) at V/|V|, then three more steps alternating strategy and
-    state, none of which lowers the score. At m = 21, where exact-kernel
-    calls dominate, they save calls at hidden level 0 but not everywhere:
-    on the singlet there, four steps against one took 245 LPs and 19
-    kernel calls against 312 and 22 (59 s vs 71 s) at hidden level 0,
-    125 and 1 against 119 and 1 (4.4 s vs 4.9 s) at level 1
-    (radius-fine), 101 and 1 against 103 and 1 (4.8 s vs 4.5 s) at level
-    2, and on Werner(0.8) at level 1 109 and 8 against 108 and 4 (25 s vs
-    14 s). Bob's own state b is priced as it is: when it is pure, no
-    other state can stand in for it. Returns bits, Bloch vectors and
-    scores of the best distinct columns, best first."""
+    state, none of which lowers the score. At m = 21 (meas level 1) four
+    steps against one took, on the singlet, 206 LPs and 13 exact-kernel
+    calls against 292 and 31 (4.4 s vs 9.5 s) at hidden level 0, 72 and
+    5 against 89 and 10 (2.1 s vs 3.8 s) at level 1 (radius-fine), 53
+    and 1 against 55 and 1 (1.3 s both) at level 2, and on Werner(0.8)
+    at level 1 76 and 4 against 99 and 4 (2.3 s vs 2.5 s). Bob's own
+    state b is priced as it is: when it is pure, no other state can
+    stand in for it. Returns bits, Bloch vectors and scores of the best
+    distinct columns, best first."""
     bits, r = strategies, verts
     if bits is not None:
         scores, r = _best_column(coef, bits)
@@ -192,7 +214,9 @@ class _Lp:
         min -t   s.t.   A w + t t_col = b,   w >= 0,   0 <= t <= t_cap,
 
     with column t and then the pool's w in the order ``add`` appends
-    them; each ``solve`` warm-starts the simplex from the last basis.
+    them, on whatever rows b has (``_solve`` passes the 4(m + 1)
+    no-signalling rows of ``_rows``); each ``solve`` warm-starts the
+    simplex from the last basis.
     The first run is HiGHS's dual simplex from the logical basis; every
     later one is the primal simplex, since added columns leave the last
     optimal basis primal feasible but not dual feasible: on radius-default
@@ -201,7 +225,7 @@ class _Lp:
     keeps primal and dual feasibility to 1e-10, below the 1e-8 model
     check (at the default 1e-7 a model came back with a weight of -9e-8,
     and with presolve the singlet's at meas 0, hidden 2 with status
-    Unknown); presolve is off, as at 48 rows it costs more than it saves.
+    Unknown); presolve is off, as at 28 rows it costs more than it saves.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
@@ -257,7 +281,13 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     priced columns until none prices above _PRICING_TOL (``_price``, from
     the vertices of ``hidden`` above m = 10); when it offers none, the
     exact kernel's maximizing column (lambda*, V/|V|) is priced, so every
-    LP ends optimal over the ball. The kernel bounds the dual divided by
+    LP ends optimal over the ball. b and t_col come in the (m, 2, 4)
+    layout, flat, and the LP holds their 4(m + 1) rows T b and T t_col;
+    each dual y is priced, bounded and returned as the functional
+    coef = T^T y (``_coef``), whose value on every column and on every
+    b(t) is y's. Deleting the rows (x >= 1, a = 1) instead of taking
+    these left a warm-started t* 1.6e-9 off a cold solve over the same
+    columns at m = 6. The kernel bounds coef divided by
     max(1, its max-abs entry), so every functional has coefficients of
     at most 1. Ending below t_cap, t is basic, so the final dual y has
     y.b(t) = t - t* along the family, and its bound over the ball is at
@@ -271,18 +301,18 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     pool_bits, pool_blochs = pool
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     strategies = _strategies(m)
-    lp = _Lp(b, t_col, t_cap)
+    lp = _Lp(_rows(b), _rows(t_col), t_cap)
     lp.add(_columns(pool_bits, pool_blochs))
     for _ in range(_CG_MAX_ROUNDS):
         t, w, y = lp.solve()
         model = LhsCertificate(pool_bits[w > 0], pool_blochs[w > 0], w[w > 0])
         if t >= t_cap:
             return t, model, None  # no column can improve
-        coef = y.reshape(m, 2, 4)
+        coef = _coef(y)
         bits, blochs, scores = _price(coef, hidden.vertices, bob, strategies)
         functional = None
         if scores[0] <= _PRICING_TOL:
-            scale = max(1.0, np.abs(y).max())
+            scale = max(1.0, np.abs(coef).max())
             bound, best = max_over_strategies(coef / scale)
             functional = GeneralFunctional(coef / scale, bound)
             bits = np.vstack([bits, best])
@@ -309,15 +339,24 @@ def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float
     """``_solve`` along b(t) = b0 + t (b1 - b0) from a0 to a1, with a0 the
     t = 0 assemblage. The pool is the level seed of ``hidden`` and the
     columns at Bob's state b: every strategy where 1 - |b| <= _NEAR_PURE
-    at m <= 10, else the two of a0's exact model (``_anchor``). As b
-    nears the sphere, only columns near b can carry weight and the
-    optimal duals grow without bound."""
+    at m <= 10, else the two of a0's exact model (``_anchor``) and the
+    columns ``_price`` finds for the family direction a1 - a0. As b nears
+    the sphere, only columns near b can carry weight and the optimal
+    duals grow without bound. At t = 0 the LP is degenerate and its
+    first dual arbitrary, so without the direction's columns the first
+    5-9 LPs of a bracket priced columns that left t at 0; with them every
+    radius-default bracket leaves t = 0 by its third. Next to every
+    strategy at b they do harm: with them there, 22 of 1000 product
+    states at 1 - |b| = 1e-9 ended Unknown at hidden levels 1 and 2."""
     anchor = _anchor(a0)
     bits, blochs = _seed(hidden, a0.m)
     strategies, bob = _strategies(a0.m), anchor.blochs[0]
     near_pure = strategies is not None and 1 - np.linalg.norm(bob) <= _NEAR_PURE
     at_b = strategies if near_pure else anchor.strategy_bits
     bits, blochs = np.vstack([bits, at_b]), np.vstack([blochs, np.tile(bob, (len(at_b), 1))])
+    if not near_pure:
+        g_bits, g_blochs, _ = _price(a1.ps - a0.ps, hidden.vertices, bob, strategies)
+        bits, blochs = np.vstack([bits, g_bits.astype(np.int8)]), np.vstack([blochs, g_blochs])
     b0 = a0.ps.ravel()
     return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap)
 

@@ -115,8 +115,9 @@ def make_assemblage(rho_ab: DensityMatrix, directions) -> Assemblage:
 def strategy_blocks(m: int):
     """Yield all 2^m deterministic strategies in blocks of 2^16 rows; row
     i holds the outcome bits (i >> x) & 1 for settings x = 0..m-1. This
-    is the only strategy enumeration: the classical bound L, the Farkas
-    re-bound and the dense LP columns all take their rows from here."""
+    is the row order of every strategy enumeration: the LP's seed and
+    pricing tables take their rows from here, and the exact kernel
+    :func:`max_over_strategies` enumerates in the same order."""
     if m > MAX_ENUM_SETTINGS:
         raise ValueError(f"m={m} exceeds enumeration cap {MAX_ENUM_SETTINGS}")
     total = 1 << m
@@ -131,18 +132,29 @@ def max_over_strategies(coef: np.ndarray) -> tuple[float, np.ndarray]:
     sum_x c_{lambda(x)|x} + ||sum_x v_{lambda(x)|x}||, for a functional
     coef[x, a] = [c, v] of shape (m, 2, 4): the largest value any LHS
     model with hidden states in the Bloch ball can reach. Returns the
-    value and the first maximizing outcome bits. Enumeration is exact; m
-    is capped because the value is a certified bound and must not be
-    approximated."""
-    xs = np.arange(coef.shape[0])
-    best, best_bits = -np.inf, None
-    for bits in strategy_blocks(len(xs)):
-        picked = coef[xs, bits]
-        vals = picked[:, :, 0].sum(axis=1) + np.linalg.norm(picked[:, :, 1:].sum(axis=1), axis=1)
+    value and the first maximizing outcome bits, in the row order of
+    :func:`strategy_blocks`. The sums [sum c, V] of the low settings
+    x < 16 are one table, built setting by setting by doubling; each
+    block of 2^16 strategies adds its high settings to it once, in turn.
+    Enumeration is exact; m is capped because the value is a certified
+    bound and must not be approximated."""
+    m = coef.shape[0]
+    if m > MAX_ENUM_SETTINGS:
+        raise ValueError(f"m={m} exceeds enumeration cap {MAX_ENUM_SETTINGS}")
+    low = min(m, 16)
+    table = coef[0]
+    for x in range(1, low):
+        table = np.concatenate([table + coef[x, 0], table + coef[x, 1]])
+    best, best_row = -np.inf, 0
+    for start in range(0, 1 << m, 1 << low):
+        block = table
+        for x in range(low, m):
+            block = block + coef[x, (start >> x) & 1]
+        vals = block[:, 0] + np.linalg.norm(block[:, 1:], axis=1)
         i = int(np.argmax(vals))
         if vals[i] > best:
-            best, best_bits = float(vals[i]), bits[i].copy()
-    return best, best_bits
+            best, best_row = float(vals[i]), start + i
+    return best, (best_row >> np.arange(m)) & 1
 
 
 def lhs_bound_L(functional: SteeringFunctional) -> tuple[float, np.ndarray]:

@@ -123,7 +123,7 @@ def test_werner_above_threshold_infeasible_with_farkas():
 
 
 def _columns_loop(bits, blochs, m):
-    """The per-column double loop the vectorized builder replaced (oracle)."""
+    """The per-column double loop of the (m, 2, 4) layout, 8m rows (oracle)."""
     cols = np.zeros((8 * m, len(bits)))
     for j in range(len(bits)):
         for x in range(m):
@@ -131,6 +131,16 @@ def _columns_loop(bits, blochs, m):
             cols[r, j] = 1.0
             cols[r + 1 : r + 4, j] = blochs[j]
     return cols
+
+
+def _ns_map(m):
+    """T, (4(m + 1), 8m), written out: the rows of rho_B = sigma_{0|0} +
+    sigma_{1|0}, then those of sigma_{0|x} for each setting x."""
+    t = np.zeros((4 * (m + 1), 8 * m))
+    t[:4, :4] = t[:4, 4:8] = np.eye(4)
+    for x in range(m):
+        t[4 * (x + 1) : 4 * (x + 2), 8 * x : 8 * x + 4] = np.eye(4)
+    return t
 
 
 @pytest.mark.parametrize("level,m", [(0, 6), (1, 4), (2, 2)])
@@ -147,12 +157,31 @@ def test_seed_columns_match_loop(level, m):
     assert np.array_equal(seed_bits, bits)
     assert np.abs(seed_blochs - blochs).max() <= 2.0**-50
     assert (np.linalg.norm(seed_blochs, axis=1) <= 1.0).all()
-    assert np.array_equal(_columns(seed_bits, seed_blochs), _columns_loop(bits, seed_blochs, m))
+    assert np.array_equal(_columns(seed_bits, seed_blochs), _ns_map(m) @ _columns_loop(bits, seed_blochs, m))
     assert (1 << (m + 1)) * hidden.n_vertices > SEED_MAX_COLUMNS
-    assert _columns(*_seed(hidden, m + 1)).shape == (8 * (m + 1), 0)
+    assert _columns(*_seed(hidden, m + 1)).shape == (4 * (m + 2), 0)
     r = np.random.default_rng(level)
     bits, blochs = r.integers(0, 2, (20, m)), r.standard_normal((20, 3))
-    assert np.array_equal(_columns(bits, blochs), _columns_loop(bits, blochs, m))
+    assert np.array_equal(_columns(bits, blochs), _ns_map(m) @ _columns_loop(bits, blochs, m))
+
+
+@pytest.mark.parametrize("m", [1, 6, 21])
+def test_no_signalling_rows_and_dual(m):
+    """The LP's rows are T times the (m, 2, 4) layout, exactly: its columns
+    (above), right-hand sides and family directions; its dual maps back
+    as T^T y, whose value on a no-signalling assemblage is y.(T ps)."""
+    r = np.random.default_rng(m)
+    t = _ns_map(m)
+    v, y = r.standard_normal(8 * m), r.standard_normal(4 * (m + 1))
+    assert np.array_equal(lhs._rows(v), t @ v)
+    assert np.array_equal(lhs._coef(y).ravel(), t.T @ y)
+    assert lhs._coef(y).shape == (m, 2, 4)
+    directions = antipodal_directions(sphere_polytope({1: 0, 6: 0, 21: 1}[m]))[:m]
+    for _ in range(5):
+        ps = make_assemblage(random_two_qubit(r), directions).ps
+        y = r.standard_normal(4 * (m + 1)) * 10.0 ** r.integers(-3, 4)
+        value = (lhs._coef(y) * ps).sum()
+        assert abs(value - y @ lhs._rows(ps.ravel())) <= 1e-13 * np.abs(y).sum()
 
 
 def _assert_exact_pricing(coef, bob):
@@ -273,6 +302,84 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     assert len(_ColdChecked.rounds) > 50
 
 
+def test_no_signalling_t_star_matches_full_layout_lp(monkeypatch):
+    """The 4(m + 1)-row LP's t* is a cold scipy solve's over the 8m rows
+    of the (m, 2, 4) layout and the same final pool, to within 1e-9
+    max(1, max|y|): singlet, Werner(0.9) and a random state at default
+    parameters."""
+    pool, duals = [], []
+    columns, run = lhs._columns, lhs.linprog
+
+    def spy(*, A_eq):
+        res = run(A_eq=A_eq)
+        duals.append(res.y)
+        return res
+
+    monkeypatch.setattr(lhs, "_columns", lambda bits, blochs: pool.append((bits, blochs)) or columns(bits, blochs))
+    monkeypatch.setattr(lhs, "linprog", spy)
+    hidden = sphere_polytope(RadiusParams().hidden_level)
+    for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(5))):
+        pool.clear()
+        a0, a1 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS), make_assemblage(rho, ICO_DIRS)
+        t_cap = _psd_cap(rho, T_CAP_MAX)
+        t_star = _locate(hidden, a0, a1, t_cap)[0]
+        bits, blochs = (np.vstack(part) for part in zip(*pool))
+        b0 = a0.ps.ravel()
+        a = np.hstack([(b0 - a1.ps.ravel())[:, None], _columns_loop(bits, blochs, 6)])
+        c, upper = np.zeros(a.shape[1]), np.full(a.shape[1], np.inf)
+        c[0], upper[0] = -1.0, t_cap
+        cold = _cold_solve(c, a, b0, upper)
+        if cold.status != 0:
+            cold = _cold_solve(c, a, b0, upper, method="highs-ds", simplex_strategy=4)
+        assert cold.status == 0
+        assert abs(-cold.fun - t_star) <= 1e-9 * max(1.0, np.abs(duals[-1]).max())
+
+
+def test_brackets_leave_t_zero_by_third_lp(monkeypatch):
+    """With the family direction's columns in the first pool, each of the
+    radius-default benchmark's 8 brackets (b1, b2, b3 and sc1, both
+    directions) has t > 0 by its third LP; from the seed and the t = 0
+    model alone they sat at t = 0 until their sixth to tenth."""
+    runs, run, solve = [], lhs.linprog, lhs._solve
+
+    def spy(*, A_eq):
+        res = run(A_eq=A_eq)
+        runs[-1].append(res.x[0])
+        return res
+
+    monkeypatch.setattr(lhs, "linprog", spy)
+    monkeypatch.setattr(lhs, "_solve", lambda *args: runs.append([]) or solve(*args))
+    for _, rho, params in itertools.islice(_pinned_inputs(), 8):
+        critical_radius_bounds(rho, params)
+    assert len(runs) == 8
+    assert all(max(ts[:3]) > 0 for ts in runs), [len(ts) for ts in runs]
+
+
+def _product(seed, purity):
+    """A random product state whose Bob marginal has Bloch length ``purity``."""
+    r = np.random.default_rng(seed)
+    b = r.standard_normal(3)
+    alice = random_two_qubit(r).mat.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+    return DensityMatrix(np.kron(alice, (ID2 + bloch_to_obs(purity * b / np.linalg.norm(b))) / 2), (2, 2))
+
+
+def test_no_lp_failure_on_random_and_near_pure_states():
+    """A fixed-seed sweep at hidden levels 0-2 ends without LpFailure:
+    random states, and product states with Bob's state pure or at
+    1 - |b| = 1e-9. The near-pure seeds are ones whose brackets at hidden
+    levels 1 and 2 ended Unknown when the family direction's columns also
+    joined the pool of every strategy at b."""
+    r = np.random.default_rng(41)
+    states = [random_two_qubit(r) for _ in range(30)]
+    states += [_product(seed, 1.0) for seed in (509, 751, 768, 911, 1876)]
+    states += [_product(seed, 1 - 1e-9) for seed in (52, 66, 75, 102, 152, 188, 220, 253, 383, 409, 577,
+                                                      595, 608, 628, 640, 746, 786, 849, 866, 882, 888, 964, 975)]
+    for rho in states:
+        for level in (0, 1, 2):
+            rep = critical_radius_bounds(rho, RadiusParams(hidden_level=level))
+            assert rep.r_in <= rep.r_out
+
+
 class _StalledRun(lhs._Highs):
     """HiGHS allowed no simplex iteration on one run of each model, the
     ``stalled_run``-th (1: its first, dual run; 2: its first warm, primal
@@ -361,11 +468,11 @@ def test_linprog_reports_size_and_iterations():
     has a (rows, cols) shape and the result its simplex iteration count."""
     a0 = make_assemblage(radial_mix_state(werner(0.45), 0.0), ICO_DIRS)
     b0 = a0.ps.ravel()
-    lp = _Lp(b0, b0 - make_assemblage(werner(0.45), ICO_DIRS).ps.ravel(), 1.0)
+    lp = _Lp(lhs._rows(b0), lhs._rows(b0 - make_assemblage(werner(0.45), ICO_DIRS).ps.ravel()), 1.0)
     lp.add(_columns(*_seed(ICO, 6)))
     res = lhs.linprog(A_eq=lp)
-    assert lp.shape == (48, 1 + 64 * 12)
-    assert res.nit > 0 and res.x.shape == (1 + 64 * 12,) and res.y.shape == (48,)
+    assert lp.shape == (4 * 7, 1 + 64 * 12)
+    assert res.nit > 0 and res.x.shape == (1 + 64 * 12,) and res.y.shape == (4 * 7,)
 
 
 def _hull_columns(hidden, scale):
@@ -382,7 +489,7 @@ def _hidden_polytope_t_star(hidden, a0, b1, t_cap, scale):
     anchor = _anchor(a0)
     bits, blochs = _hull_columns(hidden, scale)
     b0 = a0.ps.ravel()
-    lp = _Lp(b0, b0 - b1, t_cap)
+    lp = _Lp(lhs._rows(b0), lhs._rows(b0 - b1), t_cap)
     lp.add(_columns(np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])))
     return lp.solve()[0]
 

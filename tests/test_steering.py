@@ -95,6 +95,42 @@ def test_lhs_bound_rejects_large_m():
         lhs_bound_L(SteeringFunctional(rng.standard_normal((25, 3))))
 
 
+def _gathered_max(coef):
+    """Brute force (oracle): every strategy's [sum c, V] gathered setting
+    by setting in the row order of strategy_blocks, summed in x order;
+    the value and the first maximizing bits."""
+    m = len(coef)
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    acc = coef[0, bits[:, 0]]
+    for x in range(1, m):
+        acc = acc + coef[x, bits[:, x]]
+    vals = acc[:, 0] + np.linalg.norm(acc[:, 1:], axis=1)
+    i = int(np.argmax(vals))
+    return vals[i], bits[i]
+
+
+def test_running_sum_kernel_matches_gather():
+    """The running-sum kernel is the brute-force gather to the bit, value
+    and first maximizer, on random functionals (m = 1-14, and 17 and 18,
+    whose high settings are added per 2^16 block) and on the degenerate
+    [0, +-b_x] functionals of the icosahedral and level-1 geodesic
+    directions, where many strategies tie."""
+    from cyclesteer.polytope import antipodal_directions, sphere_polytope
+
+    r = np.random.default_rng(11)
+    coefs = [r.standard_normal((m, 2, 4)) for m in list(range(1, 15)) + [17, 18]]
+    geodesic = antipodal_directions(sphere_polytope(1))
+    for b in [icosahedron_settings().blochs] + [geodesic[:m] for m in (8, 11, 14)]:
+        coef = np.zeros((len(b), 2, 4))
+        coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
+        coefs.append(coef)
+    for coef in coefs:
+        value, bits = max_over_strategies(coef)
+        expected, expected_bits = _gathered_max(coef)
+        assert value == expected
+        assert np.array_equal(bits, expected_bits)
+
+
 def _matrices(ps):
     """sigma_{a|x} = (p I + s.sigma)/2 from the (m, 2, 4) layout."""
     return (ps[..., :1, None] * ID2 + np.tensordot(ps[..., 1:], PAULIS, axes=1)) / 2
