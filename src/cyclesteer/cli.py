@@ -255,7 +255,8 @@ def _add_radius(p: argparse.ArgumentParser):
     """Radius options; one not given takes its RadiusParams default."""
     p.add_argument("--meas-level", type=_NONNEG_INT, default=None)
     p.add_argument("--hidden-level", type=_NONNEG_INT, default=None,
-                   help="polytope whose vertices seed the LP's pool and, above m = 10, price it")
+                   help="polytope whose vertices price the LP's columns above m = 10 "
+                        "(at m <= 10 pricing is exact and the level has no effect)")
     p.add_argument("--tol", type=_POSITIVE, default=None, dest="bisection_tol",
                    help="step in the mixing parameter t: steering detection is probed tol/2 above t*")
 

@@ -17,13 +17,13 @@ T ps of rho_B = sigma_{0|0} + sigma_{1|0} and of each sigma_{0|x}
 (:func:`_anchor`) is always in the pool, so the LP is feasible without
 slacks. At each t this is the standard LHS program (Cavalcanti &
 Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)), solved by column
-generation: the pool starts from the (strategy, vertex) columns of a
-geodesic polytope while those are few and from the columns that price
-best on the family's direction b1 - b0, columns are priced over all 2^m
-strategies for m <= 10 (exact) and from the vertices above, and one
-HiGHS model per run takes each round's columns, warm-starting the
-simplex. Its dual y, mapped back to the (m, 2, 4) layout as T^T y
-(:func:`_coef`), is a Farkas functional with y.b(t) = t - t*. Pricing
+generation: the pool starts from the t = 0 model and the columns that
+price best on the family's direction b1 - b0, columns are priced over
+all 2^m strategies for m <= 10 (exact) and from the vertices of a
+geodesic polytope above, and one HiGHS model per run takes each round's
+columns, warm-starting the simplex. Its dual y, mapped back to
+the (m, 2, 4) layout as T^T y (:func:`_coef`), is a Farkas functional
+with y.b(t) = t - t*. Pricing
 sets accuracy, not soundness: a model from any pool is an LHS model once it
 passes reconstruction with every |r| <= 1 in floating point, and a dual
 detects steering only when it beats its exact Bloch-ball bound
@@ -45,14 +45,12 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .linalg import DensityMatrix, ID2, partial_trace
 from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
-from .steering import Assemblage, make_assemblage, max_over_strategies, strategy_blocks
+from .steering import Assemblage, make_assemblage, max_over_strategies
 from .tolerances import TOL
 
-# The pool starts from every (strategy, vertex) column of the hidden
-# polytope while there are at most this many (the prefilter's 64 x 12),
-# and empty above: seeded with 64 x 162, radius-default's 8 brackets took
-# 14 s instead of 2.5 s. Pricing is exact while 2^m is at most this many.
-SEED_MAX_COLUMNS = 1024
+# Every strategy is tabled while 2^m is at most this many (m <= 10): pricing
+# scores the whole table, so it is exact, and near-pure pools start from it.
+EXACT_PRICING_MAX_STRATEGIES = 1024
 # A column prices in when the dual's value on it exceeds this (absolute).
 _PRICING_TOL = 1e-6
 _CG_MAX_ROUNDS = 400
@@ -153,18 +151,11 @@ def _columns(bits: np.ndarray, blochs: np.ndarray) -> np.ndarray:
 
 
 def _strategies(m: int) -> np.ndarray | None:
-    """All 2^m strategies, row i = sum_x bits[x] 2^x, while 2^m <= SEED_MAX_COLUMNS; else None."""
-    return np.concatenate(list(strategy_blocks(m))).astype(np.int8) if (1 << m) <= SEED_MAX_COLUMNS else None
-
-
-def _seed(hidden: SpherePolytope, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bits, blochs) of every (strategy, vertex) column, strategy i = sum_x
-    bits[x] 2^x major and vertex minor, while at most SEED_MAX_COLUMNS; else none."""
-    if (1 << m) * hidden.n_vertices > SEED_MAX_COLUMNS:
-        return np.zeros((0, m), np.int8), np.zeros((0, 3))
-    strategies = _strategies(m)
-    return (np.repeat(strategies, hidden.n_vertices, axis=0),
-            np.tile(_into_ball(hidden.vertices), (len(strategies), 1)))
+    """All 2^m strategies, row i = sum_x bits[x] 2^x (the exact kernel's
+    order), while 2^m <= EXACT_PRICING_MAX_STRATEGIES; else None."""
+    if (1 << m) > EXACT_PRICING_MAX_STRATEGIES:
+        return None
+    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int8)
 
 
 def _best_column(coef: np.ndarray, bits: np.ndarray):
@@ -186,10 +177,10 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     per setting) at V/|V|, then three more steps alternating strategy and
     state, none of which lowers the score. At m = 21 (meas level 1) four
     steps against one took, on the singlet, 206 LPs and 13 exact-kernel
-    calls against 292 and 31 (4.4 s vs 9.5 s) at hidden level 0, 72 and
-    5 against 89 and 10 (2.1 s vs 3.8 s) at level 1 (radius-fine), 53
-    and 1 against 55 and 1 (1.3 s both) at level 2, and on Werner(0.8)
-    at level 1 76 and 4 against 99 and 4 (2.3 s vs 2.5 s). Bob's own
+    calls against 292 and 31 (4.9 s vs 10.5 s) at hidden level 0, 72 and
+    5 against 89 and 10 (2.2 s vs 4.0 s) at level 1 (radius-fine), 53
+    and 1 against 55 and 1 (1.1 s vs 1.2 s) at level 2, and on Werner(0.8)
+    at level 1 76 and 4 against 99 and 4 (2.0 s both). Bob's own
     state b is priced as it is: when it is pure, no other state can
     stand in for it. Returns bits, Bloch vectors and scores of the best
     distinct columns, best first."""
@@ -220,12 +211,14 @@ class _Lp:
     The first run is HiGHS's dual simplex from the logical basis; every
     later one is the primal simplex, since added columns leave the last
     optimal basis primal feasible but not dual feasible: on radius-default
-    25 iterations per run instead of 55. The dual simplex stays first, as
-    it solves the 771-column seed of a prefilter bracket faster. HiGHS
-    keeps primal and dual feasibility to 1e-10, below the 1e-8 model
-    check (at the default 1e-7 a model came back with a weight of -9e-8,
-    and with presolve the singlet's at meas 0, hidden 2 with status
-    Unknown); presolve is off, as at 28 rows it costs more than it saves.
+    25 iterations per run instead of 55. The dual simplex stays first:
+    with the primal there, the 54 prefilter brackets of the coarse-brackets
+    benchmark took 7783 iterations in 210 LPs instead of 6794 in 205, and
+    about 9 % more time. HiGHS keeps primal and dual feasibility to
+    1e-10, below the 1e-8 model check (at the default 1e-7 a model came
+    back with a weight of -9e-8, and with presolve the singlet's at meas
+    0, hidden 2 with status Unknown); presolve is off, as at 28 rows it
+    costs more than it saves.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
@@ -337,26 +330,25 @@ def _anchor(a0: Assemblage) -> LhsCertificate:
 
 def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float):
     """``_solve`` along b(t) = b0 + t (b1 - b0) from a0 to a1, with a0 the
-    t = 0 assemblage. The pool is the level seed of ``hidden`` and the
-    columns at Bob's state b: every strategy where 1 - |b| <= _NEAR_PURE
-    at m <= 10, else the two of a0's exact model (``_anchor``) and the
-    columns ``_price`` finds for the family direction a1 - a0. As b nears
-    the sphere, only columns near b can carry weight and the optimal
-    duals grow without bound. At t = 0 the LP is degenerate and its
-    first dual arbitrary, so without the direction's columns the first
-    5-9 LPs of a bracket priced columns that left t at 0; with them every
+    t = 0 assemblage. The pool starts at Bob's state b: with every
+    strategy there where m <= 10 and 1 - |b| <= _NEAR_PURE, else with the
+    two columns of a0's exact model (``_anchor``) and the columns
+    ``_price`` finds for the family direction a1 - a0. As b nears the
+    sphere, only columns near b can carry weight and the optimal duals
+    grow without bound. At t = 0 the LP is degenerate and its first dual
+    arbitrary, so without the direction's columns the first 5-9 LPs of a
+    bracket priced columns that left t at 0; with them every
     radius-default bracket leaves t = 0 by its third. Next to every
     strategy at b they do harm: with them there, 22 of 1000 product
     states at 1 - |b| = 1e-9 ended Unknown at hidden levels 1 and 2."""
     anchor = _anchor(a0)
-    bits, blochs = _seed(hidden, a0.m)
     strategies, bob = _strategies(a0.m), anchor.blochs[0]
-    near_pure = strategies is not None and 1 - np.linalg.norm(bob) <= _NEAR_PURE
-    at_b = strategies if near_pure else anchor.strategy_bits
-    bits, blochs = np.vstack([bits, at_b]), np.vstack([blochs, np.tile(bob, (len(at_b), 1))])
-    if not near_pure:
+    if strategies is not None and 1 - np.linalg.norm(bob) <= _NEAR_PURE:
+        bits, blochs = strategies, np.tile(bob, (len(strategies), 1))
+    else:
         g_bits, g_blochs, _ = _price(a1.ps - a0.ps, hidden.vertices, bob, strategies)
-        bits, blochs = np.vstack([bits, g_bits.astype(np.int8)]), np.vstack([blochs, g_blochs])
+        bits = np.vstack([anchor.strategy_bits, g_bits.astype(np.int8)])
+        blochs = np.vstack([anchor.blochs, g_blochs])
     b0 = a0.ps.ravel()
     return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap)
 
@@ -365,7 +357,7 @@ def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     """Decide LHS feasibility with hidden states anywhere in the Bloch
     ball: the LP along the assemblage's own radial family, from the t = 0
     assemblage [1, b]/2 of its Bob marginal b to t = t_cap = 1, with the
-    pool seeded by the polytope ``hidden`` (which also prices, above m = 10).
+    vertices of the polytope ``hidden`` pricing above m = 10.
 
     A model is accepted only when t* reaches 1, every hidden state lies
     in the ball and its reconstruction reproduces the assemblage to
@@ -496,8 +488,8 @@ def _first_detection(functional: GeneralFunctional, a0: Assemblage, a1: Assembla
 
 def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> RadiusReport:
     """Bracket the critical radius with one LP run (:func:`_locate`) along
-    the radial family, from the level-``hidden_level`` seed and the t = 0
-    model; its primal gives r_in and its dual r_out.
+    the radial family, from the t = 0 model, with the level-``hidden_level``
+    vertices pricing above m = 10; its primal gives r_in and its dual r_out.
 
     r_in = meas.eta t for t = min(t*, t_cap) (by the shrinking lemma,
     unsteerability of the shrunk state for all projective measurements)

@@ -112,30 +112,16 @@ def make_assemblage(rho_ab: DensityMatrix, directions) -> Assemblage:
     return Assemblage(ps)
 
 
-def strategy_blocks(m: int):
-    """Yield all 2^m deterministic strategies in blocks of 2^16 rows; row
-    i holds the outcome bits (i >> x) & 1 for settings x = 0..m-1. This
-    is the row order of every strategy enumeration: the LP's seed and
-    pricing tables take their rows from here, and the exact kernel
-    :func:`max_over_strategies` enumerates in the same order."""
-    if m > MAX_ENUM_SETTINGS:
-        raise ValueError(f"m={m} exceeds enumeration cap {MAX_ENUM_SETTINGS}")
-    total = 1 << m
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        yield (idx[:, None] >> np.arange(m)) & 1
-
-
 def max_over_strategies(coef: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact max over deterministic strategies lambda of
     sum_x c_{lambda(x)|x} + ||sum_x v_{lambda(x)|x}||, for a functional
     coef[x, a] = [c, v] of shape (m, 2, 4): the largest value any LHS
     model with hidden states in the Bloch ball can reach. Returns the
-    value and the first maximizing outcome bits, in the row order of
-    :func:`strategy_blocks`. The sums [sum c, V] of the low settings
-    x < 16 are one table, built setting by setting by doubling; each
-    block of 2^16 strategies adds its high settings to it once, in turn.
+    value and the first maximizing outcome bits, in the row order where
+    row i holds the bits (i >> x) & 1 of settings x = 0..m-1. The sums
+    [sum c, V] of the low settings x < 16 are one table, built setting
+    by setting by doubling; each block of 2^16 strategies adds its high
+    settings to it once, in turn.
     Enumeration is exact; m is capped because the value is a certified
     bound and must not be approximated."""
     m = coef.shape[0]

@@ -12,7 +12,6 @@ from cyclesteer.lhs import (
     GeneralFunctional,
     LhsCertificate,
     RadiusParams,
-    SEED_MAX_COLUMNS,
     T_CAP_MAX,
     _Lp,
     _anchor,
@@ -20,7 +19,6 @@ from cyclesteer.lhs import (
     _locate,
     _price,
     _psd_cap,
-    _seed,
     _solve,
     _strategies,
     bisect,
@@ -34,7 +32,7 @@ from cyclesteer.lhs import (
 from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.states import singlet, werner
-from cyclesteer.steering import icosahedron_settings, make_assemblage, max_over_strategies, strategy_blocks
+from cyclesteer.steering import icosahedron_settings, make_assemblage, max_over_strategies
 from cyclesteer.tolerances import TOL
 
 rng = np.random.default_rng(21)
@@ -51,13 +49,13 @@ def random_two_qubit(r=rng):
 
 
 def test_strategies_enumeration():
-    s = np.concatenate(list(strategy_blocks(3)))
+    """The strategy table holds every strategy once, row i = sum_x bits[x] 2^x,
+    the exact kernel's row order."""
+    s = _strategies(3)
     assert s.shape == (8, 3)
     assert len({tuple(row) for row in s}) == 8
     assert set(s.ravel()) == {0, 1}
-    assert [len(block) for block in strategy_blocks(17)] == [1 << 16, 1 << 16]
-    with pytest.raises(ValueError):
-        next(strategy_blocks(25))
+    assert np.array_equal(s @ (1 << np.arange(3)), np.arange(8))
 
 
 def _reconstruct_loop(cert):
@@ -144,22 +142,16 @@ def _ns_map(m):
 
 
 @pytest.mark.parametrize("level,m", [(0, 6), (1, 4), (2, 2)])
-def test_seed_columns_match_loop(level, m):
-    """The seed has the loop's entries in the loop's column order:
-    strategy i = sum_x bits[x] 2^x major, hidden vertex minor, with the
-    vertices pulled into the ball in floating point; above
-    SEED_MAX_COLUMNS the pool starts empty."""
-    hidden = sphere_polytope(level)
-    seed_bits, seed_blochs = _seed(hidden, m)
-    idx = np.arange(1 << m)
-    bits = np.repeat((idx[:, None] >> np.arange(m)) & 1, hidden.n_vertices, axis=0)
-    blochs = np.tile(hidden.vertices, (1 << m, 1))
-    assert np.array_equal(seed_bits, bits)
-    assert np.abs(seed_blochs - blochs).max() <= 2.0**-50
-    assert (np.linalg.norm(seed_blochs, axis=1) <= 1.0).all()
-    assert np.array_equal(_columns(seed_bits, seed_blochs), _ns_map(m) @ _columns_loop(bits, seed_blochs, m))
-    assert (1 << (m + 1)) * hidden.n_vertices > SEED_MAX_COLUMNS
-    assert _columns(*_seed(hidden, m + 1)).shape == (4 * (m + 2), 0)
+def test_columns_match_loop(level, m):
+    """_columns has the loop's entries in the loop's column order, times
+    T: on every (strategy, vertex) pair of a hidden polytope, with the
+    vertices pulled into the ball in floating point, and on random bits
+    and Bloch vectors."""
+    bits, vertices = _hull_columns(sphere_polytope(level), 1.0, m)
+    blochs = lhs._into_ball(vertices)
+    assert np.abs(blochs - vertices).max() <= 2.0**-50
+    assert (np.linalg.norm(blochs, axis=1) <= 1.0).all()
+    assert np.array_equal(_columns(bits, blochs), _ns_map(m) @ _columns_loop(bits, blochs, m))
     r = np.random.default_rng(level)
     bits, blochs = r.integers(0, 2, (20, m)), r.standard_normal((20, 3))
     assert np.array_equal(_columns(bits, blochs), _ns_map(m) @ _columns_loop(bits, blochs, m))
@@ -218,11 +210,12 @@ def _anchor_pool(anchor):
     return anchor.strategy_bits, anchor.blochs
 
 
-def test_column_generation_from_seed_or_empty():
-    """From the level-0 seed and the t = 0 model, or from the t = 0 model
-    alone, the LP to t_cap = 1 ends at the same decision on m = 6
-    assemblages (two Werner states and one random state); at m = 21,
-    above the seed cap, lhs_lp_feasible gives the expected decisions."""
+def test_column_generation_from_hull_or_anchor():
+    """From every (strategy, vertex) column of the level-0 polytope and the
+    t = 0 model, or from the t = 0 model alone, the LP to t_cap = 1 ends
+    at the same decision on m = 6 assemblages (two Werner states and one
+    random state); at m = 21, where pricing is not exact,
+    lhs_lp_feasible gives the expected decisions."""
     for rho in (werner(0.45), werner(0.99), random_two_qubit(np.random.default_rng(3))):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         b0, b1 = a0.ps.ravel(), make_assemblage(rho, ICO_DIRS).ps.ravel()
@@ -338,8 +331,8 @@ def test_no_signalling_t_star_matches_full_layout_lp(monkeypatch):
 def test_brackets_leave_t_zero_by_third_lp(monkeypatch):
     """With the family direction's columns in the first pool, each of the
     radius-default benchmark's 8 brackets (b1, b2, b3 and sc1, both
-    directions) has t > 0 by its third LP; from the seed and the t = 0
-    model alone they sat at t = 0 until their sixth to tenth."""
+    directions) has t > 0 by its third LP; from the t = 0 model alone
+    they sat at t = 0 until their sixth to tenth."""
     runs, run, solve = [], lhs.linprog, lhs._solve
 
     def spy(*, A_eq):
@@ -469,17 +462,18 @@ def test_linprog_reports_size_and_iterations():
     a0 = make_assemblage(radial_mix_state(werner(0.45), 0.0), ICO_DIRS)
     b0 = a0.ps.ravel()
     lp = _Lp(lhs._rows(b0), lhs._rows(b0 - make_assemblage(werner(0.45), ICO_DIRS).ps.ravel()), 1.0)
-    lp.add(_columns(*_seed(ICO, 6)))
+    lp.add(_columns(*_hull_columns(ICO, 1.0)))
     res = lhs.linprog(A_eq=lp)
     assert lp.shape == (4 * 7, 1 + 64 * 12)
     assert res.nit > 0 and res.x.shape == (1 + 64 * 12,) and res.y.shape == (4 * 7,)
 
 
-def _hull_columns(hidden, scale):
-    """(bits, blochs) of every (strategy, vertex) column at m = 6, with the
-    vertices scaled by ``scale`` (1 for the inner restrict hull, 1/eta for
-    the outer relax hull): the hidden-polytope LP that the ball LP replaced."""
-    strategies = np.concatenate(list(strategy_blocks(6)))
+def _hull_columns(hidden, scale, m=6):
+    """(bits, blochs) of every (strategy, vertex) column, strategy i =
+    sum_x bits[x] 2^x major and vertex minor, with the vertices scaled by
+    ``scale`` (1 for the inner restrict hull, 1/eta for the outer relax
+    hull): the hidden-polytope LP that the ball LP replaced."""
+    strategies = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
     return (np.repeat(strategies, hidden.n_vertices, axis=0),
             np.tile(hidden.vertices * scale, (len(strategies), 1)))
 
@@ -497,7 +491,8 @@ def _hidden_polytope_t_star(hidden, a0, b1, t_cap, scale):
 def test_ball_locator_between_hidden_polytope_locators():
     """The ball lies between the restrict hull and the relax hull, so at
     m = 6 the ball LP's t* lies between their dense t*; the same t*, to
-    within 1e-5, comes out from the seed and from the t = 0 model alone."""
+    within 1e-5, comes out from the restrict hull's columns and the t = 0
+    model, and from the t = 0 model alone."""
     below_cap = 0
     for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(4))):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
@@ -614,10 +609,10 @@ def test_hidden_state_outside_ball_rejected():
 
 
 def _locator_pool(hidden, anchor):
-    """The locator's starting pool on states with Bob's state away from
-    the sphere: the seed of ``hidden`` and the t = 0 model's columns."""
-    bits, blochs = _seed(hidden, 6)
-    return np.vstack([bits, anchor.strategy_bits]), np.vstack([blochs, anchor.blochs])
+    """A pool of every (strategy, vertex) column of ``hidden`` at m = 6, with
+    the vertices pulled into the ball, and the t = 0 model's columns."""
+    bits, blochs = _hull_columns(hidden, 1.0)
+    return np.vstack([bits, anchor.strategy_bits]), np.vstack([lhs._into_ball(blochs), anchor.blochs])
 
 
 def _locator_model(rho, hidden=ICO):
@@ -899,6 +894,21 @@ def test_critical_radius_singlet_bracket():
     assert rep.r_out - rep.r_in < 0.2
     d = rep.to_dict()
     assert d["meas_polytope_level"] == 0 and d["hidden_polytope_level"] == 2
+
+
+def test_hidden_level_has_no_effect_at_m_up_to_10():
+    """At meas level 0 (m = 6) pricing is exact and the pool starts alike
+    at every hidden level, so hidden levels 0, 1 and 2 give the same
+    bracket to the bit, apart from the level the report echoes: on b1 and
+    sc1 (AB), the singlet and a random state."""
+    from cyclesteer.states import build_family, builtin_state, reduce_pair
+
+    states = [reduce_pair(build_family(builtin_state(sid).normalized(), 1.0), "AB") for sid in ("b1", "sc1")]
+    for rho in states + [singlet(), random_two_qubit(np.random.default_rng(8))]:
+        reports = [critical_radius_bounds(rho, RadiusParams(meas_level=0, hidden_level=level)).to_dict()
+                   for level in (0, 1, 2)]
+        assert [d.pop("hidden_polytope_level") for d in reports] == [0, 1, 2]
+        assert reports[0] == reports[1] == reports[2]
 
 
 def test_critical_radius_unsteerable_state_vacuous_upper():

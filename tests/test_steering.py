@@ -97,7 +97,7 @@ def test_lhs_bound_rejects_large_m():
 
 def _gathered_max(coef):
     """Brute force (oracle): every strategy's [sum c, V] gathered setting
-    by setting in the row order of strategy_blocks, summed in x order;
+    by setting, row i holding the bits (i >> x) & 1, summed in x order;
     the value and the first maximizing bits."""
     m = len(coef)
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
