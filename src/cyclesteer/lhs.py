@@ -207,14 +207,13 @@ class _Lp:
     with column t and then the pool's w in the order ``add`` appends
     them, on whatever rows b has (``_solve`` passes the 4(m + 1)
     no-signalling rows of ``_rows``); each ``solve`` warm-starts the
-    simplex from the last basis.
-    The first run is HiGHS's dual simplex from the logical basis; every
-    later one is the primal simplex, since added columns leave the last
-    optimal basis primal feasible but not dual feasible: on radius-default
-    25 iterations per run instead of 55. The dual simplex stays first:
-    with the primal there, the 54 prefilter brackets of the coarse-brackets
-    benchmark took 7783 iterations in 210 LPs instead of 6794 in 205, and
-    about 9 % more time. HiGHS keeps primal and dual feasibility to
+    simplex from the last basis. Every run is HiGHS's primal simplex:
+    added columns leave the last optimal basis primal feasible but not
+    dual feasible (on radius-default 25 iterations per warm run instead
+    of the dual simplex's 55), and on a first run the dual simplex ended
+    Infeasible on LPs feasible by construction (the prefilter brackets of
+    two scenario-2 search states, also after a cold retry), where the
+    primal ends optimal. HiGHS keeps primal and dual feasibility to
     1e-10, below the 1e-8 model check (at the default 1e-7 a model came
     back with a weight of -9e-8, and with presolve the singlet's at meas
     0, hidden 2 with status Unknown); presolve is off, as at 28 rows it
@@ -223,7 +222,7 @@ class _Lp:
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
         self.highs = _Highs()
-        for option, value in (("output_flag", False), ("presolve", "off"),
+        for option, value in (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 4),
                               ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10)):
             self.highs.setOptionValue(option, value)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
@@ -244,7 +243,6 @@ class _Lp:
     def solve(self):
         """Returns (t, w, y); LpFailure unless HiGHS ends optimal."""
         res = linprog(A_eq=self)
-        self.highs.setOptionValue("simplex_strategy", 4)
         return float(res.x[0]), res.x[1:], res.y
 
 
@@ -418,7 +416,7 @@ def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
 class RadiusParams:
     meas_level: int = 0
     hidden_level: int = 2
-    bisection_tol: float = 1e-3  # the --tol step in t; see critical_radius_bounds
+    bisection_tol: float = 1e-3  # --tol, echoed in to_dict(); no output depends on it
 
 
 @dataclass(frozen=True)
@@ -472,20 +470,6 @@ def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
     return bisect(indefinite, 1.0, t_max, 1e-9)[0] if indefinite(t_max) else t_max
 
 
-def _first_detection(functional: GeneralFunctional, a0: Assemblage, a1: Assemblage,
-                     assemblage_at, t_d: float) -> float:
-    """Smallest t <= t_d at which ``functional`` still detects steering,
-    given that it detects at t_d. Its value is affine in t, so the
-    crossing of bound + _DETECTION_MARGIN has a closed form; the point
-    returned aims at twice the margin and is re-checked on the mixed
-    state's own assemblage, falling back to t_d."""
-    v0, v1 = functional.value(a0), functional.value(a1)
-    if v1 <= v0:
-        return t_d
-    t = min(t_d, max(0.0, (functional.bound + 2 * _DETECTION_MARGIN - v0) / (v1 - v0)))
-    return t if _detects(functional, assemblage_at(t)) else t_d
-
-
 def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> RadiusReport:
     """Bracket the critical radius with one LP run (:func:`_locate`) along
     the radial family, from the t = 0 model, with the level-``hidden_level``
@@ -497,11 +481,13 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     assemblage at t to within TOL.lp_residual, the check decisions
     apply. Otherwise r_in = 0 is vacuous (unsteerable_certified False).
 
-    r_out: if t* < t_cap, the LP's dual (see :func:`_solve`) is checked
-    on the mixed state's assemblage at t_d = min(t_cap, t* + tol/2) (tol =
-    params.bisection_tol). If it beats its exact bound there, it detects
-    steering from its closed-form crossing up to t_d, and r_out is that
-    crossing (detection at t implies R <= t). Else r_out = t_cap is vacuous.
+    r_out: if t* < t_cap, the LP's dual (see :func:`_solve`) is a
+    functional whose value v0 + t (v1 - v0) is affine in t, so it crosses
+    its exact bound plus twice _DETECTION_MARGIN at the closed-form
+    t_x = max(0, (bound + 2 _DETECTION_MARGIN - v0) / (v1 - v0)). r_out is
+    t_x (detection at t implies R <= t) where v1 > v0, t_x <= t_cap and the
+    functional beats its bound on the mixed state's own assemblage at t_x.
+    Else r_out = t_cap is vacuous. params.bisection_tol changes no output.
     """
     meas = sphere_polytope(params.meas_level)
     directions = antipodal_directions(meas)
@@ -518,9 +504,11 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     if t > 0 and model.residual(assemblage_at(t).ps) <= TOL.lp_residual:
         t_in = t
     if functional is not None:
-        t_d = min(t_cap, t_star + params.bisection_tol / 2)
-        if _detects(functional, assemblage_at(t_d)):
-            r_out, det = _first_detection(functional, a0, a1, assemblage_at, t_d), True
+        v0, v1 = functional.value(a0), functional.value(a1)
+        if v1 > v0:
+            t_x = max(0.0, (functional.bound + 2 * _DETECTION_MARGIN - v0) / (v1 - v0))
+            if t_x <= t_cap and _detects(functional, assemblage_at(t_x)):
+                r_out, det = t_x, True
 
     return RadiusReport(r_in=meas.eta * t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
                         unsteerable_certified=t_in > 0, params=params, meas_eta=meas.eta)

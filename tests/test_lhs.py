@@ -31,6 +31,7 @@ from cyclesteer.lhs import (
 )
 from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
+from cyclesteer.search import _PREFILTER_PARAMS, _reduced_pair
 from cyclesteer.states import singlet, werner
 from cyclesteer.steering import icosahedron_settings, make_assemblage, max_over_strategies
 from cyclesteer.tolerances import TOL
@@ -375,8 +376,8 @@ def test_no_lp_failure_on_random_and_near_pure_states():
 
 class _StalledRun(lhs._Highs):
     """HiGHS allowed no simplex iteration on one run of each model, the
-    ``stalled_run``-th (1: its first, dual run; 2: its first warm, primal
-    run after ``add``); records the model status each stalled run ends in."""
+    ``stalled_run``-th (1: its first run; 2: its first warm run after
+    ``add``); records the model status each stalled run ends in."""
 
     stalled_run, stalled = 1, []
 
@@ -434,18 +435,53 @@ class _StrategySpy(lhs._Highs):
         return super().run()
 
 
-def test_first_run_dual_then_primal(monkeypatch):
-    """Each model's first run is HiGHS's dual simplex (strategy 1) from
-    the logical basis; every later run, warm after ``add``, is the primal
-    simplex (strategy 4): on one bracket and one decision."""
+def test_every_run_is_primal(monkeypatch):
+    """Every HiGHS run is the primal simplex (strategy 4): each model's
+    first run, its warm runs after ``add`` and the cold re-solve after a
+    stalled run, on one bracket and one decision."""
     monkeypatch.setattr(lhs, "_Highs", _StrategySpy)
     monkeypatch.setattr(_StrategySpy, "models", [])
     critical_radius_bounds(werner(0.9))
     lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
     assert len(_StrategySpy.models) == 2
     for strategies in _StrategySpy.models:
-        assert len(strategies) > 1
-        assert strategies[0] == 1 and set(strategies[1:]) == {4}
+        assert len(strategies) > 1 and set(strategies) == {4}
+
+    class _StalledSpy(_StrategySpy, _StalledRun):
+        """The spy over a model whose first warm run is stalled."""
+
+    monkeypatch.setattr(lhs, "_Highs", _StalledSpy)
+    monkeypatch.setattr(_StalledSpy, "models", [])
+    monkeypatch.setattr(_StalledSpy, "stalled_run", 2)
+    monkeypatch.setattr(_StalledSpy, "stalled", [])
+    critical_radius_bounds(werner(0.9))
+    lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
+    assert len(_StalledSpy.stalled) == 2 and lhs.HighsModelStatus.kOptimal not in _StalledSpy.stalled
+    assert len(_StalledSpy.models) == 2
+    for strategies in _StalledSpy.models:
+        assert len(strategies) > 3 and set(strategies) == {4}
+
+
+# Scenario-2 prefilter search states (real-7 coefficients, seeds 1 and 3 of
+# one-restart campaigns) whose BA bracket's first LP, 28 rows by 43 columns,
+# ended Infeasible under the dual simplex, also after a cold re-solve.
+_DUAL_INFEASIBLE_SEARCH_STATES = (
+    [-0.9517089797920031, 0.9835430994477992, 0.4767391634458282, -0.07038298295142362,
+     0.30174772937529826, 0.5126629631502139, -0.31957809771426354],
+    [2.828546535413288, -3.353823535064691, -0.6690228769606147, 0.31164126435538997,
+     -2.339443481263341, 0.7022202146904547, -1.6428858185890818],
+)
+
+
+@pytest.mark.parametrize("coeffs", _DUAL_INFEASIBLE_SEARCH_STATES)
+def test_search_state_bracket_that_failed_on_dual_first_run(coeffs):
+    """The BA bracket at the prefilter's parameters of a search state
+    whose first LP ended Infeasible (LpFailure) when first runs used the
+    dual simplex: with the primal it certifies r_in = meas_eta t_cap and
+    gives the vacuous r_out = t_cap."""
+    rep = critical_radius_bounds(_reduced_pair(coeffs)[1], _PREFILTER_PARAMS)
+    assert rep.unsteerable_certified and not rep.steerable_detected
+    assert rep.r_out == rep.t_cap and rep.r_in == rep.meas_eta * rep.t_cap
 
 
 def test_bracket_that_failed_on_dual_warm_runs():
@@ -772,14 +808,16 @@ def test_locator_dual_is_the_r_out_functional():
         assert v1 > v0 and abs(v0 + t_star * (v1 - v0)) <= 1e-12
         rep = critical_radius_bounds(rho)
         assert rep.steerable_detected and t_star <= rep.r_out <= t_star + 2e-5
+        assert rep.r_out == max(0.0, (functional.bound + 2 * lhs._DETECTION_MARGIN - v0) / (v1 - v0))
     assert abs(critical_radius_bounds(singlet()).r_out - 0.539345) <= 2e-5
 
 
-def test_functional_that_misses_t_d_gives_vacuous_r_out(monkeypatch):
-    """r_out uses the locator's dual only where it beats its bound at
-    t_d = t* + tol/2 on the mixed state's own assemblage; a dual that does
-    not leaves r_out = t_cap and steerable_detected False, and r_in, from
-    the primal, as it was."""
+def test_functional_that_misses_its_crossing_gives_vacuous_r_out(monkeypatch):
+    """r_out uses the locator's dual only where it beats its bound at its
+    own closed-form crossing t_x <= t_cap on the mixed state's own
+    assemblage; a dual that does not (here, its bound raised by 1 puts
+    t_x beyond t_cap) leaves r_out = t_cap and steerable_detected False,
+    and r_in, from the primal, as it was."""
     params = RadiusParams(hidden_level=0, bisection_tol=1e-2)
     r_in = critical_radius_bounds(singlet(), params).r_in
     solve = lhs._solve
