@@ -258,7 +258,7 @@ def _add_radius(p: argparse.ArgumentParser):
                    help="polytope whose vertices price the LP's columns above m = 10 "
                         "(at m <= 10 pricing is exact and the level has no effect)")
     p.add_argument("--tol", type=_POSITIVE, default=None, dest="bisection_tol",
-                   help="echoed in the JSON as bisection_tol; no output depends on it")
+                   help="the LP stops once its bracket on t* is within tol (JSON: bisection_tol)")
 
 
 def build_parser() -> argparse.ArgumentParser:

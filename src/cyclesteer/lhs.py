@@ -21,27 +21,27 @@ generation: the pool starts from the t = 0 model and the columns that
 price best on the family's direction b1 - b0, columns are priced over
 all 2^m strategies for m <= 10 (exact) and from the vertices of a
 geodesic polytope above, and one HiGHS model per run takes each round's
-columns, warm-starting the simplex. Its dual y, mapped back to
-the (m, 2, 4) layout as T^T y (:func:`_coef`), is a Farkas functional
-with y.b(t) = t - t*. Pricing
-sets accuracy, not soundness: a model from any pool is an LHS model once it
-passes reconstruction with every |r| <= 1 in floating point, and a dual
-detects steering only when it beats its exact Bloch-ball bound
-(:func:`cyclesteer.steering.max_over_strategies`), whose maximizing
-column closes every LP. Decisions run it on an assemblage's own radial
-family up to t_cap = 1 (:func:`lhs_lp_feasible`), brackets on a state's
-(:func:`critical_radius_bounds`): r_in from its model, r_out from its
-dual. Every reported LHS model is the LP's own model at the t it was
-solved for, checked by reconstruction against that t's assemblage.
+columns, warm-starting the simplex. Its dual y, mapped back to the
+(m, 2, 4) layout as T^T y (:func:`_coef`), is a Farkas functional whose
+bound over the ball bounds t* (:func:`_solve`). Pricing and where a run
+stops set accuracy, not soundness: a model from any pool is an LHS model
+once it passes reconstruction with every |r| <= 1 in floating point, and
+a dual detects steering only when it beats its exact Bloch-ball bound
+(:func:`cyclesteer.steering.max_over_strategies`). Decisions run it on
+an assemblage's own radial family up to t_cap = 1 (:func:`lhs_lp_feasible`),
+brackets on a state's (:func:`critical_radius_bounds`): r_in from its
+model, r_out from its functional. Every reported LHS model is the LP's
+own model at the t it was solved for, checked by reconstruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, _Highs
 
 from .linalg import DensityMatrix, ID2, partial_trace
 from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
@@ -63,10 +63,13 @@ _NEAR_PURE = 1e-2
 _DETECTION_MARGIN = 1e-12
 # t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state.
 T_CAP_MAX = 2.0
+_OPTIONS = HighsOptions()  # every HiGHS model's options (see _Lp), passed whole
+_OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
+_OPTIONS.primal_feasibility_tolerance = _OPTIONS.dual_feasibility_tolerance = 1e-10
 
 
 class LpFailure(RuntimeError):
-    """HiGHS or column generation did not end at an optimum."""
+    """HiGHS did not end at an optimum."""
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,11 @@ class GeneralFunctional:
         return max_over_strategies(self.coef)[0]
 
 
-def _into_ball(r: np.ndarray) -> np.ndarray:
-    """r with every row whose norm rounds to 1 or more scaled by 1 - 2^-50,
-    so that |r| <= 1 holds in floating point however the norm is summed."""
-    r = np.array(r, dtype=float)
+def _into_ball(r: np.ndarray, norm: np.ndarray | float = 1.0) -> np.ndarray:
+    """r / norm (0 where norm is 0: ``_score``'s V and |V| give V/|V|) with
+    every row whose norm rounds to 1 or more scaled by 1 - 2^-50, so that
+    |r| <= 1 holds in floating point however the norm is summed."""
+    r = np.divide(r, norm, out=np.zeros(np.shape(r)), where=norm > 0)
     r[np.linalg.norm(r, axis=-1) >= 1 - 2.0**-51] *= 1 - 2.0**-50
     return r
 
@@ -158,15 +162,13 @@ def _strategies(m: int) -> np.ndarray | None:
     return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int8)
 
 
-def _best_column(coef: np.ndarray, bits: np.ndarray):
-    """Score and hidden state of strategies ``bits`` (..., m) at their
-    best state r = V/|V|: the functional's value on the column is
-    sum_x c_{bits(x)|x} + V.r with V = sum_x v_{bits(x)|x}."""
+def _score(coef: np.ndarray, bits: np.ndarray):
+    """Score sum_x c_{bits(x)|x} + |V| of strategies ``bits`` (..., m) at their
+    best state V/|V| (``_into_ball``), with V = sum_x v_{bits(x)|x} and |V|."""
     picked = coef[np.arange(coef.shape[0]), bits]
     v = picked[..., 1:].sum(axis=-2)
     norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    r = _into_ball(np.divide(v, norm, out=np.zeros_like(v), where=norm > 0))
-    return picked[..., 0].sum(axis=-1) + norm[..., 0], r
+    return picked[..., 0].sum(axis=-1) + norm[..., 0], v, norm
 
 
 def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.ndarray | None):
@@ -175,28 +177,29 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     is the functional's maximum over the Bloch ball. Without the table,
     from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
     per setting) at V/|V|, then three more steps alternating strategy and
-    state, none of which lowers the score. At m = 21 (meas level 1) four
-    steps against one took, on the singlet, 206 LPs and 13 exact-kernel
-    calls against 292 and 31 (4.9 s vs 10.5 s) at hidden level 0, 72 and
-    5 against 89 and 10 (2.2 s vs 4.0 s) at level 1 (radius-fine), 53
-    and 1 against 55 and 1 (1.1 s vs 1.2 s) at level 2, and on Werner(0.8)
-    at level 1 76 and 4 against 99 and 4 (2.0 s both). Bob's own
-    state b is priced as it is: when it is pure, no other state can
-    stand in for it. Returns bits, Bloch vectors and scores of the best
-    distinct columns, best first."""
+    state, none of which lowers the score. At m = 21 four steps against
+    one took, on the singlet, 206 LPs and 13 exact-kernel calls against
+    292 and 31 at hidden level 0, 72 and 5 against 89 and 10 at level 1,
+    53 and 1 against 55 and 1 at level 2, and on Werner(0.8) at level 1
+    76 and 4 against 99 and 4. Bob's own state b is priced as it is: when
+    it is pure, no other state can stand in for it. Returns bits, Bloch
+    vectors and scores of the best distinct columns, best first; hidden
+    states are built for those only."""
     bits, r = strategies, verts
     if bits is not None:
-        scores, r = _best_column(coef, bits)
+        scores, v, norm = _score(coef, bits)
     else:
         for _ in range(4):
             vals = coef[None, :, :, 0] + np.einsum("kd,xad->kxa", r, coef[:, :, 1:])
             bits = np.unique(vals.argmax(axis=2), axis=0)
-            scores, r = _best_column(coef, bits)
+            scores, v, norm = _score(coef, bits)
+            r = _into_ball(v, norm)
     at_bob = coef[:, :, 0] + coef[:, :, 1:] @ bob
-    bits, r = np.vstack([bits, at_bob.argmax(axis=1)]), np.vstack([r, bob])
     scores = np.append(scores, at_bob.max(axis=1).sum())
     order = np.argsort(scores)[::-1][:_CG_COLUMNS_PER_ROUND]
-    return bits[order], r[order], scores[order]
+    own, r = order < len(bits), np.tile(bob, (len(order), 1))
+    r[own] = _into_ball(v[order[own]], norm[order[own]])
+    return np.vstack([bits, at_bob.argmax(axis=1)])[order], r, scores[order]
 
 
 class _Lp:
@@ -209,22 +212,18 @@ class _Lp:
     no-signalling rows of ``_rows``); each ``solve`` warm-starts the
     simplex from the last basis. Every run is HiGHS's primal simplex:
     added columns leave the last optimal basis primal feasible but not
-    dual feasible (on radius-default 25 iterations per warm run instead
-    of the dual simplex's 55), and on a first run the dual simplex ended
-    Infeasible on LPs feasible by construction (the prefilter brackets of
-    two scenario-2 search states, also after a cold retry), where the
-    primal ends optimal. HiGHS keeps primal and dual feasibility to
-    1e-10, below the 1e-8 model check (at the default 1e-7 a model came
-    back with a weight of -9e-8, and with presolve the singlet's at meas
-    0, hidden 2 with status Unknown); presolve is off, as at 28 rows it
-    costs more than it saves.
+    dual feasible (25 iterations per warm run on radius-default, against
+    the dual simplex's 55), and on a first run the dual simplex ended
+    Infeasible on LPs feasible by construction (two scenario-2 search
+    states). Feasibility tolerances are 1e-10, below the 1e-8 model
+    check (at the default 1e-7 a model came back with a weight of -9e-8,
+    and with presolve one ended Unknown); presolve is off, as at 28 rows
+    it costs more than it saves.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
         self.highs = _Highs()
-        for option, value in (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 4),
-                              ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10)):
-            self.highs.setOptionValue(option, value)
+        self.highs.passOptions(_OPTIONS)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
         self.add(t_col[:, None], -1.0, t_cap)
 
@@ -254,10 +253,12 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     highs = A_eq.highs
     highs.run()
     nit = highs.getInfo().simplex_iteration_count
-    if highs.getModelStatus() != HighsModelStatus.kOptimal:
-        # A warm start can end Unknown (one unscaled dual infeasibility, in 4 of
-        # 600 random m = 6 locators); one cold solve from a cleared basis ends it.
-        highs.clearSolver()
+    # A warm start can end Unknown (in 4 of 600 random m = 6 locators). A cleared basis
+    # and the LP passed anew each solve LPs the other fails on, so each is tried once.
+    for restart in (highs.clearSolver, lambda: highs.passModel(highs.getLp())):
+        if highs.getModelStatus() == HighsModelStatus.kOptimal:
+            break
+        restart()
         highs.run()
         nit += highs.getInfo().simplex_iteration_count
     status = highs.getModelStatus()
@@ -267,26 +268,24 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     return OptimizeResult(x=np.array(sol.col_value), y=np.array(sol.row_dual), nit=nit)
 
 
-def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray, t_cap: float):
+def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray, t_cap: float, tol: float = 0.0):
     """The ``_Lp`` over the columns of ``pool`` = (bits, blochs), adding
-    priced columns until none prices above _PRICING_TOL (``_price``, from
-    the vertices of ``hidden`` above m = 10); when it offers none, the
-    exact kernel's maximizing column (lambda*, V/|V|) is priced, so every
-    LP ends optimal over the ball. b and t_col come in the (m, 2, 4)
-    layout, flat, and the LP holds their 4(m + 1) rows T b and T t_col;
-    each dual y is priced, bounded and returned as the functional
-    coef = T^T y (``_coef``), whose value on every column and on every
-    b(t) is y's. Deleting the rows (x >= 1, a = 1) instead of taking
-    these left a warm-started t* 1.6e-9 off a cold solve over the same
-    columns at m = 6. The kernel bounds coef divided by
-    max(1, its max-abs entry), so every functional has coefficients of
-    at most 1. Ending below t_cap, t is basic, so the final dual y has
-    y.b(t) = t - t* along the family, and its bound over the ball is at
-    most the pricing tolerance.
-
-    Returns (t*, LHS model of the positive weights at t*, functional or
-    None at t* = t_cap). Raises LpFailure when HiGHS or column generation
-    does not end optimal.
+    priced columns (``_price``, from the vertices of ``hidden`` above
+    m = 10), or the exact kernel's maximizing column (lambda*, V/|V|)
+    where pricing offers none. b and t_col come in the (m, 2, 4) layout,
+    flat; the LP holds their 4(m + 1) rows T b and T t_col (deleting the
+    rows x >= 1, a = 1 instead left a warm-started t* 1.6e-9 off a cold
+    solve at m = 6), and each dual y is priced and bounded as coef =
+    T^T y (``_coef``), whose value on every column and b(t) is y's. Below
+    t_cap, t is basic, so y.b(t') = t' - t, and since an LHS model's
+    weights sum to 1, t* <= t + y's bound over the ball (the Lagrangian
+    bound): the ``_crossing`` of coef / max(1, max|coef|) with its bound,
+    known on every round at m <= 10 (exact pricing's top score) and on
+    the kernel's rounds above. The run keeps the least crossing ub and
+    stops once ub - t <= tol, nothing prices above _PRICING_TOL, or after
+    _CG_MAX_ROUNDS rounds. Returns (t, LHS model of the positive weights
+    at t, the functional of ub with its kernel bound, or None at t_cap or
+    with no bound); LpFailure only when HiGHS does not end optimal.
     """
     m = len(b) // 8
     pool_bits, pool_blochs = pool
@@ -294,27 +293,39 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     strategies = _strategies(m)
     lp = _Lp(_rows(b), _rows(t_col), t_cap)
     lp.add(_columns(pool_bits, pool_blochs))
+    ub, functional = np.inf, None
     for _ in range(_CG_MAX_ROUNDS):
         t, w, y = lp.solve()
-        model = LhsCertificate(pool_bits[w > 0], pool_blochs[w > 0], w[w > 0])
         if t >= t_cap:
-            return t, model, None  # no column can improve
+            functional = None  # no column can improve
+            break
         coef = _coef(y)
+        scale = max(1.0, np.abs(coef).max())
         bits, blochs, scores = _price(coef, hidden.vertices, bob, strategies)
-        functional = None
+        scaled = coef / scale
+        bound = scores[0] / scale if strategies is not None else np.inf
         if scores[0] <= _PRICING_TOL:
-            scale = max(1.0, np.abs(coef).max())
-            bound, best = max_over_strategies(coef / scale)
-            functional = GeneralFunctional(coef / scale, bound)
+            bound, best = max_over_strategies(scaled)
             bits = np.vstack([bits, best])
-            blochs = np.vstack([blochs, _best_column(coef, best)[1]])
+            blochs = np.vstack([blochs, _into_ball(*_score(coef, best)[1:])])
             scores = np.append(scores, bound * scale)
-        if not (scores > _PRICING_TOL).any():
-            return t, model, functional
+        if (t_x := _crossing(bound, scaled.ravel() @ b, scaled.ravel() @ (b - t_col))) < ub:
+            ub, functional = t_x, GeneralFunctional(scaled, bound if scores[0] <= _PRICING_TOL else None)
+        if ub - t <= tol or not (scores > _PRICING_TOL).any():
+            break
         bits, blochs = bits[scores > _PRICING_TOL].astype(np.int8), blochs[scores > _PRICING_TOL]
         lp.add(_columns(bits, blochs))
         pool_bits, pool_blochs = np.vstack([pool_bits, bits]), np.vstack([pool_blochs, blochs])
-    raise LpFailure(f"column generation did not converge in {_CG_MAX_ROUNDS} rounds")
+    if functional is not None and functional.bound is None:  # kept from a round without the kernel
+        functional = GeneralFunctional(functional.coef, max_over_strategies(functional.coef)[0])
+    keep = np.flatnonzero(w > 0)  # of the pool at the last run
+    return t, LhsCertificate(pool_bits[keep], pool_blochs[keep], w[keep]), functional
+
+
+def _crossing(bound: float, v0: float, v1: float) -> float:
+    """Where a functional's value v0 + t (v1 - v0) along a family crosses
+    its bound plus 2 _DETECTION_MARGIN (at least 0); inf if it does not rise."""
+    return max(0.0, (bound + 2 * _DETECTION_MARGIN - v0) / (v1 - v0)) if v1 > v0 else np.inf
 
 
 def _anchor(a0: Assemblage) -> LhsCertificate:
@@ -326,16 +337,16 @@ def _anchor(a0: Assemblage) -> LhsCertificate:
     return LhsCertificate(bits, _into_ball(np.array([bob, bob])), np.array([0.5, 0.5]))
 
 
-def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float):
-    """``_solve`` along b(t) = b0 + t (b1 - b0) from a0 to a1, with a0 the
-    t = 0 assemblage. The pool starts at Bob's state b: with every
-    strategy there where m <= 10 and 1 - |b| <= _NEAR_PURE, else with the
-    two columns of a0's exact model (``_anchor``) and the columns
-    ``_price`` finds for the family direction a1 - a0. As b nears the
-    sphere, only columns near b can carry weight and the optimal duals
-    grow without bound. At t = 0 the LP is degenerate and its first dual
-    arbitrary, so without the direction's columns the first 5-9 LPs of a
-    bracket priced columns that left t at 0; with them every
+def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float, tol: float = 0.0):
+    """``_solve`` to within ``tol`` along b(t) = b0 + t (b1 - b0) from a0
+    to a1, a0 the t = 0 assemblage. The pool starts at Bob's state b:
+    with every strategy there where m <= 10 and 1 - |b| <= _NEAR_PURE,
+    else with the two columns of a0's exact model (``_anchor``) and the
+    columns ``_price`` finds for the family direction a1 - a0. As b nears
+    the sphere, only columns near b can carry weight and the optimal
+    duals grow without bound. At t = 0 the LP is degenerate and its first
+    dual arbitrary, so without the direction's columns the first 5-9 LPs
+    of a bracket priced columns that left t at 0; with them every
     radius-default bracket leaves t = 0 by its third. Next to every
     strategy at b they do harm: with them there, 22 of 1000 product
     states at 1 - |b| = 1e-9 ended Unknown at hidden levels 1 and 2."""
@@ -348,7 +359,7 @@ def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float
         bits = np.vstack([anchor.strategy_bits, g_bits.astype(np.int8)])
         blochs = np.vstack([anchor.blochs, g_blochs])
     b0 = a0.ps.ravel()
-    return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap)
+    return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap, tol)
 
 
 def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
@@ -416,7 +427,7 @@ def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
 class RadiusParams:
     meas_level: int = 0
     hidden_level: int = 2
-    bisection_tol: float = 1e-3  # --tol, echoed in to_dict(); no output depends on it
+    bisection_tol: float = 1e-3  # --tol: the LP stops once its bracket on t* is within this
 
 
 @dataclass(frozen=True)
@@ -470,45 +481,48 @@ def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
     return bisect(indefinite, 1.0, t_max, 1e-9)[0] if indefinite(t_max) else t_max
 
 
+@cache
+def _directions(level: int) -> np.ndarray:
+    """The level's antipodal directions, built once and read-only."""
+    directions = antipodal_directions(sphere_polytope(level))
+    directions.flags.writeable = False
+    return directions
+
+
 def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> RadiusReport:
     """Bracket the critical radius with one LP run (:func:`_locate`) along
-    the radial family, from the t = 0 model, with the level-``hidden_level``
-    vertices pricing above m = 10; its primal gives r_in and its dual r_out.
+    the radial family from the t = 0 model, the level-``hidden_level``
+    vertices pricing above m = 10, stopped once its bracket on t* is
+    within params.bisection_tol (:func:`_solve`).
 
-    r_in = meas.eta t for t = min(t*, t_cap) (by the shrinking lemma,
-    unsteerability of the shrunk state for all projective measurements)
-    when t > 0 and the LP's own model at t* reproduces the mixed state's
-    assemblage at t to within TOL.lp_residual, the check decisions
-    apply. Otherwise r_in = 0 is vacuous (unsteerable_certified False).
-
-    r_out: if t* < t_cap, the LP's dual (see :func:`_solve`) is a
-    functional whose value v0 + t (v1 - v0) is affine in t, so it crosses
-    its exact bound plus twice _DETECTION_MARGIN at the closed-form
-    t_x = max(0, (bound + 2 _DETECTION_MARGIN - v0) / (v1 - v0)). r_out is
-    t_x (detection at t implies R <= t) where v1 > v0, t_x <= t_cap and the
-    functional beats its bound on the mixed state's own assemblage at t_x.
-    Else r_out = t_cap is vacuous. params.bisection_tol changes no output.
+    r_in = meas.eta min(t, t_cap) at the t where the run stopped (by the
+    shrinking lemma, unsteerability of the shrunk state for all
+    projective measurements) when that is > 0 and the LP's own model at t
+    reproduces the mixed state's assemblage at t to within TOL.lp_residual,
+    the check decisions apply; else r_in = 0 is vacuous.
+    r_out is the ``_crossing`` t_x of the run's functional (detection at t
+    implies R <= t) where t_x <= t_cap and the functional beats its exact
+    bound on the mixed state's own assemblage at t_x; else r_out = t_cap
+    is vacuous.
     """
     meas = sphere_polytope(params.meas_level)
-    directions = antipodal_directions(meas)
+    directions = _directions(params.meas_level)
     t_cap = _psd_cap(rho_ab, T_CAP_MAX)
 
     def assemblage_at(t: float) -> Assemblage:
         return make_assemblage(radial_mix_state(rho_ab, t), directions)
 
     a0, a1 = assemblage_at(0.0), make_assemblage(rho_ab, directions)
-    t_star, model, functional = _locate(sphere_polytope(params.hidden_level), a0, a1, t_cap)
+    t, model, functional = _locate(sphere_polytope(params.hidden_level), a0, a1, t_cap, params.bisection_tol)
 
     t_in, r_out, det = 0.0, t_cap, False
-    t = min(t_star, t_cap)
+    t = min(t, t_cap)
     if t > 0 and model.residual(assemblage_at(t).ps) <= TOL.lp_residual:
         t_in = t
     if functional is not None:
-        v0, v1 = functional.value(a0), functional.value(a1)
-        if v1 > v0:
-            t_x = max(0.0, (functional.bound + 2 * _DETECTION_MARGIN - v0) / (v1 - v0))
-            if t_x <= t_cap and _detects(functional, assemblage_at(t_x)):
-                r_out, det = t_x, True
+        t_x = _crossing(functional.bound, functional.value(a0), functional.value(a1))
+        if t_x <= t_cap and _detects(functional, assemblage_at(t_x)):
+            r_out, det = t_x, True
 
     return RadiusReport(r_in=meas.eta * t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
                         unsteerable_certified=t_in > 0, params=params, meas_eta=meas.eta)

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, linprog
 
@@ -377,15 +378,17 @@ def test_no_lp_failure_on_random_and_near_pure_states():
 class _StalledRun(lhs._Highs):
     """HiGHS allowed no simplex iteration on one run of each model, the
     ``stalled_run``-th (1: its first run; 2: its first warm run after
-    ``add``); records the model status each stalled run ends in."""
+    ``add``), nor on the ``stalled_retries`` runs after it; records the
+    model status each stalled run ends in."""
 
-    stalled_run, stalled = 1, []
+    stalled_run, stalled_retries, stalled = 1, 0, []
 
     def run(self):
         self.runs = getattr(self, "runs", 0) + 1
-        self.setOptionValue("simplex_iteration_limit", 0 if self.runs == self.stalled_run else 2**31 - 1)
+        stall = self.stalled_run <= self.runs <= self.stalled_run + self.stalled_retries
+        self.setOptionValue("simplex_iteration_limit", 0 if stall else 2**31 - 1)
         status = super().run()
-        if self.runs == self.stalled_run:
+        if stall:
             self.stalled.append(self.getModelStatus())
         return status
 
@@ -405,13 +408,15 @@ def test_stalled_warm_run_gets_one_cold_resolve(monkeypatch):
     cleared basis: the Werner(0.9) and singlet brackets keep their flags,
     the singlet's stays inside its TWO_LP_BRACKETS limits and Werner's
     around its exact threshold 1/(2 0.9). The cold re-solve may end at
-    another optimal vertex, so the ends are not compared to the bit."""
+    another optimal vertex, so the ends are not compared to the bit. The
+    runs go to a converged tolerance, as TWO_LP_BRACKETS came from one."""
     states = {"werner": werner(0.9), "singlet": singlet()}
-    expected = {key: critical_radius_bounds(rho) for key, rho in states.items()}
+    params = RadiusParams(bisection_tol=lhs._PRICING_TOL)
+    expected = {key: critical_radius_bounds(rho, params) for key, rho in states.items()}
     monkeypatch.setattr(lhs, "_Highs", _StalledRun)
     monkeypatch.setattr(_StalledRun, "stalled_run", 2)
     monkeypatch.setattr(_StalledRun, "stalled", [])
-    reports = {key: critical_radius_bounds(rho) for key, rho in states.items()}
+    reports = {key: critical_radius_bounds(rho, params) for key, rho in states.items()}
     assert len(_StalledRun.stalled) == 2
     assert lhs.HighsModelStatus.kOptimal not in _StalledRun.stalled
     for key, rep in reports.items():
@@ -420,6 +425,44 @@ def test_stalled_warm_run_gets_one_cold_resolve(monkeypatch):
     old_in, old_out, _ = TWO_LP_BRACKETS["singlet"]
     assert old_in - 1e-12 <= reports["singlet"].r_in <= reports["singlet"].r_out <= old_out + 1e-12
     assert reports["werner"].r_in <= 1 / 1.8 <= reports["werner"].r_out
+
+
+def test_stalled_retry_gets_the_lp_passed_anew(monkeypatch):
+    """A warm run whose re-solve from a cleared basis also ends
+    non-optimal is solved once more with its LP passed to the model anew,
+    and that run ends optimal, with the primal simplex like every other
+    run: the Werner(0.9) bracket keeps its flags and its exact threshold
+    1/(2 0.9)."""
+    expected = critical_radius_bounds(werner(0.9))
+
+    class _StalledTwice(_StrategySpy, _StalledRun):
+        """The spy over a model whose first warm run and first retry stall,
+        recording each run's status and the runs that follow passModel."""
+
+        statuses, passed = [], []
+
+        def run(self):
+            status = super().run()
+            self.statuses.append(self.getModelStatus())
+            return status
+
+        def passModel(self, lp):
+            self.passed.append(self.runs + 1)
+            return super().passModel(lp)
+
+    monkeypatch.setattr(lhs, "_Highs", _StalledTwice)
+    monkeypatch.setattr(_StalledTwice, "models", [])
+    monkeypatch.setattr(_StalledTwice, "stalled_run", 2)
+    monkeypatch.setattr(_StalledTwice, "stalled_retries", 1)
+    monkeypatch.setattr(_StalledTwice, "stalled", [])
+    rep = critical_radius_bounds(werner(0.9))
+    optimal = lhs.HighsModelStatus.kOptimal
+    assert len(_StalledTwice.stalled) == 2 and optimal not in _StalledTwice.stalled
+    assert _StalledTwice.passed == [4] and _StalledTwice.statuses[1:4] == [*_StalledTwice.stalled, optimal]
+    assert len(_StalledTwice.models) == 1 and set(_StalledTwice.models[0]) == {4}
+    assert (rep.steerable_detected, rep.unsteerable_certified, rep.t_cap) == (
+        expected.steerable_detected, expected.unsteerable_certified, expected.t_cap)
+    assert rep.r_in <= 1 / 1.8 <= rep.r_out
 
 
 class _StrategySpy(lhs._Highs):
@@ -478,8 +521,10 @@ def test_search_state_bracket_that_failed_on_dual_first_run(coeffs):
     """The BA bracket at the prefilter's parameters of a search state
     whose first LP ended Infeasible (LpFailure) when first runs used the
     dual simplex: with the primal it certifies r_in = meas_eta t_cap and
-    gives the vacuous r_out = t_cap."""
-    rep = critical_radius_bounds(_reduced_pair(coeffs)[1], _PREFILTER_PARAMS)
+    gives the vacuous r_out = t_cap, once the run goes to a converged
+    tolerance (at the prefilter's 1e-2 it may stop short of t_cap)."""
+    params = dataclasses.replace(_PREFILTER_PARAMS, bisection_tol=lhs._PRICING_TOL)
+    rep = critical_radius_bounds(_reduced_pair(coeffs)[1], params)
     assert rep.unsteerable_certified and not rep.steerable_detected
     assert rep.r_out == rep.t_cap and rep.r_in == rep.meas_eta * rep.t_cap
 
@@ -709,10 +754,14 @@ def _bisection_bracket(rho, params):
 
 
 def test_locator_bracket_inside_bisection_bracket():
+    """The locator bracket, run to the pricing tolerance, lies inside the
+    bisection oracle's (steps of 1e-2) to within 1e-9; a run stopped at a
+    gap of 1e-2 may move its ends by up to that much."""
     params = RadiusParams(meas_level=0, hidden_level=0, bisection_tol=1e-2)
+    converged = dataclasses.replace(params, bisection_tol=lhs._PRICING_TOL)
     r = np.random.default_rng(12)
     for rho in [random_two_qubit(r) for _ in range(10)] + [singlet()]:
-        rep = critical_radius_bounds(rho, params)
+        rep = critical_radius_bounds(rho, converged)
         r_in, r_out = _bisection_bracket(rho, params)
         assert rep.r_in >= r_in - 1e-9
         assert rep.r_out <= r_out + 1e-9
@@ -791,25 +840,83 @@ def test_one_lp_run_per_bracket(monkeypatch):
         assert len(calls) == 1
 
 
+def _sc1_ab():
+    from cyclesteer.states import build_family, builtin_state, reduce_pair
+
+    return reduce_pair(build_family(builtin_state("sc1").normalized(), 1.0), "AB")
+
+
+@settings(max_examples=20, deadline=None)
+@given(_states())
+@example(_sc1_ab())
+@example(singlet())
+@example(werner(0.9))
+def test_gap_stop_moves_the_bracket_by_at_most_tol(rho):
+    """A run stopped once its Lagrangian gap is within tol is the
+    converged run cut short: its t is at most tol below the converged t,
+    so r_in loses at most meas_eta tol (and gains nothing beyond 1e-12,
+    where both runs end at t* on different bases); its r_out, a crossing
+    above t*, is at least the converged r_out less the pricing tolerance
+    (by which that may exceed t*); and a detected r_out is within tol of
+    the t where the run stopped."""
+    converged = critical_radius_bounds(rho, RadiusParams(bisection_tol=lhs._PRICING_TOL))
+    for tol in (1e-2, 1e-3):
+        rep = critical_radius_bounds(rho, RadiusParams(bisection_tol=tol))
+        assert rep.t_cap == converged.t_cap
+        assert -1e-12 <= converged.r_in - rep.r_in <= rep.meas_eta * tol
+        assert rep.r_out >= converged.r_out - lhs._PRICING_TOL
+        if rep.steerable_detected:
+            assert rep.r_out - rep.r_in / rep.meas_eta <= tol + 1e-12
+
+
+def test_round_budget_returns_a_certified_bracket(monkeypatch):
+    """A run that uses up its round budget (cut here to 3) returns its
+    model at the last t and its functional of least crossing, not
+    LpFailure: on the singlet, Werner(0.9) and sc1 (AB), whose converged
+    runs take more rounds, a certified bracket that contains the converged
+    one (r_in to within 1e-12: on the singlet the third LP already ends at
+    t*, on another basis). The singlet's and Werner's detect steering;
+    sc1's functional after three rounds crosses its bound beyond t_cap."""
+    params = RadiusParams(bisection_tol=lhs._PRICING_TOL)
+    cases = ((singlet(), True), (werner(0.9), True), (_sc1_ab(), False))
+    runs, run = [], lhs.linprog
+    monkeypatch.setattr(lhs, "linprog", lambda *, A_eq: runs.append(A_eq) or run(A_eq=A_eq))
+    converged = []
+    for rho, _ in cases:
+        runs.clear()
+        converged.append(critical_radius_bounds(rho, params))
+        assert len(runs) > 3
+    monkeypatch.setattr(lhs, "_CG_MAX_ROUNDS", 3)
+    for (rho, detects), conv in zip(cases, converged):
+        runs.clear()
+        rep = critical_radius_bounds(rho, params)
+        assert len(runs) == 3
+        assert rep.unsteerable_certified and rep.steerable_detected is detects
+        assert rep.r_in <= conv.r_in + 1e-12 and conv.r_out <= rep.r_out
+
+
 def test_locator_dual_is_the_r_out_functional():
-    """The LP's final dual comes back divided by max(1, its max-abs entry),
-    bounded by the pricing tolerance, with value (t - t*)/scale along the
-    radial family, and it detects just above t*; on the singlet at default
-    parameters r_out lies within 2e-5 of t* = 0.539345."""
-    hidden = sphere_polytope(RadiusParams().hidden_level)
+    """At a converged tolerance, the LP's final dual comes back divided by
+    max(1, its max-abs entry), bounded by the pricing tolerance, with value
+    (t - t*)/scale along the radial family, and it detects just above t*;
+    on the singlet at default levels r_out lies within 2e-5 of t* =
+    0.539345. The run returns its functional of least crossing; on these
+    two states that is the final round's dual."""
+    params = RadiusParams(bisection_tol=lhs._PRICING_TOL)
+    hidden = sphere_polytope(params.hidden_level)
     for rho in (singlet(), werner(0.9)):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         a1 = make_assemblage(rho, ICO_DIRS)
-        t_star, _, functional = _locate(hidden, a0, a1, _psd_cap(rho, T_CAP_MAX))
+        t_star, _, functional = _locate(hidden, a0, a1, _psd_cap(rho, T_CAP_MAX), params.bisection_tol)
         assert t_star < 1.0
         assert np.abs(functional.coef).max() <= 1.0
         assert functional.bound <= lhs._PRICING_TOL
         v0, v1 = functional.value(a0), functional.value(a1)
         assert v1 > v0 and abs(v0 + t_star * (v1 - v0)) <= 1e-12
-        rep = critical_radius_bounds(rho)
+        rep = critical_radius_bounds(rho, params)
         assert rep.steerable_detected and t_star <= rep.r_out <= t_star + 2e-5
         assert rep.r_out == max(0.0, (functional.bound + 2 * lhs._DETECTION_MARGIN - v0) / (v1 - v0))
-    assert abs(critical_radius_bounds(singlet()).r_out - 0.539345) <= 2e-5
+    assert abs(critical_radius_bounds(singlet(), params).r_out - 0.539345) <= 2e-5
 
 
 def test_functional_that_misses_its_crossing_gives_vacuous_r_out(monkeypatch):
@@ -1052,8 +1159,10 @@ TWO_LP_BRACKETS = {
 
 
 def test_brackets_inside_two_lp_brackets():
+    """The converged brackets lie inside the two-LP flow's, which ran to
+    convergence too."""
     for key, rho, params in _pinned_inputs():
-        rep = critical_radius_bounds(rho, params)
+        rep = critical_radius_bounds(rho, dataclasses.replace(params, bisection_tol=lhs._PRICING_TOL))
         old_in, old_out, old_cap = TWO_LP_BRACKETS[key]
         assert rep.r_in >= old_in - 1e-12, key
         assert rep.r_out <= old_out + 1e-12, key
