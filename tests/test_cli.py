@@ -280,6 +280,31 @@ def test_radius_werner(capsys):
     assert data["hidden_polytope_level"] == 1
 
 
+@pytest.mark.parametrize("command", ["radius", "scenario2", "scenario1"])
+def test_p_with_density_matrix_file_is_input_error(command, tmp_path, capsys, monkeypatch):
+    """--p sets a pure-state family's weight; a density-matrix file has none,
+    so it is rejected before any work rather than ignored."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --p was checked")
+
+    monkeypatch.setattr(lhs, "critical_radius_bounds", no_work)
+    monkeypatch.setattr(steering, "one_way_gap_scenario1", no_work)
+    path = tmp_path / "singlet.json"
+    path.write_text(json.dumps(state_to_json(werner(1.0))))
+    assert main([command, "--state", str(path), "--p", "0.3"]) == 2
+    assert "--p" in capsys.readouterr().err
+
+
+def test_main_keeps_no_option_of_the_call_before(capsys):
+    """The parser is built once per process; a call's options do not carry
+    over into the next: radius --pair BA, then radius reports AB."""
+    args = ["radius", "--state", "builtin:b1", "--tol", "5e-2"]
+    _, ba = run(capsys, *args, "--pair", "BA")
+    _, ab = run(capsys, *args)
+    _, ab_again = run(capsys, *args, "--pair", "AB")
+    assert ab == ab_again != ba
+
+
 def test_scenario2_report(capsys):
     code, data = run(capsys, "scenario2", "--state", "builtin:ghz",
                      "--hidden-level", "1", "--tol", "5e-2")

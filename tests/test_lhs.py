@@ -19,9 +19,9 @@ from cyclesteer.lhs import (
     _columns,
     _locate,
     _price,
-    _psd_cap,
     _solve,
     _strategies,
+    _t_cap,
     bisect,
     certify_unsteerable_shrunk,
     critical_radius_bounds,
@@ -30,7 +30,7 @@ from cyclesteer.lhs import (
     one_way_report,
     radial_mix_state,
 )
-from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace
+from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace, pauli_form
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.search import _PREFILTER_PARAMS, _reduced_pair
 from cyclesteer.states import singlet, werner
@@ -316,7 +316,7 @@ def test_no_signalling_t_star_matches_full_layout_lp(monkeypatch):
     for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(5))):
         pool.clear()
         a0, a1 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS), make_assemblage(rho, ICO_DIRS)
-        t_cap = _psd_cap(rho, T_CAP_MAX)
+        t_cap = _t_cap(rho)
         t_star = _locate(hidden, a0, a1, t_cap)[0]
         bits, blochs = (np.vstack(part) for part in zip(*pool))
         b0 = a0.ps.ravel()
@@ -578,7 +578,7 @@ def test_ball_locator_between_hidden_polytope_locators():
     for rho in (singlet(), werner(0.9), random_two_qubit(np.random.default_rng(4))):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         b0, b1 = a0.ps.ravel(), make_assemblage(rho, ICO_DIRS).ps.ravel()
-        t_cap = _psd_cap(rho, 2.0)
+        t_cap = _t_cap(rho)
         inner = _hidden_polytope_t_star(HIDDEN1, a0, b1, t_cap, 1.0)
         outer = _hidden_polytope_t_star(HIDDEN1, a0, b1, t_cap, 1 / HIDDEN1.eta)
         anchor = _anchor(a0)
@@ -700,7 +700,7 @@ def _locator_model(rho, hidden=ICO):
     """(t*, the LP's model at t*, the t = 0 model) at m = 6, as
     critical_radius_bounds finds them."""
     a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
-    t_star, model, _ = _locate(hidden, a0, make_assemblage(rho, ICO_DIRS), _psd_cap(rho, T_CAP_MAX))
+    t_star, model, _ = _locate(hidden, a0, make_assemblage(rho, ICO_DIRS), _t_cap(rho))
     return t_star, model, _anchor(a0)
 
 
@@ -735,7 +735,7 @@ def _bisection_bracket(rho, params):
     certification probed at mid-points of [0, t_cap]."""
     meas, hidden = sphere_polytope(params.meas_level), sphere_polytope(params.hidden_level)
     directions = antipodal_directions(meas)
-    t_cap = _psd_cap(rho, T_CAP_MAX)
+    t_cap = _t_cap(rho)
 
     def detected(t):
         return detect_steerable(radial_mix_state(rho, t), directions, hidden)[0]
@@ -907,7 +907,7 @@ def test_locator_dual_is_the_r_out_functional():
     for rho in (singlet(), werner(0.9)):
         a0 = make_assemblage(radial_mix_state(rho, 0.0), ICO_DIRS)
         a1 = make_assemblage(rho, ICO_DIRS)
-        t_star, _, functional = _locate(hidden, a0, a1, _psd_cap(rho, T_CAP_MAX), params.bisection_tol)
+        t_star, _, functional = _locate(hidden, a0, a1, _t_cap(rho), params.bisection_tol)
         assert t_star < 1.0
         assert np.abs(functional.coef).max() <= 1.0
         assert functional.bound <= lhs._PRICING_TOL
@@ -992,6 +992,119 @@ def test_radial_mix_indefinite_flag():
         radial_mix_state(singlet(), 2.0)
     with pytest.raises(ValueError, match="t must be"):
         radial_mix_state(singlet(), -0.1)
+
+
+def _bisected_t_cap(rho):
+    """t_cap as the bisection that the closed form replaced found it (oracle):
+    the largest t on a 1e-9 grid where the mix's least eigenvalue is >= -TOL.psd."""
+    anchor = np.kron(ID2 / 2, partial_trace(rho, [1]).mat)
+
+    def indefinite(t):
+        mat = t * rho.mat + (1 - t) * anchor
+        return np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -TOL.psd
+
+    return bisect(indefinite, 1.0, T_CAP_MAX, 1e-9)[0] if indefinite(T_CAP_MAX) else T_CAP_MAX
+
+
+def _random_unitary(r):
+    return np.linalg.qr(r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2)))[0]
+
+
+def _gram(g):
+    """G G^dagger over its trace: a state, PSD to rounding."""
+    m = g @ g.conj().T
+    return (m + m.conj().T) / (2 * np.trace(m).real)
+
+
+def _qubit(r):
+    return _gram(r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2)))
+
+
+def _with_bob_gap(r, gap, product):
+    """A random state, entangled or a product, filtered on Bob so that his
+    marginal has eigenvalues 1 - gap/2 and gap/2 (1 - |b| = gap)."""
+    g = r.standard_normal((4, 4)) + 1j * r.standard_normal((4, 4))
+    if product:
+        g = np.kron(g[:2, :2], g[2:, 2:])
+    lam, vec = np.linalg.eigh(partial_trace(DensityMatrix(_gram(g), (2, 2)), [1]).mat)
+    f = _random_unitary(r) @ np.diag(np.sqrt([1 - gap / 2, gap / 2])) @ (vec / np.sqrt(lam)) @ vec.conj().T
+    return DensityMatrix(_gram(np.kron(ID2, f) @ g), (2, 2))
+
+
+@st.composite
+def _cap_states(draw):
+    """(state, 1 - |b|): random states, products, the singlet, I/4, and
+    entangled states and products filtered to 1 - |b| from 1e-1 to 1e-13 or 0."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "product", "gap", "gap-product"]))
+    if kind == "random":
+        rho = random_two_qubit(r)
+    elif kind == "product":
+        rho = DensityMatrix(np.kron(_qubit(r), _qubit(r)), (2, 2))
+    else:
+        gap = draw(st.sampled_from([10.0**-k for k in range(1, 14)] + [0.0]))
+        rho = _with_bob_gap(r, gap, kind == "gap-product")
+    return rho, 1 - np.linalg.norm(pauli_form(rho.mat)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cap_states())
+@example((singlet(), 1.0))
+@example((DensityMatrix(np.eye(4) / 4, (2, 2)), 1.0))
+def test_t_cap_closed_form(case):
+    """t_cap is a state's cap: the mix there constructs with least eigenvalue
+    >= -1e-14, and reaches 0 to 1e-14 below T_CAP_MAX. The bisection oracle
+    agrees to its 1e-9 step from above (its TOL.psd slack only raises it),
+    and from below to that step plus TOL.psd over the least slope of the
+    mix's least eigenvalue, (1 - |b|) / 8."""
+    rho, gap = case
+    t_cap = _t_cap(rho)
+    assert 1.0 <= t_cap <= T_CAP_MAX
+    least = np.linalg.eigvalsh(radial_mix_state(rho, t_cap).mat)[0]
+    assert least >= -1e-14
+    if t_cap < T_CAP_MAX:
+        assert least <= 1e-14
+    oracle = _bisected_t_cap(rho)
+    assert t_cap <= oracle + 2e-9
+    if gap > 0:
+        assert t_cap >= oracle - 2e-9 - 8 * TOL.psd / gap
+
+
+def test_t_cap_ends():
+    """The singlet's mix is a state up to t = 1, I/4's for every t."""
+    assert _t_cap(singlet()) == pytest.approx(1.0, abs=1e-13)
+    assert _t_cap(DensityMatrix(np.eye(4) / 4, (2, 2))) == T_CAP_MAX
+
+
+def _filtered(rho, f):
+    """(I (x) F) rho (I (x) F)^dagger, normalized."""
+    m = np.kron(ID2, f) @ rho.mat @ np.kron(ID2, f).conj().T
+    return DensityMatrix((m + m.conj().T) / (2 * np.trace(m).real), (2, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states(), st.integers(0, 2**32 - 1))
+def test_t_cap_filter_invariant(rho, seed):
+    """An invertible filter on Bob, the trusted side, maps the radial family
+    onto the filtered state's at the same t, so t_cap does not move (random
+    F with singular values in [1/2, 2])."""
+    r = np.random.default_rng(seed)
+    f = _random_unitary(r) @ np.diag(r.uniform(0.5, 2.0, 2)) @ _random_unitary(r)
+    assert abs(_t_cap(_filtered(rho, f)) - _t_cap(rho)) <= 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(0)
+def test_canonical_form_brackets_intersect(seed):
+    """A state and its canonical form, filtered by F = rho_B^{-1/2}, are
+    steerable at the same t, so their default brackets intersect."""
+    rho = random_two_qubit(np.random.default_rng(seed))
+    lam, vec = np.linalg.eigh(partial_trace(rho, [1]).mat)
+    canonical = _filtered(rho, (vec / np.sqrt(lam)) @ vec.conj().T)
+    assert np.abs(pauli_form(canonical.mat)[1]).max() <= 1e-12
+    reps = [critical_radius_bounds(s) for s in (rho, canonical)]
+    assert max(rep.r_in for rep in reps) <= min(rep.r_out for rep in reps)
 
 
 def test_exact_lhs_bound_vs_sampling():
@@ -1122,17 +1235,30 @@ def _pinned_inputs():
             yield f"coarse{j}-{d}", rho, _PREFILTER_PARAMS
 
 
+def _on_report_cap(old: float, old_cap: float, rep) -> float:
+    """A pinned bracket end, restated on the report's t_cap where it sat at
+    the pinned t_cap (r_out = t_cap, or r_in = meas_eta t_cap): the pins'
+    t_cap came from a bisection with a 1e-9 step and TOL.psd slack."""
+    if old == old_cap:
+        return rep.t_cap
+    if old == rep.meas_eta * old_cap:
+        return rep.meas_eta * rep.t_cap
+    return old
+
+
 def test_brackets_inside_hidden_polytope_brackets():
     for key, rho, params in _pinned_inputs():
         rep = critical_radius_bounds(rho, params)
         old_in, old_out = HIDDEN_POLYTOPE_BRACKETS[key]
-        assert rep.r_in >= old_in - 1e-12, key
-        assert rep.r_out <= old_out + 1e-12, key
+        old_cap = TWO_LP_BRACKETS[key][2]  # same state, and t_cap does not depend on params
+        assert rep.r_in >= _on_report_cap(old_in, old_cap, rep) - 1e-12, key
+        assert rep.r_out <= _on_report_cap(old_out, old_cap, rep) + 1e-12, key
 
 
 # Brackets (r_in, r_out, t_cap) of the Bloch-ball flow that ran two LPs per
 # bracket: the locator for r_in, then a phase-1 LP at t* + tol/2 for r_out's
-# functional. Outer limits again, and t_cap, which no LP touches, must not move.
+# functional. Outer limits again, and t_cap, which no LP touches, moves only
+# by the bisection's step and slack it was found with then.
 TWO_LP_BRACKETS = {
     "b1-AB": (0.8056774087854022, 1.0138713577762246, 1.0138713577762246),
     "b1-BA": (0.8447801949566821, 1.0630786390975118, 1.0630786390975118),
@@ -1164,6 +1290,6 @@ def test_brackets_inside_two_lp_brackets():
     for key, rho, params in _pinned_inputs():
         rep = critical_radius_bounds(rho, dataclasses.replace(params, bisection_tol=lhs._PRICING_TOL))
         old_in, old_out, old_cap = TWO_LP_BRACKETS[key]
-        assert rep.r_in >= old_in - 1e-12, key
-        assert rep.r_out <= old_out + 1e-12, key
-        assert rep.t_cap == old_cap, key
+        assert rep.r_in >= _on_report_cap(old_in, old_cap, rep) - 1e-12, key
+        assert rep.r_out <= _on_report_cap(old_out, old_cap, rep) + 1e-12, key
+        assert abs(rep.t_cap - old_cap) <= 2e-9, key
