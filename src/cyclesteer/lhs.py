@@ -17,10 +17,11 @@ T ps of rho_B = sigma_{0|0} + sigma_{1|0} and of each sigma_{0|x}
 (:func:`_anchor`) is always in the pool, so the LP is feasible without
 slacks. At each t this is the standard LHS program (Cavalcanti &
 Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)), solved by column
-generation: the pool starts from the t = 0 model and the columns that
-price best on the family's direction b1 - b0, columns are priced over
-all 2^m strategies for m <= 10 (exact) and from the vertices of a
-geodesic polytope above, and one HiGHS model per run takes each round's
+generation: the pool starts from the t = 0 model, the columns that
+price best on the family's direction b1 - b0 and, for m <= 10, the
+product model's (:func:`_locate`), columns are priced over all 2^m
+strategies for m <= 10 (exact) and from the vertices of a geodesic
+polytope above, and one HiGHS model per run takes each round's
 columns, warm-starting the simplex. Its dual y, mapped back to the
 (m, 2, 4) layout as T^T y (:func:`_coef`), is a Farkas functional whose
 bound over the ball bounds t* (:func:`_solve`). Pricing and where a run
@@ -346,15 +347,19 @@ def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float
     """``_solve`` to within ``tol`` along b(t) = b0 + t (b1 - b0) from a0
     to a1, a0 the t = 0 assemblage. The pool starts at Bob's state b:
     with every strategy there where m <= 10 and 1 - |b| <= _NEAR_PURE,
-    else with the two columns of a0's exact model (``_anchor``) and the
-    columns ``_price`` finds for the family direction a1 - a0. As b nears
-    the sphere, only columns near b can carry weight and the optimal
-    duals grow without bound. At t = 0 the LP is degenerate and its first
-    dual arbitrary, so without the direction's columns the first 5-9 LPs
-    of a bracket priced columns that left t at 0; with them every
-    radius-default bracket leaves t = 0 by its third. Next to every
-    strategy at b they do harm: with them there, 22 of 1000 product
-    states at 1 - |b| = 1e-9 ended Unknown at hidden levels 1 and 2."""
+    else with the two columns of a0's exact model (``_anchor``), the
+    columns ``_price`` finds for the family direction a1 - a0 and, at
+    m <= 10, every strategy lambda at r_lambda/|r_lambda|, the V of
+    coef[x, a] = [0, c_{a|x} - (1 - 1/m) b], c = s/p (0 where p <= 0) at
+    t_cap: the r_lambda = b + sum_x (c_{lambda(x)|x} - b) at weights prod_x
+    p(lambda(x)|x) reproduce that assemblage, outside the ball. So 11 of
+    the tests' 12 pinned coarse brackets end in their first LP (13 LPs,
+    from 48), b1-b3 take 18 (from 36). As b nears the sphere, only columns
+    near b carry weight and the optimal duals grow without bound. At t = 0
+    the LP is degenerate and its first dual arbitrary, so without the
+    direction's columns the first 5-9 LPs of a bracket priced columns that
+    left t at 0. Next to every strategy at b they do harm: 22 of 1000
+    product states at 1 - |b| = 1e-9 then ended Unknown at hidden levels 1 and 2."""
     anchor = _anchor(a0)
     strategies, bob = _strategies(a0.m), anchor.blochs[0]
     if strategies is not None and 1 - np.linalg.norm(bob) <= _NEAR_PURE:
@@ -363,6 +368,11 @@ def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float
         g_bits, g_blochs, _ = _price(a1.ps - a0.ps, hidden.vertices, bob, strategies)
         bits = np.vstack([anchor.strategy_bits, g_bits.astype(np.int8)])
         blochs = np.vstack([anchor.blochs, g_blochs])
+        if strategies is not None:
+            ps = a0.ps + t_cap * (a1.ps - a0.ps)
+            c = np.divide(ps, ps[..., :1], out=np.zeros_like(ps), where=ps[..., :1] > 0)  # [1, c], 0 where p <= 0
+            v = _score(c - np.r_[1, (1 - 1 / a0.m) * bob], strategies)[1:]
+            bits, blochs = np.vstack([bits, strategies]), np.vstack([blochs, _into_ball(*v)])
     b0 = a0.ps.ravel()
     return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap, tol)
 

@@ -730,6 +730,87 @@ def test_anchor_exact_and_locator_model_checked(rho):
     assert model.residual(make_assemblage(radial_mix_state(rho, t_star), ICO_DIRS).ps) <= TOL.lp_residual
 
 
+def _product_model(ps):
+    """The independent-outcomes model of the (m, 2, 4) assemblage ps
+    (oracle): every strategy lambda, with weight prod_x p(lambda(x)|x) and
+    hidden state r_lambda = b + sum_x (c_{lambda(x)|x} - b), unnormalized,
+    c = s/p Bob's conditional Bloch vector (0 where p = 0)."""
+    m = len(ps)
+    bits, x = _strategies(m), np.arange(m)
+    p, s = ps[..., 0], ps[..., 1:]
+    c = np.divide(s, p[..., None], out=np.zeros_like(s), where=p[..., None] > 0)
+    b = s[0].sum(axis=0)
+    return bits, b + (c[x, bits] - b).sum(axis=1), p[x, bits].prod(axis=1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_states(), st.floats(0.0, 1.0))
+def test_product_model_reproduces_the_assemblage(rho, frac):
+    """The lemma behind the first pool at m <= 10: the product model,
+    with its hidden states outside the ball, reproduces the assemblage of
+    the radial mix at any t in [0, t_cap] to 1e-12 (random states, and
+    products with a pure Bob marginal)."""
+    ps = make_assemblage(radial_mix_state(rho, frac * _t_cap(rho)), ICO_DIRS).ps
+    bits, r, q = _product_model(ps)
+    assert np.abs(LhsCertificate(bits, r, q).reconstruct() - ps).max() <= 1e-12
+
+
+def test_first_pool_holds_every_strategy_at_its_product_direction(monkeypatch):
+    """At m <= 10 and away from a near-pure b, the first pool ends with
+    every strategy at r_lambda/|r_lambda| of the product model at t_cap.
+    Its columns are finite and in the ball also where a setting has p = 0
+    at t_cap: |0><0| (x) rho_B, rho_B mixed, measured along z and the
+    icosahedral directions (t_cap = 1, and p(1|z) = 0 there), whose
+    decision is certified, and |u><u| (x) rho_B, u the first icosahedral
+    direction (t_cap = 1 + 9e-15, where p(1|u) = -4.5e-15), whose bracket
+    is certified up to t_cap; with no NaN and no RuntimeWarning."""
+    pools, solve = [], lhs._solve
+    monkeypatch.setattr(lhs, "_solve", lambda *args: pools.append(args[1]) or solve(*args))
+    rho_b = (ID2 + bloch_to_obs(np.array([0.3, -0.2, 0.5]))) / 2
+    r = np.random.default_rng(8)
+    cases = [(random_two_qubit(r), None) for _ in range(5)]
+    cases += [(DensityMatrix(np.kron(np.diag([1.0, 0.0]), rho_b).astype(complex), (2, 2)), "z"),
+              (DensityMatrix(np.kron((ID2 + bloch_to_obs(ICO_DIRS[0])) / 2, rho_b), (2, 2)), "u")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for rho, zero in cases:
+            if zero == "z":
+                a = make_assemblage(rho, np.vstack([[0.0, 0.0, 1.0], ICO_DIRS]))
+                ps = a.ps
+                assert ps[0, 1, 0] == 0.0 and lhs_lp_feasible(a, ICO)[0]
+            else:
+                rep = critical_radius_bounds(rho)
+                ps = make_assemblage(radial_mix_state(rho, rep.t_cap), ICO_DIRS).ps
+                if zero == "u":
+                    assert abs(rep.t_cap - 1.0) <= 1e-13 and abs(ps[0, 1, 0]) <= 1e-13
+                    assert rep.unsteerable_certified and rep.r_in == rep.meas_eta * rep.t_cap
+            bits, blochs = pools[-1]
+            seed_bits, seed_blochs = bits[-1 << len(ps):], blochs[-1 << len(ps):]
+            _, r_lambda, _ = _product_model(ps)
+            norm = np.linalg.norm(r_lambda, axis=1, keepdims=True)
+            assert np.isfinite(blochs).all() and (np.linalg.norm(blochs, axis=1) <= 1.0).all()
+            assert np.array_equal(seed_bits, _strategies(len(ps)))
+            assert np.abs(seed_blochs * norm - r_lambda).max() <= 1e-12 * max(1.0, norm.max())
+
+
+def test_first_pool_closes_most_brackets_in_their_first_lp(monkeypatch):
+    """With every strategy at its product-model direction in the first
+    pool, 11 of the 12 coarse brackets of ``_pinned_inputs`` end in their
+    first LP (13 LPs in all) and the six b1-b3 brackets take 18 LPs; from
+    the t = 0 model and the direction's columns alone, 0 of 12 did (48
+    LPs) and b1-b3 took 36."""
+    runs, run = [], lhs.linprog
+    monkeypatch.setattr(lhs, "linprog", lambda *, A_eq: runs.append(A_eq) or run(A_eq=A_eq))
+    counts = {}
+    for key, rho, params in _pinned_inputs():
+        runs.clear()
+        critical_radius_bounds(rho, params)
+        counts[key] = len(runs)
+    coarse = [n for key, n in counts.items() if key.startswith("coarse")]
+    assert len(coarse) == 12 and sum(n == 1 for n in coarse) >= 10, counts
+    assert sum(counts[f"{sid}-{d}"] for sid in ("b1", "b2", "b3") for d in ("AB", "BA")) <= 20, counts
+
+
 def _bisection_bracket(rho, params):
     """The bisection the locator replaced (oracle): detection and
     certification probed at mid-points of [0, t_cap]."""
