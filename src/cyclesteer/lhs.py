@@ -20,8 +20,8 @@ Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)), solved by column
 generation: the pool starts from the t = 0 model, the columns that
 price best on the family's direction b1 - b0 and, for m <= 10, the
 product model's (:func:`_locate`), columns are priced over all 2^m
-strategies for m <= 10 (exact) and from the vertices of a geodesic
-polytope above, and one HiGHS model per run takes each round's
+strategies for m <= 10 (exact), above from polytope vertices or the
+kernel's best, and one HiGHS model per run takes each round's
 columns, warm-starting the simplex. Its dual y, mapped back to the
 (m, 2, 4) layout as T^T y (:func:`_coef`), is a Farkas functional whose
 bound over the ball bounds t* (:func:`_solve`). Pricing and where a run
@@ -46,7 +46,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, _Highs
 
 from .linalg import DensityMatrix, ID2, partial_trace
 from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
-from .steering import Assemblage, make_assemblage, max_over_strategies
+from .steering import Assemblage, make_assemblage, max_over_strategies, strategy_sums
 from .tolerances import TOL
 
 # Every strategy is tabled while 2^m is at most this many (m <= 10): pricing
@@ -105,7 +105,7 @@ class GeneralFunctional:
     coef[x, a] = [c, v] (shape (m, 2, 4)), as extracted from a Farkas dual."""
 
     coef: np.ndarray
-    bound: float | None = None  # exact_lhs_bound(), attached on detection
+    bound: float | None = None  # its exact Bloch-ball bound, as _solve keeps it
 
     def value(self, assemblage: Assemblage) -> float:
         return float((self.coef * assemblage.ps).sum())
@@ -113,7 +113,7 @@ class GeneralFunctional:
     def exact_lhs_bound(self) -> float:
         """Exact bound over all LHS models with hidden states anywhere in the
         Bloch ball: max over strategies of lambda_max(sum_x F_{lambda(x)|x})."""
-        return max_over_strategies(self.coef)[0]
+        return float(max_over_strategies(self.coef)[0][0])
 
 
 def _into_ball(r: np.ndarray, norm: np.ndarray | float = 1.0) -> np.ndarray:
@@ -155,27 +155,30 @@ def _columns(bits: np.ndarray, blochs: np.ndarray) -> np.ndarray:
     return np.hstack([h, np.where((bits == 0)[:, :, None], h[:, None, :], 0.0).reshape(n, 4 * m)]).T
 
 
+@cache
 def _strategies(m: int) -> np.ndarray | None:
-    """All 2^m strategies, row i = sum_x bits[x] 2^x (the exact kernel's
-    order), while 2^m <= EXACT_PRICING_MAX_STRATEGIES; else None."""
+    """All 2^m strategies, row i = sum_x bits[x] 2^x (``strategy_sums``'s rows),
+    built once and read-only, while 2^m <= EXACT_PRICING_MAX_STRATEGIES; else None."""
     if (1 << m) > EXACT_PRICING_MAX_STRATEGIES:
         return None
-    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int8)
+    bits = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int8)
+    bits.flags.writeable = False
+    return bits
 
 
-def _score(coef: np.ndarray, bits: np.ndarray):
-    """Score sum_x c_{bits(x)|x} + |V| of strategies ``bits`` (..., m) at their
-    best state V/|V| (``_into_ball``), with V = sum_x v_{bits(x)|x} and |V|."""
-    picked = coef[np.arange(coef.shape[0]), bits]
-    v = picked[..., 1:].sum(axis=-2)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return picked[..., 0].sum(axis=-1) + norm[..., 0], v, norm
+def _score(coef: np.ndarray, bits: np.ndarray | None = None):
+    """Score sum_x c_{bits(x)|x} + |V| of strategies ``bits`` (..., m), or of
+    every row of ``strategy_sums`` without them, at their best state V/|V|
+    (``_into_ball``), with V = sum_x v_{bits(x)|x} and |V|."""
+    sums = strategy_sums(coef) if bits is None else coef[np.arange(coef.shape[0]), bits].sum(axis=-2)
+    norm = np.linalg.norm(sums[..., 1:], axis=-1, keepdims=True)
+    return sums[..., 0] + norm[..., 0], sums[..., 1:], norm
 
 
 def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.ndarray | None):
     """Pricing, exact with the table of all 2^m strategies (m <= 10, see
     _strategies): each strategy at its best state V/|V|, so the top score
-    is the functional's maximum over the Bloch ball. Without the table,
+    is the kernel's maximum, as ``strategy_sums`` gives both. Without the table,
     from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
     per setting) at V/|V|, then three more steps alternating strategy and
     state, none of which lowers the score. At m = 21 four steps against
@@ -188,7 +191,7 @@ def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.
     states are built for those only."""
     bits, r = strategies, verts
     if bits is not None:
-        scores, v, norm = _score(coef, bits)
+        scores, v, norm = _score(coef)
     else:
         for _ in range(4):
             vals = coef[None, :, :, 0] + np.einsum("kd,xad->kxa", r, coef[:, :, 1:])
@@ -272,21 +275,22 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
 def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray, t_cap: float, tol: float = 0.0):
     """The ``_Lp`` over the columns of ``pool`` = (bits, blochs), adding
     priced columns (``_price``, from the vertices of ``hidden`` above
-    m = 10), or the exact kernel's maximizing column (lambda*, V/|V|)
-    where pricing offers none. b and t_col come in the (m, 2, 4) layout,
-    flat; the LP holds their 4(m + 1) rows T b and T t_col (deleting the
-    rows x >= 1, a = 1 instead left a warm-started t* 1.6e-9 off a cold
-    solve at m = 6), and each dual y is priced and bounded as coef =
-    T^T y (``_coef``), whose value on every column and b(t) is y's. Below
-    t_cap, t is basic, so y.b(t') = t' - t, and since an LHS model's
-    weights sum to 1, t* <= t + y's bound over the ball (the Lagrangian
-    bound): the ``_crossing`` of coef / max(1, max|coef|) with its bound,
-    known on every round at m <= 10 (exact pricing's top score) and on
-    the kernel's rounds above. The run keeps the least crossing ub and
+    m = 10) or, above m = 10 where those offer none, each of the exact
+    kernel's _CG_COLUMNS_PER_ROUND best strategies that prices in, at
+    V/|V|. b and t_col come in the (m, 2, 4) layout, flat; the LP holds
+    their 4(m + 1) rows T b and T t_col (deleting the rows x >= 1, a = 1
+    instead left a warm-started t* 1.6e-9 off a cold solve at m = 6), and
+    each dual y is priced and bounded as coef = T^T y (``_coef``), whose
+    value on every column and b(t) is y's. Below t_cap, t is basic, so
+    y.b(t') = t' - t, and since an LHS model's weights sum to 1,
+    t* <= t + y's bound over the ball (the Lagrangian bound): the
+    ``_crossing`` of coef / scale, scale = max(1, max|coef|), with its
+    bound, exact pricing's top score / scale at m <= 10 and the kernel's
+    value on its rounds above. The run keeps the least crossing ub and
     stops once ub - t <= tol, nothing prices above _PRICING_TOL, or after
     _CG_MAX_ROUNDS rounds. Returns (t, LHS model of the positive weights
-    at t, the functional of ub with its kernel bound, or None at t_cap or
-    with no bound); LpFailure only when HiGHS does not end optimal.
+    at t, the functional of ub with that bound, or None at t_cap or with
+    no bound); LpFailure only when HiGHS does not end optimal.
     """
     m = len(b) // 8
     pool_bits, pool_blochs = pool
@@ -305,20 +309,17 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
         bits, blochs, scores = _price(coef, hidden.vertices, bob, strategies)
         scaled = coef / scale
         bound = scores[0] / scale if strategies is not None else np.inf
-        if scores[0] <= _PRICING_TOL:
-            bound, best = max_over_strategies(scaled)
-            bits = np.vstack([bits, best])
-            blochs = np.vstack([blochs, _into_ball(*_score(coef, best)[1:])])
-            scores = np.append(scores, bound * scale)
+        if strategies is None and scores[0] <= _PRICING_TOL:
+            values, best = max_over_strategies(scaled, _CG_COLUMNS_PER_ROUND)
+            bits, blochs = np.vstack([bits, best]), np.vstack([blochs, _into_ball(*_score(coef, best)[1:])])
+            bound, scores = values[0], np.append(scores, values * scale)
         if (t_x := _crossing(bound, scaled.ravel() @ b, scaled.ravel() @ (b - t_col))) < ub:
-            ub, functional = t_x, GeneralFunctional(scaled, bound if scores[0] <= _PRICING_TOL else None)
+            ub, functional = t_x, GeneralFunctional(scaled, float(bound))
         if ub - t <= tol or not (scores > _PRICING_TOL).any():
             break
         bits, blochs = bits[scores > _PRICING_TOL].astype(np.int8), blochs[scores > _PRICING_TOL]
         lp.add(_columns(bits, blochs))
         pool_bits, pool_blochs = np.vstack([pool_bits, bits]), np.vstack([pool_blochs, blochs])
-    if functional is not None and functional.bound is None:  # kept from a round without the kernel
-        functional = GeneralFunctional(functional.coef, max_over_strategies(functional.coef)[0])
     keep = np.flatnonzero(w > 0)  # of the pool at the last run
     return t, LhsCertificate(pool_bits[keep], pool_blochs[keep], w[keep]), functional
 
@@ -371,7 +372,7 @@ def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float
         if strategies is not None:
             ps = a0.ps + t_cap * (a1.ps - a0.ps)
             c = np.divide(ps, ps[..., :1], out=np.zeros_like(ps), where=ps[..., :1] > 0)  # [1, c], 0 where p <= 0
-            v = _score(c - np.r_[1, (1 - 1 / a0.m) * bob], strategies)[1:]
+            v = _score(c - np.r_[1, (1 - 1 / a0.m) * bob])[1:]
             bits, blochs = np.vstack([bits, strategies]), np.vstack([blochs, _into_ball(*v)])
     b0 = a0.ps.ravel()
     return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap, tol)

@@ -11,11 +11,11 @@ for F_{a|x} = c I + v.sigma, whose value sum tr(F sigma) is
 matrices: every entry of (dp I + ds.sigma)/2 is at most max|(dp, ds)|,
 and the eigenvalues of sigma_{a|x} are (p +- |s|)/2.
 
-It also holds the one strategy-enumeration kernel,
-:func:`max_over_strategies`: the exact maximum of a steering functional
-over all LHS models with hidden states in the Bloch ball. The classical
-bound L of the six-setting inequality and the exact re-bound of every
-Farkas functional in :mod:`cyclesteer.lhs` are both calls into it.
+It also holds the one strategy enumeration, :func:`strategy_sums`, and
+its kernel :func:`max_over_strategies`: the exact maximum of a steering
+functional over all LHS models with hidden states in the Bloch ball. L
+is a kernel call; :mod:`cyclesteer.lhs` bounds its Farkas functionals
+and prices and seeds its columns from the same table.
 """
 
 from __future__ import annotations
@@ -112,35 +112,44 @@ def make_assemblage(rho_ab: DensityMatrix, directions) -> Assemblage:
     return Assemblage(ps)
 
 
-def max_over_strategies(coef: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact max over deterministic strategies lambda of
-    sum_x c_{lambda(x)|x} + ||sum_x v_{lambda(x)|x}||, for a functional
-    coef[x, a] = [c, v] of shape (m, 2, 4): the largest value any LHS
-    model with hidden states in the Bloch ball can reach. Returns the
-    value and the first maximizing outcome bits, in the row order where
-    row i holds the bits (i >> x) & 1 of settings x = 0..m-1. The sums
-    [sum c, V] of the low settings x < 16 are one table, built setting
-    by setting by doubling; each block of 2^16 strategies adds its high
-    settings to it once, in turn.
-    Enumeration is exact; m is capped because the value is a certified
-    bound and must not be approximated."""
+def strategy_sums(coef: np.ndarray) -> np.ndarray:
+    """The one strategy enumeration, for m <= 16: [sum_x c_{lambda(x)|x},
+    sum_x v_{lambda(x)|x}] of every strategy lambda of a functional
+    coef[x, a] = [c, v], row i holding the bits (i >> x) & 1. Built
+    setting by setting by doubling, so each row sums in setting order."""
+    table = coef[0]
+    for x in range(1, coef.shape[0]):
+        table = (table + coef[x, :, None]).reshape(-1, 4)
+    return table
+
+
+def max_over_strategies(coef: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest values, exact, over deterministic strategies lambda of
+    sum_x c_{lambda(x)|x} + ||sum_x v_{lambda(x)|x}|| for a functional
+    coef[x, a] = [c, v] (m, 2, 4), descending with ties in row order, and
+    their outcome bits (row i holds (i >> x) & 1); the first is the most
+    any LHS model with hidden states in the Bloch ball reaches. Each block
+    of 2^16 strategies adds its settings x >= 16 to ``strategy_sums``'s
+    table of the others and keeps its k best. m is capped because the
+    value is a certified bound and must not be approximated."""
     m = coef.shape[0]
     if m > MAX_ENUM_SETTINGS:
         raise ValueError(f"m={m} exceeds enumeration cap {MAX_ENUM_SETTINGS}")
     low = min(m, 16)
-    table = coef[0]
-    for x in range(1, low):
-        table = np.concatenate([table + coef[x, 0], table + coef[x, 1]])
-    best, best_row = -np.inf, 0
+    table = strategy_sums(coef[:low])
+    kk, kept = min(k, len(table)), []
     for start in range(0, 1 << m, 1 << low):
         block = table
         for x in range(low, m):
             block = block + coef[x, (start >> x) & 1]
         vals = block[:, 0] + np.linalg.norm(block[:, 1:], axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, best_row = float(vals[i]), start + i
-    return best, (best_row >> np.arange(m)) & 1
+        cut = np.partition(vals, -kk)[-kk]  # the block's kk-th largest; then ties in row order
+        keep = np.flatnonzero(vals > cut)
+        keep = np.concatenate([keep, np.flatnonzero(vals == cut)[:kk - len(keep)]])
+        kept.append((vals[keep], start + keep))
+    values, rows = map(np.concatenate, zip(*kept))
+    order = np.lexsort((rows, -values))[:k]
+    return values[order], (rows[order, None] >> np.arange(m)) & 1
 
 
 def lhs_bound_L(functional: SteeringFunctional) -> tuple[float, np.ndarray]:
@@ -150,9 +159,9 @@ def lhs_bound_L(functional: SteeringFunctional) -> tuple[float, np.ndarray]:
     b = functional.blochs
     coef = np.zeros((len(b), 2, 4))
     coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
-    L, bits = max_over_strategies(coef)
+    (L,), (bits,) = max_over_strategies(coef)
     signs = 1 - 2 * bits
-    return L, signs * signs[0]
+    return float(L), signs * signs[0]
 
 
 @dataclass(frozen=True)

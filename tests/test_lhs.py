@@ -181,7 +181,7 @@ def test_no_signalling_rows_and_dual(m):
 def _assert_exact_pricing(coef, bob):
     # one vertex, so that pricing from the vertices would miss the maximum
     _, blochs, scores = _price(coef, np.array([[0.0, 0.0, 1.0]]), bob, _strategies(len(coef)))
-    assert abs(scores[0] - max_over_strategies(coef)[0]) <= 1e-12
+    assert scores[0] == max_over_strategies(coef)[0][0]
     assert (np.linalg.norm(blochs, axis=1) <= 1.0).all()
     return scores[0]
 
@@ -976,6 +976,42 @@ def test_round_budget_returns_a_certified_bracket(monkeypatch):
         assert rep.r_in <= conv.r_in + 1e-12 and conv.r_out <= rep.r_out
 
 
+def test_every_kept_functional_carries_its_exact_bound(monkeypatch):
+    """Each functional ``_solve`` keeps carries its bound from the round
+    that kept it, with no re-bound when the run returns: the top score of
+    exact pricing over the dual's scale at m <= 10, the kernel's value
+    above. That bound is exact_lhs_bound() to within 1e-14 max(1, |bound|)
+    on the brackets of random states, the singlet and Werner(0.9) at
+    m = 6, and of the singlet at m = 21."""
+    kept, solve = [], lhs._solve
+    monkeypatch.setattr(lhs, "_solve", lambda *args: kept.append(solve(*args)) or kept[-1])
+    r = np.random.default_rng(29)
+    for rho in [random_two_qubit(r) for _ in range(6)] + [singlet(), werner(0.9)]:
+        critical_radius_bounds(rho, RadiusParams(hidden_level=0, bisection_tol=1e-2))
+    critical_radius_bounds(singlet(), RadiusParams(meas_level=1, hidden_level=1, bisection_tol=1e-2))
+    functionals = [functional for _, _, functional in kept if functional is not None]
+    assert len(functionals) >= 3 and len(functionals[-1].coef) == 21
+    for functional in functionals:
+        assert abs(functional.bound - functional.exact_lhs_bound()) <= 1e-14 * max(1.0, abs(functional.bound))
+
+
+def test_dry_round_above_m10_adds_the_kernels_best_columns(monkeypatch):
+    """Above m = 10, a round where the vertices price nothing adds each of
+    the kernel's _CG_COLUMNS_PER_ROUND best strategies that prices in, at
+    V/|V|, not only its maximizer: on the singlet measured along 11 of the
+    level-1 directions, with the icosahedron's vertices pricing, such
+    rounds add up to 40 columns and the decision ends within 200 LPs, where
+    one column per dry round spent the whole 400-round budget."""
+    log, add, kernel = [], lhs._Lp.add, lhs.max_over_strategies
+    monkeypatch.setattr(lhs, "max_over_strategies", lambda *args: log.append("kernel") or kernel(*args))
+    monkeypatch.setattr(lhs._Lp, "add", lambda lp, cols, *args: log.append(cols.shape[1]) or add(lp, cols, *args))
+    steerable, functional = detect_steerable(singlet(), antipodal_directions(HIDDEN1)[:11], ICO)
+    assert steerable and len(functional.coef) == 11
+    after_kernel = [log[i + 1] for i in range(len(log) - 1) if log[i] == "kernel"]
+    assert after_kernel and max(after_kernel) > 1
+    assert len(log) - log.count("kernel") <= 200
+
+
 def test_locator_dual_is_the_r_out_functional():
     """At a converged tolerance, the LP's final dual comes back divided by
     max(1, its max-abs entry), bounded by the pricing tolerance, with value
@@ -1213,7 +1249,7 @@ def test_exact_lhs_bound_vs_sampling():
     r = np.random.default_rng(6)
     for m in range(1, 7):
         offsets, blochs = r.standard_normal((m, 2)), r.standard_normal((m, 2, 3))
-        value, bits = max_over_strategies(np.concatenate([offsets[:, :, None], blochs], axis=2))
+        (value,), (bits,) = max_over_strategies(np.concatenate([offsets[:, :, None], blochs], axis=2))
         xs = np.arange(m)
 
         def score(lam):

@@ -68,7 +68,7 @@ def test_lhs_bound_icosahedron():
         L, signs = lhs_bound_L(SteeringFunctional(b))
         coef = np.zeros((len(b), 2, 4))
         coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
-        assert L == max_over_strategies(coef)[0]
+        assert L == max_over_strategies(coef)[0][0]
         assert signs[0] == 1
         assert np.linalg.norm(signs @ b) == pytest.approx(L, abs=1e-12)
         brute = max(np.linalg.norm(np.array(s) @ b) for s in itertools.product((1, -1), repeat=len(b)))
@@ -95,26 +95,27 @@ def test_lhs_bound_rejects_large_m():
         lhs_bound_L(SteeringFunctional(rng.standard_normal((25, 3))))
 
 
-def _gathered_max(coef):
+def _gathered_top(coef):
     """Brute force (oracle): every strategy's [sum c, V] gathered setting
     by setting, row i holding the bits (i >> x) & 1, summed in x order;
-    the value and the first maximizing bits."""
+    all values by value descending, ties by row, with their bits."""
     m = len(coef)
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
     acc = coef[0, bits[:, 0]]
     for x in range(1, m):
         acc = acc + coef[x, bits[:, x]]
     vals = acc[:, 0] + np.linalg.norm(acc[:, 1:], axis=1)
-    i = int(np.argmax(vals))
-    return vals[i], bits[i]
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], bits[order]
 
 
 def test_running_sum_kernel_matches_gather():
-    """The running-sum kernel is the brute-force gather to the bit, value
-    and first maximizer, on random functionals (m = 1-14, and 17 and 18,
-    whose high settings are added per 2^16 block) and on the degenerate
-    [0, +-b_x] functionals of the icosahedral and level-1 geodesic
-    directions, where many strategies tie."""
+    """The running-sum kernel's k best are the brute-force gather's to the
+    bit, values and bits, by value descending with ties in row order, for
+    k = 1, 7, 40, 2^m and 2^m + 5, on random functionals (m = 1-14, and
+    17 and 18, whose high settings are added per 2^16 block) and on the
+    degenerate [0, +-b_x] functionals of the icosahedral and level-1
+    geodesic directions, where many strategies tie."""
     from cyclesteer.polytope import antipodal_directions, sphere_polytope
 
     r = np.random.default_rng(11)
@@ -125,10 +126,11 @@ def test_running_sum_kernel_matches_gather():
         coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
         coefs.append(coef)
     for coef in coefs:
-        value, bits = max_over_strategies(coef)
-        expected, expected_bits = _gathered_max(coef)
-        assert value == expected
-        assert np.array_equal(bits, expected_bits)
+        expected, expected_bits = _gathered_top(coef)
+        for k in (1, 7, 40, 1 << len(coef), (1 << len(coef)) + 5):
+            values, bits = max_over_strategies(coef, k)
+            assert np.array_equal(values, expected[:k])
+            assert np.array_equal(bits, expected_bits[:k])
 
 
 def _matrices(ps):
