@@ -21,8 +21,9 @@ generation: the pool starts from the t = 0 model, the columns that
 price best on the family's direction b1 - b0 and, for m <= 10, the
 product model's (:func:`_locate`), columns are priced over all 2^m
 strategies for m <= 10 (exact), above from polytope vertices or the
-kernel's best, and one HiGHS model per run takes each round's
-columns, warm-starting the simplex. Its dual y, mapped back to the
+kernel's best, and one HiGHS model per run, on its thread's one HiGHS
+object (:class:`_Lp`), takes each round's columns, warm-starting the
+simplex. Its dual y, mapped back to the
 (m, 2, 4) layout as T^T y (:func:`_coef`), is a Farkas functional whose
 bound over the ball bounds t* (:func:`_solve`). Pricing and where a run
 stops set accuracy, not soundness: a model from any pool is an LHS model
@@ -32,11 +33,13 @@ a dual detects steering only when it beats its exact Bloch-ball bound
 an assemblage's own radial family up to t_cap = 1 (:func:`lhs_lp_feasible`),
 brackets on a state's (:func:`critical_radius_bounds`): r_in from its
 model, r_out from its functional. Every reported LHS model is the LP's
-own model at the t it was solved for, checked by reconstruction.
+own model at the t it was solved for, checked by reconstruction against
+the assemblage at that t of the family the LP ran on.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -44,7 +47,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, _Highs
 
-from .linalg import DensityMatrix, ID2, partial_trace
+from .linalg import DensityMatrix, ID2
 from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
 from .steering import Assemblage, make_assemblage, max_over_strategies, strategy_sums
 from .tolerances import TOL
@@ -67,6 +70,7 @@ T_CAP_MAX = 2.0
 _OPTIONS = HighsOptions()  # every HiGHS model's options (see _Lp), passed whole
 _OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
 _OPTIONS.primal_feasibility_tolerance = _OPTIONS.dual_feasibility_tolerance = 1e-10
+_THREAD = threading.local()  # .highs: this thread's HiGHS object (see _Lp)
 
 
 class LpFailure(RuntimeError):
@@ -222,22 +226,28 @@ class _Lp:
     states). Feasibility tolerances are 1e-10, below the 1e-8 model
     check (at the default 1e-7 a model came back with a weight of -9e-8,
     and with presolve one ended Unknown); presolve is off, as at 28 rows
-    it costs more than it saves.
+    it costs more than it saves. The model lives on its thread's one
+    HiGHS object, built from ``_Highs`` when first used or rebound, which
+    each run clears and passes ``_OPTIONS`` anew, so no model or option
+    (a stalled run's iteration limit) reaches the next run.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
-        self.highs = _Highs()
+        if type(getattr(_THREAD, "highs", None)) is not _Highs:
+            _THREAD.highs = _Highs()
+        self.highs = _THREAD.highs
+        self.highs.clearModel()
         self.highs.passOptions(_OPTIONS)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
         self.add(t_col[:, None], -1.0, t_cap)
 
     def add(self, cols: np.ndarray, cost: float = 0.0, upper: float = np.inf):
-        """Append the dense columns ``cols`` (rows, k), each with this cost and upper bound."""
-        k = cols.shape[1]
-        j, i = np.nonzero(cols.T)
-        starts = np.searchsorted(j, np.arange(k)).astype(np.int32)
-        self.highs.addCols(k, np.full(k, cost), np.zeros(k), np.full(k, upper),
-                           len(i), starts, i.astype(np.int32), cols.T[j, i])
+        """Append the dense columns ``cols`` (rows, k) whole, each with this cost and
+        upper bound: HiGHS drops every entry of magnitude at most its small_matrix_value
+        (1e-9), the zeros among them, so it holds the matrix of the nonzeros alone."""
+        n, k = cols.shape
+        starts, rows = np.arange(0, n * k, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), k)
+        self.highs.addCols(k, np.full(k, cost), np.zeros(k), np.full(k, upper), n * k, starts, rows, cols.T.ravel())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -254,17 +264,15 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     and nit, or LpFailure. The one LP entry point, called as scipy's
     ``linprog(A_eq=...)`` was, so perfbench's ``lhs.linprog`` span times
     and sizes (``A_eq.shape``, ``nit``) every run."""
-    highs = A_eq.highs
-    highs.run()
-    nit = highs.getInfo().simplex_iteration_count
+    highs, nit = A_eq.highs, 0
     # A warm start can end Unknown (in 4 of 600 random m = 6 locators). A cleared basis
     # and the LP passed anew each solve LPs the other fails on, so each is tried once.
-    for restart in (highs.clearSolver, lambda: highs.passModel(highs.getLp())):
-        if highs.getModelStatus() == HighsModelStatus.kOptimal:
-            break
+    for restart in (lambda: None, highs.clearSolver, lambda: highs.passModel(highs.getLp())):
         restart()
         highs.run()
-        nit += highs.getInfo().simplex_iteration_count
+        nit += highs.getInfoValue("simplex_iteration_count")[1]
+        if highs.getModelStatus() == HighsModelStatus.kOptimal:
+            break
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise LpFailure(f"LP solver status {int(status)}: {highs.modelStatusToString(status)}")
@@ -367,13 +375,13 @@ def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float
         bits, blochs = strategies, np.tile(bob, (len(strategies), 1))
     else:
         g_bits, g_blochs, _ = _price(a1.ps - a0.ps, hidden.vertices, bob, strategies)
-        bits = np.vstack([anchor.strategy_bits, g_bits.astype(np.int8)])
-        blochs = np.vstack([anchor.blochs, g_blochs])
+        bits, blochs = [anchor.strategy_bits, g_bits.astype(np.int8)], [anchor.blochs, g_blochs]
         if strategies is not None:
             ps = a0.ps + t_cap * (a1.ps - a0.ps)
             c = np.divide(ps, ps[..., :1], out=np.zeros_like(ps), where=ps[..., :1] > 0)  # [1, c], 0 where p <= 0
-            v = _score(c - np.r_[1, (1 - 1 / a0.m) * bob])[1:]
-            bits, blochs = np.vstack([bits, strategies]), np.vstack([blochs, _into_ball(*v)])
+            v = _score(c - np.append(1.0, (1 - 1 / a0.m) * bob))[1:]
+            bits, blochs = [*bits, strategies], [*blochs, _into_ball(*v)]
+        bits, blochs = np.vstack(bits), np.vstack(blochs)
     b0 = a0.ps.ravel()
     return _solve(hidden, (bits, blochs), b0, b0 - a1.ps.ravel(), t_cap, tol)
 
@@ -426,21 +434,30 @@ def certify_unsteerable_shrunk(rho_ab: DensityMatrix, meas: SpherePolytope, hidd
 
 def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
     """The radial mix t rho_AB + (1 - t) I/2 (x) rho_B, which keeps Bob's marginal, as a
-    state: ValueError for t < 0 and, by DensityMatrix's TOL.psd check, past t_cap >= 1."""
+    state: ValueError for t < 0 and, by DensityMatrix's TOL.psd check, past t_cap >= 1.
+    A bracket builds it only to re-check a detection at its crossing t_x."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return DensityMatrix(t * rho_ab.mat + (1 - t) * np.kron(ID2 / 2, partial_trace(rho_ab, [1]).mat), (2, 2))
+    return DensityMatrix(t * rho_ab.mat + (1 - t) * _marginal(rho_ab)[1], (2, 2))
 
 
-def _t_cap(rho_ab: DensityMatrix) -> float:
+def _marginal(rho_ab: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """rho_B = tr_A rho_AB, summed as ``partial_trace`` sums it but not checked
+    again, and the radial mix at t = 0, A = I/2 (x) rho_B."""
+    rho_b = rho_ab.mat.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+    return rho_b, np.kron(ID2 / 2, rho_b)
+
+
+def _t_cap(rho_ab: DensityMatrix, marginal: tuple | None = None) -> float:
     """Largest t <= T_CAP_MAX with the radial mix A + t (rho - A), A = I/2 (x) rho_B,
     PSD: 1 / (1 - mu_min), mu_min the least eigenvalue of A^{-1/2} rho A^{-1/2}, at
     least 1 and unmoved by invertible filters on Bob. A + 2^-48 I stands in for A
-    outside rho - A, so a pure rho_B needs no inverse of 0 (README, soundness notes)."""
-    rho_b = partial_trace(rho_ab, [1]).mat
+    outside rho - A, so a pure rho_B needs no inverse of 0 (README, soundness notes).
+    ``marginal`` is ``_marginal(rho_ab)``, taken here unless the caller has it."""
+    rho_b, end = _marginal(rho_ab) if marginal is None else marginal
     lam, vec = np.linalg.eigh(rho_b)
     w = np.kron(ID2, vec / np.sqrt(np.maximum(lam, 0) / 2 + 2.0**-48))
-    k_min = np.linalg.eigvalsh(w.conj().T @ (rho_ab.mat - np.kron(ID2 / 2, rho_b)) @ w)[0]
+    k_min = np.linalg.eigvalsh(w.conj().T @ (rho_ab.mat - end) @ w)[0]
     return max(1.0, 1.0 / max(-k_min, 1.0 / T_CAP_MAX))
 
 
@@ -507,9 +524,11 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
 
     r_in = meas.eta min(t, t_cap) at the t where the run stopped (by the
     shrinking lemma, unsteerability of the shrunk state for all
-    projective measurements) when that is > 0 and the LP's own model at t
-    reproduces the mixed state's assemblage at t to within TOL.lp_residual,
-    the check decisions apply; else r_in = 0 is vacuous.
+    projective measurements) when that is > 0, the mix t rho + (1 - t) A
+    is a state (least eigenvalue >= -TOL.psd) and the LP's own model at t
+    reproduces the family's assemblage a0 + t (a1 - a0), the mix's, to
+    within TOL.lp_residual, the check decisions apply; else r_in = 0 is
+    vacuous. rho_B and A are read once, for t_cap and this check.
     r_out is the ``_crossing`` t_x of the run's functional (detection at t
     implies R <= t) where t_x <= t_cap and the functional beats its exact
     bound on the mixed state's own assemblage at t_x; else r_out = t_cap
@@ -517,21 +536,18 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     """
     meas = sphere_polytope(params.meas_level)
     directions = _directions(params.meas_level)
-    t_cap = _t_cap(rho_ab)
-
-    def assemblage_at(t: float) -> Assemblage:
-        return make_assemblage(radial_mix_state(rho_ab, t), directions)
-
+    t_cap = _t_cap(rho_ab, marginal := _marginal(rho_ab))
     a0 = _at_zero(a1 := make_assemblage(rho_ab, directions))
     t, model, functional = _locate(sphere_polytope(params.hidden_level), a0, a1, t_cap, params.bisection_tol)
 
     t_in, r_out, det = 0.0, t_cap, False
     t = min(t, t_cap)
-    if t > 0 and model.residual(assemblage_at(t).ps) <= TOL.lp_residual:
+    if (t > 0 and np.linalg.eigvalsh(t * rho_ab.mat + (1 - t) * marginal[1])[0] >= -TOL.psd
+            and model.residual(a0.ps + t * (a1.ps - a0.ps)) <= TOL.lp_residual):
         t_in = t
     if functional is not None:
         t_x = _crossing(functional.bound, functional.value(a0), functional.value(a1))
-        if t_x <= t_cap and _detects(functional, assemblage_at(t_x)):
+        if t_x <= t_cap and _detects(functional, make_assemblage(radial_mix_state(rho_ab, t_x), directions)):
             r_out, det = t_x, True
 
     return RadiusReport(r_in=meas.eta * t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lhs import RadiusParams, critical_radius_bounds
 from .linalg import PAULIS
-from .states import PureState3Q, build_family, reduce_pair, shift_operator, swap_state
+from .states import SHIFT_OPERATOR, PureState3Q, build_family, reduce_pair, swap_state
 from .steering import icosahedron_settings, lhs_bound_L
 from .tolerances import TOL
 
@@ -150,7 +150,7 @@ def _scenario1_forms() -> dict[int, np.ndarray]:
     ab = np.einsum("kij,xlm->xkiljm", sigma, bx).reshape(6, 4, 4, 4)  # sigma_k (x) b_x.sigma
     ba = np.einsum("xij,klm->xkiljm", bx, sigma).reshape(6, 4, 4, 4)  # b_x.sigma (x) sigma_k
     obs = np.kron(np.stack([ab, ba]).reshape(48, 4, 4), np.eye(2))  # (x) I_C
-    s = shift_operator()
+    s = SHIFT_OPERATOR
     m = sum(p.conj().T @ obs @ p for p in (np.eye(8), s, s @ s)) / 3
     return {d: np.ascontiguousarray((e.conj().T @ m @ e).real.reshape(-1, d)) for d, e in _EMBEDDINGS.items()}
 

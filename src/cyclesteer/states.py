@@ -55,23 +55,11 @@ def werner(p: float) -> DensityMatrix:
     return DensityMatrix(p * singlet().mat + (1 - p) * np.eye(4) / 4, (2, 2))
 
 
-def shift_operator() -> np.ndarray:
-    """8x8 party-shift permutation: (S psi)_{ijk} = c_{kij}."""
-    s = np.zeros((8, 8), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                s[4 * i + 2 * j + k, 4 * k + 2 * i + j] = 1
-    return s
-
-
-def swap_operator() -> np.ndarray:
-    """4x4 two-qubit flip V = sum |ij><ji|."""
-    v = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            v[2 * i + j, 2 * j + i] = 1
-    return v
+# The 8x8 party-shift permutation S, (S psi)_{ijk} = c_{kij}, and the 4x4 two-qubit
+# flip V = sum |ij><ji|, built once and read-only.
+SHIFT_OPERATOR = np.eye(8, dtype=complex)[np.arange(8).reshape(2, 2, 2).transpose(1, 2, 0).ravel()]
+SWAP_OPERATOR = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+SHIFT_OPERATOR.flags.writeable = SWAP_OPERATOR.flags.writeable = False
 
 
 def build_family(psi1: PureState3Q, p: float) -> DensityMatrix:
@@ -106,8 +94,7 @@ def reduce_pair(rho3: DensityMatrix, pair: str) -> DensityMatrix:
 
 def swap_state(rho_ab: DensityMatrix) -> DensityMatrix:
     """rho_BA = V rho_AB V^dagger."""
-    v = swap_operator()
-    return DensityMatrix(v @ rho_ab.mat @ v.conj().T, (2, 2))
+    return DensityMatrix(SWAP_OPERATOR @ rho_ab.mat @ SWAP_OPERATOR.conj().T, (2, 2))
 
 
 # Coefficient tables stored verbatim (unnormalized, as printed) and

@@ -28,11 +28,11 @@ from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.search import NMParams, ObjectiveSpec, multi_restart
 from cyclesteer.states import (
     BUILTIN_IDS,
+    SHIFT_OPERATOR,
     PureState3Q,
     build_family,
     builtin_state,
     reduce_pair,
-    shift_operator,
     singlet,
     swap_state,
 )
@@ -141,7 +141,7 @@ def test_05_gte_criterion():
 def test_06_symmetry_suite():
     with check(6, "shift invariance of 1000 random family states"):
         rng = np.random.default_rng(2024)
-        s = shift_operator()
+        s = SHIFT_OPERATOR
         for _ in range(1000):
             c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             psi = PureState3Q(c).normalized()

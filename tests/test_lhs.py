@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from cyclesteer import lhs
 from cyclesteer.lhs import (
     GeneralFunctional,
     LhsCertificate,
+    LpFailure,
     RadiusParams,
     T_CAP_MAX,
     _Lp,
@@ -379,9 +383,14 @@ class _StalledRun(lhs._Highs):
     """HiGHS allowed no simplex iteration on one run of each model, the
     ``stalled_run``-th (1: its first run; 2: its first warm run after
     ``add``), nor on the ``stalled_retries`` runs after it; records the
-    model status each stalled run ends in."""
+    model status each stalled run ends in. A thread's one HiGHS object
+    holds one model at a time, which ends at ``clearModel``."""
 
     stalled_run, stalled_retries, stalled = 1, 0, []
+
+    def clearModel(self):
+        self.runs = 0
+        return super().clearModel()
 
     def run(self):
         self.runs = getattr(self, "runs", 0) + 1
@@ -466,9 +475,14 @@ def test_stalled_retry_gets_the_lp_passed_anew(monkeypatch):
 
 
 class _StrategySpy(lhs._Highs):
-    """HiGHS recording, per model, the simplex strategy of each run."""
+    """HiGHS recording, per model, the simplex strategy of each run; a
+    model ends at ``clearModel``."""
 
     models = []
+
+    def clearModel(self):
+        self.__dict__.pop("strategies", None)
+        return super().clearModel()
 
     def run(self):
         if not hasattr(self, "strategies"):
@@ -503,6 +517,89 @@ def test_every_run_is_primal(monkeypatch):
     assert len(_StalledSpy.models) == 2
     for strategies in _StalledSpy.models:
         assert len(strategies) > 3 and set(strategies) == {4}
+
+
+def _in_fresh_threads(*calls):
+    """Run each call in a thread of its own, all at once; their results in order."""
+    with ThreadPoolExecutor(len(calls)) as pool:
+        return [future.result(timeout=120) for future in [pool.submit(call) for call in calls]]
+
+
+def test_bracket_does_not_depend_on_call_history(monkeypatch):
+    """A thread's one HiGHS object carries nothing from one run to the next:
+    a bracket comes out bit for bit as the first one computed in a fresh
+    thread after an LpFailure from a stalled model on that same object (its
+    simplex_iteration_limit of 0 left set), after an m = 21 decision, and
+    when four threads (more than the cores) run it at once, switching often."""
+    rho = werner(0.9)
+    (first,) = _in_fresh_threads(lambda: critical_radius_bounds(rho))
+    run = lhs.linprog
+
+    def stalled(*, A_eq):
+        A_eq.highs.setOptionValue("simplex_iteration_limit", 0)
+        return run(A_eq=A_eq)
+
+    def after_failure():
+        with monkeypatch.context() as patch:
+            patch.setattr(lhs, "linprog", stalled)
+            with pytest.raises(LpFailure):
+                critical_radius_bounds(rho)
+        highs = lhs._THREAD.highs
+        assert highs.getOptionValue("simplex_iteration_limit")[1] == 0
+        rep = critical_radius_bounds(rho)
+        assert lhs._THREAD.highs is highs
+        return rep
+
+    def after_decision():
+        assert lhs_lp_feasible(make_assemblage(werner(0.45), antipodal_directions(HIDDEN1)), HIDDEN1)[0]
+        return critical_radius_bounds(rho)
+
+    barrier = threading.Barrier(4)
+
+    def together():
+        barrier.wait(timeout=60)
+        return critical_radius_bounds(rho)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = [*_in_fresh_threads(after_failure), *_in_fresh_threads(after_decision),
+                   *_in_fresh_threads(*[together] * 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert first.steerable_detected and first.unsteerable_certified
+    for rep in reports:
+        assert rep == first and repr(rep) == repr(first)
+
+
+def test_bracket_fixed_cost(monkeypatch):
+    """Over the pinned inputs, each thread builds ``lhs._Highs`` once, and
+    no bracket whose LP ends at t_cap builds the radial mix as a state: r_in
+    is checked against the LP family's own assemblage."""
+    built, mixes = [], []
+
+    class _Built(lhs._Highs):
+        def __init__(self):
+            built.append(threading.get_ident())
+            super().__init__()
+
+    mix = lhs.radial_mix_state
+    monkeypatch.setattr(lhs, "_Highs", _Built)
+    monkeypatch.setattr(lhs, "radial_mix_state", lambda rho, t: mixes.append(t) or mix(rho, t))
+
+    def brackets():
+        at_cap = []
+        for key, rho, params in _pinned_inputs():
+            mixes.clear()
+            rep = critical_radius_bounds(rho, params)
+            if rep.r_in == rep.meas_eta * rep.t_cap:
+                assert not mixes, key
+                at_cap.append(key)
+        return at_cap
+
+    at_cap = brackets()
+    assert len(at_cap) >= 10 and _in_fresh_threads(brackets) == [at_cap]
+    assert len(built) == 2 and built[0] == threading.get_ident() != built[1]
 
 
 # Scenario-2 prefilter search states (real-7 coefficients, seeds 1 and 3 of

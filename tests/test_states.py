@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from cyclesteer.linalg import DensityMatrix, partial_trace
 from cyclesteer.states import (
     BUILTIN_IDS,
+    SHIFT_OPERATOR,
+    SWAP_OPERATOR,
     PureState3Q,
     build_family,
     builtin_state,
     load_state,
     reduce_pair,
-    shift_operator,
     singlet,
     state_from_json,
     state_to_json,
-    swap_operator,
     swap_state,
     werner,
 )
@@ -53,7 +53,7 @@ def test_werner_limits():
 
 
 def test_shift_operator_is_permutation_with_period_three():
-    s = shift_operator()
+    s = SHIFT_OPERATOR
     assert np.allclose(s @ s.conj().T, np.eye(8))
     assert np.allclose(np.linalg.matrix_power(s, 3), np.eye(8))
     psi = random_pure3q()
@@ -61,10 +61,23 @@ def test_shift_operator_is_permutation_with_period_three():
 
 
 def test_swap_operator():
-    v = swap_operator()
+    v = SWAP_OPERATOR
     assert np.allclose(v @ v, np.eye(4))
     rho = werner(0.7)
     assert np.allclose(swap_state(rho).mat, rho.mat)  # Werner is symmetric
+
+
+def test_permutation_operators_are_read_only_constants():
+    """S and V are the permutations (S psi)_{ijk} = c_{kij} and V |ij> = |ji>,
+    bit for bit as summed entry by entry, and cannot be written to."""
+    s, v = np.zeros((8, 8), dtype=complex), np.zeros((4, 4), dtype=complex)
+    for i, j, k in np.ndindex(2, 2, 2):
+        s[4 * i + 2 * j + k, 4 * k + 2 * i + j] = 1
+        v[2 * i + j, 2 * j + i] = 1
+    for built, constant in ((s, SHIFT_OPERATOR), (v, SWAP_OPERATOR)):
+        assert constant.dtype == built.dtype and constant.tobytes() == built.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0, 0] = 0
 
 
 def test_shifted_moves_parties():
@@ -79,7 +92,7 @@ def test_shifted_moves_parties():
 def test_build_family_invariants(seed, p):
     psi = random_pure3q(np.random.default_rng(seed))
     rho = build_family(psi, p)
-    s = shift_operator()
+    s = SHIFT_OPERATOR
     # valid three-qubit density matrix, invariant under the cyclic shift
     assert rho.dims == (2, 2, 2)
     assert np.abs(s @ rho.mat @ s.conj().T - rho.mat).max() <= 1e-12
