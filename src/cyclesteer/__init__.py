@@ -4,7 +4,6 @@ from .linalg import DensityMatrix, HermEig, herm_eig, partial_trace, partial_tra
 from .states import PureState3Q, build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from .steering import (
     Assemblage,
-    SteeringFunctional,
     icosahedron_settings,
     lhs_bound_L,
     make_assemblage,

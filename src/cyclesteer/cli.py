@@ -193,14 +193,14 @@ def cmd_calibrate(args) -> int:
     """Werner-family calibration against the known thresholds: the
     entanglement boundary at p = 1/3 (PPT) and the projective steering
     boundary at p = 1/2 (critical-radius bracket on the singlet). Werner(p)
-    is the singlet's radial mix at t = p, so [r_in / meas_eta, r_out]
-    brackets the p where the m settings stop detecting steering."""
+    is the singlet's radial mix at t = p, so [t_in, r_out] brackets the
+    p where the m settings stop detecting steering."""
     ppt_bracket = lhs.bisect(lambda p: not ent.is_ppt(states.werner(p), 0), 0.2, 0.5, 1e-4)
     report = lhs.critical_radius_bounds(states.werner(1.0), _radius_params(args))
     data = {
         "entanglement_threshold_bracket": list(ppt_bracket),
         "entanglement_threshold_known": 1 / 3,
-        "finite_setting_threshold_bracket": [report.r_in / report.meas_eta, report.r_out],
+        "finite_setting_threshold_bracket": [report.t_in, report.r_out],
         "steering_radius_bracket": [report.r_in, report.r_out],
         "steering_threshold_known": 0.5,
     }

@@ -470,15 +470,23 @@ class RadiusParams:
 
 @dataclass(frozen=True)
 class RadiusReport:
-    """Certified bracket [r_in, r_out] for the critical radius."""
+    """Certified bracket [r_in, r_out] for the critical radius, r_in =
+    meas_eta t_in from the certified mixing weight t_in."""
 
-    r_in: float
+    t_in: float
     r_out: float
     t_cap: float
-    steerable_detected: bool     # False means r_out = t_cap is vacuous
-    unsteerable_certified: bool  # False means r_in = 0 is vacuous
+    steerable_detected: bool  # False means r_out = t_cap is vacuous
     params: RadiusParams
     meas_eta: float
+
+    @property
+    def r_in(self) -> float:
+        return self.meas_eta * self.t_in
+
+    @property
+    def unsteerable_certified(self) -> bool:  # False means r_in = 0 is vacuous
+        return self.t_in > 0
 
     def to_dict(self) -> dict:
         return {
@@ -550,26 +558,24 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
         if t_x <= t_cap and _detects(functional, make_assemblage(radial_mix_state(rho_ab, t_x), directions)):
             r_out, det = t_x, True
 
-    return RadiusReport(r_in=meas.eta * t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
-                        unsteerable_certified=t_in > 0, params=params, meas_eta=meas.eta)
+    return RadiusReport(t_in=t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
+                        params=params, meas_eta=meas.eta)
 
 
 @dataclass(frozen=True)
 class OneWayReport:
     report_ab: RadiusReport
     report_ba: RadiusReport
-    r1: float       # r_out(rho_AB)
-    r2: float       # r_in(rho_BA)
-    delta: float    # r2 - r1
     verdict: str    # certified-cyclic | refuted | undetermined-at-this-resolution
 
     def to_dict(self) -> dict:
+        r1, r2 = self.report_ab.r_out, self.report_ba.r_in
         return {
             "rho_AB": self.report_ab.to_dict(),
             "rho_BA": self.report_ba.to_dict(),
-            "R1_out_AB": self.r1,
-            "R2_in_BA": self.r2,
-            "delta": self.delta,
+            "R1_out_AB": r1,
+            "R2_in_BA": r2,
+            "delta": r2 - r1,
             "verdict": self.verdict,
         }
 
@@ -580,8 +586,7 @@ def one_way_report(
     """Evaluate the cyclic feasibility conditions r_out(AB) < 1 <= r_in(BA)."""
     rep_ab = critical_radius_bounds(rho_ab, params)
     rep_ba = critical_radius_bounds(rho_ba, params)
-    r1, r2 = rep_ab.r_out, rep_ba.r_in
-    if rep_ab.steerable_detected and r1 < 1.0 and r2 >= 1.0:
+    if rep_ab.steerable_detected and rep_ab.r_out < 1.0 and rep_ba.r_in >= 1.0:
         verdict = "certified-cyclic"
     elif rep_ab.r_in >= 1.0 or (rep_ba.steerable_detected and rep_ba.r_out < 1.0):
         # AB certified unsteerable, or BA certified steerable below t=1:
@@ -589,4 +594,4 @@ def one_way_report(
         verdict = "refuted"
     else:
         verdict = "undetermined-at-this-resolution"
-    return OneWayReport(report_ab=rep_ab, report_ba=rep_ba, r1=r1, r2=r2, delta=r2 - r1, verdict=verdict)
+    return OneWayReport(report_ab=rep_ab, report_ba=rep_ba, verdict=verdict)

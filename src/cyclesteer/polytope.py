@@ -23,11 +23,6 @@ class SpherePolytope:
     vertices: np.ndarray  # (N, 3) unit vectors
     faces: np.ndarray     # (F, 3) vertex index triangles of the hull
     eta: float            # certified inradius lower bound
-    level: int
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +96,7 @@ def _build(level: int) -> SpherePolytope:
     _check_antipodal(verts)
     verts.flags.writeable = False
     faces.flags.writeable = False
-    return SpherePolytope(vertices=verts, faces=faces, eta=_facet_inradius(verts, faces), level=level)
+    return SpherePolytope(vertices=verts, faces=faces, eta=_facet_inradius(verts, faces))
 
 
 def _check_antipodal(verts: np.ndarray):

@@ -146,7 +146,7 @@ def _scenario1_forms() -> dict[int, np.ndarray]:
     form (a, b, T) of rho_AB = tr_C (1/3) sum_k S^k |c><c| S^k+ / |c|^2 at c = _EMBEDDINGS[d] @ x
     (``build_family`` at p = 1, then ``reduce_pair``)."""
     sigma = np.concatenate([np.eye(2)[None], PAULIS])  # I, X, Y, Z
-    bx = np.tensordot(_ICO.blochs, PAULIS, axes=1)  # b_x . sigma
+    bx = np.tensordot(_ICO, PAULIS, axes=1)  # b_x . sigma
     ab = np.einsum("kij,xlm->xkiljm", sigma, bx).reshape(6, 4, 4, 4)  # sigma_k (x) b_x.sigma
     ba = np.einsum("xij,klm->xkiljm", bx, sigma).reshape(6, 4, 4, 4)  # b_x.sigma (x) sigma_k
     obs = np.kron(np.stack([ab, ba]).reshape(48, 4, 4), np.eye(2))  # (x) I_C
@@ -315,6 +315,8 @@ def _load_resume(resume_path, spec: ObjectiveSpec, seed: int, restarts: int) -> 
                     )
                 except (KeyError, TypeError, ValueError, OverflowError) as e:
                     raise ResumeLogError(f"line {n} is not a restart record ({e!r})") from None
+                if rec.restart < 0:
+                    raise ResumeLogError(f"line {n} has restart {rec.restart}, not an index >= 0")
                 if rec.seed != [seed, rec.restart]:
                     raise ResumeLogError(f"line {n} has seed {rec.seed!r}, not [{seed}, {rec.restart!r}]")
                 if len(rec.coeffs) != spec.dim or np.linalg.norm(rec.coeffs) < TOL.zero_norm:

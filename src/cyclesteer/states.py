@@ -149,31 +149,34 @@ def state_to_json(obj: PureState3Q | DensityMatrix, p: float | None = None) -> d
 def _numbers(value, what: str, shape: tuple, kind: str = "iuf") -> np.ndarray:
     """``value`` as an array of numpy dtype ``kind`` and of ``shape`` (-1 matches
     any length) with no JSON boolean, which numpy reads as 0 or 1 in a list of
-    numbers; else ValueError, naming ``what``."""
+    numbers, and no NaN or infinity, which ``json`` reads from the literals
+    NaN, Infinity and -Infinity; else ValueError, naming ``what``."""
     arr = np.array(value)  # ragged nesting raises ValueError
     fits = arr.ndim == len(shape) and all(s in (-1, n) for s, n in zip(shape, arr.shape))
-    if arr.dtype.kind not in kind or not fits or bool in map(type, np.array(value, dtype=object).flat):
+    if (arr.dtype.kind not in kind or not fits or not np.isfinite(arr).all()
+            or bool in map(type, np.array(value, dtype=object).flat)):
         raise ValueError(f"expected {what}, got {value!r:.60}")
     return arr
 
 
 def state_from_json(data) -> tuple[PureState3Q, float] | DensityMatrix:
     """Parse the state file schema; malformed input raises ValueError: an
-    object with 8 [re, im] pairs ``c`` and a number ``p`` in [0, 1], or an
-    integer list ``dims`` and numeric matrices ``re``, ``im`` of one shape."""
+    object with 8 [re, im] pairs ``c`` of finite numbers and a number ``p`` in
+    [0, 1], or an integer list ``dims`` and finite matrices ``re``, ``im`` of
+    one shape."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "three_qubit_family":
-        c = _numbers(data["c"], "c as 8 [re, im] pairs of numbers", (8, 2))
-        p = float(_numbers(data.get("p", 1.0), "p as a number", ()))
+        c = _numbers(data["c"], "c as 8 [re, im] pairs of finite numbers", (8, 2))
+        p = float(_numbers(data.get("p", 1.0), "p as a finite number", ()))
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p={p} outside [0, 1]")
         return PureState3Q(np.array([complex(re, im) for re, im in c.tolist()])), p
     if kind == "density_matrix":
         dims = _numbers(data["dims"], "dims as a list of integers", (-1,), kind="iu")
-        re = _numbers(data["re"], "re as a matrix of numbers", (-1, -1))
-        im = _numbers(data["im"], f"im as a {re.shape} matrix of numbers", re.shape)
+        re = _numbers(data["re"], "re as a matrix of finite numbers", (-1, -1))
+        im = _numbers(data["im"], f"im as a {re.shape} matrix of finite numbers", re.shape)
         return DensityMatrix(re + 1j * im, tuple(dims))
     raise ValueError(f"unknown state file type {kind!r}")
 

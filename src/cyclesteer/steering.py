@@ -32,32 +32,13 @@ from .tolerances import TOL
 MAX_ENUM_SETTINGS = 24
 
 
-@dataclass(frozen=True)
-class SteeringFunctional:
-    """Dichotomic settings B_x = b_x . sigma with the sign coefficient
-    rule F_{a|x} = (-1)^a B_x."""
-
-    blochs: np.ndarray  # shape (m, 3)
-
-    def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.blochs, dtype=float))
-        if b.shape[1] != 3:
-            raise ValueError(f"expected (m, 3) Bloch array, got {b.shape}")
-        object.__setattr__(self, "blochs", b)
-
-    @property
-    def m(self) -> int:
-        return self.blochs.shape[0]
-
-    def setting_operator(self, x: int) -> np.ndarray:
-        return bloch_to_obs(self.blochs[x])
-
-
-def icosahedron_settings() -> SteeringFunctional:
-    """The six antipodal-pair directions of the regular icosahedron."""
+def icosahedron_settings() -> np.ndarray:
+    """The (6, 3) unit Bloch vectors b_x of the six antipodal-pair
+    directions of the regular icosahedron, the settings B_x = b_x.sigma
+    of the steering inequality."""
     phi = GOLDEN
     n = np.sqrt(1 + phi**2)
-    b = np.array(
+    return np.array(
         [
             [0, 1, phi],
             [0, 1, -phi],
@@ -67,7 +48,6 @@ def icosahedron_settings() -> SteeringFunctional:
             [phi, 0, -1],
         ]
     ) / n
-    return SteeringFunctional(b)
 
 
 @dataclass(frozen=True)
@@ -152,11 +132,11 @@ def max_over_strategies(coef: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.nd
     return values[order], (rows[order, None] >> np.arange(m)) & 1
 
 
-def lhs_bound_L(functional: SteeringFunctional) -> tuple[float, np.ndarray]:
-    """Exact classical bound L = max over sign strings of ||sum a_x b_x||,
-    with the optimizing signs, first sign +1. The special case of
-    :func:`max_over_strategies` with coefficients [0, (-1)^a b_x]."""
-    b = functional.blochs
+def lhs_bound_L(b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact classical bound L = max over sign strings of ||sum a_x b_x||
+    for settings b (m, 3), with the optimizing signs, first sign +1. The
+    special case of :func:`max_over_strategies` with coefficients
+    [0, (-1)^a b_x]."""
     coef = np.zeros((len(b), 2, 4))
     coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
     (L,), (bits,) = max_over_strategies(coef)
@@ -174,18 +154,16 @@ class OptimalObservable:
     identity_weight: float
 
 
-def quantum_value_Q(
-    rho_ab: DensityMatrix, functional: SteeringFunctional
-) -> tuple[float, list[OptimalObservable]]:
+def quantum_value_Q(rho_ab: DensityMatrix, b: np.ndarray) -> tuple[float, list[OptimalObservable]]:
     """Maximum quantum value Q = sum_x ||G_x||_1 with
-    G_x = tr_B((I (x) B_x) rho_AB), plus the optimizing observables."""
+    G_x = tr_B((I (x) B_x) rho_AB), B_x = b_x.sigma for settings b (m, 3),
+    plus the optimizing observables."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     q = 0.0
     observables = []
-    for x in range(functional.m):
-        bx = functional.setting_operator(x)
-        gx_full = np.kron(ID2, bx) @ rho_ab.mat
+    for bx in b:
+        gx_full = np.kron(ID2, bloch_to_obs(bx)) @ rho_ab.mat
         gx = gx_full.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         eig = herm_eig(gx)
         q += float(np.abs(eig.eigenvalues).sum())
@@ -227,13 +205,11 @@ class Scenario1Report:
         }
 
 
-def one_way_gap_scenario1(
-    rho_ab: DensityMatrix, functional: SteeringFunctional
-) -> Scenario1Report:
-    """Check Q(rho_AB) > L together with Q(rho_BA) <= L."""
-    L, signs = lhs_bound_L(functional)
-    q_ab, obs_ab = quantum_value_Q(rho_ab, functional)
-    q_ba, _ = quantum_value_Q(swap_state(rho_ab), functional)
+def one_way_gap_scenario1(rho_ab: DensityMatrix, b: np.ndarray) -> Scenario1Report:
+    """Check Q(rho_AB) > L together with Q(rho_BA) <= L for settings b (m, 3)."""
+    L, signs = lhs_bound_L(b)
+    q_ab, obs_ab = quantum_value_Q(rho_ab, b)
+    q_ba, _ = quantum_value_Q(swap_state(rho_ab), b)
     return Scenario1Report(
         L=L,
         Q_ab=q_ab,
@@ -242,5 +218,5 @@ def one_way_gap_scenario1(
         respects_ba=q_ba <= L + TOL.scenario1_margin,
         lhs_signs=signs,
         observables_ab=obs_ab,
-        setting_blochs=functional.blochs,
+        setting_blochs=b,
     )

@@ -101,6 +101,25 @@ def test_malformed_state_file_is_input_error(tmp_path, capsys, content):
     assert "state file" in capsys.readouterr().err
 
 
+_NAN_DIAGONAL = np.eye(4).tolist()
+_NAN_DIAGONAL[0][0] = float("nan")
+
+
+@pytest.mark.parametrize("content,field", [
+    ({"type": "density_matrix", "dims": [2, 2], "re": _NAN_DIAGONAL, "im": np.zeros((4, 4)).tolist()}, "re"),
+    ({"type": "three_qubit_family", "c": [[float("nan"), 0]] + [[1, 0]] * 7}, "c"),
+], ids=["density-matrix-nan", "family-nan"])
+@pytest.mark.parametrize("command", ["radius", "scenario1"])
+def test_non_finite_state_file_is_input_error(tmp_path, capsys, content, field, command):
+    """json reads the literal NaN; a state file holding one is an input
+    error that names its field, not a fault in the linear algebra."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(content))
+    assert "NaN" in path.read_text()
+    assert main([command, "--state", str(path)]) == 2
+    assert f"expected {field} as " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("make", [
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b"\xff\xfe not utf-8\n"),
@@ -368,6 +387,8 @@ def test_calibrate_command(capsys, monkeypatch):
     assert rlo <= 0.5 <= rhi
     lo, hi = data["finite_setting_threshold_bracket"]
     assert rlo < lo <= hi == rhi
+    rep = lhs.critical_radius_bounds(werner(1.0), lhs.RadiusParams(bisection_tol=2e-2))
+    assert lo == float(f"{rep.t_in:.9g}")  # the certified t, not r_in / meas_eta
     meas, hidden = sphere_polytope(0), sphere_polytope(2)
     directions = antipodal_directions(meas)
     assert lhs.detect_steerable(werner(hi + 1e-4), directions, hidden)[0]

@@ -205,7 +205,7 @@ def test_pricing_exact_while_strategies_enumerated(m):
 def test_pricing_exact_on_icosahedral_functional():
     """The degenerate functional [0, +-b_x] of the six icosahedral settings
     has many tied maximizers; its top score is L = 1 + sqrt(5)."""
-    b = icosahedron_settings().blochs
+    b = icosahedron_settings()
     coef = np.zeros((6, 2, 4))
     coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
     assert abs(_assert_exact_pricing(coef, np.zeros(3)) - (1 + np.sqrt(5))) <= 1e-12
@@ -652,7 +652,7 @@ def _hull_columns(hidden, scale, m=6):
     ``scale`` (1 for the inner restrict hull, 1/eta for the outer relax
     hull): the hidden-polytope LP that the ball LP replaced."""
     strategies = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    return (np.repeat(strategies, hidden.n_vertices, axis=0),
+    return (np.repeat(strategies, len(hidden.vertices), axis=0),
             np.tile(hidden.vertices * scale, (len(strategies), 1)))
 
 
@@ -975,6 +975,23 @@ def test_no_located_t_gives_vacuous_bracket(monkeypatch):
     monkeypatch.setattr(lhs, "_solve", lambda *args: (0.0, *solve(*args)[1:]))
     rep = critical_radius_bounds(singlet(), RadiusParams(hidden_level=0, bisection_tol=1e-2))
     assert rep.r_in == 0.0 and not rep.unsteerable_certified
+
+
+def test_radius_report_reads_r_in_and_certification_off_t_in(monkeypatch):
+    """A report holds the certified t_in; r_in = meas_eta t_in and
+    unsteerable_certified = t_in > 0, on a certified bracket (the singlet)
+    and a vacuous one (an LP whose t* is 0)."""
+    params = RadiusParams(hidden_level=0, bisection_tol=1e-2)
+    certified = critical_radius_bounds(singlet(), params)
+    solve = lhs._solve
+    monkeypatch.setattr(lhs, "_solve", lambda *args: (0.0, *solve(*args)[1:]))
+    vacuous = critical_radius_bounds(singlet(), params)
+    assert certified.t_in > 0 and vacuous.t_in == 0.0
+    for rep in (certified, vacuous):
+        assert rep.r_in == rep.meas_eta * rep.t_in
+        assert rep.unsteerable_certified == (rep.t_in > 0)
+        d = rep.to_dict()
+        assert (d["r_in"], d["unsteerable_certified"]) == (rep.r_in, rep.unsteerable_certified)
 
 
 def test_r_in_is_meas_eta_times_the_lp_t(monkeypatch):
@@ -1395,8 +1412,10 @@ def test_one_way_report_symmetric_state_refuted_or_undetermined():
     rep = one_way_report(werner(1.0), werner(1.0), RadiusParams(hidden_level=1, bisection_tol=1e-2))
     # a symmetric steerable state can never be certified cyclic
     assert rep.verdict in ("refuted", "undetermined-at-this-resolution")
-    assert rep.delta == rep.r2 - rep.r1
-    assert set(rep.to_dict()) >= {"rho_AB", "rho_BA", "R1_out_AB", "R2_in_BA", "verdict"}
+    d = rep.to_dict()
+    assert d["R1_out_AB"] == rep.report_ab.r_out and d["R2_in_BA"] == rep.report_ba.r_in
+    assert d["delta"] == d["R2_in_BA"] - d["R1_out_AB"]
+    assert set(d) >= {"rho_AB", "rho_BA", "R1_out_AB", "R2_in_BA", "verdict"}
 
 
 # Brackets (r_in, r_out) of the hidden-polytope LPs (restrict/relax modes on

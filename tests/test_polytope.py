@@ -38,7 +38,7 @@ def _antipodal_directions_loop(poly):
 )
 def test_levels(level, n_verts, n_faces, eta):
     poly = sphere_polytope(level)
-    assert poly.n_vertices == n_verts
+    assert len(poly.vertices) == n_verts
     assert poly.faces.shape == (n_faces, 3)
     assert abs(poly.eta - eta) < 1e-12
     assert np.allclose(np.linalg.norm(poly.vertices, axis=1), 1.0)
@@ -62,7 +62,7 @@ def test_eta_increases_with_level():
 
 def test_faces_cover_all_vertices():
     poly = sphere_polytope(1)
-    assert set(poly.faces.ravel()) == set(range(poly.n_vertices))
+    assert set(poly.faces.ravel()) == set(range(len(poly.vertices)))
 
 
 def test_vertices_antipodally_closed():
@@ -96,7 +96,7 @@ def test_antipodal_directions():
     for level in (0, 1):
         poly = sphere_polytope(level)
         dirs = antipodal_directions(poly)
-        assert dirs.shape == (poly.n_vertices // 2, 3)
+        assert dirs.shape == (len(poly.vertices) // 2, 3)
         # each direction and its negation appear in the vertex set
         for d in dirs:
             assert np.linalg.norm(poly.vertices - d, axis=1).min() < 1e-9

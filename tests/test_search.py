@@ -373,6 +373,18 @@ def test_multi_restart_resume_rejects_other_campaign(tmp_path, seed, spec):
         multi_restart(spec, 2, seed=seed, resume_path=log_path)
 
 
+def test_multi_restart_resume_rejects_negative_restart(tmp_path):
+    """No campaign has a restart -1: a record of one with its seed and a q
+    the objective reproduces is rejected, not dropped."""
+    spec = ObjectiveSpec(kind="scenario1", nm=NMParams(max_iter=40))
+    coeffs = [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    rec = {"restart": -1, "seed": [3, -1], "iters": 1, "q": spec.objective()(np.array(coeffs)), "coeffs": coeffs}
+    log_path = tmp_path / "run.jsonl"
+    log_path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ResumeLogError, match="line 1 has restart -1"):
+        multi_restart(spec, 2, seed=3, resume_path=log_path)
+
+
 def test_multi_restart_rejects_bad_counts():
     with pytest.raises(ValueError):
         multi_restart(ObjectiveSpec(), 0, seed=1)

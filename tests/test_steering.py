@@ -7,7 +7,6 @@ from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, trace_no
 from cyclesteer.states import build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from cyclesteer.steering import (
     Assemblage,
-    SteeringFunctional,
     icosahedron_settings,
     lhs_bound_L,
     make_assemblage,
@@ -33,8 +32,8 @@ def sc1_pair():
 
 
 def test_icosahedron_settings_geometry():
-    b = icosahedron_settings().blochs
-    assert b.shape == (6, 3)
+    b = icosahedron_settings()
+    assert isinstance(b, np.ndarray) and b.shape == (6, 3)
     assert np.allclose(np.linalg.norm(b, axis=1), 1.0)
     # every pair of distinct axes meets at the icosahedral angle
     # |cos| = 1/sqrt(5)
@@ -44,14 +43,14 @@ def test_icosahedron_settings_geometry():
 
 
 def test_lhs_bound_single_setting():
-    f = SteeringFunctional(np.array([[0.0, 0.0, 1.0]]))
+    f = np.array([[0.0, 0.0, 1.0]])
     L, signs = lhs_bound_L(f)
     assert np.isclose(L, 1.0)
     assert signs.shape == (1,)
 
 
 def test_lhs_bound_orthogonal_triple():
-    f = SteeringFunctional(np.eye(3))
+    f = np.eye(3)
     L, _ = lhs_bound_L(f)
     assert np.isclose(L, np.sqrt(3))
 
@@ -60,12 +59,12 @@ def test_lhs_bound_icosahedron():
     L, signs = lhs_bound_L(icosahedron_settings())
     assert abs(L - L_ICO) < 1e-12
     # the optimizing signs actually attain the bound
-    assert np.isclose(np.linalg.norm(signs @ icosahedron_settings().blochs), L)
+    assert np.isclose(np.linalg.norm(signs @ icosahedron_settings()), L)
     # L is the kernel on zero offsets and Bloch parts +-b_x, signs start
     # with +1, and both match a brute-force maximum over sign strings
     r = np.random.default_rng(5)
-    for b in [icosahedron_settings().blochs] + [r.standard_normal((m, 3)) for m in range(1, 7)]:
-        L, signs = lhs_bound_L(SteeringFunctional(b))
+    for b in [icosahedron_settings()] + [r.standard_normal((m, 3)) for m in range(1, 7)]:
+        L, signs = lhs_bound_L(b)
         coef = np.zeros((len(b), 2, 4))
         coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
         assert L == max_over_strategies(coef)[0][0]
@@ -77,22 +76,39 @@ def test_lhs_bound_icosahedron():
 
 def test_lhs_bound_antipodal_doubling():
     """Duplicating each direction with its negation doubles L."""
-    b = icosahedron_settings().blochs
-    f2 = SteeringFunctional(np.vstack([b, -b]))
+    b = icosahedron_settings()
+    f2 = np.vstack([b, -b])
     L2, _ = lhs_bound_L(f2)
     assert abs(L2 - 2 * L_ICO) < 1e-12
 
 
 def test_lhs_bound_rotation_invariant():
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    b = icosahedron_settings().blochs
-    L_rot, _ = lhs_bound_L(SteeringFunctional(b @ q.T))
+    b = icosahedron_settings()
+    L_rot, _ = lhs_bound_L(b @ q.T)
     assert abs(L_rot - L_ICO) < 1e-10
+
+
+def test_settings_are_any_m_by_3_array():
+    """L, Q and the scenario-1 report take any (m, 3) settings array: the
+    21 level-1 geodesic directions, where the singlet reaches Q = m."""
+    from cyclesteer.polytope import antipodal_directions, sphere_polytope
+
+    b = antipodal_directions(sphere_polytope(1))
+    assert b.shape == (21, 3)
+    L, signs = lhs_bound_L(b)
+    assert signs.shape == (21,) and np.linalg.norm(signs @ b) == pytest.approx(L, abs=1e-12)
+    rho_ab, _ = sc1_pair()
+    rep = one_way_gap_scenario1(rho_ab, b)
+    assert rep.L == L and rep.Q_ab == quantum_value_Q(rho_ab, b)[0]
+    assert len(rep.to_dict()["a_vectors"]) == len(rep.to_dict()["b_vectors"]) == 21
+    singlet_rep = one_way_gap_scenario1(singlet(), b)
+    assert singlet_rep.Q_ab == pytest.approx(21, abs=1e-9) and singlet_rep.violates_ab
 
 
 def test_lhs_bound_rejects_large_m():
     with pytest.raises(ValueError):
-        lhs_bound_L(SteeringFunctional(rng.standard_normal((25, 3))))
+        lhs_bound_L(rng.standard_normal((25, 3)))
 
 
 def _gathered_top(coef):
@@ -121,7 +137,7 @@ def test_running_sum_kernel_matches_gather():
     r = np.random.default_rng(11)
     coefs = [r.standard_normal((m, 2, 4)) for m in list(range(1, 15)) + [17, 18]]
     geodesic = antipodal_directions(sphere_polytope(1))
-    for b in [icosahedron_settings().blochs] + [geodesic[:m] for m in (8, 11, 14)]:
+    for b in [icosahedron_settings()] + [geodesic[:m] for m in (8, 11, 14)]:
         coef = np.zeros((len(b), 2, 4))
         coef[:, 0, 1:], coef[:, 1, 1:] = b, -b
         coefs.append(coef)
@@ -224,7 +240,7 @@ def test_quantum_value_singlet_saturates_directions():
     q, obs = quantum_value_Q(singlet(), icosahedron_settings())
     assert abs(q - 6.0) < 1e-12
     # optimal observable for the singlet is -b_x . sigma
-    for o, b in zip(obs, icosahedron_settings().blochs):
+    for o, b in zip(obs, icosahedron_settings()):
         assert np.abs(o.bloch + b).max() < 1e-9
         assert abs(o.identity_weight) < 1e-9
 
@@ -260,21 +276,21 @@ def test_quantum_value_beats_random_observables():
     ico = icosahedron_settings()
     q, obs = quantum_value_Q(rho_ab, ico)
     attained = sum(
-        np.trace(np.kron(o.identity_weight * ID2 + bloch_to_obs(o.bloch), ico.setting_operator(x)) @ rho_ab.mat).real
+        np.trace(np.kron(o.identity_weight * ID2 + bloch_to_obs(o.bloch), bloch_to_obs(ico[x])) @ rho_ab.mat).real
         for x, o in enumerate(obs)
     )
     assert abs(attained - q) < 1e-10
     for _ in range(100):
         total = 0.0
-        for x in range(ico.m):
+        for x in range(len(ico)):
             a_op = bloch_to_obs(random_unit())
-            total += np.trace(np.kron(a_op, ico.setting_operator(x)) @ rho_ab.mat).real
+            total += np.trace(np.kron(a_op, bloch_to_obs(ico[x])) @ rho_ab.mat).real
         assert total <= q + 1e-10
 
 
 def test_product_states_never_violate():
     """Unsteerable (product) states stay below L for random settings."""
-    f = SteeringFunctional(np.array([random_unit() for _ in range(5)]))
+    f = np.array([random_unit() for _ in range(5)])
     L, _ = lhs_bound_L(f)
     for _ in range(200):
         ra = (np.eye(2) + np.tensordot(rng.uniform() * random_unit(),
