@@ -1,0 +1,75 @@
+"""Write a fixed set of reports for a byte-for-byte comparison of two checkouts.
+
+    python3 scripts/reports.py OUTDIR
+
+Runs in process on the ``src/`` beside this script, so a copy of the script
+in another checkout reports on that checkout's code. To check that a change
+keeps every output, run it in both checkouts and ``diff -r`` the two
+directories. It writes:
+
+- ``scenario2`` on sc1, b1, b2, b3, w and ghz;
+- ``scenario1 --fig-data`` on sc1, b1, w and ghz (JSON and CSV);
+- ``radius --pair BA`` on b1;
+- ``calibrate``, ``table``, and ``entanglement`` on b3, w and ghz;
+- ``brackets.txt``: (r_in, r_out, t_cap) at ``repr`` precision for the 54
+  coarse brackets (27 random real-7 family states drawn with seed 7, AB and
+  BA at the prefilter's parameters) and for the singlet at meas level 1,
+  hidden level 1, tol 1e-2.
+
+It takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from cyclesteer import cli, lhs, search, states  # noqa: E402
+
+COARSE_STATES, POOL_SEED = 27, 7
+
+
+def _command(argv: list[str], out: Path) -> None:
+    """One CLI command, its JSON report to ``out``; exit 1 is a verdict, so only
+    an input error (exit 2) stops the run."""
+    if cli.main(argv + ["--out", str(out)]) == 2:
+        raise SystemExit(f"input error from {argv}")
+
+
+def _bracket_line(name: str, rho, params: lhs.RadiusParams) -> str:
+    rep = lhs.critical_radius_bounds(rho, params)
+    return f"{name} {float(rep.r_in)!r} {float(rep.r_out)!r} {float(rep.t_cap)!r}\n"
+
+
+def main(outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for sid in ("sc1", "b1", "b2", "b3", "w", "ghz"):
+        _command(["scenario2", "--state", f"builtin:{sid}"], outdir / f"scenario2_{sid}.json")
+    for sid in ("sc1", "b1", "w", "ghz"):
+        _command(["scenario1", "--state", f"builtin:{sid}", "--fig-data", str(outdir / f"scenario1_{sid}.csv")],
+                 outdir / f"scenario1_{sid}.json")
+    _command(["radius", "--state", "builtin:b1", "--pair", "BA"], outdir / "radius_b1_BA.json")
+    _command(["calibrate"], outdir / "calibrate.json")
+    _command(["table"], outdir / "table.json")
+    for sid in ("b3", "w", "ghz"):
+        _command(["entanglement", "--state", f"builtin:{sid}"], outdir / f"entanglement_{sid}.json")
+
+    lines = []
+    coeffs = np.random.default_rng(POOL_SEED).standard_normal((COARSE_STATES, 7))
+    for j, c in enumerate(coeffs):
+        rho_ab = states.reduce_pair(states.build_family(search.coeffs_to_state(c), 1.0), "AB")
+        lines.append(_bracket_line(f"coarse {j} AB", rho_ab, search._PREFILTER_PARAMS))
+        lines.append(_bracket_line(f"coarse {j} BA", states.swap_state(rho_ab), search._PREFILTER_PARAMS))
+    fine = lhs.RadiusParams(meas_level=1, hidden_level=1, bisection_tol=1e-2)
+    lines.append(_bracket_line("singlet meas 1 hidden 1", states.singlet(), fine))
+    (outdir / "brackets.txt").write_text("".join(lines))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    main(Path(sys.argv[1]))

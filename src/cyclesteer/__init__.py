@@ -1,6 +1,6 @@
 """Cyclic one-way EPR steering certification for three-qubit states."""
 
-from .linalg import DensityMatrix, HermEig, herm_eig, partial_trace, partial_transpose, trace_norm
+from .linalg import DensityMatrix, partial_trace, partial_transpose, trace_norm
 from .states import PureState3Q, build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from .steering import (
     Assemblage,

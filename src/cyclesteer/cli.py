@@ -16,10 +16,9 @@ import os
 import sys
 from functools import cache
 
-import numpy as np
-
 from . import entanglement as ent
 from . import lhs, search, states, steering
+from .polytope import MAX_LEVEL
 from .tolerances import TOL
 
 
@@ -67,7 +66,7 @@ def _load_source(spec: str):
 
 
 def _resolve_pair(spec: str, p: float):
-    """Return (rho_AB, rho_BA, rho3-or-None) for a state source."""
+    """Return (rho_AB, rho3-or-None) for a state source."""
     obj, file_p = _load_source(spec)
     if isinstance(obj, states.PureState3Q):
         eff_p = p if p is not None else (file_p if file_p is not None else 1.0)
@@ -75,11 +74,10 @@ def _resolve_pair(spec: str, p: float):
     elif p is not None:
         raise InputError(f"--p applies to pure-state families only; {spec} holds a density matrix")
     if obj.dims == (2, 2):
-        return obj, states.swap_state(obj), None
+        return obj, None
     if obj.dims != (2, 2, 2):
         raise InputError(f"unsupported state dims {obj.dims}")
-    rho_ab = states.reduce_pair(obj, "AB")
-    return rho_ab, states.swap_state(rho_ab), obj
+    return states.reduce_pair(obj, "AB"), obj
 
 
 def _radius_options(args) -> dict:
@@ -104,7 +102,7 @@ def _fig_data_csv(report: steering.Scenario1Report, path: str):
 
 
 def cmd_scenario1(args) -> int:
-    rho_ab, _, _ = _resolve_pair(args.state, args.p)
+    rho_ab, _ = _resolve_pair(args.state, args.p)
     report = steering.one_way_gap_scenario1(rho_ab, steering.icosahedron_settings())
     if abs(report.Q_ab - report.Q_ba) < TOL.scenario1_margin:
         verdict = "symmetric"
@@ -124,8 +122,8 @@ def cmd_scenario1(args) -> int:
 
 
 def cmd_scenario2(args) -> int:
-    rho_ab, rho_ba, _ = _resolve_pair(args.state, args.p)
-    report = lhs.one_way_report(rho_ab, rho_ba, _radius_params(args))
+    rho_ab, _ = _resolve_pair(args.state, args.p)
+    report = lhs.one_way_report(rho_ab, states.swap_state(rho_ab), _radius_params(args))
     _emit(report.to_dict(), args.out)
     if args.certify and report.verdict == "refuted":
         return 1
@@ -133,19 +131,19 @@ def cmd_scenario2(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    rho_ab, rho_ba, _ = _resolve_pair(args.state, args.p)
-    rho = rho_ab if args.pair == "AB" else rho_ba
+    rho_ab, _ = _resolve_pair(args.state, args.p)
+    rho = rho_ab if args.pair == "AB" else states.swap_state(rho_ab)
     report = lhs.critical_radius_bounds(rho, _radius_params(args))
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def cmd_entanglement(args) -> int:
-    _, _, rho3 = _resolve_pair(args.state, args.p)
+    rho_ab, rho3 = _resolve_pair(args.state, args.p)
     if rho3 is None:
         raise InputError("entanglement report needs a three-qubit state")
     data = ent.entanglement_report(rho3)
-    data["negativity_reduced_AB"] = ent.negativity(states.reduce_pair(rho3, "AB"), 0)
+    data["negativity_reduced_AB"] = ent.negativity(rho_ab, 0)
     _emit(data, args.out)
     return 0
 
@@ -243,6 +241,11 @@ _UNIT = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _POSITIVE = _checked(float, lambda v: 0 < v < float("inf"), "finite and > 0")
 _NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_HIDDEN_LEVEL = _checked(int, lambda v: 0 <= v <= MAX_LEVEL, f"an integer in [0, {MAX_LEVEL}]")
+# Level L measures along m = 5 * 4**L + 1 directions; the exact kernel that
+# bounds r_out's functional enumerates strategies of at most MAX_ENUM_SETTINGS.
+_MEAS_TOP = max(L for L in range(MAX_LEVEL + 1) if 5 * 4**L + 1 <= steering.MAX_ENUM_SETTINGS)
+_MEAS_LEVEL = _checked(int, lambda v: 0 <= v <= _MEAS_TOP, f"an integer in [0, {_MEAS_TOP}]")
 
 
 def _add_state(p: argparse.ArgumentParser):
@@ -253,8 +256,8 @@ def _add_state(p: argparse.ArgumentParser):
 
 def _add_radius(p: argparse.ArgumentParser):
     """Radius options; one not given takes its RadiusParams default."""
-    p.add_argument("--meas-level", type=_NONNEG_INT, default=None)
-    p.add_argument("--hidden-level", type=_NONNEG_INT, default=None,
+    p.add_argument("--meas-level", type=_MEAS_LEVEL, default=None)
+    p.add_argument("--hidden-level", type=_HIDDEN_LEVEL, default=None,
                    help="polytope whose vertices price the LP's columns above m = 10 "
                         "(at m <= 10 pricing is exact and the level has no effect)")
     p.add_argument("--tol", type=_POSITIVE, default=None, dest="bisection_tol",

@@ -8,27 +8,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_transpose, trace_norm
+from .linalg import DensityMatrix, partial_transpose, require_hermitian, trace_norm
 from .tolerances import TOL
-
-
-def _validate_cut(rho: DensityMatrix, cut: int) -> int:
-    if not 0 <= cut < len(rho.dims):
-        raise IndexError(f"cut {cut} invalid for {len(rho.dims)} subsystems")
-    return cut
 
 
 def negativity(rho: DensityMatrix, cut: int = 0) -> float:
     """(||rho^{T_cut}||_1 - 1) / 2, clamped at zero below noise level."""
-    pt = partial_transpose(rho, _validate_cut(rho, cut))
+    pt = partial_transpose(rho, cut)
     neg = (trace_norm(pt) - 1) / 2
     return 0.0 if neg < 1e-12 else float(neg)
 
 
 def is_ppt(rho: DensityMatrix, cut: int = 0) -> bool:
     """Positivity of the partial transpose across the cut."""
-    pt = partial_transpose(rho, _validate_cut(rho, cut))
-    return bool(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min() >= -TOL.psd)
+    pt = partial_transpose(rho, cut)
+    return bool(np.linalg.eigvalsh(require_hermitian(pt)).min() >= -TOL.psd)
 
 
 @dataclass(frozen=True)

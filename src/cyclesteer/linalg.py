@@ -1,7 +1,7 @@
 """Dense complex matrix kernel for small multi-qubit operators.
 
-Validated density matrices, partial trace/transpose, Hermitian
-eigendecomposition, trace norm, Bloch-vector conversions and the Pauli
+Validated density matrices, partial trace/transpose, the Hermiticity
+check, trace norm, Bloch-vector conversions and the Pauli
 form (a, b, T) of a two-qubit operator, for up to three qubits
 (dimension MAX_DIM = 8). All functions are pure; matrices are plain
 ``numpy`` complex arrays and tensor products are ``np.kron``.
@@ -34,14 +34,14 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def require_hermitian(m: np.ndarray, tol: float = TOL.herm_accept) -> np.ndarray:
-    """Symmetrize ``m`` if it is Hermitian within ``tol``, raise otherwise.
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Symmetrize ``m`` if it is Hermitian within TOL.herm_accept, raise otherwise.
 
     Symmetrization guards against drift accumulating over long searches.
     """
     res = hermiticity_residual(m)
-    if res > tol:
-        raise NonHermitianError(f"hermiticity residual {res:.3e} exceeds {tol:.1e}")
+    if res > TOL.herm_accept:
+        raise NonHermitianError(f"hermiticity residual {res:.3e} exceeds {TOL.herm_accept:.1e}")
     return (m + m.conj().T) / 2
 
 
@@ -81,25 +81,13 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray   # real, descending
-    eigenvectors: np.ndarray  # orthonormal columns, eigenvectors[:, i] <-> eigenvalues[i]
-
-
-def _to_tensor(mat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    return mat.reshape(tuple(dims) * 2)
-
-
 def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> DensityMatrix:
     """Trace out every subsystem not listed in ``keep`` (original order kept)."""
     keep = sorted(set(int(k) for k in keep))
     nsub = len(rho.dims)
     if not keep or any(k < 0 or k >= nsub for k in keep):
         raise IndexError(f"keep={keep} invalid for {nsub} subsystems")
-    t = _to_tensor(rho.mat, rho.dims)
+    t = rho.mat.reshape(rho.dims * 2)
     traced = [i for i in range(nsub) if i not in keep]
     for off, i in enumerate(traced):
         ax = i - off
@@ -114,19 +102,11 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     nsub = len(rho.dims)
     if subsystem < 0 or subsystem >= nsub:
         raise IndexError(f"subsystem {subsystem} out of range for {nsub} subsystems")
-    t = _to_tensor(rho.mat, rho.dims)
+    t = rho.mat.reshape(rho.dims * 2)
     axes = list(range(2 * nsub))
     axes[subsystem], axes[subsystem + nsub] = axes[subsystem + nsub], axes[subsystem]
     d = rho.dim
     return t.transpose(axes).reshape(d, d)
-
-
-def herm_eig(h: np.ndarray) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix (descending eigenvalues)."""
-    h = require_hermitian(np.asarray(h, dtype=complex))
-    w, v = np.linalg.eigh(h)
-    order = np.argsort(w)[::-1]
-    return HermEig(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
 def trace_norm(g: np.ndarray) -> float:

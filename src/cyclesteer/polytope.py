@@ -17,6 +17,10 @@ import numpy as np
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
+# Finest level built (2562 vertices). Levels come from the command line and
+# each one quadruples a build's time and memory, so this bounds that work.
+MAX_LEVEL = 4
+
 
 @dataclass(frozen=True)
 class SpherePolytope:
@@ -80,11 +84,11 @@ def _facet_inradius(verts: np.ndarray, faces: np.ndarray) -> float:
 
 
 def sphere_polytope(level: int) -> SpherePolytope:
-    """Geodesic polytope at the given subdivision level (0 = icosahedron,
-    12 vertices; each level quadruples the face count). Built once per
-    level; the returned polytope and its arrays are shared and read-only."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    """Geodesic polytope at subdivision level 0 to MAX_LEVEL (0 = icosahedron,
+    12 vertices; each level quadruples the face count). Built once per level;
+    the returned polytope and its arrays are shared and read-only."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     return _build(level)
 
 

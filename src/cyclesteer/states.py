@@ -147,15 +147,17 @@ def state_to_json(obj: PureState3Q | DensityMatrix, p: float | None = None) -> d
 
 
 def _numbers(value, what: str, shape: tuple, kind: str = "iuf") -> np.ndarray:
-    """``value`` as an array of numpy dtype ``kind`` and of ``shape`` (-1 matches
-    any length) with no JSON boolean, which numpy reads as 0 or 1 in a list of
-    numbers, and no NaN or infinity, which ``json`` reads from the literals
-    NaN, Infinity and -Infinity; else ValueError, naming ``what``."""
+    """``value`` as an array of ``shape`` (-1 matches any length) of finite
+    entries of numpy dtype ``kind``: no JSON boolean, which numpy reads as 0 or
+    1 among numbers, and no NaN or infinity, which ``json`` reads from NaN,
+    Infinity and -Infinity. Else ValueError, naming ``what`` and the first bad entry."""
     arr = np.array(value)  # ragged nesting raises ValueError
-    fits = arr.ndim == len(shape) and all(s in (-1, n) for s, n in zip(shape, arr.shape))
-    if (arr.dtype.kind not in kind or not fits or not np.isfinite(arr).all()
-            or bool in map(type, np.array(value, dtype=object).flat)):
+    if arr.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, arr.shape)):
         raise ValueError(f"expected {what}, got {value!r:.60}")
+    for index, entry in np.ndenumerate(np.array(value, dtype=object)):
+        if np.array(entry).dtype.kind not in kind or not np.isfinite(entry):
+            at = "".join(f"[{i}]" for i in index)
+            raise ValueError(f"expected {what}, got {entry!r:.60}{' at ' + at if at else ''}")
     return arr
 
 

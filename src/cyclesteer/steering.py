@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, ID2, bloch_to_obs, herm_eig, obs_to_bloch, pauli_form
+from .linalg import DensityMatrix, ID2, bloch_to_obs, obs_to_bloch, pauli_form, require_hermitian
 from .polytope import GOLDEN
 from .states import swap_state
 from .tolerances import TOL
@@ -165,10 +165,10 @@ def quantum_value_Q(rho_ab: DensityMatrix, b: np.ndarray) -> tuple[float, list[O
     for bx in b:
         gx_full = np.kron(ID2, bloch_to_obs(bx)) @ rho_ab.mat
         gx = gx_full.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        eig = herm_eig(gx)
-        q += float(np.abs(eig.eigenvalues).sum())
+        lams, vecs = np.linalg.eigh(require_hermitian(gx))
+        q += float(np.abs(lams).sum())
         ax = np.zeros((2, 2), dtype=complex)
-        for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
+        for lam, vec in zip(lams, vecs.T):
             if abs(lam) > TOL.degenerate_eig:
                 ax += np.sign(lam) * np.outer(vec, vec.conj())
         observables.append(

@@ -77,6 +77,27 @@ def test_bad_option_values_are_input_errors(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario2", "--state", "builtin:b1", "--hidden-level", "5"],
+    ["radius", "--state", "builtin:b1", "--meas-level", "2", "--hidden-level", "0", "--tol", "0.01"],
+    ["search", "--scenario", "2", "--restarts", "1", "--meas-level", "2"],
+], ids=["hidden-5", "meas-2", "search-meas-2"])
+def test_levels_past_their_bound_are_input_errors(argv, capsys, monkeypatch):
+    """A hidden level above polytope.MAX_LEVEL, or a measurement level with
+    more directions than the exact kernel enumerates (m = 81 > MAX_ENUM_SETTINGS),
+    is rejected when parsed, before any polytope is built or LP runs."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    assert len(antipodal_directions(sphere_polytope(2))) > steering.MAX_ENUM_SETTINGS
+    monkeypatch.setattr(lhs, "linprog", no_work)
+    monkeypatch.setattr("cyclesteer.polytope._build", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "is not an integer in [0, " in capsys.readouterr().err
+
+
 def test_bad_family_p_in_state_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"type": "three_qubit_family", "c": [[1, 0]] * 8, "p": 1.5}))
@@ -101,23 +122,35 @@ def test_malformed_state_file_is_input_error(tmp_path, capsys, content):
     assert "state file" in capsys.readouterr().err
 
 
-_NAN_DIAGONAL = np.eye(4).tolist()
-_NAN_DIAGONAL[0][0] = float("nan")
+def _matrix_file(i, value):
+    re = (np.eye(4) / 4).tolist()
+    re[i][i] = value
+    return {"type": "density_matrix", "dims": [2, 2], "re": re, "im": np.zeros((4, 4)).tolist()}
 
 
-@pytest.mark.parametrize("content,field", [
-    ({"type": "density_matrix", "dims": [2, 2], "re": _NAN_DIAGONAL, "im": np.zeros((4, 4)).tolist()}, "re"),
-    ({"type": "three_qubit_family", "c": [[float("nan"), 0]] + [[1, 0]] * 7}, "c"),
-], ids=["density-matrix-nan", "family-nan"])
+def _family_file(x, a, value):
+    c = [[1, 0] for _ in range(8)]
+    c[x][a] = value
+    return {"type": "three_qubit_family", "c": c}
+
+
+@pytest.mark.parametrize("content,message", [
+    (_matrix_file(0, float("nan")), "expected re as a matrix of finite numbers, got nan at [0][0]"),
+    (_family_file(0, 0, float("nan")), "expected c as 8 [re, im] pairs of finite numbers, got nan at [0][0]"),
+    (_matrix_file(3, float("nan")), "expected re as a matrix of finite numbers, got nan at [3][3]"),
+    (_matrix_file(3, True), "expected re as a matrix of finite numbers, got True at [3][3]"),
+    (_family_file(7, 1, "x"), "expected c as 8 [re, im] pairs of finite numbers, got 'x' at [7][1]"),
+], ids=["density-matrix-nan", "family-nan", "density-matrix-last-nan", "density-matrix-last-true",
+        "family-last-string"])
 @pytest.mark.parametrize("command", ["radius", "scenario1"])
-def test_non_finite_state_file_is_input_error(tmp_path, capsys, content, field, command):
-    """json reads the literal NaN; a state file holding one is an input
-    error that names its field, not a fault in the linear algebra."""
+def test_non_finite_state_file_is_input_error(tmp_path, capsys, content, message, command):
+    """json reads the literal NaN; a state file holding one, or a boolean or
+    a string among its numbers, is an input error that names its field and
+    the first bad entry, not a fault in the linear algebra."""
     path = tmp_path / "s.json"
     path.write_text(json.dumps(content))
-    assert "NaN" in path.read_text()
     assert main([command, "--state", str(path)]) == 2
-    assert f"expected {field} as " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("make", [
@@ -178,10 +211,10 @@ def test_resume_log_of_another_campaign_is_input_error(tmp_path, capsys, argv, m
     ["search", "--scenario", "1", "--stage", "two-stage", "--restarts", "1"],
     ["search", "--scenario", "2", "--stage", "two-stage", "--restarts", "1", "--resume", "{log}"],
     ["search", "--scenario", "1", "--restarts", "1", "--meas-level", "0"],
-    ["search", "--scenario", "1", "--restarts", "1", "--hidden-level", "9"],
+    ["search", "--scenario", "1", "--restarts", "1", "--hidden-level", "3"],
     ["search", "--scenario", "1", "--restarts", "1", "--tol", "5"],
     ["search", "--scenario", "2", "--stage", "prefilter", "--restarts", "1",
-     "--hidden-level", "5", "--tol", "0.3"],
+     "--hidden-level", "4", "--tol", "0.3"],
 ])
 def test_ignored_search_options_are_input_errors(argv, tmp_path, capsys, monkeypatch):
     """Option combinations search would ignore are rejected before any work."""

@@ -9,7 +9,6 @@ from cyclesteer.linalg import (
     NonHermitianError,
     PAULI_Z,
     bloch_to_obs,
-    herm_eig,
     obs_to_bloch,
     partial_trace,
     partial_transpose,
@@ -76,33 +75,6 @@ def test_partial_transpose_werner_boundary():
     assert abs(w.min()) < 1e-12
 
 
-def test_herm_eig_sigma_z():
-    eig = herm_eig(PAULI_Z)
-    assert np.allclose(eig.eigenvalues, [1, -1])
-
-
-def test_herm_eig_bloch_direction():
-    b = rng.standard_normal(3)
-    b /= np.linalg.norm(b)
-    eig = herm_eig(bloch_to_obs(b))
-    assert np.allclose(eig.eigenvalues, [1, -1])
-
-
-def test_herm_eig_reconstruction_and_gram():
-    h = random_hermitian(8)
-    eig = herm_eig(h)
-    v = eig.eigenvectors
-    assert np.abs((v * eig.eigenvalues) @ v.conj().T - h).max() <= 1e-10
-    gram = eig.eigenvectors.conj().T @ eig.eigenvectors
-    assert np.abs(gram - np.eye(8)).max() <= 1e-10
-    assert (np.diff(eig.eigenvalues) <= 1e-14).all()
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_trace_norm_basics():
     assert np.isclose(trace_norm(np.eye(2)), 2)
     b = rng.standard_normal(3)
@@ -122,19 +94,19 @@ def test_trace_norm_dominates_sampled_observables():
     best = 0.0
     for _ in range(200):
         h = random_hermitian(4)
-        eig = herm_eig(h)
-        a = (eig.eigenvectors * np.sign(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+        w, v = np.linalg.eigh(h)
+        a = (v * np.sign(w)) @ v.conj().T
         best = max(best, float(np.trace(a @ g).real))
     assert best <= tn + 1e-10
     # the optimizer itself attains it
-    eig = herm_eig(g)
-    a_opt = (eig.eigenvectors * np.sign(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+    w, v = np.linalg.eigh(g)
+    a_opt = (v * np.sign(w)) @ v.conj().T
     assert np.isclose(np.trace(a_opt @ g).real, tn)
 
 
 def test_trace_norm_unitarily_invariant():
     g = random_hermitian(6)
-    u = herm_eig(random_hermitian(6)).eigenvectors
+    u = np.linalg.eigh(random_hermitian(6))[1]
     assert abs(trace_norm(u @ g @ u.conj().T) - trace_norm(g)) < 1e-10
 
 

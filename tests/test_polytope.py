@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cyclesteer.polytope import _check_antipodal, _facet_inradius, antipodal_directions, sphere_polytope
+from cyclesteer.polytope import MAX_LEVEL, _check_antipodal, _facet_inradius, antipodal_directions, sphere_polytope
 
 
 # The per-vertex and per-facet loops the vectorized helpers replaced (oracles).
@@ -133,6 +133,9 @@ def test_antipodal_directions_signed_zero():
 def test_negative_level_rejected():
     with pytest.raises(ValueError):
         sphere_polytope(-1)
+    with pytest.raises(ValueError):
+        sphere_polytope(MAX_LEVEL + 1)
+    assert len(sphere_polytope(MAX_LEVEL).vertices) == 2562
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
