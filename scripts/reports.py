@@ -13,10 +13,12 @@ directories. It writes:
 - ``calibrate``, ``table``, and ``entanglement`` on b3, w and ghz;
 - ``brackets.txt``: (r_in, r_out, t_cap) at ``repr`` precision for the 54
   coarse brackets (27 random real-7 family states drawn with seed 7, AB and
-  BA at the prefilter's parameters) and for the singlet at meas level 1,
-  hidden level 1, tol 1e-2.
+  BA at the prefilter's parameters), for the singlet at meas level 1,
+  hidden level 1, tol 1e-2 (m = 21, one exact-kernel call) and for b1 AB at
+  meas level 1, hidden level 2, tol 1e-3 (m = 21, three kernel calls that add
+  the kernel's best columns).
 
-It takes a few seconds.
+It takes several seconds.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ def main(outdir: Path) -> None:
         lines.append(_bracket_line(f"coarse {j} BA", states.swap_state(rho_ab), search._PREFILTER_PARAMS))
     fine = lhs.RadiusParams(meas_level=1, hidden_level=1, bisection_tol=1e-2)
     lines.append(_bracket_line("singlet meas 1 hidden 1", states.singlet(), fine))
+    b1 = states.reduce_pair(states.build_family(states.builtin_state("b1").normalized(), 1.0), "AB")
+    lines.append(_bracket_line("b1 AB meas 1 hidden 2", b1, lhs.RadiusParams(meas_level=1, hidden_level=2)))
     (outdir / "brackets.txt").write_text("".join(lines))
 
 

@@ -5,7 +5,7 @@ calibrate, table. All reports are JSON (CSV only as a plot-data
 projection); floats are printed with 9 significant digits so reruns
 diff cleanly. Exit codes: 0 success, 1 verification/feasibility failure
 or an internal fault (raised, not mapped), 2 input error (bad options are
-rejected by argparse, bad states by InputError).
+rejected by argparse and lhs.RadiusParams, bad states by InputError).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import cache
 
 from . import entanglement as ent
 from . import lhs, search, states, steering
-from .polytope import MAX_LEVEL
 from .tolerances import TOL
 
 
@@ -86,10 +85,6 @@ def _radius_options(args) -> dict:
     return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
-def _radius_params(args) -> lhs.RadiusParams:
-    return lhs.RadiusParams(**_radius_options(args))
-
-
 def _fig_data_csv(report: steering.Scenario1Report, path: str):
     """Bloch endpoints (+-a_x, +-b_x) as plot data."""
     with open(path, "w") as f:
@@ -123,7 +118,7 @@ def cmd_scenario1(args) -> int:
 
 def cmd_scenario2(args) -> int:
     rho_ab, _ = _resolve_pair(args.state, args.p)
-    report = lhs.one_way_report(rho_ab, states.swap_state(rho_ab), _radius_params(args))
+    report = lhs.one_way_report(rho_ab, states.swap_state(rho_ab), args.radius)
     _emit(report.to_dict(), args.out)
     if args.certify and report.verdict == "refuted":
         return 1
@@ -133,7 +128,7 @@ def cmd_scenario2(args) -> int:
 def cmd_radius(args) -> int:
     rho_ab, _ = _resolve_pair(args.state, args.p)
     rho = rho_ab if args.pair == "AB" else states.swap_state(rho_ab)
-    report = lhs.critical_radius_bounds(rho, _radius_params(args))
+    report = lhs.critical_radius_bounds(rho, args.radius)
     _emit(report.to_dict(), args.out)
     return 0
 
@@ -163,7 +158,7 @@ def cmd_search(args) -> int:
         raise InputError("--meas-level, --hidden-level and --tol apply to "
                          "--scenario 2 --stage full|two-stage only")
     spec = search.ObjectiveSpec(kind=kind, parameterization=args.parameterization,
-                                radius=_radius_params(args))
+                                radius=args.radius)
     log_file = open(args.out, "a") if args.out else None
     try:
         if args.stage == "two-stage":
@@ -194,7 +189,7 @@ def cmd_calibrate(args) -> int:
     is the singlet's radial mix at t = p, so [t_in, r_out] brackets the
     p where the m settings stop detecting steering."""
     ppt_bracket = lhs.bisect(lambda p: not ent.is_ppt(states.werner(p), 0), 0.2, 0.5, 1e-4)
-    report = lhs.critical_radius_bounds(states.werner(1.0), _radius_params(args))
+    report = lhs.critical_radius_bounds(states.werner(1.0), args.radius)
     data = {
         "entanglement_threshold_bracket": list(ppt_bracket),
         "entanglement_threshold_known": 1 / 3,
@@ -238,14 +233,8 @@ def _checked(convert, ok, what):
 
 
 _UNIT = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_POSITIVE = _checked(float, lambda v: 0 < v < float("inf"), "finite and > 0")
 _NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_HIDDEN_LEVEL = _checked(int, lambda v: 0 <= v <= MAX_LEVEL, f"an integer in [0, {MAX_LEVEL}]")
-# Level L measures along m = 5 * 4**L + 1 directions; the exact kernel that
-# bounds r_out's functional enumerates strategies of at most MAX_ENUM_SETTINGS.
-_MEAS_TOP = max(L for L in range(MAX_LEVEL + 1) if 5 * 4**L + 1 <= steering.MAX_ENUM_SETTINGS)
-_MEAS_LEVEL = _checked(int, lambda v: 0 <= v <= _MEAS_TOP, f"an integer in [0, {_MEAS_TOP}]")
 
 
 def _add_state(p: argparse.ArgumentParser):
@@ -255,12 +244,12 @@ def _add_state(p: argparse.ArgumentParser):
 
 
 def _add_radius(p: argparse.ArgumentParser):
-    """Radius options; one not given takes its RadiusParams default."""
-    p.add_argument("--meas-level", type=_MEAS_LEVEL, default=None)
-    p.add_argument("--hidden-level", type=_HIDDEN_LEVEL, default=None,
+    """Radius options; one not given takes its RadiusParams default, which checks them (main)."""
+    p.add_argument("--meas-level", type=int, default=None)
+    p.add_argument("--hidden-level", type=int, default=None,
                    help="polytope whose vertices price the LP's columns above m = 10 "
                         "(at m <= 10 pricing is exact and the level has no effect)")
-    p.add_argument("--tol", type=_POSITIVE, default=None, dest="bisection_tol",
+    p.add_argument("--tol", type=float, default=None, dest="bisection_tol",
                    help="the LP stops once its bracket on t* is within tol (JSON: bisection_tol)")
 
 
@@ -330,7 +319,13 @@ def _check_output_paths(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "bisection_tol"):  # the command's one RadiusParams, checked before any work
+        try:
+            args.radius = lhs.RadiusParams(**_radius_options(args))
+        except ValueError as e:
+            parser.error(str(e))
     try:
         _check_output_paths(args)
         return args.func(args)

@@ -48,8 +48,8 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, _Highs
 
 from .linalg import DensityMatrix, ID2
-from .polytope import SpherePolytope, antipodal_directions, sphere_polytope
-from .steering import Assemblage, make_assemblage, max_over_strategies, strategy_sums
+from .polytope import MAX_LEVEL, SpherePolytope, antipodal_directions, sphere_polytope
+from .steering import MAX_ENUM_SETTINGS, Assemblage, make_assemblage, max_over_strategies, strategy_sums
 from .tolerances import TOL
 
 # Every strategy is tabled while 2^m is at most this many (m <= 10): pricing
@@ -67,6 +67,8 @@ _NEAR_PURE = 1e-2
 _DETECTION_MARGIN = 1e-12
 # t_cap is the largest t <= T_CAP_MAX at which the radial mix is a state (_t_cap).
 T_CAP_MAX = 2.0
+# Level L measures m = 5 * 4**L + 1 directions; r_out's exact kernel enumerates m <= MAX_ENUM_SETTINGS.
+_MEAS_TOP = max(L for L in range(MAX_LEVEL + 1) if 5 * 4**L + 1 <= MAX_ENUM_SETTINGS)
 _OPTIONS = HighsOptions()  # every HiGHS model's options (see _Lp), passed whole
 _OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
 _OPTIONS.primal_feasibility_tolerance = _OPTIONS.dual_feasibility_tolerance = 1e-10
@@ -463,9 +465,19 @@ def _t_cap(rho_ab: DensityMatrix, marginal: tuple | None = None) -> float:
 
 @dataclass(frozen=True)
 class RadiusParams:
+    """A bracket's settings; ValueError unless each is in its range, checked when built."""
+
     meas_level: int = 0
     hidden_level: int = 2
     bisection_tol: float = 1e-3  # --tol: the LP stops once its bracket on t* is within this
+
+    def __post_init__(self):
+        for name, top in (("meas_level", _MEAS_TOP), ("hidden_level", MAX_LEVEL)):
+            level = getattr(self, name)
+            if type(level) is not int or not 0 <= level <= top:
+                raise ValueError(f"{name} {level!r} is not an integer in [0, {top}]")
+        if not 0 < self.bisection_tol < np.inf:
+            raise ValueError(f"bisection_tol {self.bisection_tol!r} is not finite and > 0")
 
 
 @dataclass(frozen=True)

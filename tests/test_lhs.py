@@ -1400,6 +1400,49 @@ def test_hidden_level_has_no_effect_at_m_up_to_10():
         assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("meas_level", 2), ("meas_level", -1), ("hidden_level", 5), ("hidden_level", -1),
+    ("meas_level", True), ("meas_level", 1.0),
+    ("bisection_tol", 0), ("bisection_tol", -1), ("bisection_tol", np.inf), ("bisection_tol", np.nan),
+])
+def test_radius_params_reject_settings_out_of_range(field, value, monkeypatch):
+    """RadiusParams checks its own fields, so no API caller can ask for a
+    bracket it cannot certify: a level must be an int in [0, 1] (meas: m =
+    5 4^L + 1 <= MAX_ENUM_SETTINGS) or [0, MAX_LEVEL] (hidden), the tol
+    finite and > 0. It raises ValueError, also through dataclasses.replace,
+    before any polytope is built; the edges still construct."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a polytope was built")
+
+    monkeypatch.setattr("cyclesteer.polytope._build", no_build)
+    message = "is not finite and > 0" if field == "bisection_tol" else "is not an integer in [0, "
+    with pytest.raises(ValueError, match=f"^{field} ") as exc:
+        RadiusParams(**{field: value})
+    assert message in str(exc.value)
+    with pytest.raises(ValueError):
+        dataclasses.replace(RadiusParams(), **{field: value})
+    RadiusParams(meas_level=1, hidden_level=4, bisection_tol=lhs._PRICING_TOL)
+
+
+def test_measurement_levels_nest():
+    """Each measurement level's directions are, bitwise, the first of the
+    next level's: 6 of 21, 21 of 81. So an LHS model for meas level 1's
+    21 settings restricts to one for level 0's 6, which detect steering at
+    their r_out: on the singlet and Werner(0.8) at hidden level 1, t_in at
+    meas 1 lies below r_out at meas 0. It is also at most t_in at meas 0
+    plus tol, since the gap stop leaves t_in(0) within tol of t*(0) >= t*(1)."""
+    dirs = [antipodal_directions(sphere_polytope(level)) for level in (0, 1, 2)]
+    assert [len(d) for d in dirs] == [6, 21, 81]
+    assert dirs[1][:6].tobytes() == dirs[0].tobytes() and dirs[2][:21].tobytes() == dirs[1].tobytes()
+    tol = 1e-2
+    for rho in (singlet(), werner(0.8)):
+        coarse, fine = (critical_radius_bounds(rho, RadiusParams(meas_level=level, hidden_level=1, bisection_tol=tol))
+                        for level in (0, 1))
+        assert coarse.steerable_detected and fine.unsteerable_certified
+        assert fine.t_in < coarse.r_out
+        assert fine.t_in <= coarse.t_in + tol
+
+
 def test_critical_radius_unsteerable_state_vacuous_upper():
     rep = critical_radius_bounds(_product_state(), RadiusParams(hidden_level=1, bisection_tol=1e-2))
     assert not rep.steerable_detected
