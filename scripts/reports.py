@@ -1,11 +1,15 @@
 """Write a fixed set of reports for a byte-for-byte comparison of two checkouts.
 
-    python3 scripts/reports.py OUTDIR
+    python3 scripts/reports.py OUTDIR [--against OTHER]
 
 Runs in process on the ``src/`` beside this script, so a copy of the script
 in another checkout reports on that checkout's code. To check that a change
 keeps every output, run it in both checkouts and ``diff -r`` the two
-directories. It writes:
+directories. With ``--against OTHER``, a directory this script wrote before
+(say, in the parent commit's checkout), it then prints, for each file that
+differs, the largest absolute difference among its numbers, or that its text
+around the numbers differs, plus each moved line of ``brackets.txt``; it
+exits 1 when any file differs. It writes:
 
 - ``scenario2`` on sc1, b1, b2, b3, w and ghz;
 - ``scenario1 --fig-data`` on sc1, b1, w and ghz (JSON and CSV);
@@ -23,6 +27,8 @@ It takes several seconds.
 
 from __future__ import annotations
 
+import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -73,7 +79,44 @@ def main(outdir: Path) -> None:
     (outdir / "brackets.txt").write_text("".join(lines))
 
 
+_NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
+
+
+def compare(outdir: Path, other: Path) -> bool:
+    """Print how each file of ``outdir`` differs from its namesake in ``other``;
+    True when every file is byte-identical."""
+    names = sorted({p.name for d in (outdir, other) for p in d.iterdir()})
+    same = True
+    for name in names:
+        new, old = outdir / name, other / name
+        if not (new.exists() and old.exists()):
+            print(f"{name}: only in {new.parent if new.exists() else old.parent}")
+            same = False
+            continue
+        new_text, old_text = new.read_text(), old.read_text()
+        if new_text == old_text:
+            continue
+        same = False
+        new_parts, old_parts = _NUMBER.split(new_text), _NUMBER.split(old_text)
+        if len(new_parts) != len(old_parts) or new_parts[::2] != old_parts[::2]:
+            print(f"{name}: text differs, not only numbers")
+        else:
+            moved = max(abs(float(a) - float(b)) for a, b in zip(new_parts[1::2], old_parts[1::2]))
+            print(f"{name}: largest absolute difference {moved:.3g}")
+        if name == "brackets.txt":
+            for a, b in zip(old_text.splitlines(), new_text.splitlines()):
+                if a != b:
+                    print(f"  - {a}\n  + {b}")
+    if same:
+        print(f"every file is identical to {other}'s")
+    return same
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit(__doc__)
-    main(Path(sys.argv[1]))
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--against", type=Path, default=None)
+    args = parser.parse_args()
+    main(args.outdir)
+    if args.against is not None and not compare(args.outdir, args.against):
+        raise SystemExit(1)

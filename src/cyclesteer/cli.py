@@ -244,7 +244,9 @@ def _add_state(p: argparse.ArgumentParser):
 
 
 def _add_radius(p: argparse.ArgumentParser):
-    """Radius options; one not given takes its RadiusParams default, which checks them (main)."""
+    """Radius options; one not given takes its RadiusParams default, which checks them (main)
+    and reports an error through this command's parser."""
+    p.set_defaults(command_parser=p)
     p.add_argument("--meas-level", type=int, default=None)
     p.add_argument("--hidden-level", type=int, default=None,
                    help="polytope whose vertices price the LP's columns above m = 10 "
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
         try:
             args.radius = lhs.RadiusParams(**_radius_options(args))
         except ValueError as e:
-            parser.error(str(e))
+            args.command_parser.error(str(e))
     try:
         _check_output_paths(args)
         return args.func(args)

@@ -69,8 +69,8 @@ _DETECTION_MARGIN = 1e-12
 T_CAP_MAX = 2.0
 # Level L measures m = 5 * 4**L + 1 directions; r_out's exact kernel enumerates m <= MAX_ENUM_SETTINGS.
 _MEAS_TOP = max(L for L in range(MAX_LEVEL + 1) if 5 * 4**L + 1 <= MAX_ENUM_SETTINGS)
-_OPTIONS = HighsOptions()  # every HiGHS model's options (see _Lp), passed whole
-_OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
+_OPTIONS = HighsOptions()  # every HiGHS model's options, passed whole: a first run's dual simplex (see _Lp)
+_OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy, _OPTIONS.threads = False, "off", 1, 1
 _OPTIONS.primal_feasibility_tolerance = _OPTIONS.dual_feasibility_tolerance = 1e-10
 _THREAD = threading.local()  # .highs: this thread's HiGHS object (see _Lp)
 
@@ -220,18 +220,22 @@ class _Lp:
     with column t and then the pool's w in the order ``add`` appends
     them, on whatever rows b has (``_solve`` passes the 4(m + 1)
     no-signalling rows of ``_rows``); each ``solve`` warm-starts the
-    simplex from the last basis. Every run is HiGHS's primal simplex:
-    added columns leave the last optimal basis primal feasible but not
-    dual feasible (25 iterations per warm run on radius-default, against
-    the dual simplex's 55), and on a first run the dual simplex ended
+    simplex from the last basis. A model's first run is HiGHS's dual
+    simplex: t's upper bound t_cap makes the slack basis dual feasible,
+    which skips the primal's phase 1 (3124 iterations against 3679 over the
+    first LPs of the 54 prefilter brackets in ``scripts/reports.py``). Every
+    later run is the primal: added columns leave the last optimal basis
+    primal feasible but not dual feasible (25 iterations per warm run on
+    radius-default, against the dual simplex's 55). So is ``linprog``'s last
+    retry, the LP passed anew, which ends optimal where the dual once ended
     Infeasible on LPs feasible by construction (two scenario-2 search
-    states). Feasibility tolerances are 1e-10, below the 1e-8 model
-    check (at the default 1e-7 a model came back with a weight of -9e-8,
-    and with presolve one ended Unknown); presolve is off, as at 28 rows
-    it costs more than it saves. The model lives on its thread's one
-    HiGHS object, built from ``_Highs`` when first used or rebound, which
-    each run clears and passes ``_OPTIONS`` anew, so no model or option
-    (a stalled run's iteration limit) reaches the next run.
+    states). Feasibility tolerances are 1e-10, below the 1e-8 model check
+    (at the default 1e-7 a model came back with a weight of -9e-8, and with
+    presolve one ended Unknown); presolve is off and HiGHS runs on one
+    thread, as at 28 rows either costs more than it saves. The model lives
+    on its thread's one HiGHS object, built from ``_Highs`` when first used
+    or rebound, which each run clears and passes ``_OPTIONS`` anew, so no
+    model or option (a stalled run's iteration limit) reaches the next run.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
@@ -267,14 +271,20 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     ``linprog(A_eq=...)`` was, so perfbench's ``lhs.linprog`` span times
     and sizes (``A_eq.shape``, ``nit``) every run."""
     highs, nit = A_eq.highs, 0
+
+    def passed_anew():  # on the primal simplex, as every run after a model's first (see _Lp)
+        highs.setOptionValue("simplex_strategy", 4)
+        highs.passModel(highs.getLp())
+
     # A warm start can end Unknown (in 4 of 600 random m = 6 locators). A cleared basis
     # and the LP passed anew each solve LPs the other fails on, so each is tried once.
-    for restart in (lambda: None, highs.clearSolver, lambda: highs.passModel(highs.getLp())):
+    for restart in (lambda: None, highs.clearSolver, passed_anew):
         restart()
         highs.run()
         nit += highs.getInfoValue("simplex_iteration_count")[1]
         if highs.getModelStatus() == HighsModelStatus.kOptimal:
             break
+    highs.setOptionValue("simplex_strategy", 4)
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise LpFailure(f"LP solver status {int(status)}: {highs.modelStatusToString(status)}")

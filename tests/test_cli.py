@@ -85,7 +85,8 @@ def test_bad_option_values_are_input_errors(argv, capsys):
 def test_levels_past_their_bound_are_input_errors(argv, capsys, monkeypatch):
     """A hidden level above polytope.MAX_LEVEL, or a measurement level with
     more directions than the exact kernel enumerates (m = 81 > MAX_ENUM_SETTINGS),
-    is rejected when parsed, before any polytope is built or LP runs."""
+    is rejected when parsed, before any polytope is built or LP runs, with
+    the command's own usage line."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the options were checked")
 
@@ -95,7 +96,8 @@ def test_levels_past_their_bound_are_input_errors(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "is not an integer in [0, " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cyclesteer {argv[0]} ") and "is not an integer in [0, " in err
 
 
 def test_bad_family_p_in_state_file_is_input_error(tmp_path, capsys):

@@ -439,9 +439,9 @@ def test_stalled_warm_run_gets_one_cold_resolve(monkeypatch):
 def test_stalled_retry_gets_the_lp_passed_anew(monkeypatch):
     """A warm run whose re-solve from a cleared basis also ends
     non-optimal is solved once more with its LP passed to the model anew,
-    and that run ends optimal, with the primal simplex like every other
-    run: the Werner(0.9) bracket keeps its flags and its exact threshold
-    1/(2 0.9)."""
+    and that run ends optimal, with the primal simplex like every run but
+    the model's first: the Werner(0.9) bracket keeps its flags and its
+    exact threshold 1/(2 0.9)."""
     expected = critical_radius_bounds(werner(0.9))
 
     class _StalledTwice(_StrategySpy, _StalledRun):
@@ -468,7 +468,8 @@ def test_stalled_retry_gets_the_lp_passed_anew(monkeypatch):
     optimal = lhs.HighsModelStatus.kOptimal
     assert len(_StalledTwice.stalled) == 2 and optimal not in _StalledTwice.stalled
     assert _StalledTwice.passed == [4] and _StalledTwice.statuses[1:4] == [*_StalledTwice.stalled, optimal]
-    assert len(_StalledTwice.models) == 1 and set(_StalledTwice.models[0]) == {4}
+    assert len(_StalledTwice.models) == 1
+    assert _StalledTwice.models[0][0] == 1 and set(_StalledTwice.models[0][1:]) == {4}
     assert (rep.steerable_detected, rep.unsteerable_certified, rep.t_cap) == (
         expected.steerable_detected, expected.unsteerable_certified, expected.t_cap)
     assert rep.r_in <= 1 / 1.8 <= rep.r_out
@@ -492,31 +493,76 @@ class _StrategySpy(lhs._Highs):
         return super().run()
 
 
-def test_every_run_is_primal(monkeypatch):
-    """Every HiGHS run is the primal simplex (strategy 4): each model's
-    first run, its warm runs after ``add`` and the cold re-solve after a
-    stalled run, on one bracket and one decision."""
-    monkeypatch.setattr(lhs, "_Highs", _StrategySpy)
-    monkeypatch.setattr(_StrategySpy, "models", [])
-    critical_radius_bounds(werner(0.9))
-    lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
-    assert len(_StrategySpy.models) == 2
+def _spied_runs(monkeypatch, spy, **attrs):
+    """The Werner(0.9) bracket and an m = 6 decision on the HiGHS class
+    ``spy``, whose ``models`` then holds each run's simplex strategy, per model."""
+    monkeypatch.setattr(lhs, "_Highs", spy)
+    for name, value in {"models": [], **attrs}.items():
+        monkeypatch.setattr(spy, name, value)
+    runs = critical_radius_bounds(werner(0.9)), lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
+    assert len(spy.models) == 2
+    return runs
+
+
+def test_first_run_is_dual_and_later_runs_primal(monkeypatch):
+    """Each model's first HiGHS run is the dual simplex (strategy 1), and
+    so is its re-solve from a cleared basis, which repeats it; every warm
+    run after ``add``, and the re-solve of a stalled warm run, is the
+    primal simplex (strategy 4), on one bracket and one decision."""
+    _spied_runs(monkeypatch, _StrategySpy)
     for strategies in _StrategySpy.models:
-        assert len(strategies) > 1 and set(strategies) == {4}
+        assert len(strategies) > 1 and strategies[0] == 1 and set(strategies[1:]) == {4}
 
     class _StalledSpy(_StrategySpy, _StalledRun):
-        """The spy over a model whose first warm run is stalled."""
+        """The spy over a model whose ``stalled_run``-th run is stalled."""
 
-    monkeypatch.setattr(lhs, "_Highs", _StalledSpy)
-    monkeypatch.setattr(_StalledSpy, "models", [])
-    monkeypatch.setattr(_StalledSpy, "stalled_run", 2)
-    monkeypatch.setattr(_StalledSpy, "stalled", [])
-    critical_radius_bounds(werner(0.9))
-    lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
-    assert len(_StalledSpy.stalled) == 2 and lhs.HighsModelStatus.kOptimal not in _StalledSpy.stalled
-    assert len(_StalledSpy.models) == 2
-    for strategies in _StalledSpy.models:
-        assert len(strategies) > 3 and set(strategies) == {4}
+    for stalled_run, dual_runs in ((1, 2), (2, 1)):
+        _spied_runs(monkeypatch, _StalledSpy, stalled_run=stalled_run, stalled=[])
+        assert len(_StalledSpy.stalled) == 2 and lhs.HighsModelStatus.kOptimal not in _StalledSpy.stalled
+        for strategies in _StalledSpy.models:
+            assert len(strategies) > 2 + dual_runs
+            assert set(strategies[:dual_runs]) == {1} and set(strategies[dual_runs:]) == {4}
+
+
+def test_stalled_dual_runs_are_rescued_by_the_primal(monkeypatch):
+    """When every dual simplex run stalls (no iteration allowed), each
+    model's first run and its cleared-basis retry end non-optimal, and the
+    LP passed to the model anew is solved by the primal simplex: the
+    Werner(0.9) bracket and an m = 6 decision keep their flags and t_cap."""
+    expected = critical_radius_bounds(werner(0.9))
+    feasible, cert = lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
+
+    class _DualStalled(_StrategySpy):
+        """The spy over HiGHS allowed no iteration on a dual simplex run,
+        recording each such run's status and the strategy of every run
+        that follows passModel."""
+
+        stalled, passed = [], []
+
+        def run(self):
+            dual = self.getOptionValue("simplex_strategy")[1] == 1
+            self.setOptionValue("simplex_iteration_limit", 0 if dual else 2**31 - 1)
+            status = super().run()
+            if dual:
+                self.stalled.append(self.getModelStatus())
+            if getattr(self, "anew", False):
+                self.passed.append(self.strategies[-1])
+                self.anew = False
+            return status
+
+        def passModel(self, lp):
+            self.anew = True
+            return super().passModel(lp)
+
+    rep, (again, cert_again) = _spied_runs(monkeypatch, _DualStalled, stalled=[], passed=[])
+    assert len(_DualStalled.stalled) == 4 and lhs.HighsModelStatus.kOptimal not in _DualStalled.stalled
+    assert _DualStalled.passed == [4, 4]
+    for strategies in _DualStalled.models:
+        assert strategies[:3] == [1, 1, 4] and set(strategies[3:]) == {4}
+    assert (rep.steerable_detected, rep.unsteerable_certified, rep.t_cap) == (
+        expected.steerable_detected, expected.unsteerable_certified, expected.t_cap)
+    assert rep.r_in <= 1 / 1.8 <= rep.r_out
+    assert (again, type(cert_again)) == (feasible, type(cert))
 
 
 def _in_fresh_threads(*calls):
@@ -604,7 +650,9 @@ def test_bracket_fixed_cost(monkeypatch):
 
 # Scenario-2 prefilter search states (real-7 coefficients, seeds 1 and 3 of
 # one-restart campaigns) whose BA bracket's first LP, 28 rows by 43 columns,
-# ended Infeasible under the dual simplex, also after a cold re-solve.
+# ended Infeasible under the dual simplex, also after a cold re-solve, when the
+# pool held the anchor and direction columns alone. From the product-model
+# first pool on, the dual ends both optimal; the test stays as their guard.
 _DUAL_INFEASIBLE_SEARCH_STATES = (
     [-0.9517089797920031, 0.9835430994477992, 0.4767391634458282, -0.07038298295142362,
      0.30174772937529826, 0.5126629631502139, -0.31957809771426354],
@@ -616,10 +664,10 @@ _DUAL_INFEASIBLE_SEARCH_STATES = (
 @pytest.mark.parametrize("coeffs", _DUAL_INFEASIBLE_SEARCH_STATES)
 def test_search_state_bracket_that_failed_on_dual_first_run(coeffs):
     """The BA bracket at the prefilter's parameters of a search state
-    whose first LP ended Infeasible (LpFailure) when first runs used the
-    dual simplex: with the primal it certifies r_in = meas_eta t_cap and
-    gives the vacuous r_out = t_cap, once the run goes to a converged
-    tolerance (at the prefilter's 1e-2 it may stop short of t_cap)."""
+    whose first LP once ended Infeasible (LpFailure) under the dual
+    simplex: it certifies r_in = meas_eta t_cap and gives the vacuous
+    r_out = t_cap, once the run goes to a converged tolerance (at the
+    prefilter's 1e-2 it may stop short of t_cap)."""
     params = dataclasses.replace(_PREFILTER_PARAMS, bisection_tol=lhs._PRICING_TOL)
     rep = critical_radius_bounds(_reduced_pair(coeffs)[1], params)
     assert rep.unsteerable_certified and not rep.steerable_detected
