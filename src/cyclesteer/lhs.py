@@ -69,8 +69,8 @@ _DETECTION_MARGIN = 1e-12
 T_CAP_MAX = 2.0
 # Level L measures m = 5 * 4**L + 1 directions; r_out's exact kernel enumerates m <= MAX_ENUM_SETTINGS.
 _MEAS_TOP = max(L for L in range(MAX_LEVEL + 1) if 5 * 4**L + 1 <= MAX_ENUM_SETTINGS)
-_OPTIONS = HighsOptions()  # every HiGHS model's options, passed whole: a first run's dual simplex (see _Lp)
-_OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy, _OPTIONS.threads = False, "off", 1, 1
+_OPTIONS = HighsOptions()  # every HiGHS model's options (see _Lp), passed whole
+_OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
 _OPTIONS.primal_feasibility_tolerance = _OPTIONS.dual_feasibility_tolerance = 1e-10
 _THREAD = threading.local()  # .highs: this thread's HiGHS object (see _Lp)
 
@@ -220,30 +220,37 @@ class _Lp:
     with column t and then the pool's w in the order ``add`` appends
     them, on whatever rows b has (``_solve`` passes the 4(m + 1)
     no-signalling rows of ``_rows``); each ``solve`` warm-starts the
-    simplex from the last basis. A model's first run is HiGHS's dual
-    simplex: t's upper bound t_cap makes the slack basis dual feasible,
-    which skips the primal's phase 1 (3124 iterations against 3679 over the
-    first LPs of the 54 prefilter brackets in ``scripts/reports.py``). Every
-    later run is the primal: added columns leave the last optimal basis
-    primal feasible but not dual feasible (25 iterations per warm run on
-    radius-default, against the dual simplex's 55). So is ``linprog``'s last
-    retry, the LP passed anew, which ends optimal where the dual once ended
-    Infeasible on LPs feasible by construction (two scenario-2 search
-    states). Feasibility tolerances are 1e-10, below the 1e-8 model check
-    (at the default 1e-7 a model came back with a weight of -9e-8, and with
-    presolve one ended Unknown); presolve is off and HiGHS runs on one
-    thread, as at 28 rows either costs more than it saves. The model lives
-    on its thread's one HiGHS object, built from ``_Highs`` when first used
-    or rebound, which each run clears and passes ``_OPTIONS`` anew, so no
-    model or option (a stalled run's iteration limit) reaches the next run.
+    simplex from the last basis. With ``dual`` (``_solve`` sets it at
+    m <= 10) the model's first run is HiGHS's dual simplex: t's upper
+    bound t_cap makes the slack basis dual feasible, which skips the
+    primal's phase 1 (3124 iterations against 3679 over the first LPs of
+    the 54 prefilter brackets in ``scripts/reports.py``); at m = 21 it
+    made brackets slower. Every other run is the primal: added columns
+    leave the last optimal basis primal feasible but not dual feasible (25
+    iterations per warm run on radius-default, against the dual simplex's
+    55). So is ``linprog``'s last retry, the LP passed anew, which ends
+    optimal where the dual once ended Infeasible on LPs feasible by
+    construction (two scenario-2 search states). Feasibility tolerances
+    are 1e-10, below the 1e-8 model check (at the default 1e-7 a model
+    came back with a weight of -9e-8, and with presolve one ended
+    Unknown); presolve is off, as at 28 rows it costs more than it saves.
+    ``threads`` stays 0: HiGHS's thread scheduler is one per process, and
+    a run asking for a count other than the one it was started with fails
+    (scipy's ``linprog`` starts it at half the cores, rounded up). The
+    model lives on its thread's one HiGHS object, built from ``_Highs``
+    when first used or rebound, which each run clears and passes
+    ``_OPTIONS`` anew, so no model or option (a stalled run's iteration
+    limit) reaches the next run.
     """
 
-    def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
+    def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float, dual: bool = False):
         if type(getattr(_THREAD, "highs", None)) is not _Highs:
             _THREAD.highs = _Highs()
         self.highs = _THREAD.highs
         self.highs.clearModel()
         self.highs.passOptions(_OPTIONS)
+        if dual:
+            self.highs.setOptionValue("simplex_strategy", 1)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
         self.add(t_col[:, None], -1.0, t_cap)
 
@@ -272,7 +279,7 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     and sizes (``A_eq.shape``, ``nit``) every run."""
     highs, nit = A_eq.highs, 0
 
-    def passed_anew():  # on the primal simplex, as every run after a model's first (see _Lp)
+    def passed_anew():  # on the primal simplex, as every run but a dual model's first (see _Lp)
         highs.setOptionValue("simplex_strategy", 4)
         highs.passModel(highs.getLp())
 
@@ -316,7 +323,7 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     pool_bits, pool_blochs = pool
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     strategies = _strategies(m)
-    lp = _Lp(_rows(b), _rows(t_col), t_cap)
+    lp = _Lp(_rows(b), _rows(t_col), t_cap, dual=strategies is not None)
     lp.add(_columns(pool_bits, pool_blochs))
     ub, functional = np.inf, None
     for _ in range(_CG_MAX_ROUNDS):

@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,9 +263,9 @@ class _ColdChecked(_Lp):
 
     rounds = []
 
-    def __init__(self, b, t_col, t_cap):
+    def __init__(self, b, t_col, t_cap, **simplex):
         self.b, self.parts = b, []
-        super().__init__(b, t_col, t_cap)
+        super().__init__(b, t_col, t_cap, **simplex)
 
     def add(self, cols, cost=0.0, upper=np.inf):
         self.parts.append((cols, np.full(cols.shape[1], cost), np.full(cols.shape[1], upper)))
@@ -505,13 +508,17 @@ def _spied_runs(monkeypatch, spy, **attrs):
 
 
 def test_first_run_is_dual_and_later_runs_primal(monkeypatch):
-    """Each model's first HiGHS run is the dual simplex (strategy 1), and
-    so is its re-solve from a cleared basis, which repeats it; every warm
-    run after ``add``, and the re-solve of a stalled warm run, is the
-    primal simplex (strategy 4), on one bracket and one decision."""
+    """At m <= 10 each model's first HiGHS run is the dual simplex
+    (strategy 1), and so is its re-solve from a cleared basis, which
+    repeats it; every warm run after ``add``, and the re-solve of a
+    stalled warm run, is the primal simplex (strategy 4), on one bracket
+    and one decision. At m = 21 every run is the primal."""
     _spied_runs(monkeypatch, _StrategySpy)
     for strategies in _StrategySpy.models:
         assert len(strategies) > 1 and strategies[0] == 1 and set(strategies[1:]) == {4}
+    monkeypatch.setattr(_StrategySpy, "models", [])
+    lhs_lp_feasible(make_assemblage(werner(0.45), lhs._directions(1)), HIDDEN1)
+    assert len(_StrategySpy.models) == 1 and set(_StrategySpy.models[0]) == {4}
 
     class _StalledSpy(_StrategySpy, _StalledRun):
         """The spy over a model whose ``stalled_run``-th run is stalled."""
@@ -563,6 +570,29 @@ def test_stalled_dual_runs_are_rescued_by_the_primal(monkeypatch):
         expected.steerable_detected, expected.unsteerable_certified, expected.t_cap)
     assert rep.r_in <= 1 / 1.8 <= rep.r_out
     assert (again, type(cert_again)) == (feasible, type(cert))
+
+
+def test_bracket_runs_under_a_scheduler_started_elsewhere():
+    """HiGHS starts one thread scheduler per process, at its first run's
+    thread count, and fails any later run that asks for another nonzero
+    count. scipy's ``linprog`` starts it at half the cores, rounded up, so
+    a bracket must run after a scheduler of 2 threads (a 3- or 4-core
+    host's). A fresh process, as the scheduler lives as long as it does."""
+    code = "\n".join([
+        "import numpy as np",
+        "from scipy.optimize._highspy._core import HighsOptions, _Highs",
+        "from cyclesteer.lhs import critical_radius_bounds",
+        "from cyclesteer.states import werner",
+        "highs, options = _Highs(), HighsOptions()",
+        "options.output_flag, options.threads = False, 2",
+        "highs.passOptions(options)",
+        "highs.addVars(1, np.zeros(1), np.ones(1))",
+        "highs.run()",
+        "print(critical_radius_bounds(werner(0.9)).steerable_detected)",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(lhs.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
 
 
 def _in_fresh_threads(*calls):
