@@ -82,6 +82,15 @@ def main(outdir: Path) -> None:
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 
 
+def largest_move(new_text: str, old_text: str) -> float | None:
+    """The largest absolute difference between the numbers of two texts, in
+    order; None when their text around the numbers differs."""
+    new_parts, old_parts = _NUMBER.split(new_text), _NUMBER.split(old_text)
+    if len(new_parts) != len(old_parts) or new_parts[::2] != old_parts[::2]:
+        return None
+    return max((abs(float(a) - float(b)) for a, b in zip(new_parts[1::2], old_parts[1::2])), default=0.0)
+
+
 def compare(outdir: Path, other: Path) -> bool:
     """Print how each file of ``outdir`` differs from its namesake in ``other``;
     True when every file is byte-identical."""
@@ -97,11 +106,10 @@ def compare(outdir: Path, other: Path) -> bool:
         if new_text == old_text:
             continue
         same = False
-        new_parts, old_parts = _NUMBER.split(new_text), _NUMBER.split(old_text)
-        if len(new_parts) != len(old_parts) or new_parts[::2] != old_parts[::2]:
+        moved = largest_move(new_text, old_text)
+        if moved is None:
             print(f"{name}: text differs, not only numbers")
         else:
-            moved = max(abs(float(a) - float(b)) for a, b in zip(new_parts[1::2], old_parts[1::2]))
             print(f"{name}: largest absolute difference {moved:.3g}")
         if name == "brackets.txt":
             for a, b in zip(old_text.splitlines(), new_text.splitlines()):

@@ -69,9 +69,18 @@ _DETECTION_MARGIN = 1e-12
 T_CAP_MAX = 2.0
 # Level L measures m = 5 * 4**L + 1 directions; r_out's exact kernel enumerates m <= MAX_ENUM_SETTINGS.
 _MEAS_TOP = max(L for L in range(MAX_LEVEL + 1) if 5 * 4**L + 1 <= MAX_ENUM_SETTINGS)
-_OPTIONS = HighsOptions()  # every HiGHS model's options (see _Lp), passed whole
+# Every HiGHS model's options (see _Lp), passed whole: the primal simplex, no presolve,
+# feasibility tolerances 1e-10, and HiGHS's default scaling (2) and perturbations (1.0).
+_OPTIONS = HighsOptions()
 _OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
 _OPTIONS.primal_feasibility_tolerance = _OPTIONS.dual_feasibility_tolerance = 1e-10
+# A dual model's (m <= 10) options on top of _OPTIONS: its first run on the dual simplex,
+# every run unscaled and unperturbed; and _OPTIONS' values for them, which linprog's last
+# rung restores. Set by name, as HighsOptions lacks the two multipliers.
+_DUAL_OPTIONS = {"simplex_strategy": 1, "simplex_scale_strategy": 0,
+                 "dual_simplex_cost_perturbation_multiplier": 0.0,
+                 "primal_simplex_bound_perturbation_multiplier": 0.0}
+_PRIMAL_OPTIONS = dict(zip(_DUAL_OPTIONS, (4, 2, 1.0, 1.0)))
 _THREAD = threading.local()  # .highs: this thread's HiGHS object (see _Lp)
 
 
@@ -224,12 +233,20 @@ class _Lp:
     m <= 10) the model's first run is HiGHS's dual simplex: t's upper
     bound t_cap makes the slack basis dual feasible, which skips the
     primal's phase 1 (3124 iterations against 3679 over the first LPs of
-    the 54 prefilter brackets in ``scripts/reports.py``); at m = 21 it
-    made brackets slower. Every other run is the primal: added columns
-    leave the last optimal basis primal feasible but not dual feasible (25
-    iterations per warm run on radius-default, against the dual simplex's
-    55). So is ``linprog``'s last retry, the LP passed anew, which ends
-    optimal where the dual once ended Infeasible on LPs feasible by
+    the 54 prefilter brackets in ``scripts/reports.py``). Every run of
+    such a model is also unscaled and unperturbed (``_DUAL_OPTIONS``): the
+    rows hold entries in [-1, 1] alone, and with every pool column at cost
+    0 the LP is so dual degenerate that the dual simplex perturbed its
+    costs on every run (those first runs: 2668 iterations against 3124).
+    At m = 21 the dual first run made brackets slower, and so did these
+    three options (b1 AB at meas 1, hidden 2: 174 LPs instead of 123), so
+    there every run is at ``_OPTIONS``. Every run but a dual model's first
+    is the primal: added columns leave the last optimal basis primal
+    feasible but not dual feasible (25 iterations per warm run on
+    radius-default, against the dual simplex's 55). ``linprog``'s last
+    retry, the LP passed anew, runs on the primal, scaled and perturbed as
+    at m = 21 (``_PRIMAL_OPTIONS``), and the model keeps those options; it
+    ends optimal where the dual once ended Infeasible on LPs feasible by
     construction (two scenario-2 search states). Feasibility tolerances
     are 1e-10, below the 1e-8 model check (at the default 1e-7 a model
     came back with a weight of -9e-8, and with presolve one ended
@@ -250,7 +267,8 @@ class _Lp:
         self.highs.clearModel()
         self.highs.passOptions(_OPTIONS)
         if dual:
-            self.highs.setOptionValue("simplex_strategy", 1)
+            for name, value in _DUAL_OPTIONS.items():
+                self.highs.setOptionValue(name, value)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
         self.add(t_col[:, None], -1.0, t_cap)
 
@@ -279,8 +297,9 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     and sizes (``A_eq.shape``, ``nit``) every run."""
     highs, nit = A_eq.highs, 0
 
-    def passed_anew():  # on the primal simplex, as every run but a dual model's first (see _Lp)
-        highs.setOptionValue("simplex_strategy", 4)
+    def passed_anew():  # primal, scaled and perturbed, as at m = 21 (see _Lp)
+        for name, value in _PRIMAL_OPTIONS.items():
+            highs.setOptionValue(name, value)
         highs.passModel(highs.getLp())
 
     # A warm start can end Unknown (in 4 of 600 random m = 6 locators). A cleared basis

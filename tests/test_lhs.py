@@ -444,7 +444,8 @@ def test_stalled_retry_gets_the_lp_passed_anew(monkeypatch):
     non-optimal is solved once more with its LP passed to the model anew,
     and that run ends optimal, with the primal simplex like every run but
     the model's first: the Werner(0.9) bracket keeps its flags and its
-    exact threshold 1/(2 0.9)."""
+    exact threshold 1/(2 0.9). The runs before it are unscaled and
+    unperturbed; it and the model's later runs are at HiGHS's defaults."""
     expected = critical_radius_bounds(werner(0.9))
 
     class _StalledTwice(_StrategySpy, _StalledRun):
@@ -464,6 +465,7 @@ def test_stalled_retry_gets_the_lp_passed_anew(monkeypatch):
 
     monkeypatch.setattr(lhs, "_Highs", _StalledTwice)
     monkeypatch.setattr(_StalledTwice, "models", [])
+    monkeypatch.setattr(_StalledTwice, "scalings", [])
     monkeypatch.setattr(_StalledTwice, "stalled_run", 2)
     monkeypatch.setattr(_StalledTwice, "stalled_retries", 1)
     monkeypatch.setattr(_StalledTwice, "stalled", [])
@@ -473,16 +475,24 @@ def test_stalled_retry_gets_the_lp_passed_anew(monkeypatch):
     assert _StalledTwice.passed == [4] and _StalledTwice.statuses[1:4] == [*_StalledTwice.stalled, optimal]
     assert len(_StalledTwice.models) == 1
     assert _StalledTwice.models[0][0] == 1 and set(_StalledTwice.models[0][1:]) == {4}
+    scaling = _StalledTwice.scalings[0]
+    assert scaling[:3] == [_UNSCALED] * 3 and set(scaling[3:]) == {_DEFAULT_SCALING}
     assert (rep.steerable_detected, rep.unsteerable_certified, rep.t_cap) == (
         expected.steerable_detected, expected.unsteerable_certified, expected.t_cap)
     assert rep.r_in <= 1 / 1.8 <= rep.r_out
 
 
-class _StrategySpy(lhs._Highs):
-    """HiGHS recording, per model, the simplex strategy of each run; a
-    model ends at ``clearModel``."""
+_SCALING = ("simplex_scale_strategy", "dual_simplex_cost_perturbation_multiplier",
+            "primal_simplex_bound_perturbation_multiplier")
+_DEFAULT_SCALING, _UNSCALED = (2, 1.0, 1.0), (0, 0.0, 0.0)  # HiGHS's defaults; a dual model's
 
-    models = []
+
+class _StrategySpy(lhs._Highs):
+    """HiGHS recording, per model, the simplex strategy of each run in
+    ``models`` and its ``_SCALING`` options in ``scalings``; a model ends
+    at ``clearModel``."""
+
+    models, scalings = [], []
 
     def clearModel(self):
         self.__dict__.pop("strategies", None)
@@ -490,17 +500,20 @@ class _StrategySpy(lhs._Highs):
 
     def run(self):
         if not hasattr(self, "strategies"):
-            self.strategies = []
+            self.strategies, self.scaling = [], []
             self.models.append(self.strategies)
+            self.scalings.append(self.scaling)
         self.strategies.append(self.getOptionValue("simplex_strategy")[1])
+        self.scaling.append(tuple(self.getOptionValue(name)[1] for name in _SCALING))
         return super().run()
 
 
 def _spied_runs(monkeypatch, spy, **attrs):
     """The Werner(0.9) bracket and an m = 6 decision on the HiGHS class
-    ``spy``, whose ``models`` then holds each run's simplex strategy, per model."""
+    ``spy``, whose ``models`` and ``scalings`` then hold each run's simplex
+    strategy and scaling options, per model."""
     monkeypatch.setattr(lhs, "_Highs", spy)
-    for name, value in {"models": [], **attrs}.items():
+    for name, value in {"models": [], "scalings": [], **attrs}.items():
         monkeypatch.setattr(spy, name, value)
     runs = critical_radius_bounds(werner(0.9)), lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
     assert len(spy.models) == 2
@@ -512,13 +525,18 @@ def test_first_run_is_dual_and_later_runs_primal(monkeypatch):
     (strategy 1), and so is its re-solve from a cleared basis, which
     repeats it; every warm run after ``add``, and the re-solve of a
     stalled warm run, is the primal simplex (strategy 4), on one bracket
-    and one decision. At m = 21 every run is the primal."""
+    and one decision. Every one of those runs is unscaled and unperturbed.
+    At m = 21 every run is the primal at HiGHS's default scaling and
+    perturbations, also right after m = 6 models on the same HiGHS object."""
     _spied_runs(monkeypatch, _StrategySpy)
     for strategies in _StrategySpy.models:
         assert len(strategies) > 1 and strategies[0] == 1 and set(strategies[1:]) == {4}
+    assert {options for scaling in _StrategySpy.scalings for options in scaling} == {_UNSCALED}
     monkeypatch.setattr(_StrategySpy, "models", [])
+    monkeypatch.setattr(_StrategySpy, "scalings", [])
     lhs_lp_feasible(make_assemblage(werner(0.45), lhs._directions(1)), HIDDEN1)
     assert len(_StrategySpy.models) == 1 and set(_StrategySpy.models[0]) == {4}
+    assert set(_StrategySpy.scalings[0]) == {_DEFAULT_SCALING}
 
     class _StalledSpy(_StrategySpy, _StalledRun):
         """The spy over a model whose ``stalled_run``-th run is stalled."""
@@ -529,20 +547,22 @@ def test_first_run_is_dual_and_later_runs_primal(monkeypatch):
         for strategies in _StalledSpy.models:
             assert len(strategies) > 2 + dual_runs
             assert set(strategies[:dual_runs]) == {1} and set(strategies[dual_runs:]) == {4}
+        assert {options for scaling in _StalledSpy.scalings for options in scaling} == {_UNSCALED}
 
 
 def test_stalled_dual_runs_are_rescued_by_the_primal(monkeypatch):
     """When every dual simplex run stalls (no iteration allowed), each
     model's first run and its cleared-basis retry end non-optimal, and the
-    LP passed to the model anew is solved by the primal simplex: the
-    Werner(0.9) bracket and an m = 6 decision keep their flags and t_cap."""
+    LP passed to the model anew is solved by the primal simplex at HiGHS's
+    default scaling and perturbations: the Werner(0.9) bracket and an
+    m = 6 decision keep their flags and t_cap."""
     expected = critical_radius_bounds(werner(0.9))
     feasible, cert = lhs_lp_feasible(make_assemblage(werner(0.9), ICO_DIRS), HIDDEN1)
 
     class _DualStalled(_StrategySpy):
         """The spy over HiGHS allowed no iteration on a dual simplex run,
-        recording each such run's status and the strategy of every run
-        that follows passModel."""
+        recording each such run's status and the strategy and scaling
+        options of every run that follows passModel."""
 
         stalled, passed = [], []
 
@@ -553,7 +573,7 @@ def test_stalled_dual_runs_are_rescued_by_the_primal(monkeypatch):
             if dual:
                 self.stalled.append(self.getModelStatus())
             if getattr(self, "anew", False):
-                self.passed.append(self.strategies[-1])
+                self.passed.append((self.strategies[-1], self.scaling[-1]))
                 self.anew = False
             return status
 
@@ -563,7 +583,7 @@ def test_stalled_dual_runs_are_rescued_by_the_primal(monkeypatch):
 
     rep, (again, cert_again) = _spied_runs(monkeypatch, _DualStalled, stalled=[], passed=[])
     assert len(_DualStalled.stalled) == 4 and lhs.HighsModelStatus.kOptimal not in _DualStalled.stalled
-    assert _DualStalled.passed == [4, 4]
+    assert _DualStalled.passed == [(4, _DEFAULT_SCALING)] * 2
     for strategies in _DualStalled.models:
         assert strategies[:3] == [1, 1, 4] and set(strategies[3:]) == {4}
     assert (rep.steerable_detected, rep.unsteerable_certified, rep.t_cap) == (
