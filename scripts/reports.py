@@ -3,33 +3,38 @@
     python3 scripts/reports.py OUTDIR [--against OTHER]
 
 Runs in process on the ``src/`` beside this script, so a copy of the script
-in another checkout reports on that checkout's code. To check that a change
-keeps every output, run it in both checkouts and ``diff -r`` the two
-directories. With ``--against OTHER``, a directory this script wrote before
-(say, in the parent commit's checkout), it then prints, for each file that
-differs, the largest absolute difference among its numbers, or that its text
-around the numbers differs, plus each moved line of ``brackets.txt``; it
-exits 1 when any file differs. It writes:
+in another checkout reports on that checkout's code. It writes the JSON
+reports of ``scenario2`` (sc1, b1, b2, b3, w, ghz), ``scenario1 --fig-data``
+(sc1, b1, w, ghz; and CSV), ``radius --pair BA`` (b1), ``calibrate``,
+``table`` and ``entanglement`` (b3, w, ghz), and two files with one line per
+bracket: its label, then r_in, r_out and t_cap at ``repr`` precision, or
+``LpFailure``:
 
-- ``scenario2`` on sc1, b1, b2, b3, w and ghz;
-- ``scenario1 --fig-data`` on sc1, b1, w and ghz (JSON and CSV);
-- ``radius --pair BA`` on b1;
-- ``calibrate``, ``table``, and ``entanglement`` on b3, w and ghz;
-- ``brackets.txt``: (r_in, r_out, t_cap) at ``repr`` precision for the 54
-  coarse brackets (27 random real-7 family states drawn with seed 7, AB and
-  BA at the prefilter's parameters), for the singlet at meas level 1,
-  hidden level 1, tol 1e-2 (m = 21, one exact-kernel call) and for b1 AB at
-  meas level 1, hidden level 2, tol 1e-3 (m = 21, three kernel calls that add
-  the kernel's best columns).
+- ``brackets.txt``: the 54 coarse brackets (27 random real-7 family states,
+  seed 7, AB and BA at ``search._PREFILTER_PARAMS``), the singlet at meas
+  level 1, hidden level 1, tol 1e-2 and b1 AB at meas level 1, hidden
+  level 2, tol 1e-3 (m = 21, one and three exact-kernel calls);
+- ``sweep.txt``: 1500 random real-7 family states (seed 2026), AB and BA, at
+  the prefilter's parameters and at ``RadiusParams()``, each line ending in
+  steerable_detected and unsteerable_certified.
 
-It takes several seconds.
+For each set of brackets (the coarse pool, each m = 21 bracket, each sweep
+setting) it prints the HiGHS runs, those that ended non-optimal (then
+retried by ``lhs.linprog``'s ladder), the brackets that raised
+``LpFailure`` and the exact-kernel calls. With ``--against OTHER``, a
+directory it wrote in another checkout (say, the parent commit's), it then
+prints for each file that differs the largest absolute difference among
+its numbers, or that its text around them differs (a flag, verdict or
+failure); each moved line of ``brackets.txt``; and for ``sweep.txt`` each
+line whose flags or failure differ and the largest move per setting beside
+its tolerance. It exits 1 when any file differs. It takes about 25 s.
 """
-
-from __future__ import annotations
 
 import argparse
 import re
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -39,6 +44,8 @@ import numpy as np  # noqa: E402
 from cyclesteer import cli, lhs, search, states  # noqa: E402
 
 COARSE_STATES, POOL_SEED = 27, 7
+SWEEP_STATES, SWEEP_SEED = 1500, 2026
+SWEEP_PARAMS = {"prefilter": search._PREFILTER_PARAMS, "default": lhs.RadiusParams()}
 
 
 def _command(argv: list[str], out: Path) -> None:
@@ -48,9 +55,49 @@ def _command(argv: list[str], out: Path) -> None:
         raise SystemExit(f"input error from {argv}")
 
 
-def _bracket_line(name: str, rho, params: lhs.RadiusParams) -> str:
-    rep = lhs.critical_radius_bounds(rho, params)
-    return f"{name} {float(rep.r_in)!r} {float(rep.r_out)!r} {float(rep.t_cap)!r}\n"
+def _count_calls() -> Counter:
+    """Count each HiGHS run of ``lhs``, each non-optimal run and each kernel call from now on."""
+    counts, kernel = Counter(), lhs.max_over_strategies
+
+    class Counted(lhs._Highs):
+        def run(self):
+            status = super().run()
+            counts["runs"] += 1
+            counts["not_optimal"] += self.getModelStatus() != lhs.HighsModelStatus.kOptimal
+            return status
+
+    def counted_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    lhs._Highs, lhs.max_over_strategies = Counted, counted_kernel
+    return counts
+
+
+def _random_jobs(name: str, seed: int, n: int, params: lhs.RadiusParams) -> list:
+    """(label, rho, params) for rho_AB and rho_BA of n random real-7 family states at p = 1."""
+    coeffs = np.random.default_rng(seed).standard_normal((n, 7))
+    return [(f"{name} {j} {label}", rho, params)
+            for j, c in enumerate(coeffs) for label, rho in zip(("AB", "BA"), search._reduced_pair(c))]
+
+
+def _bracket_set(name: str, jobs: list, counts: Counter, flags: bool = False) -> list[str]:
+    """Bracket each (label, rho, params) of ``jobs`` into its line, with the
+    report's two flags if ``flags``; prints the set's counts."""
+    counts.clear()
+    start, lines, failures = time.perf_counter(), [], 0
+    for label, rho, params in jobs:
+        try:
+            rep = lhs.critical_radius_bounds(rho, params)
+        except lhs.LpFailure:
+            failures += 1
+            lines.append(f"{label} LpFailure\n")
+            continue
+        tail = f" {rep.steerable_detected} {rep.unsteerable_certified}" if flags else ""
+        lines.append(f"{label} {float(rep.r_in)!r} {float(rep.r_out)!r} {float(rep.t_cap)!r}{tail}\n")
+    print(f"{name}: {len(jobs)} brackets in {time.perf_counter() - start:.1f} s, {counts['runs']} HiGHS runs, "
+          f"{counts['not_optimal']} non-optimal, {failures} LpFailure, {counts['kernel']} kernel calls")
+    return lines
 
 
 def main(outdir: Path) -> None:
@@ -66,17 +113,16 @@ def main(outdir: Path) -> None:
     for sid in ("b3", "w", "ghz"):
         _command(["entanglement", "--state", f"builtin:{sid}"], outdir / f"entanglement_{sid}.json")
 
-    lines = []
-    coeffs = np.random.default_rng(POOL_SEED).standard_normal((COARSE_STATES, 7))
-    for j, c in enumerate(coeffs):
-        rho_ab = states.reduce_pair(states.build_family(search.coeffs_to_state(c), 1.0), "AB")
-        lines.append(_bracket_line(f"coarse {j} AB", rho_ab, search._PREFILTER_PARAMS))
-        lines.append(_bracket_line(f"coarse {j} BA", states.swap_state(rho_ab), search._PREFILTER_PARAMS))
-    fine = lhs.RadiusParams(meas_level=1, hidden_level=1, bisection_tol=1e-2)
-    lines.append(_bracket_line("singlet meas 1 hidden 1", states.singlet(), fine))
-    b1 = states.reduce_pair(states.build_family(states.builtin_state("b1").normalized(), 1.0), "AB")
-    lines.append(_bracket_line("b1 AB meas 1 hidden 2", b1, lhs.RadiusParams(meas_level=1, hidden_level=2)))
+    counts = _count_calls()
+    lines = _bracket_set("coarse", _random_jobs("coarse", POOL_SEED, COARSE_STATES, search._PREFILTER_PARAMS), counts)
+    for label, rho, levels_tol in [("singlet meas 1 hidden 1", states.singlet(), (1, 1, 1e-2)),
+                                   ("b1 AB meas 1 hidden 2", cli._resolve_pair("builtin:b1", None)[0], (1, 2, 1e-3))]:
+        lines += _bracket_set(label, [(label, rho, lhs.RadiusParams(*levels_tol))], counts)
     (outdir / "brackets.txt").write_text("".join(lines))
+    sweep = []
+    for setting, params in SWEEP_PARAMS.items():
+        sweep += _bracket_set(setting, _random_jobs(setting, SWEEP_SEED, SWEEP_STATES, params), counts, flags=True)
+    (outdir / "sweep.txt").write_text("".join(sweep))
 
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
@@ -89,6 +135,19 @@ def largest_move(new_text: str, old_text: str) -> float | None:
     if len(new_parts) != len(old_parts) or new_parts[::2] != old_parts[::2]:
         return None
     return max((abs(float(a) - float(b)) for a, b in zip(new_parts[1::2], old_parts[1::2])), default=0.0)
+
+
+def _sweep_moves(new_text: str, old_text: str) -> None:
+    """Print each line whose flags or failure differ, then the largest move per setting."""
+    moves = dict.fromkeys(SWEEP_PARAMS, 0.0)
+    for new, old in zip(new_text.splitlines(), old_text.splitlines()):
+        moved = largest_move(new, old)
+        if moved is None:
+            print(f"  - {old}\n  + {new}")
+        else:
+            moves[new.split()[0]] = max(moves[new.split()[0]], moved)
+    for setting, moved in moves.items():
+        print(f"  {setting} (tol {SWEEP_PARAMS[setting].bisection_tol:g}): largest move {moved:.3g}")
 
 
 def compare(outdir: Path, other: Path) -> bool:
@@ -107,14 +166,14 @@ def compare(outdir: Path, other: Path) -> bool:
             continue
         same = False
         moved = largest_move(new_text, old_text)
-        if moved is None:
-            print(f"{name}: text differs, not only numbers")
-        else:
-            print(f"{name}: largest absolute difference {moved:.3g}")
+        what = "text differs, not only numbers" if moved is None else f"largest absolute difference {moved:.3g}"
+        print(f"{name}: {what}")
         if name == "brackets.txt":
             for a, b in zip(old_text.splitlines(), new_text.splitlines()):
                 if a != b:
                     print(f"  - {a}\n  + {b}")
+        elif name == "sweep.txt":
+            _sweep_moves(new_text, old_text)
     if same:
         print(f"every file is identical to {other}'s")
     return same

@@ -208,8 +208,7 @@ def cmd_table(args) -> int:
     ico = steering.icosahedron_settings()
     rows = {}
     for sid in states.BUILTIN_IDS:
-        rho3 = states.build_family(states.builtin_state(sid).normalized(), 1.0)
-        rho_ab = states.reduce_pair(rho3, "AB")
+        rho_ab, rho3 = _resolve_pair(f"builtin:{sid}", None)
         report = steering.one_way_gap_scenario1(rho_ab, ico)
         rows[sid] = {
             "negativity_AB": ent.negativity(rho_ab, 0),

@@ -68,9 +68,10 @@ class DensityMatrix:
             raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
         if int(np.prod(self.dims)) != n:
             raise ValueError(f"prod(dims)={np.prod(self.dims)} != matrix dim {n}")
-        if abs(np.trace(mat).real - 1.0) > TOL.trace_one or abs(np.trace(mat).imag) > TOL.trace_one:
+        # "not x <= tol", so that a NaN or an infinite entry fails too
+        if not (abs(np.trace(mat).real - 1.0) <= TOL.trace_one and abs(np.trace(mat).imag) <= TOL.trace_one):
             raise ValueError(f"trace {np.trace(mat):.12f} not 1 within {TOL.trace_one:.1e}")
-        if hermiticity_residual(mat) > TOL.hermiticity:
+        if not hermiticity_residual(mat) <= TOL.hermiticity:
             raise ValueError("density matrix not Hermitian within tolerance")
         wmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
         if wmin < -TOL.psd:

@@ -175,8 +175,9 @@ def objective_scenario1(coeffs, penalty: float = 2.0):
     X = x.reshape(-1, x.shape[-1])
     R, d = X.shape
     norm2 = (X[:, None, :] @ X[:, :, None]).reshape(R)
-    if d not in _S1_FORMS or (np.sqrt(norm2) < TOL.zero_norm).any():
-        coeffs_to_state(X[norm2.argmin()])  # raises its ValueError
+    ok = (TOL.zero_norm <= np.sqrt(norm2)) & (norm2 < np.inf)  # False at NaN
+    if d not in _S1_FORMS or not ok.all():
+        coeffs_to_state(X[ok.argmin()])  # raises its ValueError
     sq = (((_S1_FORMS[d] @ X[:, :, None]).reshape(R, -1, d) @ X[:, :, None]) ** 2).reshape(R, 2, 6, 4)
     q = np.sqrt(np.maximum(sq[..., 0], sq[..., 1:].sum(axis=-1))).sum(axis=-1) / norm2[:, None]
     value = q[:, 0] - penalty * np.fmax(q[:, 1] - _L_ICO, 0.0)  # fmax: max(0, .) even at NaN

@@ -33,8 +33,8 @@ class PureState3Q:
 
     def normalized(self) -> "PureState3Q":
         n = self.norm()
-        if n < TOL.zero_norm:
-            raise ValueError("cannot normalize the zero state")
+        if not TOL.zero_norm <= n < np.inf:  # NaN fails too
+            raise ValueError(f"cannot normalize the zero state or a non-finite one (norm {n})")
         return PureState3Q(self.c / n)
 
     def shifted(self) -> "PureState3Q":

@@ -131,3 +131,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, (2, 3))  # dims mismatch
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]) , (2,))  # not PSD
+    nan_entry = np.eye(4, dtype=complex) / 4
+    nan_entry[0, 1] = np.nan
+    for mat, dims in ((nan_entry, (2, 2)), (np.diag([np.nan, 1.0]), (2,)), (np.diag([np.inf, 1.0]), (2,))):
+        with pytest.raises(ValueError, match="not 1 within|not Hermitian"):  # not LinAlgError, nor accepted
+            DensityMatrix(mat, dims)

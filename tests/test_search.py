@@ -254,8 +254,9 @@ def test_objective_scenario1_scale_invariant(parameterization, scale):
     assert abs(objective_scenario1(scale * vec) - objective_scenario1(vec)) <= 1e-12
 
 
-@pytest.mark.parametrize("vec", [np.zeros(7), np.full(16, TOL.zero_norm / 8), np.ones(5)],
-                         ids=["zero", "below-zero-norm", "length-5"])
+@pytest.mark.parametrize("vec", [np.zeros(7), np.full(16, TOL.zero_norm / 8), np.ones(5), np.full(7, np.nan),
+                                 np.r_[np.inf, np.zeros(6)]],
+                         ids=["zero", "below-zero-norm", "length-5", "nan", "inf"])
 def test_objective_scenario1_rejects_what_coeffs_to_state_rejects(vec):
     with pytest.raises(ValueError):
         coeffs_to_state(vec)
