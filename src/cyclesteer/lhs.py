@@ -1,40 +1,17 @@
-"""LP-based local-hidden-state machinery.
+"""LP-based local-hidden-state machinery: LHS-model decisions with Farkas
+certificates, unsteerability for all projective measurements by inradius
+shrinking, and certified critical-radius brackets [r_in, r_out].
 
-LHS-model feasibility for a finite assemblage with hidden states anywhere
-in the Bloch ball, steering detection with Farkas certificates,
-unsteerability for all projective measurements via inradius shrinking,
-and certified critical-radius brackets [r_in, r_out].
-
-The LP asks for weights w_j >= 0 and the largest t in [0, t_cap] with
-sum_j D_{lambda_j}(a|x) w_j [1, r_j] + t (b0 - b1) = b0: one column j per
-deterministic strategy lambda_j and hidden Bloch vector |r_j| <= 1, along
-a family b(t) = b0 + t (b1 - b0) from b0, ps[x, a] = [1, b]/2 with b
-Bob's Bloch vector, in the assemblage's (m, 2, 4) layout (see
-:mod:`cyclesteer.steering`). Every column and every b(t) is no-signalling,
-sigma_{1|x} = rho_B - sigma_{0|x}, so the LP keeps only the 4(m + 1) rows
-T ps of rho_B = sigma_{0|0} + sigma_{1|0} and of each sigma_{0|x}
-(:func:`_rows`), not all 8m. The exact two-column model of b0
-(:func:`_anchor`) is always in the pool, so the LP is feasible without
-slacks. At each t this is the standard LHS program (Cavalcanti &
-Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)), solved by column
-generation: the pool starts from the t = 0 model, the columns that
-price best on the family's direction b1 - b0 and, for m <= 10, the
-product model's (:func:`_locate`), columns are priced over all 2^m
-strategies for m <= 10 (exact), above from polytope vertices or the
-kernel's best, and one HiGHS model per run, on its thread's one HiGHS
-object (:class:`_Lp`), takes each round's columns, warm-starting the
-simplex. Its dual y, mapped back to the
-(m, 2, 4) layout as T^T y (:func:`_coef`), is a Farkas functional whose
-bound over the ball bounds t* (:func:`_solve`). Pricing and where a run
-stops set accuracy, not soundness: a model from any pool is an LHS model
-once it passes reconstruction with every |r| <= 1 in floating point, and
-a dual detects steering only when it beats its exact Bloch-ball bound
-(:func:`cyclesteer.steering.max_over_strategies`). Decisions run it on
-an assemblage's own radial family up to t_cap = 1 (:func:`lhs_lp_feasible`),
-brackets on a state's (:func:`critical_radius_bounds`): r_in from its
-model, r_out from its functional. Every reported LHS model is the LP's
-own model at the t it was solved for, checked by reconstruction against
-the assemblage at that t of the family the LP ran on.
+One LP serves them all: weights w_j >= 0 and the largest t in [0, t_cap]
+with sum_j D_{lambda_j}(a|x) w_j [1, r_j] + t (b0 - b1) = b0, one column
+per deterministic strategy lambda_j and hidden Bloch vector |r_j| <= 1,
+along a family b(t) = b0 + t (b1 - b0) in the assemblage's (m, 2, 4)
+layout (:mod:`cyclesteer.steering`). At each t it is the standard LHS
+program (Cavalcanti & Skrzypczyk, Rep. Prog. Phys. 80, 024001 (2017)),
+solved by column generation (:func:`_solve`). The LP certifies nothing:
+a model counts only once it passes reconstruction with every |r| <= 1 in
+floating point, and a dual detects steering only where it beats its
+exact Bloch-ball bound (:func:`cyclesteer.steering.max_over_strategies`).
 """
 
 from __future__ import annotations
@@ -59,9 +36,8 @@ EXACT_PRICING_MAX_STRATEGIES = 1024
 _PRICING_TOL = 1e-6
 _CG_MAX_ROUNDS = 400
 _CG_COLUMNS_PER_ROUND = 40
-# At m <= 10 the pool holds every strategy at Bob's state b where 1 - |b| <= this. Without
-# them the LP's largest dual on random product states at hidden level 0 reached 1.4e4 at
-# 1 - |b| = 0.1 (the benchmark states' least), 1e6 at 1e-2, 2e9 at 1e-9 where HiGHS failed.
+# At m <= 10 the pool holds every strategy at Bob's state b where 1 - |b| <= this: without
+# them the LP's duals grow without bound as b nears the sphere, until HiGHS fails.
 _NEAR_PURE = 1e-2
 # A Farkas functional detects steering where it beats its exact bound by more than this.
 _DETECTION_MARGIN = 1e-12
@@ -191,19 +167,14 @@ def _score(coef: np.ndarray, bits: np.ndarray | None = None):
 
 
 def _price(coef: np.ndarray, verts: np.ndarray, bob: np.ndarray, strategies: np.ndarray | None):
-    """Pricing, exact with the table of all 2^m strategies (m <= 10, see
-    _strategies): each strategy at its best state V/|V|, so the top score
-    is the kernel's maximum, as ``strategy_sums`` gives both. Without the table,
-    from each vertex d the strategy best at d (argmax_a c_{a|x} + v_{a|x}.d
-    per setting) at V/|V|, then three more steps alternating strategy and
-    state, none of which lowers the score. At m = 21 four steps against
-    one took, on the singlet, 206 LPs and 13 exact-kernel calls against
-    292 and 31 at hidden level 0, 72 and 5 against 89 and 10 at level 1,
-    53 and 1 against 55 and 1 at level 2, and on Werner(0.8) at level 1
-    76 and 4 against 99 and 4. Bob's own state b is priced as it is: when
-    it is pure, no other state can stand in for it. Returns bits, Bloch
-    vectors and scores of the best distinct columns, best first; hidden
-    states are built for those only."""
+    """Bits, Bloch vectors and scores of the dual ``coef``'s best distinct
+    columns, best first. With the table of all 2^m strategies (m <= 10) it
+    is exact: each strategy at its best state V/|V|, so the top score is the
+    kernel's maximum. Without it, from each vertex d the strategy best at d
+    (argmax_a c_{a|x} + v_{a|x}.d per setting) at V/|V|, then three more
+    steps alternating strategy and state, none of which lowers the score
+    (at m = 21 one step took more LPs and kernel calls). Bob's own state b
+    is priced as it is: when it is pure, no other state stands in for it."""
     bits, r = strategies, verts
     if bits is not None:
         scores, v, norm = _score(coef)
@@ -226,38 +197,22 @@ class _Lp:
 
         min -t   s.t.   A w + t t_col = b,   w >= 0,   0 <= t <= t_cap,
 
-    with column t and then the pool's w in the order ``add`` appends
-    them, on whatever rows b has (``_solve`` passes the 4(m + 1)
-    no-signalling rows of ``_rows``); each ``solve`` warm-starts the
-    simplex from the last basis. With ``dual`` (``_solve`` sets it at
-    m <= 10) the model's first run is HiGHS's dual simplex: t's upper
-    bound t_cap makes the slack basis dual feasible, which skips the
-    primal's phase 1 (3124 iterations against 3679 over the first LPs of
-    the 54 prefilter brackets in ``scripts/reports.py``). Every run of
-    such a model is also unscaled and unperturbed (``_DUAL_OPTIONS``): the
-    rows hold entries in [-1, 1] alone, and with every pool column at cost
-    0 the LP is so dual degenerate that the dual simplex perturbed its
-    costs on every run (those first runs: 2668 iterations against 3124).
-    At m = 21 the dual first run made brackets slower, and so did these
-    three options (b1 AB at meas 1, hidden 2: 174 LPs instead of 123), so
-    there every run is at ``_OPTIONS``. Every run but a dual model's first
-    is the primal: added columns leave the last optimal basis primal
-    feasible but not dual feasible (25 iterations per warm run on
-    radius-default, against the dual simplex's 55). ``linprog``'s last
-    retry, the LP passed anew, runs on the primal, scaled and perturbed as
-    at m = 21 (``_PRIMAL_OPTIONS``), and the model keeps those options; it
-    ends optimal where the dual once ended Infeasible on LPs feasible by
-    construction (two scenario-2 search states). Feasibility tolerances
-    are 1e-10, below the 1e-8 model check (at the default 1e-7 a model
-    came back with a weight of -9e-8, and with presolve one ended
-    Unknown); presolve is off, as at 28 rows it costs more than it saves.
-    ``threads`` stays 0: HiGHS's thread scheduler is one per process, and
-    a run asking for a count other than the one it was started with fails
-    (scipy's ``linprog`` starts it at half the cores, rounded up). The
-    model lives on its thread's one HiGHS object, built from ``_Highs``
-    when first used or rebound, which each run clears and passes
-    ``_OPTIONS`` anew, so no model or option (a stalled run's iteration
-    limit) reaches the next run.
+    with column t and then the pool's w in the order ``add`` appends them;
+    each ``solve`` warm-starts the simplex from the last basis. Every run is
+    the primal simplex, as added columns leave the last basis primal
+    feasible but not dual feasible, except a ``dual`` model's first
+    (``_solve`` sets it at m <= 10): t's upper bound t_cap makes the slack
+    basis dual feasible, which skips the primal's phase 1. A dual model
+    also runs unscaled and unperturbed (``_DUAL_OPTIONS``), as its rows hold
+    entries in [-1, 1] and its zero-cost pool is dual degenerate; at m = 21
+    both made brackets slower. ``linprog``'s last rung runs the primal at
+    ``_PRIMAL_OPTIONS``, and the model keeps them. Feasibility tolerances
+    are 1e-10, below the 1e-8 model check; presolve is off, as at 28 rows
+    it costs more than it saves. ``threads`` stays 0: HiGHS's scheduler is
+    one per process, and a run asking for a count other than the one it
+    started with fails. The model lives on its thread's one HiGHS object,
+    which each run clears and passes ``_OPTIONS`` anew, so no model or
+    option (a stalled run's iteration limit) reaches the next run.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float, dual: bool = False):
@@ -292,9 +247,9 @@ class _Lp:
 
 def linprog(*, A_eq: _Lp) -> OptimizeResult:
     """Run HiGHS on the model ``A_eq`` from its last basis: x, y (row duals)
-    and nit, or LpFailure. The one LP entry point, called as scipy's
-    ``linprog(A_eq=...)`` was, so perfbench's ``lhs.linprog`` span times
-    and sizes (``A_eq.shape``, ``nit``) every run."""
+    and nit, or LpFailure. The one LP entry point, called as
+    ``linprog(A_eq=...)``, so perfbench's ``lhs.linprog`` span times and
+    sizes (``A_eq.shape``, ``nit``) every run."""
     highs, nit = A_eq.highs, 0
 
     def passed_anew():  # primal, scaled and perturbed, as at m = 21 (see _Lp)
@@ -302,8 +257,8 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
             highs.setOptionValue(name, value)
         highs.passModel(highs.getLp())
 
-    # A warm start can end Unknown (in 4 of 600 random m = 6 locators). A cleared basis
-    # and the LP passed anew each solve LPs the other fails on, so each is tried once.
+    # A warm start can end Unknown. A cleared basis and the LP passed anew each
+    # solve LPs the other fails on, so each is tried once.
     for restart in (lambda: None, highs.clearSolver, passed_anew):
         restart()
         highs.run()
@@ -319,21 +274,20 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
 
 
 def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray, t_cap: float, tol: float = 0.0):
-    """The ``_Lp`` over the columns of ``pool`` = (bits, blochs), adding
-    priced columns (``_price``, from the vertices of ``hidden`` above
-    m = 10) or, above m = 10 where those offer none, each of the exact
-    kernel's _CG_COLUMNS_PER_ROUND best strategies that prices in, at
-    V/|V|. b and t_col come in the (m, 2, 4) layout, flat; the LP holds
-    their 4(m + 1) rows T b and T t_col (deleting the rows x >= 1, a = 1
-    instead left a warm-started t* 1.6e-9 off a cold solve at m = 6), and
-    each dual y is priced and bounded as coef = T^T y (``_coef``), whose
-    value on every column and b(t) is y's. Below t_cap, t is basic, so
-    y.b(t') = t' - t, and since an LHS model's weights sum to 1,
-    t* <= t + y's bound over the ball (the Lagrangian bound): the
-    ``_crossing`` of coef / scale, scale = max(1, max|coef|), with its
-    bound, exact pricing's top score / scale at m <= 10 and the kernel's
-    value on its rounds above. The run keeps the least crossing ub and
-    stops once ub - t <= tol, nothing prices above _PRICING_TOL, or after
+    """Column generation on the ``_Lp`` over ``pool`` = (bits, blochs) and
+    the 4(m + 1) rows T b and T t_col (``_rows``) of the flat (m, 2, 4)
+    vectors b and t_col: every column and b(t) is no-signalling, so these
+    rows hold all of the LP. Each dual y is priced and bounded as
+    coef = T^T y (``_coef``), whose value on every column and b(t) is y's;
+    ``_price`` adds columns (from the vertices of ``hidden`` above m = 10)
+    or, above m = 10 where those offer none, each of the exact kernel's
+    _CG_COLUMNS_PER_ROUND best strategies that prices in, at V/|V|. Below
+    t_cap, t is basic, so y.b(t') = t' - t, and since an LHS model's
+    weights sum to 1, t* <= t + y's bound over the ball: the ``_crossing``
+    of coef / scale, scale = max(1, max|coef|), at its bound, exact
+    pricing's top score / scale at m <= 10 and the kernel's value on its
+    rounds above. The run keeps the least crossing ub and stops once
+    ub - t <= tol, nothing prices above _PRICING_TOL, or after
     _CG_MAX_ROUNDS rounds. Returns (t, LHS model of the positive weights
     at t, the functional of ub with that bound, or None at t_cap or with
     no bound); LpFailure only when HiGHS does not end optimal.
@@ -391,22 +345,18 @@ def _at_zero(assemblage: Assemblage) -> Assemblage:
 
 
 def _locate(hidden: SpherePolytope, a0: Assemblage, a1: Assemblage, t_cap: float, tol: float = 0.0):
-    """``_solve`` to within ``tol`` along b(t) = b0 + t (b1 - b0) from a0
-    to a1, a0 the t = 0 assemblage. The pool starts at Bob's state b:
-    with every strategy there where m <= 10 and 1 - |b| <= _NEAR_PURE,
-    else with the two columns of a0's exact model (``_anchor``), the
-    columns ``_price`` finds for the family direction a1 - a0 and, at
+    """``_solve`` to within ``tol`` along b(t) = b0 + t (b1 - b0) from the
+    t = 0 assemblage a0 to a1. Where m <= 10 and 1 - |b| <= _NEAR_PURE, b
+    Bob's state, the pool starts with every strategy at b, which holds a0's
+    model. Else it starts with a0's exact model (``_anchor``), so the LP is
+    feasible without slacks; the columns ``_price`` finds for the direction
+    a1 - a0, as at t = 0 the LP is degenerate and its first dual arbitrary
+    (next to every strategy at b they made HiGHS end Unknown); and, at
     m <= 10, every strategy lambda at r_lambda/|r_lambda|, the V of
     coef[x, a] = [0, c_{a|x} - (1 - 1/m) b], c = s/p (0 where p <= 0) at
     t_cap: the r_lambda = b + sum_x (c_{lambda(x)|x} - b) at weights prod_x
-    p(lambda(x)|x) reproduce that assemblage, outside the ball. So 11 of
-    the tests' 12 pinned coarse brackets end in their first LP (13 LPs,
-    from 48), b1-b3 take 18 (from 36). As b nears the sphere, only columns
-    near b carry weight and the optimal duals grow without bound. At t = 0
-    the LP is degenerate and its first dual arbitrary, so without the
-    direction's columns the first 5-9 LPs of a bracket priced columns that
-    left t at 0. Next to every strategy at b they do harm: 22 of 1000
-    product states at 1 - |b| = 1e-9 then ended Unknown at hidden levels 1 and 2."""
+    p(lambda(x)|x) reproduce that assemblage, outside the ball, so most
+    brackets that end at t_cap close in their first LP."""
     anchor = _anchor(a0)
     strategies, bob = _strategies(a0.m), anchor.blochs[0]
     if strategies is not None and 1 - np.linalg.norm(bob) <= _NEAR_PURE:
@@ -430,15 +380,13 @@ def lhs_lp_feasible(assemblage: Assemblage, hidden: SpherePolytope):
     assemblage [1, b]/2 of its Bob marginal b to t = t_cap = 1, with the
     vertices of the polytope ``hidden`` pricing above m = 10.
 
-    A model is accepted only when t* reaches 1, every hidden state lies
-    in the ball and its reconstruction reproduces the assemblage to
-    within TOL.lp_residual (max-abs over [p, s]); infeasibility only with
-    a Farkas functional that beats its exact Bloch-ball bound on the
-    assemblage, which it carries. Returns (True, LhsCertificate),
-    (False, GeneralFunctional) or (False, None), "not certified"; raises
-    LpFailure when the solver fails. Pricing stops at _PRICING_TOL, so the
-    functional's bound can be up to about 1e-6 and an assemblage whose t*
-    lies within about 1e-6 of 1 can come back (False, None).
+    Returns (True, LhsCertificate) only when t* reaches 1, every hidden
+    state lies in the ball and the model reproduces the assemblage within
+    TOL.lp_residual (max-abs over [p, s]); (False, GeneralFunctional) only
+    when the functional beats its exact Bloch-ball bound on the
+    assemblage; else (False, None), "not certified", as for an assemblage
+    whose t* lies within about 1e-6 of 1, since pricing stops at
+    _PRICING_TOL. Raises LpFailure when the solver fails.
     """
     t, model, functional = _locate(hidden, _at_zero(assemblage), assemblage, 1.0)
     if t >= 1.0 and model.residual(assemblage.ps) <= TOL.lp_residual:
@@ -574,21 +522,17 @@ def _directions(level: int) -> np.ndarray:
 
 def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> RadiusReport:
     """Bracket the critical radius with one LP run (:func:`_locate`) along
-    the radial family from the t = 0 model, the level-``hidden_level``
-    vertices pricing above m = 10, stopped once its bracket on t* is
-    within params.bisection_tol (:func:`_solve`).
+    the radial family, the level-``hidden_level`` vertices pricing above
+    m = 10, stopped once its bracket on t* is within params.bisection_tol.
 
-    r_in = meas.eta min(t, t_cap) at the t where the run stopped (by the
-    shrinking lemma, unsteerability of the shrunk state for all
-    projective measurements) when that is > 0, the mix t rho + (1 - t) A
-    is a state (least eigenvalue >= -TOL.psd) and the LP's own model at t
-    reproduces the family's assemblage a0 + t (a1 - a0), the mix's, to
-    within TOL.lp_residual, the check decisions apply; else r_in = 0 is
-    vacuous. rho_B and A are read once, for t_cap and this check.
-    r_out is the ``_crossing`` t_x of the run's functional (detection at t
-    implies R <= t) where t_x <= t_cap and the functional beats its exact
-    bound on the mixed state's own assemblage at t_x; else r_out = t_cap
-    is vacuous.
+    r_in = meas.eta t at t = min(t*, t_cap) where the run stopped (by the
+    shrinking lemma) when t > 0, the mix t rho + (1 - t) A is a state
+    (least eigenvalue >= -TOL.psd) and the LP's own model reproduces the
+    family's assemblage a0 + t (a1 - a0), the mix's, within
+    TOL.lp_residual; else r_in = 0 is vacuous. r_out is the run
+    functional's ``_crossing`` t_x (detection at t implies R <= t) where
+    t_x <= t_cap and the functional beats its exact bound on the mixed
+    state's own assemblage at t_x; else r_out = t_cap is vacuous.
     """
     meas = sphere_polytope(params.meas_level)
     directions = _directions(params.meas_level)
