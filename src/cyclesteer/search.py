@@ -121,10 +121,13 @@ def coeffs_to_state(vec) -> PureState3Q:
     """Raw optimization vector x -> normalized pure three-qubit state with
     amplitudes _EMBEDDINGS[len(x)] @ x: real-7 fixes c_111 = 0, real-8 frees all
     real coefficients, complex-16 interleaves (re, im) pairs. Normalization
-    removes the redundant global scale and raises ValueError below TOL.zero_norm."""
+    removes the redundant global scale. ValueError on a non-finite entry or
+    a norm below TOL.zero_norm."""
     vec = np.asarray(vec, dtype=float)
     if len(vec) not in _EMBEDDINGS:
         raise ValueError(f"unsupported parameter vector length {len(vec)}")
+    if not np.isfinite(vec).all():  # before the embedding, where 0 * inf is NaN
+        raise ValueError("parameter vector has a non-finite entry")
     return PureState3Q(_EMBEDDINGS[len(vec)] @ vec).normalized()
 
 
@@ -246,8 +249,8 @@ class ObjectiveSpec:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.parameterization not in PARAM_DIMS:
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
-        if self.scenario1_penalty < 0:
-            raise ValueError("scenario1_penalty must be >= 0")
+        if not 0 <= self.scenario1_penalty < np.inf:  # NaN fails too
+            raise ValueError("scenario1_penalty must be finite and >= 0")
 
     @property
     def dim(self) -> int:

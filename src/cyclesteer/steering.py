@@ -62,6 +62,8 @@ class Assemblage:
         if ps.ndim != 3 or ps.shape[1:] != (2, 4):
             raise ValueError(f"expected shape (m, 2, 4), got {ps.shape}")
         object.__setattr__(self, "ps", ps)
+        if not np.isfinite(ps).all():  # a NaN would pass every check below
+            raise ValueError("assemblage has a non-finite entry")
         rho_b = ps.sum(axis=1)
         if np.abs(rho_b - rho_b[0]).max() > TOL.herm_accept:
             raise ValueError("sum_a sigma_{a|x} differs across settings")

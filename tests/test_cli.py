@@ -124,6 +124,19 @@ def test_malformed_state_file_is_input_error(tmp_path, capsys, content):
     assert "state file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mat,dims,message", [
+    (np.full((2, 3), 1 / 6), [2, 3], "matrix must be square, got (2, 3)"),
+    (np.eye(16) / 16, [2, 2, 2, 2], "dimension 16 exceeds supported maximum 8"),
+    (np.eye(8) / 8, [4, 2], "unsupported state dims (4, 2)"),
+], ids=["not-square", "too-large", "dims-4-2"])
+def test_unsupported_density_matrix_file_is_input_error(tmp_path, capsys, mat, dims, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"type": "density_matrix", "dims": dims, "re": mat.tolist(),
+                                "im": np.zeros_like(mat).tolist()}))
+    assert main(["radius", "--state", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def _matrix_file(i, value):
     re = (np.eye(4) / 4).tolist()
     re[i][i] = value
@@ -497,6 +510,29 @@ def test_certify_exits_1_when_refuted(tmp_path, capsys):
     assert data["verdict"] == "refuted"
     assert data["rho_AB"]["r_in"] == pytest.approx(2 * data["rho_AB"]["meas_eta"])
     assert main(["scenario2", "--state", str(path), "--certify"]) == 1
+
+
+def _radius_report(t_in, r_out, detected):
+    return lhs.RadiusReport(t_in=t_in, r_out=r_out, t_cap=2.0, steerable_detected=detected,
+                            params=lhs.RadiusParams(), meas_eta=1.0)
+
+
+@pytest.mark.parametrize("ab,ba,verdict,code", [
+    ((0.0, 0.9, True), (1.0, 2.0, False), "certified-cyclic", 0),
+    ((1.0, 2.0, False), (0.0, 2.0, False), "refuted", 1),
+    ((0.0, 2.0, False), (0.0, 0.9, True), "refuted", 1),
+    ((0.0, 0.9, True), (0.99, 2.0, False), "undetermined-at-this-resolution", 0),
+    ((0.0, 1.0, True), (1.0, 2.0, False), "undetermined-at-this-resolution", 0),
+], ids=["cyclic", "ab-unsteerable", "ba-steerable", "ba-r-in-below-1", "ab-r-out-at-1"])
+def test_scenario2_verdicts(monkeypatch, capsys, ab, ba, verdict, code):
+    """one_way_report's verdict from its two brackets, (t_in, r_out,
+    steerable_detected) for AB and then BA at meas_eta 1, and --certify's
+    exit code on it: 1 only on refuted."""
+    reports = iter([_radius_report(*ab), _radius_report(*ba)])
+    monkeypatch.setattr(lhs, "critical_radius_bounds", lambda rho, params: next(reports))
+    got, data = run(capsys, "scenario2", "--state", "builtin:b1", "--certify")
+    assert (got, data["verdict"]) == (code, verdict)
+    assert (data["R1_out_AB"], data["R2_in_BA"]) == (ab[1], ba[0])
 
 
 def test_scenario1_verdict_none(tmp_path, capsys):

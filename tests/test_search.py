@@ -396,8 +396,9 @@ def test_objective_spec_validation():
         ObjectiveSpec(kind="scenario3")
     with pytest.raises(ValueError):
         ObjectiveSpec(parameterization="real-9")
-    with pytest.raises(ValueError):
-        ObjectiveSpec(scenario1_penalty=-1.0)
+    for penalty in (-1.0, np.nan, np.inf):  # NaN gives a NaN objective, inf gives inf * 0
+        with pytest.raises(ValueError, match="scenario1_penalty"):
+            ObjectiveSpec(scenario1_penalty=penalty)
     assert ObjectiveSpec(parameterization="complex-16").dim == 16
 
 

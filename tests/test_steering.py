@@ -234,6 +234,11 @@ def test_assemblage_validation():
         Assemblage(bad)
     with pytest.raises(ValueError, match="shape"):
         Assemblage(np.zeros((2, 2, 2, 2)))
+    for value in (np.nan, np.inf):  # NaN passes every "x > tol" check
+        bad = good.copy()
+        bad[1, 0, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Assemblage(bad)
 
 
 def test_quantum_value_singlet_saturates_directions():
