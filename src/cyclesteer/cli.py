@@ -118,7 +118,7 @@ def cmd_scenario1(args) -> int:
 
 def cmd_scenario2(args) -> int:
     rho_ab, _ = _resolve_pair(args.state, args.p)
-    report = lhs.one_way_report(rho_ab, states.swap_state(rho_ab), args.radius)
+    report = lhs.one_way_report(rho_ab, args.radius)
     _emit(report.to_dict(), args.out)
     if args.certify and report.verdict == "refuted":
         return 1

@@ -26,6 +26,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, _Highs
 
 from .linalg import DensityMatrix, ID2
 from .polytope import MAX_LEVEL, SpherePolytope, antipodal_directions, sphere_polytope
+from .states import swap_state
 from .steering import MAX_ENUM_SETTINGS, Assemblage, make_assemblage, max_over_strategies, strategy_sums
 from .tolerances import TOL
 
@@ -200,12 +201,12 @@ class _Lp:
     with column t and then the pool's w in the order ``add`` appends them;
     each ``solve`` warm-starts the simplex from the last basis. Every run is
     the primal simplex, as added columns leave the last basis primal
-    feasible but not dual feasible, except a ``dual`` model's first
-    (``_solve`` sets it at m <= 10): t's upper bound t_cap makes the slack
-    basis dual feasible, which skips the primal's phase 1. A dual model
-    also runs unscaled and unperturbed (``_DUAL_OPTIONS``), as its rows hold
-    entries in [-1, 1] and its zero-cost pool is dual degenerate; at m = 21
-    both made brackets slower. ``linprog``'s last rung runs the primal at
+    feasible but not dual feasible, except a dual model's first, a model
+    of 4(m + 1) rows with m <= 10 (``_strategies``): t's upper bound t_cap
+    makes the slack basis dual feasible, which skips the primal's phase 1.
+    A dual model also runs unscaled and unperturbed (``_DUAL_OPTIONS``), as
+    its rows hold entries in [-1, 1] and its zero-cost pool is dual
+    degenerate; at m = 21 both made brackets slower. ``linprog``'s last rung runs the primal at
     ``_PRIMAL_OPTIONS``, and the model keeps them. Feasibility tolerances
     are 1e-10, below the 1e-8 model check; presolve is off, as at 28 rows
     it costs more than it saves. ``threads`` stays 0: HiGHS's scheduler is
@@ -215,13 +216,13 @@ class _Lp:
     option (a stalled run's iteration limit) reaches the next run.
     """
 
-    def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float, dual: bool = False):
+    def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
         if type(getattr(_THREAD, "highs", None)) is not _Highs:
             _THREAD.highs = _Highs()
         self.highs = _THREAD.highs
         self.highs.clearModel()
         self.highs.passOptions(_OPTIONS)
-        if dual:
+        if _strategies(len(b) // 4 - 1) is not None:
             for name, value in _DUAL_OPTIONS.items():
                 self.highs.setOptionValue(name, value)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
@@ -296,7 +297,7 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     pool_bits, pool_blochs = pool
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     strategies = _strategies(m)
-    lp = _Lp(_rows(b), _rows(t_col), t_cap, dual=strategies is not None)
+    lp = _Lp(_rows(b), _rows(t_col), t_cap)
     lp.add(_columns(pool_bits, pool_blochs))
     ub, functional = np.inf, None
     for _ in range(_CG_MAX_ROUNDS):
@@ -558,7 +559,19 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
 class OneWayReport:
     report_ab: RadiusReport
     report_ba: RadiusReport
-    verdict: str    # certified-cyclic | refuted | undetermined-at-this-resolution
+
+    @property
+    def verdict(self) -> str:
+        """certified-cyclic where r_out(AB) < 1 <= r_in(BA), both certified;
+        refuted where AB is certified unsteerable or BA certified steerable
+        below t = 1, as then the one-way property cannot hold; else
+        undetermined-at-this-resolution."""
+        ab, ba = self.report_ab, self.report_ba
+        if ab.steerable_detected and ab.r_out < 1.0 and ba.r_in >= 1.0:
+            return "certified-cyclic"
+        if ab.r_in >= 1.0 or (ba.steerable_detected and ba.r_out < 1.0):
+            return "refuted"
+        return "undetermined-at-this-resolution"
 
     def to_dict(self) -> dict:
         r1, r2 = self.report_ab.r_out, self.report_ba.r_in
@@ -572,18 +585,8 @@ class OneWayReport:
         }
 
 
-def one_way_report(
-    rho_ab: DensityMatrix, rho_ba: DensityMatrix, params: RadiusParams = RadiusParams()
-) -> OneWayReport:
-    """Evaluate the cyclic feasibility conditions r_out(AB) < 1 <= r_in(BA)."""
-    rep_ab = critical_radius_bounds(rho_ab, params)
-    rep_ba = critical_radius_bounds(rho_ba, params)
-    if rep_ab.steerable_detected and rep_ab.r_out < 1.0 and rep_ba.r_in >= 1.0:
-        verdict = "certified-cyclic"
-    elif rep_ab.r_in >= 1.0 or (rep_ba.steerable_detected and rep_ba.r_out < 1.0):
-        # AB certified unsteerable, or BA certified steerable below t=1:
-        # the one-way property cannot hold.
-        verdict = "refuted"
-    else:
-        verdict = "undetermined-at-this-resolution"
-    return OneWayReport(report_ab=rep_ab, report_ba=rep_ba, verdict=verdict)
+def one_way_report(rho_ab: DensityMatrix, params: RadiusParams = RadiusParams()) -> OneWayReport:
+    """Bracket rho_AB and rho_BA = V rho_AB V^dagger for the cyclic conditions
+    r_out(AB) < 1 <= r_in(BA): a translationally invariant state has
+    rho_BC = rho_CA = rho_AB, so this one pair decides the cycle."""
+    return OneWayReport(critical_radius_bounds(rho_ab, params), critical_radius_bounds(swap_state(rho_ab), params))

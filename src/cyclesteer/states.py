@@ -37,10 +37,6 @@ class PureState3Q:
             raise ValueError(f"cannot normalize the zero state or a non-finite one (norm {n})")
         return PureState3Q(self.c / n)
 
-    def shifted(self) -> "PureState3Q":
-        """Apply the party shift: (S psi)_{ijk} = c_{kij}."""
-        return PureState3Q(self.c.reshape(2, 2, 2).transpose(1, 2, 0).reshape(8))
-
 
 def singlet() -> DensityMatrix:
     """(|01> - |10>)/sqrt(2) as a density matrix."""
@@ -63,17 +59,16 @@ SHIFT_OPERATOR.flags.writeable = SWAP_OPERATOR.flags.writeable = False
 
 
 def build_family(psi1: PureState3Q, p: float) -> DensityMatrix:
-    """Translationally invariant mixture of the three shifted copies of
-    psi1 with white noise weight (1 - p)."""
+    """Translationally invariant mixture of the three shifted copies
+    S^k psi1 (SHIFT_OPERATOR) with white noise weight (1 - p)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     if abs(psi1.norm() - 1.0) > TOL.state_norm:
         raise ValueError(f"psi1 norm {psi1.norm():.12f} not 1 within {TOL.state_norm:.1e}")
-    acc = np.zeros((8, 8), dtype=complex)
-    psi = psi1
+    acc, psi = np.zeros((8, 8), dtype=complex), psi1.c
     for _ in range(3):
-        acc += np.outer(psi.c, psi.c.conj())
-        psi = psi.shifted()
+        acc += np.outer(psi, psi.conj())
+        psi = SHIFT_OPERATOR @ psi
     return DensityMatrix(p * acc / 3 + (1 - p) * np.eye(8) / 8, (2, 2, 2))
 
 

@@ -166,8 +166,7 @@ def test_08_interval_consistency_b1():
     with check(8, "reference-interval consistency for the first search state"):
         rho3 = build_family(builtin_state("b1").normalized(), 1.0)
         rho_ab = reduce_pair(rho3, "AB")
-        rho_ba = swap_state(rho_ab)
-        rep = one_way_report(rho_ab, rho_ba, RadiusParams())
+        rep = one_way_report(rho_ab, RadiusParams())
         # our certified bracket must be consistent with the reference bracket:
         # lower bounds stay below its r_out, upper bounds above its r_in
         assert rep.report_ab.r_in <= 0.99822006 + 1e-9

@@ -263,9 +263,9 @@ class _ColdChecked(_Lp):
 
     rounds = []
 
-    def __init__(self, b, t_col, t_cap, **simplex):
+    def __init__(self, b, t_col, t_cap):
         self.b, self.parts = b, []
-        super().__init__(b, t_col, t_cap, **simplex)
+        super().__init__(b, t_col, t_cap)
 
     def add(self, cols, cost=0.0, upper=np.inf):
         self.parts.append((cols, np.full(cols.shape[1], cost), np.full(cols.shape[1], upper)))
@@ -1550,7 +1550,7 @@ def test_critical_radius_unsteerable_state_vacuous_upper():
 
 
 def test_one_way_report_symmetric_state_refuted_or_undetermined():
-    rep = one_way_report(werner(1.0), werner(1.0), RadiusParams(hidden_level=1, bisection_tol=1e-2))
+    rep = one_way_report(werner(1.0), RadiusParams(hidden_level=1, bisection_tol=1e-2))  # rho_BA = rho_AB
     # a symmetric steerable state can never be certified cyclic
     assert rep.verdict in ("refuted", "undetermined-at-this-resolution")
     d = rep.to_dict()
