@@ -21,7 +21,8 @@ bracket: its label, then r_in, r_out and t_cap at ``repr`` precision, or
 For each set of brackets (the coarse pool, each m = 21 bracket, each sweep
 setting) it prints the HiGHS runs, those that ended non-optimal (then
 retried by ``lhs.linprog``'s ladder), the brackets that raised
-``LpFailure`` and the exact-kernel calls. With ``--against OTHER``, a
+``LpFailure`` and the exact-kernel calls; it exits 1 when any bracket
+raised ``LpFailure``. With ``--against OTHER``, a
 directory it wrote in another checkout (say, the parent commit's), it then
 prints for each file that differs the largest absolute difference among
 its numbers, or that its text around them differs (a flag, verdict or
@@ -100,7 +101,9 @@ def _bracket_set(name: str, jobs: list, counts: Counter, flags: bool = False) ->
     return lines
 
 
-def main(outdir: Path) -> None:
+def main(outdir: Path, against: Path | None = None) -> int:
+    """Write the reports to ``outdir`` and compare them with ``against``'s;
+    the exit code, 1 when a bracket raised LpFailure or a file differs."""
     outdir.mkdir(parents=True, exist_ok=True)
     for sid in ("sc1", "b1", "b2", "b3", "w", "ghz"):
         _command(["scenario2", "--state", f"builtin:{sid}"], outdir / f"scenario2_{sid}.json")
@@ -123,6 +126,10 @@ def main(outdir: Path) -> None:
     for setting, params in SWEEP_PARAMS.items():
         sweep += _bracket_set(setting, _random_jobs(setting, SWEEP_SEED, SWEEP_STATES, params), counts, flags=True)
     (outdir / "sweep.txt").write_text("".join(sweep))
+    if failures := sum(line.endswith(" LpFailure\n") for line in lines + sweep):
+        print(f"{failures} brackets raised LpFailure")
+    same = against is None or compare(outdir, against)
+    return int(bool(failures) or not same)
 
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
@@ -184,6 +191,4 @@ if __name__ == "__main__":
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--against", type=Path, default=None)
     args = parser.parse_args()
-    main(args.outdir)
-    if args.against is not None and not compare(args.outdir, args.against):
-        raise SystemExit(1)
+    raise SystemExit(main(args.outdir, args.against))

@@ -206,14 +206,15 @@ class _Lp:
     makes the slack basis dual feasible, which skips the primal's phase 1.
     A dual model also runs unscaled and unperturbed (``_DUAL_OPTIONS``), as
     its rows hold entries in [-1, 1] and its zero-cost pool is dual
-    degenerate; at m = 21 both made brackets slower. ``linprog``'s last rung runs the primal at
-    ``_PRIMAL_OPTIONS``, and the model keeps them. Feasibility tolerances
-    are 1e-10, below the 1e-8 model check; presolve is off, as at 28 rows
-    it costs more than it saves. ``threads`` stays 0: HiGHS's scheduler is
-    one per process, and a run asking for a count other than the one it
-    started with fails. The model lives on its thread's one HiGHS object,
-    which each run clears and passes ``_OPTIONS`` anew, so no model or
-    option (a stalled run's iteration limit) reaches the next run.
+    degenerate; at m = 21 both made brackets slower. ``linprog``'s last
+    rung runs the primal at ``_PRIMAL_OPTIONS``, and the model keeps them.
+    Feasibility tolerances are 1e-10, below the 1e-8 model check; presolve
+    is off, as at 28 rows it costs more than it saves. ``threads`` stays 0:
+    HiGHS's scheduler is one per process, and a run asking for a count
+    other than the one it started with fails. The model lives on its
+    thread's one HiGHS object, which each run clears and passes
+    ``_OPTIONS`` anew, so no model or option (a stalled run's iteration
+    limit) reaches the next run.
     """
 
     def __init__(self, b: np.ndarray, t_col: np.ndarray, t_cap: float):
@@ -461,7 +462,7 @@ class RadiusParams:
             level = getattr(self, name)
             if type(level) is not int or not 0 <= level <= top:
                 raise ValueError(f"{name} {level!r} is not an integer in [0, {top}]")
-        if not 0 < self.bisection_tol < np.inf:
+        if type(self.bisection_tol) is bool or not 0 < self.bisection_tol < np.inf:
             raise ValueError(f"bisection_tol {self.bisection_tol!r} is not finite and > 0")
 
 

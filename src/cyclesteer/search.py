@@ -33,9 +33,18 @@ _SPREAD_TOL, _INITIAL_STEP = 1e-8, 0.25
 _LOCKSTEP_BLOCK = 512
 
 
+def _check_count(name: str, value, least: int):
+    """ValueError unless ``value`` is an int >= ``least`` (a bool is not a count)."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} {value!r} is not an integer >= {least}")
+
+
 @dataclass(frozen=True)
 class NMParams:
     max_iter: int = 5000
+
+    def __post_init__(self):
+        _check_count("max_iter", self.max_iter, 0)
 
 
 def nelder_mead(objective, x0, params: NMParams = NMParams()):
@@ -382,8 +391,7 @@ def multi_restart(
     ``resume_path``, restarts already present in the log are replayed
     from it instead of recomputed.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_count("restarts", restarts, 1)
     done = _load_resume(resume_path, spec, seed, restarts) if resume_path else {}
     starts = ((i, [seed, i], np.random.default_rng([seed, i]).standard_normal(spec.dim))
               for i in range(restarts))
@@ -396,6 +404,7 @@ def two_stage_search(
     """Scenario-2 pipeline: cheap prefilter restarts (``full_spec`` with
     the prefilter objective), then the full radius-gap objective started
     from the best prefilter candidates."""
+    _check_count("top_k", top_k, 1)
     stage1 = multi_restart(replace(full_spec, kind="scenario2_prefilter"), restarts, seed, log_file=log_file)
     candidates = sorted(stage1.records, key=lambda r: r.q, reverse=True)[:top_k]
     starts = ((rank, c.seed, np.array(c.coeffs)) for rank, c in enumerate(candidates))

@@ -1502,6 +1502,7 @@ def test_hidden_level_has_no_effect_at_m_up_to_10():
     ("meas_level", 2), ("meas_level", -1), ("hidden_level", 5), ("hidden_level", -1),
     ("meas_level", True), ("meas_level", 1.0),
     ("bisection_tol", 0), ("bisection_tol", -1), ("bisection_tol", np.inf), ("bisection_tol", np.nan),
+    ("bisection_tol", True),
 ])
 def test_radius_params_reject_settings_out_of_range(field, value, monkeypatch):
     """RadiusParams checks its own fields, so no API caller can ask for a

@@ -1,10 +1,15 @@
-"""scripts/reports.py's ``compare`` reports each way two report directories differ.
+"""scripts/reports.py: the names it reads from the package resolve, it exits 1
+when a bracket raises LpFailure, and ``compare`` reports each way two report
+directories differ.
 
 The script is loaded by path, as a script; these tests run no bracket.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _REPORTS_PATH = Path(__file__).resolve().parents[1] / "scripts" / "reports.py"
 
@@ -17,6 +22,62 @@ def _load_reports():
 
 
 reports = _load_reports()
+
+
+def _package_names():
+    """Each dotted name the script reads or assigns on a package module it
+    imports (``lhs._Highs``, ``search._reduced_pair``, ...), in full."""
+    tree = ast.parse(_REPORTS_PATH.read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "cyclesteer" for alias in node.names}
+    names = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            names.add(".".join([node.id, *chain]))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("dotted", _package_names())
+def test_script_names_resolve(dotted):
+    """A rename in the package fails here, not only when someone runs the
+    script; a patched name (``lhs._Highs``) that is gone would be patched in
+    silently and count nothing."""
+    module, *path = dotted.split(".")
+    obj = getattr(reports, module)
+    for attr in path:
+        assert hasattr(obj, attr), f"{dotted}: no {attr!r}"
+        obj = getattr(obj, attr)
+
+
+def test_private_names_are_covered():
+    assert {"lhs._Highs", "lhs.max_over_strategies", "lhs.HighsModelStatus.kOptimal", "search._PREFILTER_PARAMS",
+            "search._reduced_pair", "cli._resolve_pair"} <= set(_package_names())
+
+
+@pytest.mark.parametrize("fails, code", [(False, 0), (True, 1)])
+def test_main_exits_1_when_a_bracket_raises_lp_failure(tmp_path, monkeypatch, capsys, fails, code):
+    """On one state per bracket set, with no CLI report and a stand-in bracket."""
+    lhs = reports.lhs
+    monkeypatch.setattr(lhs, "_Highs", lhs._Highs)  # restored after main's counting patch
+    monkeypatch.setattr(lhs, "max_over_strategies", lhs.max_over_strategies)
+    monkeypatch.setattr(reports, "_command", lambda argv, out: None)
+    monkeypatch.setattr(reports, "COARSE_STATES", 1)
+    monkeypatch.setattr(reports, "SWEEP_STATES", 1)
+
+    def bracket(rho, params):
+        if fails and params == reports.SWEEP_PARAMS["default"]:
+            raise lhs.LpFailure("stand-in")
+        return lhs.RadiusReport(t_in=0.5, r_out=0.75, t_cap=1.0, steerable_detected=True, params=params, meas_eta=1.0)
+
+    monkeypatch.setattr(lhs, "critical_radius_bounds", bracket)
+    assert reports.main(tmp_path / "out") == code
+    out = capsys.readouterr().out
+    assert ("2 brackets raised LpFailure" in out) == fails
+    assert (tmp_path / "out" / "sweep.txt").read_text().count("LpFailure") == 2 * fails
 
 SWEEP = (
     "prefilter 0 AB 0.5 0.75 1.0 True True\n"

@@ -386,9 +386,17 @@ def test_multi_restart_resume_rejects_negative_restart(tmp_path):
         multi_restart(spec, 2, seed=3, resume_path=log_path)
 
 
-def test_multi_restart_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        multi_restart(ObjectiveSpec(), 0, seed=1)
+def test_multi_restart_rejects_bad_counts(monkeypatch):
+    """A restart count is an int >= 1 (True ran one restart, 2.5 raised
+    TypeError from range), and two_stage_search's top_k one too, checked
+    before any restart runs (0 ended in max() of an empty sequence)."""
+    for restarts in (0, True, 2.5):
+        with pytest.raises(ValueError, match=f"^restarts {restarts!r} is not an integer >= 1"):
+            multi_restart(ObjectiveSpec(), restarts, seed=1)
+    monkeypatch.setattr("cyclesteer.search._run_restarts", lambda *args: pytest.fail("a restart ran"))
+    for top_k in (0, True):
+        with pytest.raises(ValueError, match=f"^top_k {top_k!r} is not an integer >= 1"):
+            two_stage_search(ObjectiveSpec(kind="scenario2_full"), 1, seed=1, top_k=top_k)
 
 
 def test_objective_spec_validation():
@@ -399,6 +407,11 @@ def test_objective_spec_validation():
     for penalty in (-1.0, np.nan, np.inf):  # NaN gives a NaN objective, inf gives inf * 0
         with pytest.raises(ValueError, match="scenario1_penalty"):
             ObjectiveSpec(scenario1_penalty=penalty)
+    # -3 ran 0 iterations and 1.5 raised TypeError from range; 0 stays valid
+    for max_iter in (-3, 1.5, True):
+        with pytest.raises(ValueError, match=f"^max_iter {max_iter!r} is not an integer >= 0"):
+            ObjectiveSpec(nm=NMParams(max_iter=max_iter))
+    assert NMParams(max_iter=0).max_iter == 0
     assert ObjectiveSpec(parameterization="complex-16").dim == 16
 
 
