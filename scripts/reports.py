@@ -77,9 +77,11 @@ def _count_calls() -> Counter:
 
 def _random_jobs(name: str, seed: int, n: int, params: lhs.RadiusParams) -> list:
     """(label, rho, params) for rho_AB and rho_BA of n random real-7 family states at p = 1."""
-    coeffs = np.random.default_rng(seed).standard_normal((n, 7))
-    return [(f"{name} {j} {label}", rho, params)
-            for j, c in enumerate(coeffs) for label, rho in zip(("AB", "BA"), search._reduced_pair(c))]
+    jobs = []
+    for j, c in enumerate(np.random.default_rng(seed).standard_normal((n, 7))):
+        rho_ab = search._reduced_pair(c)
+        jobs += [(f"{name} {j} AB", rho_ab, params), (f"{name} {j} BA", states.swap_state(rho_ab), params)]
+    return jobs
 
 
 def _bracket_set(name: str, jobs: list, counts: Counter, flags: bool = False) -> list[str]:

@@ -18,7 +18,6 @@ from functools import cache
 
 from . import entanglement as ent
 from . import lhs, search, states, steering
-from .tolerances import TOL
 
 
 def _round_floats(obj):
@@ -99,21 +98,12 @@ def _fig_data_csv(report: steering.Scenario1Report, path: str):
 def cmd_scenario1(args) -> int:
     rho_ab, _ = _resolve_pair(args.state, args.p)
     report = steering.one_way_gap_scenario1(rho_ab, steering.icosahedron_settings())
-    if abs(report.Q_ab - report.Q_ba) < TOL.scenario1_margin:
-        verdict = "symmetric"
-    elif report.one_way:
-        verdict = "one-way"
-    elif report.violates_ab and not report.respects_ba:
-        verdict = "two-way"
-    else:
-        verdict = "none"
     data = report.to_dict()
     data["negativity"] = ent.negativity(rho_ab, 0)
-    data["verdict"] = verdict
     _emit(data, args.out)
     if args.fig_data:
         _fig_data_csv(report, args.fig_data)
-    return 0 if verdict == "one-way" else 1
+    return 0 if report.one_way else 1
 
 
 def cmd_scenario2(args) -> int:

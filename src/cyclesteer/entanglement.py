@@ -29,7 +29,10 @@ def is_ppt(rho: DensityMatrix, cut: int = 0) -> bool:
 class GteResult:
     lhs: float
     rhs: float
-    detected: bool
+
+    @property
+    def detected(self) -> bool:
+        return self.lhs > self.rhs
 
     def to_dict(self) -> dict:
         return {"lhs": self.lhs, "rhs": self.rhs, "detected": self.detected}
@@ -51,7 +54,7 @@ def gte_criterion(rho3: DensityMatrix) -> GteResult:
     d = np.clip(np.diag(m).real, 0, None)
     lhs = float(abs(m[0, 7]))
     rhs = float(np.sqrt(d[1] * d[6]) + np.sqrt(d[2] * d[5]) + np.sqrt(d[3] * d[4]))
-    return GteResult(lhs=lhs, rhs=rhs, detected=lhs > rhs)
+    return GteResult(lhs=lhs, rhs=rhs)
 
 
 def entanglement_report(rho3: DensityMatrix) -> dict:

@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .lhs import RadiusParams, critical_radius_bounds
+from .lhs import RadiusParams, one_way_report
 from .linalg import PAULIS
-from .states import SHIFT_OPERATOR, PureState3Q, build_family, reduce_pair, swap_state
+from .states import SHIFT_OPERATOR, PureState3Q, build_family, reduce_pair
 from .steering import icosahedron_settings, lhs_bound_L
 from .tolerances import TOL
 
@@ -140,10 +140,9 @@ def coeffs_to_state(vec) -> PureState3Q:
     return PureState3Q(_EMBEDDINGS[len(vec)] @ vec).normalized()
 
 
-def _reduced_pair(vec) -> tuple:
-    psi = coeffs_to_state(vec)
-    rho_ab = reduce_pair(build_family(psi, 1.0), "AB")
-    return rho_ab, swap_state(rho_ab)
+def _reduced_pair(vec):
+    """rho_AB of the family state at p = 1 with coefficients ``vec``."""
+    return reduce_pair(build_family(coeffs_to_state(vec), 1.0), "AB")
 
 
 # --- objectives -----------------------------------------------------------
@@ -196,11 +195,6 @@ def objective_scenario1(coeffs, penalty: float = 2.0):
     return float(value[0]) if x.ndim == 1 else value
 
 
-def _radius_midpoint(rho, params: RadiusParams) -> float:
-    rep = critical_radius_bounds(rho, params)
-    return (rep.r_in + rep.r_out) / 2
-
-
 _PREFILTER_PARAMS = RadiusParams(meas_level=0, hidden_level=0, bisection_tol=1e-2)
 # Weights of the scenario-2 objectives (see their docstrings).
 _PREFILTER_DELTA, _PREFILTER_PENALTY = 1.2, 1.0
@@ -215,9 +209,8 @@ def objective_scenario2_prefilter(coeffs) -> float:
     (This proxies the analytic critical-radius upper bound the original
     procedure used for preprocessing; the functional shape is identical.)
     """
-    rho_ab, rho_ba = _reduced_pair(coeffs)
-    rt_ab = _radius_midpoint(rho_ab, _PREFILTER_PARAMS)
-    rt_ba = _radius_midpoint(rho_ba, _PREFILTER_PARAMS)
+    rep = one_way_report(_reduced_pair(coeffs), _PREFILTER_PARAMS)
+    rt_ab, rt_ba = ((r.r_in + r.r_out) / 2 for r in (rep.report_ab, rep.report_ba))
     return rt_ba - rt_ab - _PREFILTER_PENALTY * max(0.0, rt_ba - _PREFILTER_DELTA)
 
 
@@ -234,9 +227,8 @@ def objective_scenario2_full(coeffs, radius_params: RadiusParams = RadiusParams(
 
     with c1 = c2 = 1 and c3 = 0.5.
     """
-    rho_ab, rho_ba = _reduced_pair(coeffs)
-    r1 = critical_radius_bounds(rho_ab, radius_params).r_out
-    r2 = critical_radius_bounds(rho_ba, radius_params).r_in
+    rep = one_way_report(_reduced_pair(coeffs), radius_params)
+    r1, r2 = rep.report_ab.r_out, rep.report_ba.r_in
     return (
         r2 - r1
         - _C1 * max(0.0, r1 - 1.0)
@@ -288,8 +280,15 @@ class RestartRecord:
 @dataclass
 class SearchResult:
     records: list
-    best_q: float
-    best_coeffs: np.ndarray
+
+    @property
+    def best_q(self) -> float:
+        return max(r.q for r in self.records)
+
+    @property
+    def best_coeffs(self) -> np.ndarray:
+        """The coefficients of the first record with the largest q."""
+        return np.array(max(self.records, key=lambda r: r.q).coeffs)
 
     @property
     def best_state(self) -> PureState3Q:
@@ -375,9 +374,7 @@ def _run_restarts(spec: ObjectiveSpec, starts, log_file, done: dict) -> SearchRe
                     log_file.write(found[todo[written][0]].to_json_line() + "\n")
                     log_file.flush()
                 written += 1
-    records = [found[restart] for restart, _, _ in starts]
-    best = max(records, key=lambda r: r.q)
-    return SearchResult(records=records, best_q=best.q, best_coeffs=np.array(best.coeffs))
+    return SearchResult(records=[found[restart] for restart, _, _ in starts])
 
 
 def multi_restart(

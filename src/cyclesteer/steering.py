@@ -184,15 +184,33 @@ class Scenario1Report:
     L: float
     Q_ab: float
     Q_ba: float
-    violates_ab: bool
-    respects_ba: bool
     lhs_signs: np.ndarray
     observables_ab: list[OptimalObservable]
     setting_blochs: np.ndarray
 
     @property
+    def violates_ab(self) -> bool:
+        return self.Q_ab > self.L
+
+    @property
+    def respects_ba(self) -> bool:
+        return self.Q_ba <= self.L + TOL.scenario1_margin
+
+    @property
+    def verdict(self) -> str:
+        """symmetric where Q_AB and Q_BA agree within TOL.scenario1_margin, as a
+        state the party swap leaves alone cannot be one-way; else one-way where
+        Q_AB > L >= Q_BA (within the margin), two-way where both exceed L, and
+        none where Q_AB does not."""
+        if abs(self.Q_ab - self.Q_ba) < TOL.scenario1_margin:
+            return "symmetric"
+        if self.violates_ab:
+            return "one-way" if self.respects_ba else "two-way"
+        return "none"
+
+    @property
     def one_way(self) -> bool:
-        return self.violates_ab and self.respects_ba
+        return self.verdict == "one-way"
 
     def to_dict(self) -> dict:
         return {
@@ -204,21 +222,13 @@ class Scenario1Report:
             "a_identity_weights": [obs.identity_weight for obs in self.observables_ab],
             "b_vectors": self.setting_blochs.tolist(),
             "lhs_signs": self.lhs_signs.tolist(),
+            "verdict": self.verdict,
         }
 
 
 def one_way_gap_scenario1(rho_ab: DensityMatrix, b: np.ndarray) -> Scenario1Report:
-    """Check Q(rho_AB) > L together with Q(rho_BA) <= L for settings b (m, 3)."""
+    """Q(rho_AB) and Q(rho_BA) against L for settings b (m, 3)."""
     L, signs = lhs_bound_L(b)
     q_ab, obs_ab = quantum_value_Q(rho_ab, b)
     q_ba, _ = quantum_value_Q(swap_state(rho_ab), b)
-    return Scenario1Report(
-        L=L,
-        Q_ab=q_ab,
-        Q_ba=q_ba,
-        violates_ab=q_ab > L,
-        respects_ba=q_ba <= L + TOL.scenario1_margin,
-        lhs_signs=signs,
-        observables_ab=obs_ab,
-        setting_blochs=b,
-    )
+    return Scenario1Report(L=L, Q_ab=q_ab, Q_ba=q_ba, lhs_signs=signs, observables_ab=obs_ab, setting_blochs=b)

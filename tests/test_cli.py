@@ -46,6 +46,21 @@ def test_scenario1_state_file(capsys, tmp_path):
     assert data["verdict"] in ("symmetric", "two-way", "none")
 
 
+def test_scenario1_verdict_is_the_reports(capsys, tmp_path):
+    """Werner(p) just past p = L/6 has Q_AB = Q_BA a hair above L. The party
+    swap leaves it alone, so it is symmetric, not one-way, both in the
+    report and in what the CLI prints."""
+    ico = steering.icosahedron_settings()
+    rho = werner(steering.lhs_bound_L(ico)[0] / 6 + 2e-11)
+    rep = steering.one_way_gap_scenario1(rho, ico)
+    assert rep.Q_ab > rep.L and rep.respects_ba
+    assert rep.verdict == "symmetric" and rep.one_way is False
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(state_to_json(rho)))
+    code, data = run(capsys, "scenario1", "--state", str(path))
+    assert (code, data["verdict"]) == (1, "symmetric")
+
+
 def test_missing_state_file_is_input_error(capsys):
     code = main(["scenario1", "--state", "/nonexistent/state.json"])
     err = capsys.readouterr().err

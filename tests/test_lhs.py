@@ -40,7 +40,7 @@ from cyclesteer.lhs import (
 from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace, pauli_form
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.search import _PREFILTER_PARAMS, _reduced_pair
-from cyclesteer.states import singlet, werner
+from cyclesteer.states import singlet, swap_state, werner
 from cyclesteer.steering import icosahedron_settings, make_assemblage, max_over_strategies
 from cyclesteer.tolerances import TOL
 
@@ -719,7 +719,7 @@ def test_search_state_bracket_that_failed_on_dual_first_run(coeffs):
     r_out = t_cap, once the run goes to a converged tolerance (at the
     prefilter's 1e-2 it may stop short of t_cap)."""
     params = dataclasses.replace(_PREFILTER_PARAMS, bisection_tol=lhs._PRICING_TOL)
-    rep = critical_radius_bounds(_reduced_pair(coeffs)[1], params)
+    rep = critical_radius_bounds(swap_state(_reduced_pair(coeffs)), params)
     assert rep.unsteerable_certified and not rep.steerable_detected
     assert rep.r_out == rep.t_cap and rep.r_in == rep.meas_eta * rep.t_cap
 

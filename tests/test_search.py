@@ -424,7 +424,7 @@ def test_objectives_read_their_radius_params(monkeypatch):
         seen.append(params)
         return SimpleNamespace(r_in=0.5, r_out=0.6)
 
-    monkeypatch.setattr("cyclesteer.search.critical_radius_bounds", spy)
+    monkeypatch.setattr("cyclesteer.lhs.critical_radius_bounds", spy)
     radius = RadiusParams(meas_level=1, hidden_level=3, bisection_tol=5e-2)
     x = np.arange(1.0, 8.0)
     ObjectiveSpec(kind="scenario2_full", radius=radius).objective()(x)
