@@ -6,8 +6,12 @@ Runs in process on the ``src/`` beside this script, so a copy of the script
 in another checkout reports on that checkout's code. It writes the JSON
 reports of ``scenario2`` (sc1, b1, b2, b3, w, ghz), ``scenario1 --fig-data``
 (sc1, b1, w, ghz; and CSV), ``radius --pair BA`` (b1), ``calibrate``,
-``table`` and ``entanglement`` (b3, w, ghz), and two files with one line per
-bracket: its label, then r_in, r_out and t_cap at ``repr`` precision, or
+``table`` and ``entanglement`` (b3, w, ghz); the restart logs of three
+short campaigns: ``search --scenario 1 --restarts 12 --seed 7`` (with the
+summary it prints) and two restarts at seed 1 of each scenario-2 objective
+through ``search.multi_restart``, the prefilter at Nelder-Mead ``max_iter``
+40 and the full objective at 8; and two files with one line per bracket:
+its label, then r_in, r_out and t_cap at ``repr`` precision, or
 ``LpFailure``:
 
 - ``brackets.txt``: the 54 coarse brackets (27 random real-7 family states,
@@ -28,7 +32,7 @@ prints for each file that differs the largest absolute difference among
 its numbers, or that its text around them differs (a flag, verdict or
 failure); each moved line of ``brackets.txt``; and for ``sweep.txt`` each
 line whose flags or failure differ and the largest move per setting beside
-its tolerance. It exits 1 when any file differs. It takes about 25 s.
+its tolerance. It exits 1 when any file differs. It takes about 30 s.
 """
 
 import argparse
@@ -36,6 +40,7 @@ import re
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -56,11 +61,13 @@ def _command(argv: list[str], out: Path) -> None:
         raise SystemExit(f"input error from {argv}")
 
 
-def _count_calls() -> Counter:
-    """Count each HiGHS run of ``lhs``, each non-optimal run and each kernel call from now on."""
-    counts, kernel = Counter(), lhs.max_over_strategies
+@contextmanager
+def _counted_calls():
+    """Count each HiGHS run of ``lhs``, each non-optimal run and each kernel
+    call within the block; ``lhs``'s own names are back when it exits."""
+    counts, highs, kernel = Counter(), lhs._Highs, lhs.max_over_strategies
 
-    class Counted(lhs._Highs):
+    class Counted(highs):
         def run(self):
             status = super().run()
             counts["runs"] += 1
@@ -72,7 +79,24 @@ def _count_calls() -> Counter:
         return kernel(*args)
 
     lhs._Highs, lhs.max_over_strategies = Counted, counted_kernel
-    return counts
+    try:
+        yield counts
+    finally:
+        lhs._Highs, lhs.max_over_strategies = highs, kernel
+
+
+def _search_logs(outdir: Path) -> None:
+    """The restart logs of three short campaigns: scenario 1 through the CLI,
+    with its printed summary, and the two scenario-2 objectives through
+    ``search.multi_restart``."""
+    log, summary = outdir / "search_scenario1.jsonl", outdir / "search_scenario1.json"
+    log.unlink(missing_ok=True)  # the CLI appends to its log
+    with open(summary, "w") as f, redirect_stdout(f):
+        _command(["search", "--scenario", "1", "--restarts", "12", "--seed", "7"], log)
+    for kind, max_iter in [("scenario2_prefilter", 40), ("scenario2_full", 8)]:
+        spec = search.ObjectiveSpec(kind=kind, nm=search.NMParams(max_iter=max_iter))
+        with open(outdir / f"search_{kind}.jsonl", "w") as f:
+            search.multi_restart(spec, 2, 1, log_file=f)
 
 
 def _random_jobs(name: str, seed: int, n: int, params: lhs.RadiusParams) -> list:
@@ -118,15 +142,19 @@ def main(outdir: Path, against: Path | None = None) -> int:
     for sid in ("b3", "w", "ghz"):
         _command(["entanglement", "--state", f"builtin:{sid}"], outdir / f"entanglement_{sid}.json")
 
-    counts = _count_calls()
-    lines = _bracket_set("coarse", _random_jobs("coarse", POOL_SEED, COARSE_STATES, search._PREFILTER_PARAMS), counts)
-    for label, rho, levels_tol in [("singlet meas 1 hidden 1", states.singlet(), (1, 1, 1e-2)),
-                                   ("b1 AB meas 1 hidden 2", cli._resolve_pair("builtin:b1", None)[0], (1, 2, 1e-3))]:
-        lines += _bracket_set(label, [(label, rho, lhs.RadiusParams(*levels_tol))], counts)
-    (outdir / "brackets.txt").write_text("".join(lines))
-    sweep = []
-    for setting, params in SWEEP_PARAMS.items():
-        sweep += _bracket_set(setting, _random_jobs(setting, SWEEP_SEED, SWEEP_STATES, params), counts, flags=True)
+    _search_logs(outdir)
+
+    with _counted_calls() as counts:
+        lines = _bracket_set("coarse", _random_jobs("coarse", POOL_SEED, COARSE_STATES, search._PREFILTER_PARAMS),
+                             counts)
+        b1_ab = cli._resolve_pair("builtin:b1", None)[0]
+        for label, rho, levels_tol in [("singlet meas 1 hidden 1", states.singlet(), (1, 1, 1e-2)),
+                                       ("b1 AB meas 1 hidden 2", b1_ab, (1, 2, 1e-3))]:
+            lines += _bracket_set(label, [(label, rho, lhs.RadiusParams(*levels_tol))], counts)
+        (outdir / "brackets.txt").write_text("".join(lines))
+        sweep = []
+        for setting, params in SWEEP_PARAMS.items():
+            sweep += _bracket_set(setting, _random_jobs(setting, SWEEP_SEED, SWEEP_STATES, params), counts, flags=True)
     (outdir / "sweep.txt").write_text("".join(sweep))
     if failures := sum(line.endswith(" LpFailure\n") for line in lines + sweep):
         print(f"{failures} brackets raised LpFailure")

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, _Highs
 
-from .linalg import DensityMatrix, ID2
+from .linalg import DensityMatrix, ID2, require_two_qubit
 from .polytope import MAX_LEVEL, SpherePolytope, antipodal_directions, sphere_polytope
 from .states import swap_state
 from .steering import MAX_ENUM_SETTINGS, Assemblage, make_assemblage, max_over_strategies, strategy_sums
@@ -431,7 +431,9 @@ def radial_mix_state(rho_ab: DensityMatrix, t: float) -> DensityMatrix:
 
 def _marginal(rho_ab: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """rho_B = tr_A rho_AB, summed as ``partial_trace`` sums it but not checked
-    again, and the radial mix at t = 0, A = I/2 (x) rho_B."""
+    again, and the radial mix at t = 0, A = I/2 (x) rho_B; ValueError unless
+    rho_AB is a two-qubit state."""
+    require_two_qubit(rho_ab)
     rho_b = rho_ab.mat.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
     return rho_b, np.kron(ID2 / 2, rho_b)
 

@@ -82,6 +82,12 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
+def require_two_qubit(rho: DensityMatrix) -> None:
+    """ValueError unless ``rho`` is a two-qubit state."""
+    if rho.dims != (2, 2):
+        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
+
+
 def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> DensityMatrix:
     """Trace out every subsystem not listed in ``keep`` (original order kept)."""
     keep = sorted(set(int(k) for k in keep))

@@ -87,8 +87,8 @@ def sphere_polytope(level: int) -> SpherePolytope:
     """Geodesic polytope at subdivision level 0 to MAX_LEVEL (0 = icosahedron,
     12 vertices; each level quadruples the face count). Built once per level;
     the returned polytope and its arrays are shared and read-only."""
-    if not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
+    if type(level) is not int or not 0 <= level <= MAX_LEVEL:  # a bool is not a level
+        raise ValueError(f"level {level!r} is not an integer in [0, {MAX_LEVEL}]")
     return _build(level)
 
 

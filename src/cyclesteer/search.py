@@ -389,6 +389,7 @@ def multi_restart(
     from it instead of recomputed.
     """
     _check_count("restarts", restarts, 1)
+    _check_count("seed", seed, 0)
     done = _load_resume(resume_path, spec, seed, restarts) if resume_path else {}
     starts = ((i, [seed, i], np.random.default_rng([seed, i]).standard_normal(spec.dim))
               for i in range(restarts))

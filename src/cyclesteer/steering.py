@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, ID2, bloch_to_obs, obs_to_bloch, pauli_form, require_hermitian
+from .linalg import DensityMatrix, ID2, bloch_to_obs, obs_to_bloch, pauli_form, require_hermitian, require_two_qubit
 from .polytope import GOLDEN
 from .states import swap_state
 from .tolerances import TOL
@@ -83,8 +83,7 @@ def make_assemblage(rho_ab: DensityMatrix, directions) -> Assemblage:
     """Assemblage produced by projective measurements of A along
     ``directions``: with rho_AB in Pauli form (a, b, T), outcome a of
     u gives p = (1 +- u.a)/2 and s = (b +- T^T u)/2."""
-    if rho_ab.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
+    require_two_qubit(rho_ab)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     a, b, corr = pauli_form(rho_ab.mat)
     signs = np.array([1.0, -1.0])[None, :, None]
@@ -160,8 +159,7 @@ def quantum_value_Q(rho_ab: DensityMatrix, b: np.ndarray) -> tuple[float, list[O
     """Maximum quantum value Q = sum_x ||G_x||_1 with
     G_x = tr_B((I (x) B_x) rho_AB), B_x = b_x.sigma for settings b (m, 3),
     plus the optimizing observables."""
-    if rho_ab.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
+    require_two_qubit(rho_ab)
     q = 0.0
     observables = []
     for bx in b:

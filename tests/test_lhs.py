@@ -40,7 +40,7 @@ from cyclesteer.lhs import (
 from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace, pauli_form
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.search import _PREFILTER_PARAMS, _reduced_pair
-from cyclesteer.states import singlet, swap_state, werner
+from cyclesteer.states import build_family, builtin_state, singlet, swap_state, werner
 from cyclesteer.steering import icosahedron_settings, make_assemblage, max_over_strategies
 from cyclesteer.tolerances import TOL
 
@@ -1558,6 +1558,15 @@ def test_one_way_report_symmetric_state_refuted_or_undetermined():
     assert d["R1_out_AB"] == rep.report_ab.r_out and d["R2_in_BA"] == rep.report_ba.r_in
     assert d["delta"] == d["R2_in_BA"] - d["R1_out_AB"]
     assert set(d) >= {"rho_AB", "rho_BA", "R1_out_AB", "R2_in_BA", "verdict"}
+
+
+def test_brackets_reject_a_state_that_is_not_two_qubit():
+    """A three-qubit family state ended in numpy's reshape error inside the
+    marginal; it is rejected with the assemblage's message."""
+    rho3 = build_family(builtin_state("b1").normalized(), 1.0)
+    for bracket in (critical_radius_bounds, one_way_report, lambda rho: radial_mix_state(rho, 0.5)):
+        with pytest.raises(ValueError, match=r"^expected a two-qubit state, got dims \(2, 2, 2\)$"):
+            bracket(rho3)
 
 
 # Brackets (r_in, r_out) of the hidden-polytope LPs (restrict/relax modes on

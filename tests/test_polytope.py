@@ -131,10 +131,11 @@ def test_antipodal_directions_signed_zero():
 
 
 def test_negative_level_rejected():
-    with pytest.raises(ValueError):
-        sphere_polytope(-1)
-    with pytest.raises(ValueError):
-        sphere_polytope(MAX_LEVEL + 1)
+    """A level is an int in [0, MAX_LEVEL]: True built level 1 and 1.5 ended
+    in a TypeError from range."""
+    for level in (-1, MAX_LEVEL + 1, True, 1.5):
+        with pytest.raises(ValueError, match=rf"^level {level!r} is not an integer in \[0, {MAX_LEVEL}\]$"):
+            sphere_polytope(level)
     assert len(sphere_polytope(MAX_LEVEL).vertices) == 2562
 
 

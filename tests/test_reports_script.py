@@ -58,26 +58,48 @@ def test_private_names_are_covered():
             "search._reduced_pair", "cli._resolve_pair"} <= set(_package_names())
 
 
-@pytest.mark.parametrize("fails, code", [(False, 0), (True, 1)])
-def test_main_exits_1_when_a_bracket_raises_lp_failure(tmp_path, monkeypatch, capsys, fails, code):
-    """On one state per bracket set, with no CLI report and a stand-in bracket."""
+def _stand_ins(monkeypatch, bracket):
+    """One state per bracket set, no CLI report or search log, and ``bracket``
+    in place of lhs.critical_radius_bounds; returns lhs's patched names as
+    they are before main runs."""
     lhs = reports.lhs
-    monkeypatch.setattr(lhs, "_Highs", lhs._Highs)  # restored after main's counting patch
+    originals = lhs._Highs, lhs.max_over_strategies
+    monkeypatch.setattr(lhs, "_Highs", lhs._Highs)  # put back even if main does not
     monkeypatch.setattr(lhs, "max_over_strategies", lhs.max_over_strategies)
     monkeypatch.setattr(reports, "_command", lambda argv, out: None)
+    monkeypatch.setattr(reports, "_search_logs", lambda outdir: None)
     monkeypatch.setattr(reports, "COARSE_STATES", 1)
     monkeypatch.setattr(reports, "SWEEP_STATES", 1)
+    monkeypatch.setattr(lhs, "critical_radius_bounds", bracket)
+    return originals
+
+
+@pytest.mark.parametrize("fails, code", [(False, 0), (True, 1)])
+def test_main_exits_1_when_a_bracket_raises_lp_failure(tmp_path, monkeypatch, capsys, fails, code):
+    """With a stand-in bracket; main's counting patch is undone when it returns."""
+    lhs = reports.lhs
 
     def bracket(rho, params):
         if fails and params == reports.SWEEP_PARAMS["default"]:
             raise lhs.LpFailure("stand-in")
         return lhs.RadiusReport(t_in=0.5, r_out=0.75, t_cap=1.0, steerable_detected=True, params=params, meas_eta=1.0)
 
-    monkeypatch.setattr(lhs, "critical_radius_bounds", bracket)
+    originals = _stand_ins(monkeypatch, bracket)
     assert reports.main(tmp_path / "out") == code
+    assert (lhs._Highs, lhs.max_over_strategies) == originals
     out = capsys.readouterr().out
     assert ("2 brackets raised LpFailure" in out) == fails
     assert (tmp_path / "out" / "sweep.txt").read_text().count("LpFailure") == 2 * fails
+
+
+def test_main_restores_lhs_when_a_bracket_raises(tmp_path, monkeypatch):
+    def bracket(rho, params):
+        raise RuntimeError("stand-in")
+
+    originals = _stand_ins(monkeypatch, bracket)
+    with pytest.raises(RuntimeError, match="stand-in"):
+        reports.main(tmp_path / "out")
+    assert (reports.lhs._Highs, reports.lhs.max_over_strategies) == originals
 
 SWEEP = (
     "prefilter 0 AB 0.5 0.75 1.0 True True\n"

@@ -388,12 +388,19 @@ def test_multi_restart_resume_rejects_negative_restart(tmp_path):
 
 def test_multi_restart_rejects_bad_counts(monkeypatch):
     """A restart count is an int >= 1 (True ran one restart, 2.5 raised
-    TypeError from range), and two_stage_search's top_k one too, checked
-    before any restart runs (0 ended in max() of an empty sequence)."""
+    TypeError from range), a seed an int >= 0 (True ran and logged [true, 0],
+    -1 and 1.5 failed inside numpy), and two_stage_search's top_k an int >= 1,
+    each checked before any restart runs (top_k 0 ended in max() of an
+    empty sequence)."""
     for restarts in (0, True, 2.5):
         with pytest.raises(ValueError, match=f"^restarts {restarts!r} is not an integer >= 1"):
             multi_restart(ObjectiveSpec(), restarts, seed=1)
     monkeypatch.setattr("cyclesteer.search._run_restarts", lambda *args: pytest.fail("a restart ran"))
+    for seed in (True, -1, 1.5):
+        with pytest.raises(ValueError, match=f"^seed {seed!r} is not an integer >= 0"):
+            multi_restart(ObjectiveSpec(), 1, seed)
+        with pytest.raises(ValueError, match=f"^seed {seed!r} is not an integer >= 0"):
+            two_stage_search(ObjectiveSpec(kind="scenario2_full"), 1, seed)
     for top_k in (0, True):
         with pytest.raises(ValueError, match=f"^top_k {top_k!r} is not an integer >= 1"):
             two_stage_search(ObjectiveSpec(kind="scenario2_full"), 1, seed=1, top_k=top_k)
