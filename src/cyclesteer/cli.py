@@ -299,13 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_paths(args):
-    """Reject an output path that cannot be written before any work starts."""
+    """Before any work, reject an output path that cannot be written or whose parent is no directory."""
     for name in ("out", "fig_data", "best_out"):
         path = getattr(args, name, None)
         if path is None:
             continue
-        target = path if os.path.exists(path) else os.path.dirname(path) or "."
-        if os.path.isdir(path) or not os.access(target, os.W_OK):
+        parent = os.path.dirname(path) or "."
+        target = path if os.path.exists(path) else parent
+        if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
             raise InputError(f"cannot write --{name.replace('_', '-')} {path}")
 
 

@@ -52,12 +52,10 @@ _OPTIONS = HighsOptions()
 _OPTIONS.output_flag, _OPTIONS.presolve, _OPTIONS.simplex_strategy = False, "off", 4
 _OPTIONS.primal_feasibility_tolerance = _OPTIONS.dual_feasibility_tolerance = 1e-10
 # A dual model's (m <= 10) options on top of _OPTIONS: its first run on the dual simplex,
-# every run unscaled and unperturbed; and _OPTIONS' values for them, which linprog's last
-# rung restores. Set by name, as HighsOptions lacks the two multipliers.
+# every run unscaled and unperturbed. Set by name, as HighsOptions lacks the two multipliers.
 _DUAL_OPTIONS = {"simplex_strategy": 1, "simplex_scale_strategy": 0,
                  "dual_simplex_cost_perturbation_multiplier": 0.0,
                  "primal_simplex_bound_perturbation_multiplier": 0.0}
-_PRIMAL_OPTIONS = dict(zip(_DUAL_OPTIONS, (4, 2, 1.0, 1.0)))
 _THREAD = threading.local()  # .highs: this thread's HiGHS object (see _Lp)
 
 
@@ -207,7 +205,7 @@ class _Lp:
     A dual model also runs unscaled and unperturbed (``_DUAL_OPTIONS``), as
     its rows hold entries in [-1, 1] and its zero-cost pool is dual
     degenerate; at m = 21 both made brackets slower. ``linprog``'s last
-    rung runs the primal at ``_PRIMAL_OPTIONS``, and the model keeps them.
+    rung passes ``_OPTIONS`` again, and the model keeps them.
     Feasibility tolerances are 1e-10, below the 1e-8 model check; presolve
     is off, as at 28 rows it costs more than it saves. ``threads`` stays 0:
     HiGHS's scheduler is one per process, and a run asking for a count
@@ -255,8 +253,7 @@ def linprog(*, A_eq: _Lp) -> OptimizeResult:
     highs, nit = A_eq.highs, 0
 
     def passed_anew():  # primal, scaled and perturbed, as at m = 21 (see _Lp)
-        for name, value in _PRIMAL_OPTIONS.items():
-            highs.setOptionValue(name, value)
+        highs.passOptions(_OPTIONS)
         highs.passModel(highs.getLp())
 
     # A warm start can end Unknown. A cleared basis and the LP passed anew each
@@ -478,7 +475,11 @@ class RadiusReport:
     t_cap: float
     steerable_detected: bool  # False means r_out = t_cap is vacuous
     params: RadiusParams
-    meas_eta: float
+
+    @property
+    def meas_eta(self) -> float:
+        """The certified inradius of the level-``params.meas_level`` polytope."""
+        return sphere_polytope(self.params.meas_level).eta
 
     @property
     def r_in(self) -> float:
@@ -529,7 +530,7 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     the radial family, the level-``hidden_level`` vertices pricing above
     m = 10, stopped once its bracket on t* is within params.bisection_tol.
 
-    r_in = meas.eta t at t = min(t*, t_cap) where the run stopped (by the
+    r_in = meas_eta t at t = min(t*, t_cap) where the run stopped (by the
     shrinking lemma) when t > 0, the mix t rho + (1 - t) A is a state
     (least eigenvalue >= -TOL.psd) and the LP's own model reproduces the
     family's assemblage a0 + t (a1 - a0), the mix's, within
@@ -538,7 +539,6 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
     t_x <= t_cap and the functional beats its exact bound on the mixed
     state's own assemblage at t_x; else r_out = t_cap is vacuous.
     """
-    meas = sphere_polytope(params.meas_level)
     directions = _directions(params.meas_level)
     t_cap = _t_cap(rho_ab, marginal := _marginal(rho_ab))
     a0 = _at_zero(a1 := make_assemblage(rho_ab, directions))
@@ -554,8 +554,7 @@ def critical_radius_bounds(rho_ab: DensityMatrix, params: RadiusParams = RadiusP
         if t_x <= t_cap and _detects(functional, make_assemblage(radial_mix_state(rho_ab, t_x), directions)):
             r_out, det = t_x, True
 
-    return RadiusReport(t_in=t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det,
-                        params=params, meas_eta=meas.eta)
+    return RadiusReport(t_in=t_in, r_out=r_out, t_cap=t_cap, steerable_detected=det, params=params)
 
 
 @dataclass(frozen=True)

@@ -167,10 +167,12 @@ def _scenario1_forms() -> dict[int, np.ndarray]:
 
 
 _S1_FORMS = _scenario1_forms()
+# Weight of the swapped direction's violation in the scenario-1 objective.
+_S1_PENALTY = 2.0
 
 
-def objective_scenario1(coeffs, penalty: float = 2.0):
-    """Q(rho_AB) - penalty * max(0, Q(rho_BA) - L) at p = 1 with the
+def objective_scenario1(coeffs):
+    """Q(rho_AB) - _S1_PENALTY max(0, Q(rho_BA) - L) at p = 1 with the
     icosahedral settings: maximize the violation in one direction while
     penalizing any violation of the swapped direction's classical bound.
 
@@ -191,7 +193,7 @@ def objective_scenario1(coeffs, penalty: float = 2.0):
         coeffs_to_state(X[ok.argmin()])  # raises its ValueError
     sq = (((_S1_FORMS[d] @ X[:, :, None]).reshape(R, -1, d) @ X[:, :, None]) ** 2).reshape(R, 2, 6, 4)
     q = np.sqrt(np.maximum(sq[..., 0], sq[..., 1:].sum(axis=-1))).sum(axis=-1) / norm2[:, None]
-    value = q[:, 0] - penalty * np.fmax(q[:, 1] - _L_ICO, 0.0)  # fmax: max(0, .) even at NaN
+    value = q[:, 0] - _S1_PENALTY * np.fmax(q[:, 1] - _L_ICO, 0.0)  # fmax: max(0, .) even at NaN
     return float(value[0]) if x.ndim == 1 else value
 
 
@@ -199,6 +201,8 @@ _PREFILTER_PARAMS = RadiusParams(meas_level=0, hidden_level=0, bisection_tol=1e-
 # Weights of the scenario-2 objectives (see their docstrings).
 _PREFILTER_DELTA, _PREFILTER_PENALTY = 1.2, 1.0
 _C1, _C2, _C3 = 1.0, 1.0, 0.5
+# The two-stage search starts this many full-stage restarts.
+_TOP_K = 3
 
 
 def objective_scenario2_prefilter(coeffs) -> float:
@@ -241,17 +245,15 @@ def objective_scenario2_full(coeffs, radius_params: RadiusParams = RadiusParams(
 class ObjectiveSpec:
     kind: str = "scenario1"  # scenario1 | scenario2_prefilter | scenario2_full
     parameterization: str = "real-7"
-    scenario1_penalty: float = 2.0
     radius: RadiusParams = RadiusParams()  # read by scenario2_full only
     nm: NMParams = NMParams()
+    scenario1_penalty = _S1_PENALTY  # a class attribute, not a field: no spec sets it
 
     def __post_init__(self):
         if self.kind not in ("scenario1", "scenario2_prefilter", "scenario2_full"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.parameterization not in PARAM_DIMS:
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
-        if not 0 <= self.scenario1_penalty < np.inf:  # NaN fails too
-            raise ValueError("scenario1_penalty must be finite and >= 0")
 
     @property
     def dim(self) -> int:
@@ -259,7 +261,7 @@ class ObjectiveSpec:
 
     def objective(self):
         if self.kind == "scenario1":
-            return lambda x: objective_scenario1(x, penalty=self.scenario1_penalty)
+            return objective_scenario1
         if self.kind == "scenario2_prefilter":
             return objective_scenario2_prefilter
         return lambda x: objective_scenario2_full(x, radius_params=self.radius)
@@ -396,14 +398,11 @@ def multi_restart(
     return _run_restarts(spec, starts, log_file, done)
 
 
-def two_stage_search(
-    full_spec: ObjectiveSpec, restarts: int, seed: int, top_k: int = 3, log_file=None,
-) -> SearchResult:
+def two_stage_search(full_spec: ObjectiveSpec, restarts: int, seed: int, log_file=None) -> SearchResult:
     """Scenario-2 pipeline: cheap prefilter restarts (``full_spec`` with
     the prefilter objective), then the full radius-gap objective started
-    from the best prefilter candidates."""
-    _check_count("top_k", top_k, 1)
+    from the _TOP_K best prefilter candidates."""
     stage1 = multi_restart(replace(full_spec, kind="scenario2_prefilter"), restarts, seed, log_file=log_file)
-    candidates = sorted(stage1.records, key=lambda r: r.q, reverse=True)[:top_k]
+    candidates = sorted(stage1.records, key=lambda r: r.q, reverse=True)[:_TOP_K]
     starts = ((rank, c.seed, np.array(c.coeffs)) for rank, c in enumerate(candidates))
     return _run_restarts(full_spec, starts, log_file, {})

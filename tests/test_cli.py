@@ -326,9 +326,11 @@ def test_resume_replays_integer_coefficients(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["table", "--out", "{missing}/x.json"],
     ["table", "--out", "{dir}"],
+    ["table", "--out", "{file}/x.json"],
     ["scenario1", "--state", "builtin:sc1", "--fig-data", "{missing}/fig.csv"],
     ["search", "--scenario", "1", "--restarts", "1", "--best-out", "{missing}/b.json"],
     ["search", "--scenario", "1", "--restarts", "1", "--out", "{missing}/log.jsonl"],
+    ["search", "--scenario", "1", "--restarts", "1", "--out", "{file}/log.jsonl"],
 ])
 def test_unwritable_output_is_input_error(argv, tmp_path, capsys, monkeypatch):
     """An output path that cannot be written is rejected before the work."""
@@ -338,7 +340,8 @@ def test_unwritable_output_is_input_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(steering, "quantum_value_Q", no_work)
     monkeypatch.setattr(steering, "one_way_gap_scenario1", no_work)
     monkeypatch.setattr("cyclesteer.search.multi_restart", no_work)
-    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    (file := tmp_path / "file").write_text("")
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path, file=file) for a in argv]
     assert main(argv) == 2
     assert "cannot write" in capsys.readouterr().err
 
@@ -527,9 +530,13 @@ def test_certify_exits_1_when_refuted(tmp_path, capsys):
     assert main(["scenario2", "--state", str(path), "--certify"]) == 1
 
 
-def _radius_report(t_in, r_out, detected):
-    return lhs.RadiusReport(t_in=t_in, r_out=r_out, t_cap=2.0, steerable_detected=detected,
-                            params=lhs.RadiusParams(), meas_eta=1.0)
+def _radius_report(r_in, r_out, detected):
+    """A report at the default meas level with this r_in, t_in = r_in / meas_eta."""
+    params = lhs.RadiusParams()
+    report = lhs.RadiusReport(t_in=r_in / sphere_polytope(params.meas_level).eta, r_out=r_out, t_cap=2.0,
+                              steerable_detected=detected, params=params)
+    assert report.r_in == r_in
+    return report
 
 
 @pytest.mark.parametrize("ab,ba,verdict,code", [
@@ -540,9 +547,9 @@ def _radius_report(t_in, r_out, detected):
     ((0.0, 1.0, True), (1.0, 2.0, False), "undetermined-at-this-resolution", 0),
 ], ids=["cyclic", "ab-unsteerable", "ba-steerable", "ba-r-in-below-1", "ab-r-out-at-1"])
 def test_scenario2_verdicts(monkeypatch, capsys, ab, ba, verdict, code):
-    """one_way_report's verdict from its two brackets, (t_in, r_out,
-    steerable_detected) for AB and then BA at meas_eta 1, and --certify's
-    exit code on it: 1 only on refuted."""
+    """one_way_report's verdict from its two brackets, (r_in, r_out,
+    steerable_detected) for AB and then BA, and --certify's exit code on
+    it: 1 only on refuted."""
     reports = iter([_radius_report(*ab), _radius_report(*ba)])
     monkeypatch.setattr(lhs, "critical_radius_bounds", lambda rho, params: next(reports))
     got, data = run(capsys, "scenario2", "--state", "builtin:b1", "--certify")

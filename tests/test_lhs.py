@@ -629,15 +629,10 @@ def test_bracket_does_not_depend_on_call_history(monkeypatch):
     when four threads (more than the cores) run it at once, switching often."""
     rho = werner(0.9)
     (first,) = _in_fresh_threads(lambda: critical_radius_bounds(rho))
-    run = lhs.linprog
-
-    def stalled(*, A_eq):
-        A_eq.highs.setOptionValue("simplex_iteration_limit", 0)
-        return run(A_eq=A_eq)
 
     def after_failure():
-        with monkeypatch.context() as patch:
-            patch.setattr(lhs, "linprog", stalled)
+        with monkeypatch.context() as patch:  # every run stalls, the LP passed anew too
+            patch.setattr(lhs._OPTIONS, "simplex_iteration_limit", 0)
             with pytest.raises(LpFailure):
                 critical_radius_bounds(rho)
         highs = lhs._THREAD.highs
@@ -1090,6 +1085,16 @@ def test_radius_report_reads_r_in_and_certification_off_t_in(monkeypatch):
         assert rep.unsteerable_certified == (rep.t_in > 0)
         d = rep.to_dict()
         assert (d["r_in"], d["unsteerable_certified"]) == (rep.r_in, rep.unsteerable_certified)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_radius_report_reads_meas_eta_off_its_level(level):
+    """meas_eta is the certified inradius of the report's meas polytope, in
+    r_in and in the JSON alike, so no report carries another eta."""
+    rep = lhs.RadiusReport(t_in=0.5, r_out=1.0, t_cap=1.0, steerable_detected=False,
+                           params=RadiusParams(meas_level=level))
+    eta = sphere_polytope(level).eta
+    assert rep.to_dict()["meas_eta"] == rep.meas_eta == eta and rep.r_in == eta * 0.5
 
 
 def test_r_in_is_meas_eta_times_the_lp_t(monkeypatch):

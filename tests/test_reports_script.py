@@ -82,7 +82,7 @@ def test_main_exits_1_when_a_bracket_raises_lp_failure(tmp_path, monkeypatch, ca
     def bracket(rho, params):
         if fails and params == reports.SWEEP_PARAMS["default"]:
             raise lhs.LpFailure("stand-in")
-        return lhs.RadiusReport(t_in=0.5, r_out=0.75, t_cap=1.0, steerable_detected=True, params=params, meas_eta=1.0)
+        return lhs.RadiusReport(t_in=0.5, r_out=0.75, t_cap=1.0, steerable_detected=True, params=params)
 
     originals = _stand_ins(monkeypatch, bracket)
     assert reports.main(tmp_path / "out") == code

@@ -198,30 +198,40 @@ def test_coeffs_to_state_parameterizations():
         coeffs_to_state(np.ones(5))
 
 
-def _eigendecomposition_q(vec, penalty=2.0):
-    """Scenario-1 objective by the generic path: build_family -> reduce_pair
-    -> quantum_value_Q (eigendecomposition of each G_x)."""
+def _pair_q(vec):
+    """(Q_AB, Q_BA) by the generic path: build_family -> reduce_pair ->
+    quantum_value_Q (eigendecomposition of each G_x)."""
     rho3 = build_family(coeffs_to_state(vec), 1.0)
-    q_ab = quantum_value_Q(reduce_pair(rho3, "AB"), ICO)[0]
-    q_ba = quantum_value_Q(reduce_pair(rho3, "BA"), ICO)[0]
-    return q_ab - penalty * max(0.0, q_ba - L_ICO)
+    return tuple(quantum_value_Q(reduce_pair(rho3, pair), ICO)[0] for pair in ("AB", "BA"))
+
+
+def _eigendecomposition_q(vec):
+    """Scenario-1 objective by the generic path, at the penalty that
+    perfbench's s1-search gate reads from its spec."""
+    q_ab, q_ba = _pair_q(vec)
+    return q_ab - ObjectiveSpec.scenario1_penalty * max(0.0, q_ba - L_ICO)
 
 
 @pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
 def test_objective_scenario1_matches_generic_path(parameterization):
-    """The closed-form quadratic kernel agrees with the trace-norm pipeline."""
-    for _ in range(10):
-        vec = rng.standard_normal(PARAM_DIMS[parameterization])
+    """The closed-form quadratic kernel agrees with the trace-norm pipeline,
+    on random coefficients and on the W state |001> + |010> + |100>, whose
+    Q_BA = Q_AB = 3.42 exceeds L, so that its penalty term is not 0."""
+    dim = PARAM_DIMS[parameterization]
+    w = np.zeros(dim)
+    w[np.array([1, 2, 4]) * (2 if dim == 16 else 1)] = 1.0  # complex-16 interleaves (re, im)
+    assert _pair_q(w)[1] > L_ICO + 0.1
+    for vec in [w, *rng.standard_normal((10, dim))]:
         assert abs(objective_scenario1(vec) - _eigendecomposition_q(vec)) <= 1e-10
 
 
-def _reference_scenario1(x, penalty=2.0):
+def _reference_scenario1(x):
     """The one-vector kernel as it was before batching; logs written with it
     must replay bit for bit."""
     norm2 = float(x @ x)
     sq = (((_S1_FORMS[len(x)] @ x).reshape(-1, len(x)) @ x) ** 2).reshape(2, 6, 4)
     q_ab, q_ba = np.sqrt(np.maximum(sq[..., 0], sq[..., 1:].sum(axis=-1))).sum(axis=1) / norm2
-    return float(q_ab - penalty * max(0.0, q_ba - _L_ICO))
+    return float(q_ab - ObjectiveSpec.scenario1_penalty * max(0.0, q_ba - _L_ICO))
 
 
 @pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
@@ -230,10 +240,10 @@ def test_objective_scenario1_batch_rows_match_one_vector(parameterization, rows)
     """Each row of a batch gets the bits it gets alone, which are the bits
     of the one-vector kernel before batching."""
     batch = rng.standard_normal((rows, PARAM_DIMS[parameterization])) * rng.uniform(1e-3, 1e3, (rows, 1))
-    values = objective_scenario1(batch, penalty=1.5)
+    values = objective_scenario1(batch)
     assert values.shape == (rows,)
-    singles = [objective_scenario1(x, penalty=1.5) for x in batch]
-    assert values.tolist() == singles == [_reference_scenario1(x, penalty=1.5) for x in batch]
+    singles = [objective_scenario1(x) for x in batch]
+    assert values.tolist() == singles == [_reference_scenario1(x) for x in batch]
 
 
 @pytest.mark.parametrize("parameterization", list(PARAM_DIMS))
@@ -349,9 +359,9 @@ def test_multi_restart_resume_checks_only_replayed_records(tmp_path, monkeypatch
     log_path.write_text("\n".join(lines) + "\n")
     calls = []
 
-    def counted(x, penalty):
+    def counted(x):
         calls.append(x)
-        return objective_scenario1(x, penalty)
+        return objective_scenario1(x)
 
     monkeypatch.setattr("cyclesteer.search.objective_scenario1", counted)
     resumed = multi_restart(spec, 2, seed=9, resume_path=log_path)
@@ -389,9 +399,7 @@ def test_multi_restart_resume_rejects_negative_restart(tmp_path):
 def test_multi_restart_rejects_bad_counts(monkeypatch):
     """A restart count is an int >= 1 (True ran one restart, 2.5 raised
     TypeError from range), a seed an int >= 0 (True ran and logged [true, 0],
-    -1 and 1.5 failed inside numpy), and two_stage_search's top_k an int >= 1,
-    each checked before any restart runs (top_k 0 ended in max() of an
-    empty sequence)."""
+    -1 and 1.5 failed inside numpy), each checked before any restart runs."""
     for restarts in (0, True, 2.5):
         with pytest.raises(ValueError, match=f"^restarts {restarts!r} is not an integer >= 1"):
             multi_restart(ObjectiveSpec(), restarts, seed=1)
@@ -401,9 +409,6 @@ def test_multi_restart_rejects_bad_counts(monkeypatch):
             multi_restart(ObjectiveSpec(), 1, seed)
         with pytest.raises(ValueError, match=f"^seed {seed!r} is not an integer >= 0"):
             two_stage_search(ObjectiveSpec(kind="scenario2_full"), 1, seed)
-    for top_k in (0, True):
-        with pytest.raises(ValueError, match=f"^top_k {top_k!r} is not an integer >= 1"):
-            two_stage_search(ObjectiveSpec(kind="scenario2_full"), 1, seed=1, top_k=top_k)
 
 
 def test_objective_spec_validation():
@@ -411,9 +416,6 @@ def test_objective_spec_validation():
         ObjectiveSpec(kind="scenario3")
     with pytest.raises(ValueError):
         ObjectiveSpec(parameterization="real-9")
-    for penalty in (-1.0, np.nan, np.inf):  # NaN gives a NaN objective, inf gives inf * 0
-        with pytest.raises(ValueError, match="scenario1_penalty"):
-            ObjectiveSpec(scenario1_penalty=penalty)
     # -3 ran 0 iterations and 1.5 raised TypeError from range; 0 stays valid
     for max_iter in (-3, 1.5, True):
         with pytest.raises(ValueError, match=f"^max_iter {max_iter!r} is not an integer >= 0"):
@@ -460,49 +462,49 @@ class _RecordingLog:
 
 @pytest.fixture(scope="module")
 def two_stage_run():
-    """A small two-stage campaign (3 prefilter restarts, top 2) and its log."""
+    """A small two-stage campaign (4 prefilter restarts, top 3) and its log."""
     full = ObjectiveSpec(
         kind="scenario2_full", radius=RadiusParams(meas_level=0, hidden_level=0, bisection_tol=5e-2),
         nm=NMParams(max_iter=4),
     )
     log = _RecordingLog()
-    return two_stage_search(full, restarts=3, seed=2, top_k=2, log_file=log), log
+    return two_stage_search(full, restarts=4, seed=2, log_file=log), log
 
 
 def test_two_stage_search_runs(two_stage_run):
     result, log = two_stage_run
-    assert len(result.records) == 2
+    assert len(result.records) == 3
     assert np.isfinite(result.best_q)
     assert np.isclose(result.best_state.norm(), 1.0)
     # each record is one write followed by a flush
-    assert [call for call, _ in log.calls] == ["write", "flush"] * 5
-    stage1 = [json.loads(line) for line in log.lines()[:3]]
-    assert [r["seed"] for r in stage1] == [[2, 0], [2, 1], [2, 2]]
-    assert log.lines()[3:] == [r.to_json_line() for r in result.records]
-    top = sorted(stage1, key=lambda r: r["q"], reverse=True)[:2]
+    assert [call for call, _ in log.calls] == ["write", "flush"] * 7
+    stage1 = [json.loads(line) for line in log.lines()[:4]]
+    assert [r["seed"] for r in stage1] == [[2, 0], [2, 1], [2, 2], [2, 3]]
+    assert log.lines()[4:] == [r.to_json_line() for r in result.records]
+    top = sorted(stage1, key=lambda r: r["q"], reverse=True)[:3]
     assert [r.seed for r in result.records] == [r["seed"] for r in top]
 
 
 def test_resume_replays_prefilter_log(two_stage_run, tmp_path):
     """Prefilter records recompute bit for bit, so they replay unchanged."""
-    lines = two_stage_run[1].lines()[:3]
+    lines = two_stage_run[1].lines()[:4]
     log_path = tmp_path / "prefilter.jsonl"
     log_path.write_text("\n".join(lines) + "\n")
     spec = ObjectiveSpec(kind="scenario2_prefilter", nm=NMParams(max_iter=4))
-    resumed = multi_restart(spec, 3, seed=2, resume_path=log_path)
+    resumed = multi_restart(spec, 4, seed=2, resume_path=log_path)
     assert [r.to_json_line() for r in resumed.records] == lines
 
 
 def test_resume_rejects_prefilter_log_as_scenario1(two_stage_run, tmp_path):
     log_path = tmp_path / "prefilter.jsonl"
-    log_path.write_text("\n".join(two_stage_run[1].lines()[:3]) + "\n")
+    log_path.write_text("\n".join(two_stage_run[1].lines()[:4]) + "\n")
     with pytest.raises(ResumeLogError, match="line 1 has q .* objective gives"):
-        multi_restart(ObjectiveSpec(kind="scenario1"), 3, seed=2, resume_path=log_path)
+        multi_restart(ObjectiveSpec(kind="scenario1"), 4, seed=2, resume_path=log_path)
 
 
 def test_resume_rejects_two_stage_log_as_prefilter(two_stage_run, tmp_path):
     log_path = tmp_path / "two_stage.jsonl"
     log_path.write_text("\n".join(two_stage_run[1].lines()) + "\n")
     spec = ObjectiveSpec(kind="scenario2_prefilter", nm=NMParams(max_iter=4))
-    with pytest.raises(ResumeLogError, match="line 4 "):
-        multi_restart(spec, 3, seed=2, resume_path=log_path)
+    with pytest.raises(ResumeLogError, match="line 5 "):
+        multi_restart(spec, 4, seed=2, resume_path=log_path)
