@@ -88,7 +88,7 @@ def _fig_data_csv(report: steering.Scenario1Report, path: str):
     """Bloch endpoints (+-a_x, +-b_x) as plot data."""
     with open(path, "w") as f:
         f.write("party,setting,sign,x,y,z\n")
-        for party, blochs in (("A", [obs.bloch for obs in report.observables_ab]), ("B", report.setting_blochs)):
+        for party, blochs in (("A", report.observables_ab[:, 1:]), ("B", report.setting_blochs)):
             for x, b in enumerate(blochs):
                 for s in (1, -1):
                     v = s * b

@@ -223,7 +223,7 @@ def _heaviside(x: float) -> float:
     return 1.0 if x > 0 else 0.0
 
 
-def objective_scenario2_full(coeffs, radius_params: RadiusParams = RadiusParams()) -> float:
+def objective_scenario2_full(coeffs, radius_params: RadiusParams) -> float:
     """Full stage: with R1 = r_out(rho_AB) and R2 = r_in(rho_BA), maximize
 
         R2 - R1 - c1*max(0, R1-1) - c2*max(0, 1-R2)

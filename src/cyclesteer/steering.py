@@ -1,6 +1,6 @@
 """Scenario-1 machinery: assemblages, the dichotomic steering functional
 with coefficients F_{a|x} = (-1)^a b_x.sigma, the quantum value Q via
-per-setting trace norms, and optimal-observable extraction.
+per-setting trace norms, and Alice's optimal observables as [c, v] rows.
 
 Assemblages and steering functionals share one real layout of shape
 (m, 2, 4), the row layout of the LHS-model LP in :mod:`cyclesteer.lhs`:
@@ -145,24 +145,15 @@ def lhs_bound_L(b: np.ndarray) -> tuple[float, np.ndarray]:
     return float(L), signs * signs[0]
 
 
-@dataclass(frozen=True)
-class OptimalObservable:
-    """A = identity_weight * I + bloch . sigma; degenerate eigendirections
-    (|lambda| below tolerance) are dropped, which can leave a shortened
-    Bloch vector or the zero vector."""
-
-    bloch: np.ndarray
-    identity_weight: float
-
-
-def quantum_value_Q(rho_ab: DensityMatrix, b: np.ndarray) -> tuple[float, list[OptimalObservable]]:
-    """Maximum quantum value Q = sum_x ||G_x||_1 with
-    G_x = tr_B((I (x) B_x) rho_AB), B_x = b_x.sigma for settings b (m, 3),
-    plus the optimizing observables."""
+def quantum_value_Q(rho_ab: DensityMatrix, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Maximum quantum value Q = sum_x ||G_x||_1 with G_x = tr_B((I (x) B_x)
+    rho_AB), B_x = b_x.sigma for settings b (m, 3), and the rows obs[x] = [c, v]
+    of A_x = sign(G_x) = c I + v.sigma, the layout of a functional's coef[x, a];
+    eigenvalues below tolerance are dropped, which can shorten v or zero it."""
     require_two_qubit(rho_ab)
     q = 0.0
-    observables = []
-    for bx in b:
+    obs = np.zeros((len(b), 4))
+    for x, bx in enumerate(b):
         gx_full = np.kron(ID2, bloch_to_obs(bx)) @ rho_ab.mat
         gx = gx_full.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         lams, vecs = np.linalg.eigh(require_hermitian(gx))
@@ -171,10 +162,8 @@ def quantum_value_Q(rho_ab: DensityMatrix, b: np.ndarray) -> tuple[float, list[O
         for lam, vec in zip(lams, vecs.T):
             if abs(lam) > TOL.degenerate_eig:
                 ax += np.sign(lam) * np.outer(vec, vec.conj())
-        observables.append(
-            OptimalObservable(bloch=obs_to_bloch(ax), identity_weight=float(np.trace(ax).real / 2))
-        )
-    return q, observables
+        obs[x] = np.trace(ax).real / 2, *obs_to_bloch(ax)
+    return q, obs
 
 
 @dataclass(frozen=True)
@@ -183,7 +172,7 @@ class Scenario1Report:
     Q_ab: float
     Q_ba: float
     lhs_signs: np.ndarray
-    observables_ab: list[OptimalObservable]
+    observables_ab: np.ndarray  # (m, 4) rows [c, v] of A_x = c I + v.sigma
     setting_blochs: np.ndarray
 
     @property
@@ -216,8 +205,8 @@ class Scenario1Report:
             "Q_AB": self.Q_ab,
             "Q_BA": self.Q_ba,
             "violated": {"A_to_B": self.violates_ab, "B_to_A": not self.respects_ba},
-            "a_vectors": [obs.bloch.tolist() for obs in self.observables_ab],
-            "a_identity_weights": [obs.identity_weight for obs in self.observables_ab],
+            "a_vectors": self.observables_ab[:, 1:].tolist(),
+            "a_identity_weights": self.observables_ab[:, 0].tolist(),
             "b_vectors": self.setting_blochs.tolist(),
             "lhs_signs": self.lhs_signs.tolist(),
             "verdict": self.verdict,

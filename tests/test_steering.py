@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, trace_norm
+from cyclesteer.search import coeffs_to_state
 from cyclesteer.states import build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from cyclesteer.steering import (
     Assemblage,
@@ -246,15 +247,15 @@ def test_quantum_value_singlet_saturates_directions():
     assert abs(q - 6.0) < 1e-12
     # optimal observable for the singlet is -b_x . sigma
     for o, b in zip(obs, icosahedron_settings()):
-        assert np.abs(o.bloch + b).max() < 1e-9
-        assert abs(o.identity_weight) < 1e-9
+        assert np.abs(o[1:] + b).max() < 1e-9
+        assert abs(o[0]) < 1e-9
 
 
 def test_quantum_value_maximally_mixed_is_zero():
     q, obs = quantum_value_Q(DensityMatrix(np.eye(4) / 4, (2, 2)), icosahedron_settings())
     assert abs(q) < 1e-12
     for o in obs:
-        assert np.abs(o.bloch).max() < 1e-9  # all eigendirections degenerate
+        assert np.abs(o[1:]).max() < 1e-9  # all eigendirections degenerate
 
 
 def test_quantum_value_werner_scales_linearly():
@@ -281,7 +282,7 @@ def test_quantum_value_beats_random_observables():
     ico = icosahedron_settings()
     q, obs = quantum_value_Q(rho_ab, ico)
     attained = sum(
-        np.trace(np.kron(o.identity_weight * ID2 + bloch_to_obs(o.bloch), bloch_to_obs(ico[x])) @ rho_ab.mat).real
+        np.trace(np.kron(o[0] * ID2 + bloch_to_obs(o[1:]), bloch_to_obs(ico[x])) @ rho_ab.mat).real
         for x, o in enumerate(obs)
     )
     assert abs(attained - q) < 1e-10
@@ -291,6 +292,27 @@ def test_quantum_value_beats_random_observables():
             a_op = bloch_to_obs(random_unit())
             total += np.trace(np.kron(a_op, bloch_to_obs(ico[x])) @ rho_ab.mat).real
         assert total <= q + 1e-10
+
+
+@pytest.mark.parametrize("dim", [7, 16])
+def test_optimal_observables_are_sign_observables_attaining_q(dim):
+    """On 25 fixed-seed random family marginals rho_AB per parameterization
+    (real-7, complex-16), every row [c, v] of quantum_value_Q is a sign
+    observable, c +- |v| in {-1, 0, 1}, and sum_x tr((A_x (x) B_x) rho)
+    attains Q."""
+    ico = icosahedron_settings()
+    for vec in np.random.default_rng(41).standard_normal((25, dim)):
+        rho_ab = reduce_pair(build_family(coeffs_to_state(vec), 1.0), "AB")
+        q, obs = quantum_value_Q(rho_ab, ico)
+        assert obs.shape == (6, 4)
+        eigs = obs[:, :1] + np.array([1.0, -1.0]) * np.linalg.norm(obs[:, 1:], axis=1, keepdims=True)
+        assert np.abs(eigs - np.round(eigs)).max() <= 1e-12
+        assert np.abs(eigs).max() <= 1 + 1e-12
+        attained = sum(
+            np.trace(np.kron(o[0] * ID2 + bloch_to_obs(o[1:]), bloch_to_obs(b)) @ rho_ab.mat).real
+            for o, b in zip(obs, ico)
+        )
+        assert abs(attained - q) <= 1e-10
 
 
 def test_product_states_never_violate():
