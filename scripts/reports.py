@@ -24,15 +24,16 @@ its label, then r_in, r_out and t_cap at ``repr`` precision, or
 
 For each set of brackets (the coarse pool, each m = 21 bracket, each sweep
 setting) it prints the HiGHS runs, those that ended non-optimal (then
-retried by ``lhs.linprog``'s ladder), the brackets that raised
-``LpFailure`` and the exact-kernel calls; it exits 1 when any bracket
-raised ``LpFailure``. With ``--against OTHER``, a
-directory it wrote in another checkout (say, the parent commit's), it then
-prints for each file that differs the largest absolute difference among
-its numbers, or that its text around them differs (a flag, verdict or
-failure); each moved line of ``brackets.txt``; and for ``sweep.txt`` each
-line whose flags or failure differ and the largest move per setting beside
-its tolerance. It exits 1 when any file differs. It takes about 30 s.
+retried by ``lhs.linprog``'s ladder), the runs' simplex iterations and
+largest row count, the brackets that raised ``LpFailure`` and the
+exact-kernel calls; it exits 1 when any bracket raised ``LpFailure``.
+With ``--against OTHER``, a directory it wrote in another checkout (say,
+the parent commit's), it then prints for each file that differs the
+largest absolute difference among its numbers, or that its text around
+them differs (a flag, verdict or failure); each moved line of
+``brackets.txt``; and for ``sweep.txt`` each line whose flags or failure
+differ and the largest move per setting beside its tolerance. It exits 1
+when any file differs. It takes about 20-30 s.
 """
 
 import argparse
@@ -63,8 +64,9 @@ def _command(argv: list[str], out: Path) -> None:
 
 @contextmanager
 def _counted_calls():
-    """Count each HiGHS run of ``lhs``, each non-optimal run and each kernel
-    call within the block; ``lhs``'s own names are back when it exits."""
+    """Count each HiGHS run of ``lhs``, each non-optimal run, the runs' simplex
+    iterations, their largest row count and each kernel call within the
+    block; ``lhs``'s own names are back when it exits."""
     counts, highs, kernel = Counter(), lhs._Highs, lhs.max_over_strategies
 
     class Counted(highs):
@@ -72,6 +74,8 @@ def _counted_calls():
             status = super().run()
             counts["runs"] += 1
             counts["not_optimal"] += self.getModelStatus() != lhs.HighsModelStatus.kOptimal
+            counts["iterations"] += self.getInfoValue("simplex_iteration_count")[1]
+            counts["rows"] = max(counts["rows"], self.getNumRow())
             return status
 
     def counted_kernel(*args):
@@ -123,7 +127,8 @@ def _bracket_set(name: str, jobs: list, counts: Counter, flags: bool = False) ->
         tail = f" {rep.steerable_detected} {rep.unsteerable_certified}" if flags else ""
         lines.append(f"{label} {float(rep.r_in)!r} {float(rep.r_out)!r} {float(rep.t_cap)!r}{tail}\n")
     print(f"{name}: {len(jobs)} brackets in {time.perf_counter() - start:.1f} s, {counts['runs']} HiGHS runs, "
-          f"{counts['not_optimal']} non-optimal, {failures} LpFailure, {counts['kernel']} kernel calls")
+          f"{counts['not_optimal']} non-optimal, {counts['iterations']} simplex iterations, at most {counts['rows']} "
+          f"rows, {failures} LpFailure, {counts['kernel']} kernel calls")
     return lines
 
 

@@ -57,6 +57,7 @@ _DUAL_OPTIONS = {"simplex_strategy": 1, "simplex_scale_strategy": 0,
                  "dual_simplex_cost_perturbation_multiplier": 0.0,
                  "primal_simplex_bound_perturbation_multiplier": 0.0}
 _THREAD = threading.local()  # .highs: this thread's HiGHS object (see _Lp)
+_MIRROR = np.array([1.0, 1.0, -1.0, 1.0])  # y -> -y on [p, s] and on each LP row's 4 entries
 
 
 class LpFailure(RuntimeError):
@@ -133,6 +134,39 @@ def _coef(y: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _mirror(b: np.ndarray, t_col: np.ndarray):
+    """(pi, f), pi an involution of the settings with v[pi(x), a ^ f[x]] ==
+    _MIRROR v[x, a] exactly for v = b, t_col in the (m, 2, 4) layout, as a real
+    state's at mirror-closed directions have; else None. x pairs with itself
+    first, else the first free partner, so equal rows (GHZ's) pair too."""
+    v = np.stack([b, t_col]).reshape(2, -1, 2, 4)
+    mirrored, m = v * _MIRROR, v.shape[1]
+    same, flipped = ((mirrored[:, :, None, ::step] == v[:, None]).all(axis=(0, 3, 4)) for step in (1, -1))
+    pi, f = np.full(m, -1), np.zeros(m, dtype=np.int8)
+    for x in range(m):
+        if pi[x] < 0:
+            partner = next((p for p in [x, *range(x + 1, m)] if pi[p] < 0 and (same[x, p] or flipped[x, p])), None)
+            if partner is None:
+                return None
+            pi[[x, partner]], f[[x, partner]] = [partner, x], not same[x, partner]
+    return pi, f
+
+
+@cache
+def _reduction(pi: tuple, f: tuple) -> np.ndarray:
+    """P, the independent rows of (I + S)/2, S the mirror (pi, f) on the LP's
+    rows (``_rows``): rho_B to M rho_B, row x to M row x at row pi(x), or to
+    M (rho_B - row x) where f[x]. Kept: each row with a nonzero diagonal, once
+    per pair {x, pi(x)}; the rest are 0 or sums of kept ones. Read-only."""
+    m, pi, f = len(pi), np.array(pi), np.array(f)
+    s = np.zeros((m + 1, m + 1))
+    s[0, 0], s[1 + pi, 1 + np.arange(m)], s[1 + pi, 0] = 1.0, 1.0 - 2 * f, f
+    r = (np.eye(4 * (m + 1)) + np.kron(s, np.diag(_MIRROR))) / 2
+    p = r[(np.diag(r) != 0) & np.repeat(np.arange(m + 1) <= np.append(0, 1 + pi), 4)]
+    p.flags.writeable = False
+    return p
+
+
 def _columns(bits: np.ndarray, blochs: np.ndarray) -> np.ndarray:
     """LP columns for (strategy, hidden state) pairs; shape (4(m + 1), n).
 
@@ -200,8 +234,9 @@ class _Lp:
     each ``solve`` warm-starts the simplex from the last basis. Every run is
     the primal simplex, as added columns leave the last basis primal
     feasible but not dual feasible, except a dual model's first, a model
-    of 4(m + 1) rows with m <= 10 (``_strategies``): t's upper bound t_cap
-    makes the slack basis dual feasible, which skips the primal's phase 1.
+    with m <= 10 (``_strategies``), whose options ``_solve`` sets from m:
+    t's upper bound t_cap makes the slack basis dual feasible, which skips
+    the primal's phase 1.
     A dual model also runs unscaled and unperturbed (``_DUAL_OPTIONS``), as
     its rows hold entries in [-1, 1] and its zero-cost pool is dual
     degenerate; at m = 21 both made brackets slower. ``linprog``'s last
@@ -221,9 +256,6 @@ class _Lp:
         self.highs = _THREAD.highs
         self.highs.clearModel()
         self.highs.passOptions(_OPTIONS)
-        if _strategies(len(b) // 4 - 1) is not None:
-            for name, value in _DUAL_OPTIONS.items():
-                self.highs.setOptionValue(name, value)
         self.highs.addRows(len(b), b, b, 0, [], [], [])
         self.add(t_col[:, None], -1.0, t_cap)
 
@@ -276,8 +308,11 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     """Column generation on the ``_Lp`` over ``pool`` = (bits, blochs) and
     the 4(m + 1) rows T b and T t_col (``_rows``) of the flat (m, 2, 4)
     vectors b and t_col: every column and b(t) is no-signalling, so these
-    rows hold all of the LP. Each dual y is priced and bounded as
-    coef = T^T y (``_coef``), whose value on every column and b(t) is y's;
+    rows hold all of the LP. With a ``_mirror`` of b and t_col it holds the
+    rows P T alone (``_reduction``), on which a column and its mirror image
+    are one, and t* is the same, as a model averaged with its image is one
+    at the same t. Each dual y, lifted to P^T y there, is priced and bounded
+    as coef = T^T y (``_coef``), whose value on every column and b(t) is y's;
     ``_price`` adds columns (from the vertices of ``hidden`` above m = 10)
     or, above m = 10 where those offer none, each of the exact kernel's
     _CG_COLUMNS_PER_ROUND best strategies that prices in, at V/|V|. Below
@@ -288,18 +323,29 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
     rounds above. The run keeps the least crossing ub and stops once
     ub - t <= tol, nothing prices above _PRICING_TOL, or after
     _CG_MAX_ROUNDS rounds. Returns (t, LHS model of the positive weights
-    at t, the functional of ub with that bound, or None at t_cap or with
-    no bound); LpFailure only when HiGHS does not end optimal.
+    at t, each with its mirror image at half weight given a mirror, the
+    functional of ub with that bound, or None at t_cap or with no bound);
+    LpFailure only when HiGHS does not end optimal.
     """
     m = len(b) // 8
     pool_bits, pool_blochs = pool
     bob = _into_ball(b.reshape(m, 2, 4)[0].sum(axis=0)[1:])
     strategies = _strategies(m)
-    lp = _Lp(_rows(b), _rows(t_col), t_cap)
-    lp.add(_columns(pool_bits, pool_blochs))
+    mirror = _mirror(b, t_col)
+    p = None if mirror is None else _reduction(*map(tuple, mirror))
+
+    def reduced(rows):
+        return rows if p is None else p @ rows
+
+    lp = _Lp(reduced(_rows(b)), reduced(_rows(t_col)), t_cap)
+    if strategies is not None:  # the m <= 10 run rule (see _Lp)
+        for name, value in _DUAL_OPTIONS.items():
+            lp.highs.setOptionValue(name, value)
+    lp.add(reduced(_columns(pool_bits, pool_blochs)))
     ub, functional = np.inf, None
     for _ in range(_CG_MAX_ROUNDS):
         t, w, y = lp.solve()
+        y = y if p is None else y @ p  # P^T y
         if t >= t_cap:
             functional = None  # no column can improve
             break
@@ -317,10 +363,14 @@ def _solve(hidden: SpherePolytope, pool: tuple, b: np.ndarray, t_col: np.ndarray
         if ub - t <= tol or not (scores > _PRICING_TOL).any():
             break
         bits, blochs = bits[scores > _PRICING_TOL].astype(np.int8), blochs[scores > _PRICING_TOL]
-        lp.add(_columns(bits, blochs))
+        lp.add(reduced(_columns(bits, blochs)))
         pool_bits, pool_blochs = np.vstack([pool_bits, bits]), np.vstack([pool_blochs, blochs])
     keep = np.flatnonzero(w > 0)  # of the pool at the last run
-    return t, LhsCertificate(pool_bits[keep], pool_blochs[keep], w[keep]), functional
+    bits, blochs, w = pool_bits[keep], pool_blochs[keep], w[keep]
+    if mirror is not None:  # each column and its mirror image at half weight
+        bits, blochs = np.vstack([bits, bits[:, mirror[0]] ^ mirror[1]]), np.vstack([blochs, blochs * _MIRROR[1:]])
+        w = np.tile(w / 2, 2)
+    return t, LhsCertificate(bits, blochs, w), functional
 
 
 def _crossing(bound: float, v0: float, v1: float) -> float:

@@ -40,7 +40,7 @@ from cyclesteer.lhs import (
 from cyclesteer.linalg import ID2, PAULIS, DensityMatrix, bloch_to_obs, partial_trace, pauli_form
 from cyclesteer.polytope import antipodal_directions, sphere_polytope
 from cyclesteer.search import _PREFILTER_PARAMS, _reduced_pair
-from cyclesteer.states import build_family, builtin_state, singlet, swap_state, werner
+from cyclesteer.states import build_family, builtin_state, reduce_pair, singlet, swap_state, werner
 from cyclesteer.steering import icosahedron_settings, make_assemblage, max_over_strategies
 from cyclesteer.tolerances import TOL
 
@@ -737,6 +737,160 @@ def test_linprog_reports_size_and_iterations():
     res = lhs.linprog(A_eq=lp)
     assert lp.shape == (4 * 7, 1 + 64 * 12)
     assert res.nit > 0 and res.x.shape == (1 + 64 * 12,) and res.y.shape == (4 * 7,)
+
+
+def _family(rho, directions):
+    """(a0, a1, b, t_col): the radial family of rho at ``directions`` and
+    the LP's inputs, as ``_locate`` passes them to ``_solve``."""
+    a1 = make_assemblage(rho, directions)
+    a0 = lhs._at_zero(a1)
+    return a0, a1, a0.ps.ravel(), (a0.ps - a1.ps).ravel()
+
+
+def _mirror_image(ps, pi, f):
+    """The image w[pi(x), a ^ f[x]] = M ps[x, a] of a layout ps (..., m, 2, 4)."""
+    return ps[..., pi[:, None], np.arange(2) ^ f[:, None], :] * lhs._MIRROR
+
+
+def _builtin_ab(sid):
+    return reduce_pair(build_family(builtin_state(sid).normalized(), 1.0), "AB")
+
+
+# Draws of default_rng(2026) (the reports script's sweep) whose AB and BA
+# brackets at meas level 0 both end below t_cap.
+_BELOW_CAP = (7, 16, 27, 28, 34, 39, 44, 52, 58, 68)
+
+
+def _real7_marginals(draws=_BELOW_CAP):
+    """rho_AB and rho_BA of those draws' real-7 family states at p = 1."""
+    coeffs = np.random.default_rng(2026).standard_normal((max(draws) + 1, 7))
+    for j in draws:
+        ab = _reduced_pair(coeffs[j])
+        yield from (ab, swap_state(ab))
+
+
+def test_mirror_rows_keep_t_star(monkeypatch):
+    """The LP on the mirror-invariant rows reaches, at tol 0, the t* of the
+    full LP (the mirror detector stubbed to find none) to within
+    _PRICING_TOL, where pricing stops: on 20 real-7 marginals (AB and BA)
+    at meas level 0, each ending below t_cap, and at meas level 1 on the
+    singlet, below t_cap, and a real-7 marginal that closes at t_cap (one
+    that ends below it takes 7-10 s)."""
+    cases = [(rho, 0, True) for rho in _real7_marginals()] + [(singlet(), 1, True),
+                                                               (next(_real7_marginals((92,))), 1, False)]
+    for rho, level, below_cap in cases:
+        a0, a1, b, t_col = _family(rho, lhs._directions(level))
+        assert lhs._mirror(b, t_col) is not None
+        t_cap = _t_cap(rho)
+        t = _locate(HIDDEN1, a0, a1, t_cap)[0]
+        assert (t < t_cap) == below_cap
+        with monkeypatch.context() as patch:
+            patch.setattr(lhs, "_mirror", lambda b, t_col: None)
+            assert abs(_locate(HIDDEN1, a0, a1, t_cap)[0] - t) <= lhs._PRICING_TOL
+
+
+def test_mirror_model_is_mirror_invariant():
+    """The model of a mirrored LP is each kept column with its mirror image
+    at half weight, so its mirror image is itself, and it reproduces the
+    family's assemblage at t: b1 AB, sc1 BA and a real-7 marginal at meas
+    level 0, and the singlet at meas level 1."""
+    for rho, level in [(_builtin_ab("b1"), 0), (swap_state(_builtin_ab("sc1")), 0),
+                       (next(_real7_marginals()), 0), (singlet(), 1)]:
+        a0, a1, b, t_col = _family(rho, lhs._directions(level))
+        pi, f = lhs._mirror(b, t_col)
+        t, model, _ = _locate(HIDDEN1, a0, a1, _t_cap(rho), 1e-2)
+        rows = np.hstack([model.strategy_bits, model.blochs, model.weights[:, None]])
+        image = np.hstack([model.strategy_bits[:, pi] ^ f, model.blochs * [1, -1, 1], model.weights[:, None]])
+        assert sorted(map(tuple, image)) == sorted(map(tuple, rows))
+        assert model.residual(a0.ps + t * (a1.ps - a0.ps)) <= TOL.lp_residual
+
+
+class _RowSpy(lhs._Highs):
+    """HiGHS recording the row count of every run in ``rows``."""
+
+    rows = []
+
+    def run(self):
+        self.rows.append(self.getNumRow())
+        return super().run()
+
+
+def test_mirror_rows_counted_by_highs(monkeypatch):
+    """A real state's LP has 17 rows at m = 6 and 48 at m = 21, the rank of
+    the mirror-invariant rows, and b3, a complex state, keeps all 28."""
+    monkeypatch.setattr(lhs, "_Highs", _RowSpy)
+    b1, b3 = _builtin_ab("b1"), _builtin_ab("b3")
+    for run, rows in [(lambda: critical_radius_bounds(b1), 17),
+                      (lambda: lhs_lp_feasible(make_assemblage(werner(0.45), lhs._directions(1)), HIDDEN1), 48),
+                      (lambda: critical_radius_bounds(b3), 28)]:
+        monkeypatch.setattr(_RowSpy, "rows", [])
+        run()
+        assert _RowSpy.rows and set(_RowSpy.rows) == {rows}
+
+
+@pytest.mark.parametrize("level, rows", [(0, 17), (1, 48)])
+def test_reduction_rows_are_independent_and_mirror_blind(level, rows):
+    """P has full row rank, and P T v = P T w for any no-signalling layout v
+    and its mirror image w, so a column and its image are one reduced
+    column (b1's mirror)."""
+    pi, f = lhs._mirror(*_family(_builtin_ab("b1"), lhs._directions(level))[2:])
+    p = lhs._reduction(tuple(pi), tuple(f))
+    assert p.shape == (rows, 4 * (len(pi) + 1)) and np.linalg.matrix_rank(p) == rows
+    v = np.random.default_rng(2).standard_normal((20, len(pi), 2, 4))
+    v[:, :, 1] = v[:, :1, :].sum(axis=2) - v[:, :, 0]  # one rho_B per sample
+    for sample in v:
+        assert np.abs(p @ lhs._rows(_mirror_image(sample, pi, f).ravel()) - p @ lhs._rows(sample.ravel())).max() <= 1e-14
+
+
+@pytest.mark.parametrize("rho", [_builtin_ab("ghz"), DensityMatrix(np.eye(4) / 4, (2, 2))], ids=["ghz", "identity"])
+def test_mirror_pairs_settings_with_equal_rows(rho):
+    """GHZ's marginal and I/4, whose settings have equal rows, get an
+    involution that maps both of the LP's inputs to their mirror images
+    exactly."""
+    a0, a1, b, t_col = _family(rho, ICO_DIRS)
+    pi, f = lhs._mirror(b, t_col)
+    assert np.array_equal(pi[pi], np.arange(6)) and np.array_equal(f[pi], f)
+    for ps in (a0.ps, a1.ps):
+        assert np.array_equal(_mirror_image(ps, pi, f), ps)
+
+
+def test_mirror_near_miss_finds_none():
+    """b1's LP inputs with one entry off by one ulp: no mirror where that
+    entry has a mirror partner to match (a paired setting, or a y
+    component), and b1's mirror still where it has none (the p, x and z
+    entries of a setting mapped to itself with f = 0 map to themselves)."""
+    _, _, b, t_col = _family(_builtin_ab("b1"), ICO_DIRS)
+    pi, f = lhs._mirror(b, t_col)
+    for v, entries in ((t_col, range(len(t_col))), (b, [2])):  # b's y of Bob's state, exactly 0
+        for k in entries:
+            near = v.copy()
+            near[k] = np.nextafter(near[k], np.inf)
+            found = lhs._mirror(near, t_col) if v is b else lhs._mirror(b, near)
+            x, component = k // 8, k % 4
+            if pi[x] == x and component != 2:
+                assert np.array_equal(found[0], pi) and np.array_equal(found[1], f), k
+            else:
+                assert found is None, k
+
+
+def test_no_mirror_keeps_the_full_lp():
+    """Where no exact mirror exists (b3, complex; a real state at randomly
+    rotated directions) the LP is the full one: the brackets and locator
+    results of the code before the reduction, which were equal bit for bit
+    on the machine that pinned them; 1e-12 leaves room for another BLAS."""
+    b3 = _builtin_ab("b3")
+    for rho, (r_in, r_out) in [(b3, (0.8070550639786928, 1.0156050108812245)),
+                               (swap_state(b3), (0.8325982679635101, 1.0477487977413817))]:
+        rep = critical_radius_bounds(rho)
+        assert rep.r_in == pytest.approx(r_in, abs=1e-12) and rep.r_out == pytest.approx(r_out, abs=1e-12)
+    rotated = lhs._directions(0) @ np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0].T
+    for rho, (t_star, bound, value) in [
+            (_builtin_ab("sc1"), (0.9220509213485956, 0.0007686629771685653, 0.060726055730800366)),
+            (singlet(), (0.5393446629166311, 0.00042233296731120085, 0.4606553370833687))]:
+        a0, a1, b, t_col = _family(rho, rotated)
+        assert lhs._mirror(b, t_col) is None
+        t, _, functional = _locate(sphere_polytope(2), a0, a1, _t_cap(rho), 1e-3)
+        assert (t, functional.bound, functional.value(a1)) == pytest.approx((t_star, bound, value), abs=1e-12)
 
 
 def _hull_columns(hidden, scale, m=6):

@@ -2,7 +2,8 @@
 when a bracket raises LpFailure, and ``compare`` reports each way two report
 directories differ.
 
-The script is loaded by path, as a script; these tests run no bracket.
+The script is loaded by path, as a script; one test runs three m = 6
+brackets, the others none.
 """
 
 import ast
@@ -100,6 +101,23 @@ def test_main_restores_lhs_when_a_bracket_raises(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="stand-in"):
         reports.main(tmp_path / "out")
     assert (reports.lhs._Highs, reports.lhs.max_over_strategies) == originals
+
+
+def test_bracket_set_prints_iterations_and_rows(monkeypatch, capsys):
+    """A set's count line gives its HiGHS runs' simplex iterations and their
+    largest row count: 17 for a real state's m = 6 LP (the mirror-invariant
+    rows), 28 with a complex state among the set."""
+    lhs, states = reports.lhs, reports.states
+    monkeypatch.setattr(lhs, "_Highs", lhs._Highs)  # put back even if the block does not
+    params = reports.search._PREFILTER_PARAMS
+    werner, b3 = ("werner", states.werner(0.9), params), ("b3", reports.cli._resolve_pair("builtin:b3", None)[0], params)
+    for jobs, rows in [([werner], 17), ([werner, b3], 28)]:
+        with reports._counted_calls() as counts:
+            reports._bracket_set("set", jobs, counts)
+            assert counts["iterations"] > 0
+        line = capsys.readouterr().out
+        assert f"{counts['iterations']} simplex iterations, at most {rows} rows, 0 LpFailure" in line
+
 
 SWEEP = (
     "prefilter 0 AB 0.5 0.75 1.0 True True\n"
